@@ -24,6 +24,7 @@ from .errors import PipelineError
 from .evaluation import (
     EvalReport,
     ModelConfig,
+    _derived_seed,
     compare_models,
     random_search,
     reports_to_doc,
@@ -46,7 +47,7 @@ from .features import (
 )
 from .models import FAMILIES, HyperParams, fit_family, load_model, save_model
 from .report import StageReport
-from .select_explain import f_scores, forward_select, select_k_best, shap_ranking, shapley_values
+from .select_explain import f_scores, forward_select, mean_abs_ranking, select_k_best, shapley_values
 from .sentiment import default_lexicon, fill_missing_sentiment, load_lexicon, score_reviews
 from .synthgen import GenConfig, generate
 from .tabular import (
@@ -137,25 +138,6 @@ def _require_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
         raise ConfigError(f"{what} not found: {path}")
     return path
-
-
-def thread_cap() -> int:
-    """RENTLAB_THREADS is accepted and validated but the pipeline is
-    single-threaded, so results never depend on it."""
-    raw = os.environ.get("RENTLAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"ignoring non-integer RENTLAB_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return max(1, value)
-
-
-def _derived_seed(seed: int, *indices: int) -> int:
-    ss = np.random.SeedSequence((seed, *indices))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**31))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +579,11 @@ def stage_explain(
     if rows and matrix.n_rows > rows:
         picks = np.random.default_rng(seed).choice(matrix.n_rows, size=rows, replace=False)
         matrix = matrix.take(np.sort(picks))
-    ranking = shap_ranking(model, matrix, budget=budget, seed=seed)
+    explanations = [
+        shapley_values(model, matrix.x[i], matrix, budget=budget, seed=seed + i)
+        for i in range(matrix.n_rows)
+    ]
+    ranking = mean_abs_ranking(matrix.feature_names, explanations)
     table = Table.from_dict(
         {
             "feature": ("text", [name for name, _ in ranking[:top]]),
@@ -606,16 +592,14 @@ def stage_explain(
     )
     write_table(table, out_path)
     if explanations_path:
-        docs = []
-        for i in range(matrix.n_rows):
-            expl = shapley_values(model, matrix.x[i], matrix, budget=budget, seed=seed + i)
-            docs.append(
-                {
-                    "base_value": expl.base_value,
-                    "values": dict(zip(matrix.feature_names, (float(v) for v in expl.values))),
-                    "prediction": expl.prediction,
-                }
-            )
+        docs = [
+            {
+                "base_value": expl.base_value,
+                "values": dict(zip(matrix.feature_names, (float(v) for v in expl.values))),
+                "prediction": expl.prediction,
+            }
+            for expl in explanations
+        ]
         write_json_doc(docs, explanations_path)
     return out_path
 
@@ -946,7 +930,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     command = _COMMANDS[args.command]

@@ -12,11 +12,11 @@ from .boosting import BoostedModel, fit_gbm
 from .forest import ForestModel, auto_max_features, fit_forest
 from .linear import LinearModel, elastic_net_objective, fit_elastic_net, fit_ols, soft_threshold
 from .serialize import load_model, model_from_doc, model_to_doc, save_model
-from .tree import TreeNode, fit_tree, iter_splits, predict_tree, tree_depth
+from .tree import Tree, fit_tree
 
 FAMILIES = ("ols", "lasso", "ridge", "elastic", "forest", "gbm")
 
-FittedModel = LinearModel | TreeNode | ForestModel | BoostedModel
+FittedModel = LinearModel | Tree | ForestModel | BoostedModel
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,6 @@ def predict(model: FittedModel, x) -> np.ndarray:
     expected = n_model_features(model)
     if expected is not None and data.shape[1] != expected:
         raise ValueError(f"model expects {expected} features, got {data.shape[1]}")
-    if isinstance(model, TreeNode):
-        return predict_tree(model, data)
     return model.predict(data)
 
 
@@ -116,7 +114,7 @@ __all__ = [
     "ForestModel",
     "HyperParams",
     "LinearModel",
-    "TreeNode",
+    "Tree",
     "auto_max_features",
     "elastic_net_objective",
     "fit_elastic_net",
@@ -125,14 +123,11 @@ __all__ = [
     "fit_gbm",
     "fit_ols",
     "fit_tree",
-    "iter_splits",
     "load_model",
     "model_from_doc",
     "model_to_doc",
     "n_model_features",
     "predict",
-    "predict_tree",
     "save_model",
     "soft_threshold",
-    "tree_depth",
 ]

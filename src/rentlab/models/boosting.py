@@ -10,13 +10,13 @@ import numpy as np
 
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
-from .tree import TreeNode, fit_tree, predict_tree
+from .tree import Tree, fit_tree
 
 
 @dataclass
 class BoostedModel:
     base: float
-    trees: list[TreeNode]
+    trees: list[Tree]
     learning_rate: float
     feature_names: tuple[str, ...] = ()
 
@@ -24,7 +24,7 @@ class BoostedModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         acc = np.full(x.shape[0], self.base, dtype=np.float64)
         for t in self.trees:
-            acc += self.learning_rate * predict_tree(t, x)
+            acc += self.learning_rate * t.predict(x)
         return acc
 
 
@@ -45,11 +45,11 @@ def fit_gbm(
     y = np.asarray(m.y, dtype=np.float64)
     base = float(y.mean())
     pred = np.full(m.n_rows, base)
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     for _ in range(n_rounds):
         residual = y - pred
         stage = FeatureMatrix(m.x, m.feature_names, residual, None)
         tree = fit_tree(stage, max_depth=max_depth, min_samples_split=min_samples_split)
         trees.append(tree)
-        pred += learning_rate * predict_tree(tree, m.x)
+        pred += learning_rate * tree.predict(m.x)
     return BoostedModel(base, trees, learning_rate, feature_names=m.feature_names)

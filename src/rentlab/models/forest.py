@@ -9,12 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import FeatureMatrix
-from .tree import TreeNode, fit_tree, predict_tree
+from .tree import Tree, fit_tree
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     max_features: int
     seed: int
     feature_names: tuple[str, ...] = ()
@@ -24,7 +24,7 @@ class ForestModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         acc = np.zeros(x.shape[0], dtype=np.float64)
         for t in self.trees:
-            acc += predict_tree(t, x)
+            acc += t.predict(x)
         return acc / len(self.trees)
 
 

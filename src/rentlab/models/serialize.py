@@ -13,36 +13,7 @@ import numpy as np
 from .boosting import BoostedModel
 from .forest import ForestModel
 from .linear import LinearModel
-from .tree import TreeNode
-
-
-def _tree_to_doc(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"kind": "leaf", "value": node.value, "n": node.n_samples}
-    return {
-        "kind": "split",
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "n": node.n_samples,
-        "gain": node.gain,
-        "value": node.value,
-        "left": _tree_to_doc(node.left),
-        "right": _tree_to_doc(node.right),
-    }
-
-
-def _tree_from_doc(doc: dict) -> TreeNode:
-    if doc["kind"] == "leaf":
-        return TreeNode(doc["value"], doc["n"])
-    return TreeNode(
-        doc.get("value", 0.0),
-        doc["n"],
-        feature=doc["feature"],
-        threshold=doc["threshold"],
-        left=_tree_from_doc(doc["left"]),
-        right=_tree_from_doc(doc["right"]),
-        gain=doc.get("gain", 0.0),
-    )
+from .tree import Tree
 
 
 def model_to_doc(model) -> dict:
@@ -58,12 +29,12 @@ def model_to_doc(model) -> dict:
             "n_iter": model.n_iter,
             "feature_names": list(model.feature_names),
         }
-    if isinstance(model, TreeNode):
-        return {"family": "tree", "root": _tree_to_doc(model)}
+    if isinstance(model, Tree):
+        return {"family": "tree", **model.to_doc()}
     if isinstance(model, ForestModel):
         return {
             "family": "forest",
-            "trees": [_tree_to_doc(t) for t in model.trees],
+            "trees": [t.to_doc() for t in model.trees],
             "max_features": model.max_features,
             "seed": model.seed,
             "bootstrap": model.bootstrap,
@@ -74,7 +45,7 @@ def model_to_doc(model) -> dict:
             "family": "gbm",
             "base": model.base,
             "learning_rate": model.learning_rate,
-            "trees": [_tree_to_doc(t) for t in model.trees],
+            "trees": [t.to_doc() for t in model.trees],
             "feature_names": list(model.feature_names),
         }
     raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -94,10 +65,10 @@ def model_from_doc(doc: dict):
             feature_names=tuple(doc.get("feature_names", ())),
         )
     if family == "tree":
-        return _tree_from_doc(doc["root"])
+        return Tree.from_doc(doc)
     if family == "forest":
         return ForestModel(
-            [_tree_from_doc(t) for t in doc["trees"]],
+            [Tree.from_doc(t) for t in doc["trees"]],
             doc["max_features"],
             doc["seed"],
             feature_names=tuple(doc.get("feature_names", ())),
@@ -106,7 +77,7 @@ def model_from_doc(doc: dict):
     if family == "gbm":
         return BoostedModel(
             doc["base"],
-            [_tree_from_doc(t) for t in doc["trees"]],
+            [Tree.from_doc(t) for t in doc["trees"]],
             doc["learning_rate"],
             feature_names=tuple(doc.get("feature_names", ())),
         )

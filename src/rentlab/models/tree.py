@@ -3,31 +3,84 @@ sorted distinct values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
 
 MIN_GAIN = 1e-12
+_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "gain")
 
 
-@dataclass
-class TreeNode:
-    """Leaf (feature is None) or binary split; v <= threshold goes left."""
+class Tree:
+    """A fitted tree as parallel node arrays in preorder; node 0 is the root.
 
-    value: float
-    n_samples: int
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    gain: float = 0.0
+    A split node has ``feature >= 0`` and sends ``x[feature] <= threshold``
+    to ``left``; a leaf has ``feature == -1`` and is its own left and right
+    child. Every node stores its training mean (``value``), row count and
+    SSE reduction (``gain``, 0 at leaves).
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def __init__(self, feature, threshold, left, right, value, n_samples, gain):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.n_samples = np.asarray(n_samples, dtype=np.int64)
+        self.gain = np.asarray(gain, dtype=np.float64)
+        self._check()
+        self.depth = self._depth()
+
+    def _check(self) -> None:
+        n = self.feature.size
+        if n == 0 or any(getattr(self, f).shape != (n,) for f in _FIELDS):
+            raise ValueError("tree arrays must be non-empty, one-dimensional and of equal length")
+        nodes = np.arange(n)
+        split = self.feature >= 0
+        leaf_ok = (self.feature == -1) & (self.left == nodes) & (self.right == nodes)
+        # children come after their parent in preorder, so routing ends
+        split_ok = split & (self.left > nodes) & (self.right > nodes) & (self.left < n) & (self.right < n)
+        if not np.all(leaf_ok | split_ok):
+            raise ValueError("tree arrays are not a preorder binary tree")
+
+    def _depth(self) -> int:
+        depth, frontier = 0, np.zeros(1, dtype=np.int64)
+        while True:
+            frontier = frontier[self.feature[frontier] >= 0]
+            if frontier.size == 0:
+                return depth
+            frontier = np.concatenate((self.left[frontier], self.right[frontier]))
+            depth += 1
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        rows = np.arange(x.shape[0])
+        node = np.zeros(x.shape[0], dtype=np.int64)
+        # leaves route to themselves, so `depth` steps put every row on its
+        # leaf without testing which rows are already there
+        for _ in range(self.depth):
+            node = np.where(x[rows, self.feature[node]] <= self.threshold[node],
+                            self.left[node], self.right[node])
+        return self.value[node]
+
+    def splits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(feature, gain) of every split node, in preorder."""
+        split = self.feature >= 0
+        return self.feature[split], self.gain[split]
+
+    def to_doc(self) -> dict:
+        return {f: getattr(self, f).tolist() for f in _FIELDS}
+
+    @staticmethod
+    def from_doc(doc: dict) -> "Tree":
+        missing = [f for f in _FIELDS if f not in doc]
+        if missing:
+            raise ValueError(
+                f"tree document lacks the flat fields {missing}; "
+                "nested tree documents are not read, refit the model"
+            )
+        return Tree(*(doc[f] for f in _FIELDS))
 
 
 def _best_split(x, y, idx, features):
@@ -67,17 +120,22 @@ def _best_split(x, y, idx, features):
     return best
 
 
-def _grow(x, y, idx, depth, max_depth, min_samples_split, max_features, rng):
+def _grow(nodes, x, y, idx, depth, max_depth, min_samples_split, max_features, rng):
+    """Append the subtree over rows `idx` to the node lists, in preorder."""
     node_y = y[idx]
-    mean = float(node_y.mean())
     n = idx.size
+    node = len(nodes["value"])
+    leaf = {"feature": -1, "threshold": 0.0, "left": node, "right": node,
+            "value": float(node_y.mean()), "n_samples": n, "gain": 0.0}
+    for f in _FIELDS:
+        nodes[f].append(leaf[f])
     if (
         depth >= max_depth
         or n < min_samples_split
         or n < 2
         or float(node_y.min()) == float(node_y.max())
     ):
-        return TreeNode(mean, n)
+        return
 
     p = x.shape[1]
     if max_features is not None and max_features < p:
@@ -87,14 +145,15 @@ def _grow(x, y, idx, depth, max_depth, min_samples_split, max_features, rng):
 
     found = _best_split(x, y, idx, features)
     if found is None:
-        return TreeNode(mean, n)
+        return
     gain, feature, thr, left_order, right_order = found
-    left = _grow(x, y, idx[left_order], depth + 1, max_depth,
-                 min_samples_split, max_features, rng)
-    right = _grow(x, y, idx[right_order], depth + 1, max_depth,
-                  min_samples_split, max_features, rng)
-    return TreeNode(mean, n, feature=int(feature), threshold=thr,
-                    left=left, right=right, gain=gain)
+    nodes["feature"][node] = int(feature)
+    nodes["threshold"][node] = thr
+    nodes["gain"][node] = gain
+    for side, order in (("left", left_order), ("right", right_order)):
+        nodes[side][node] = len(nodes["value"])
+        _grow(nodes, x, y, idx[order], depth + 1, max_depth,
+              min_samples_split, max_features, rng)
 
 
 def fit_tree(
@@ -103,7 +162,7 @@ def fit_tree(
     min_samples_split: int = 2,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
-) -> TreeNode:
+) -> Tree:
     """Grow a depth-limited regression tree; leaves predict the node mean."""
     if m.n_rows == 0:
         raise EmptyInputError("cannot fit a tree on an empty matrix")
@@ -115,41 +174,6 @@ def fit_tree(
     y = np.asarray(m.y, dtype=np.float64)
     if rng is None:
         rng = np.random.default_rng(0)
-    idx = np.arange(m.n_rows)
-    return _grow(x, y, idx, 0, max_depth, min_samples_split, max_features, rng)
-
-
-def predict_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Vectorized tree traversal."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = np.empty(x.shape[0], dtype=np.float64)
-    _route(node, x, np.arange(x.shape[0]), out)
-    return out
-
-
-def _route(node: TreeNode, x, rows, out) -> None:
-    if node.is_leaf:
-        out[rows] = node.value
-        return
-    go_left = x[rows, node.feature] <= node.threshold
-    left_rows = rows[go_left]
-    right_rows = rows[~go_left]
-    if left_rows.size:
-        _route(node.left, x, left_rows, out)
-    if right_rows.size:
-        _route(node.right, x, right_rows, out)
-
-
-def tree_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
-def iter_splits(node: TreeNode):
-    """Yield every split node (for impurity importances)."""
-    if node.is_leaf:
-        return
-    yield node
-    yield from iter_splits(node.left)
-    yield from iter_splits(node.right)
+    nodes = {f: [] for f in _FIELDS}
+    _grow(nodes, x, y, np.arange(m.n_rows), 0, max_depth, min_samples_split, max_features, rng)
+    return Tree(*(nodes[f] for f in _FIELDS))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyInputError, RankDeficiencyError
 from .features import FeatureMatrix
-from .models import FittedModel, ForestModel, fit_ols, iter_splits, predict
+from .models import FittedModel, ForestModel, fit_ols, predict
 
 EXACT_SHAPLEY_MAX_P = 12
 DEFAULT_FORWARD_MAX = 85
@@ -314,25 +314,39 @@ def shap_ranking(
     if data.n_rows == 0:
         raise EmptyInputError("shap_ranking on an empty matrix")
     bg = background if background is not None else data
-    totals = np.zeros(data.n_features)
-    for i in range(data.n_rows):
-        expl = shapley_values(model, data.x[i], bg, budget=budget, seed=seed + i)
+    explanations = [
+        shapley_values(model, data.x[i], bg, budget=budget, seed=seed + i)
+        for i in range(data.n_rows)
+    ]
+    return mean_abs_ranking(data.feature_names, explanations)
+
+
+def mean_abs_ranking(
+    names: tuple[str, ...], explanations: list[ShapExplanation]
+) -> list[tuple[str, float]]:
+    """Mean |Shapley value| per feature over the explanations, descending,
+    ties by name."""
+    if not explanations:
+        raise EmptyInputError("no explained rows to rank features over")
+    totals = np.zeros(len(names))
+    for expl in explanations:
         totals += np.abs(expl.values)
-    means = totals / data.n_rows
-    ranked = sorted(zip(data.feature_names, means), key=lambda kv: (-kv[1], kv[0]))
+    means = totals / len(explanations)
+    ranked = sorted(zip(names, means), key=lambda kv: (-kv[1], kv[0]))
     return [(name, float(value)) for name, value in ranked]
 
 
 def impurity_importance(forest: ForestModel) -> list[tuple[str, float]]:
     """Per-feature SSE reduction summed over splits, averaged over trees,
     normalized to total 1."""
+    splits = [t.splits() for t in forest.trees]
     names = forest.feature_names or tuple(
-        f"f{j}" for j in range(max((s.feature for t in forest.trees for s in iter_splits(t)), default=-1) + 1)
+        f"f{j}" for j in range(max((int(f.max()) for f, _ in splits if f.size), default=-1) + 1)
     )
     acc = np.zeros(len(names))
-    for tree in forest.trees:
-        for split in iter_splits(tree):
-            acc[split.feature] += split.gain
+    for features, gains in splits:
+        for j, gain in zip(features.tolist(), gains.tolist()):
+            acc[j] += gain
     acc /= max(len(forest.trees), 1)
     total = acc.sum()
     if total > 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 
 from .errors import SchemaError
@@ -164,7 +165,8 @@ class LoadReport:
 
 
 def _parse_cell(raw: str, kind: str):
-    """Parse one CSV cell; return (value_or_None, was_coerced)."""
+    """Parse one CSV cell; return (value_or_None, was_coerced). A numeric or
+    currency cell that parses to nan or +-inf is coerced to missing."""
     if raw == "":
         return None, False
     try:
@@ -172,10 +174,12 @@ def _parse_cell(raw: str, kind: str):
             return raw, False
         if kind == "integer":
             return int(raw), False
-        if kind == "numeric":
-            return float(raw), False
-        if kind == "currency":
-            return float(raw.replace("$", "").replace(",", "")), False
+        if kind in ("numeric", "currency"):
+            text = raw.replace("$", "").replace(",", "") if kind == "currency" else raw
+            value = float(text)
+            if not math.isfinite(value):
+                return None, True
+            return value, False
         if kind == "boolean":
             low = raw.strip().lower()
             if low in _TRUE_TOKENS:

@@ -277,6 +277,37 @@ class TestTrainSelectExplain:
             total = doc["base_value"] + sum(doc["values"].values())
             assert abs(total - doc["prediction"]) < 1e-6
 
+    def test_explain_computes_each_row_once(self, tmp_path, features_csv, monkeypatch):
+        import rentlab.cli
+        import rentlab.select_explain
+
+        calls = []
+        real = rentlab.select_explain.shapley_values
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        for module in (rentlab.cli, rentlab.select_explain):
+            monkeypatch.setattr(module, "shapley_values", counting)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(features_csv), "--family", "gbm",
+                     "--out", str(model_path)]) == 0
+        ranking = tmp_path / "rank.csv"
+        explanations = tmp_path / "expl.json"
+        assert main(["explain", "--model", str(model_path), "--data", str(features_csv),
+                     "--top", "50", "--budget", "5", "--rows", "3", "--seed", "4",
+                     "--out", str(ranking), "--explanations", str(explanations)]) == 0
+        assert calls == [4, 5, 6]
+        # the ranking is the mean |value| of the written explanations
+        docs = json.loads(explanations.read_text())
+        for line in ranking.read_text().splitlines()[1:]:
+            name, value = line.split(",")
+            total = 0.0
+            for doc in docs:
+                total += abs(doc["values"][name])
+            assert float(value) == total / len(docs)
+
     def test_evaluate_with_random_search(self, tmp_path, features_csv):
         assert main(["evaluate", "--features", str(features_csv),
                      "--families", "lasso", "forest",

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from rentlab.cli import main
 from rentlab.errors import EmptyInputError
-from rentlab.features import FeatureMatrix
+from rentlab.features import FeatureMatrix, matrix_to_csv
 from rentlab.models import (
     BoostedModel,
     HyperParams,
+    Tree,
     fit_forest,
     fit_gbm,
     fit_tree,
@@ -15,9 +17,7 @@ from rentlab.models import (
     model_from_doc,
     model_to_doc,
     predict,
-    predict_tree,
     save_model,
-    tree_depth,
 )
 
 
@@ -33,21 +33,21 @@ class TestFitTree:
     def test_perfect_split_depth_one(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 1.0, 5.0, 5.0])
         tree = fit_tree(m, max_depth=3)
-        assert tree_depth(tree) == 1
-        leaves = sorted([tree.left.value, tree.right.value])
+        assert tree.depth == 1
+        leaves = sorted([tree.value[tree.left[0]], tree.value[tree.right[0]]])
         assert leaves == [1.0, 5.0]
-        assert np.allclose(predict_tree(tree, m.x), m.y)
+        assert np.allclose(tree.predict(m.x), m.y)
 
     def test_depth_zero_single_leaf(self):
         m = _fm([0.0, 1.0, 2.0], [1.0, 2.0, 6.0])
         tree = fit_tree(m, max_depth=0)
-        assert tree.is_leaf
-        assert tree.value == pytest.approx(3.0, abs=1e-12)
+        assert tree.feature[0] == -1
+        assert tree.value[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_constant_target_single_leaf(self):
         m = _fm([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
         tree = fit_tree(m, max_depth=5)
-        assert tree.is_leaf
+        assert tree.feature[0] == -1
 
     def test_empty_matrix_raises(self):
         m = FeatureMatrix(np.empty((0, 1)), ("a",), np.empty(0))
@@ -57,12 +57,12 @@ class TestFitTree:
     def test_min_samples_split_respected(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 2.0, 5.0, 6.0])
         tree = fit_tree(m, max_depth=10, min_samples_split=5)
-        assert tree.is_leaf
+        assert tree.feature[0] == -1
 
     def test_split_sends_low_values_left(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 1.0, 5.0, 5.0])
         tree = fit_tree(m, max_depth=1)
-        assert predict_tree(tree, np.array([[tree.threshold]]))[0] == tree.left.value
+        assert tree.predict(np.array([[tree.threshold[0]]]))[0] == tree.value[tree.left[0]]
 
     def test_training_row_in_pure_leaf_predicts_its_target(self):
         rng = np.random.default_rng(5)
@@ -71,14 +71,67 @@ class TestFitTree:
         m = _fm(x, y)
         tree = fit_tree(m, max_depth=30)
         # deep tree isolates every distinct row: prediction = training target
-        assert np.allclose(predict_tree(tree, x), y, atol=1e-12)
+        assert np.allclose(tree.predict(x), y, atol=1e-12)
 
     def test_tie_break_prefers_lower_feature_index(self):
         # both features allow the same perfect split
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         m = _fm(x, [1.0, 1.0, 9.0, 9.0])
         tree = fit_tree(m, max_depth=1)
-        assert tree.feature == 0
+        assert tree.feature[0] == 0
+
+    def test_nodes_are_in_preorder(self):
+        rng = np.random.default_rng(6)
+        m = _fm(rng.normal(size=(40, 3)), rng.normal(size=40))
+        tree = fit_tree(m, max_depth=4)
+        nodes = np.arange(tree.feature.size)
+        split = tree.feature >= 0
+        assert split[0]
+        # a left child directly follows its parent; children come later
+        assert np.array_equal(tree.left[split], nodes[split] + 1)
+        assert np.all(tree.right[split] > tree.left[split])
+        assert np.array_equal(
+            tree.n_samples[split], tree.n_samples[tree.left[split]] + tree.n_samples[tree.right[split]]
+        )
+        assert np.all(tree.gain[split] > 0) and np.all(tree.gain[~split] == 0)
+        assert np.array_equal(tree.left[~split], nodes[~split])
+        assert np.array_equal(tree.right[~split], nodes[~split])
+        assert tree.n_samples[0] == m.n_rows and tree.depth == 4
+
+
+def _walk(tree, row):
+    """Slow oracle: follow one row from the root until a leaf."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
+class TestTreePredict:
+    @pytest.mark.parametrize("max_depth", [0, 1, 30])
+    def test_matches_row_by_row_walk(self, max_depth):
+        rng = np.random.default_rng(max_depth)
+        x = rng.normal(size=(120, 4))
+        x[:, 2] = np.round(x[:, 2])  # ties among training values
+        y = x[:, 0] + np.sign(x[:, 1]) + rng.normal(0, 0.3, size=120)
+        tree = fit_tree(_fm(x, y), max_depth=max_depth)
+        grid = rng.normal(size=(200, 4)) * 2
+        # one row sitting exactly on each split threshold
+        on_split = grid[: int((tree.feature >= 0).sum())].copy()
+        for r, node in enumerate(np.flatnonzero(tree.feature >= 0)):
+            on_split[r, tree.feature[node]] = tree.threshold[node]
+        rows = np.vstack([x, grid, on_split])
+        expected = np.array([_walk(tree, row) for row in rows])
+        assert tree.predict(rows).tobytes() == expected.tobytes()
+        assert tree.depth <= max_depth
+        if max_depth < 30:
+            assert tree.depth == max_depth
+
+    def test_single_row(self):
+        m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 1.0, 5.0, 5.0])
+        tree = fit_tree(m, max_depth=2)
+        assert tree.predict(np.array([10.5])).tolist() == [5.0]
 
 
 class TestFitForest:
@@ -92,7 +145,7 @@ class TestFitForest:
         m = self._data()
         forest = fit_forest(m, n_trees=1, max_depth=4, max_features=m.n_features, bootstrap=False)
         tree = fit_tree(m, max_depth=4)
-        assert np.allclose(forest.predict(m.x), predict_tree(tree, m.x))
+        assert np.allclose(forest.predict(m.x), tree.predict(m.x))
 
     def test_predictions_within_target_range(self):
         m = self._data()
@@ -118,7 +171,7 @@ class TestFitForest:
         m = self._data()
         forest = fit_forest(m, n_trees=7, max_depth=4, seed=3)
         grid = m.x[:10]
-        stacked = np.stack([predict_tree(t, grid) for t in forest.trees])
+        stacked = np.stack([t.predict(grid) for t in forest.trees])
         assert np.allclose(forest.predict(grid), stacked.mean(axis=0), atol=1e-12)
 
     def test_max_features_validation(self):
@@ -239,3 +292,46 @@ class TestSerialization:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             model_from_doc({"family": "perceptron"})
+
+    def test_tree_document_is_flat_arrays(self):
+        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
+        doc = model_to_doc(fit_tree(m, max_depth=2))
+        assert doc == {
+            "family": "tree",
+            "feature": [0, -1, -1],
+            "threshold": [1.5, 0.0, 0.0],
+            "left": [1, 1, 2],
+            "right": [2, 1, 2],
+            "value": [3.0, 1.0, 5.0],
+            "n_samples": [4, 2, 2],
+            "gain": [16.0, 0.0, 0.0],
+        }
+
+    def test_nested_tree_document_rejected_by_name(self):
+        nested = {"kind": "leaf", "value": 2.0, "n": 3}
+        with pytest.raises(ValueError, match="flat fields"):
+            model_from_doc({"family": "gbm", "base": 1.0, "learning_rate": 0.1, "trees": [nested]})
+        with pytest.raises(ValueError, match="flat fields"):
+            model_from_doc({"family": "tree", "root": nested})
+
+    def test_malformed_tree_arrays_rejected(self):
+        doc = model_to_doc(fit_tree(_fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0]), max_depth=2))
+        doc["left"][0] = 0  # a split that points back at itself would never end
+        with pytest.raises(ValueError, match="preorder"):
+            model_from_doc(doc)
+        with pytest.raises(ValueError, match="equal length"):
+            Tree([0, -1], [0.5], [1, 1], [1, 1], [0.0, 0.0], [2, 1], [0.0, 0.0])
+
+    def test_cli_exits_1_on_nested_model_json(self, tmp_path, capsys):
+        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
+        matrix_to_csv(m, tmp_path / "features.csv")
+        nested = {"kind": "leaf", "value": 2.0, "n": 3}
+        doc = {"family": "forest", "trees": [nested], "max_features": 1, "seed": 0,
+               "feature_names": ["x0"]}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        status = main(["explain", "--model", str(tmp_path / "model.json"),
+                       "--data", str(tmp_path / "features.csv"),
+                       "--out", str(tmp_path / "shap.csv")])
+        assert status == 1
+        assert "flat fields" in capsys.readouterr().err
+        assert not (tmp_path / "shap.csv").exists()

@@ -57,6 +57,20 @@ class TestReadCsv:
         assert report.coerced_missing == {"price": 1}
         assert report.total_coerced == 1
 
+    def test_non_finite_cells_counted(self, tmp_path):
+        path = _write(
+            tmp_path, "cal.csv",
+            "listing_id,date,price\n1,2022-06-09,nan\n1,2022-06-10,inf\n"
+            "1,2022-06-11,$1e309\n1,2022-06-12,-Infinity\n1,2022-06-13,95\n",
+        )
+        table, report = read_csv(path, CALENDAR_SCHEMA)
+        assert table.values("price") == (None, None, None, None, 95.0)
+        assert report.coerced_missing == {"price": 4}
+        numeric = Schema("t", {"x": "numeric"}, frozenset())
+        table, report = read_csv(_write(tmp_path, "x.csv", "x\nNaN\n1e999\n2.5\n"), numeric)
+        assert table.values("x") == (None, None, 2.5)
+        assert report.coerced_missing == {"x": 2}
+
     def test_currency_formatted_price(self, tmp_path):
         path = _write(
             tmp_path, "cal.csv",
