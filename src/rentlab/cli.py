@@ -409,9 +409,8 @@ def stage_featurize(
 
     listings, bad_rows = poi_distance_features(listings, pois)
     if bad_rows:
-        listings = listings.take(
-            [i for i in range(listings.n_rows) if i not in set(bad_rows)]
-        )
+        bad = set(bad_rows)
+        listings = listings.take([i for i in range(listings.n_rows) if i not in bad])
     top = top_k_amenities(listings, amenity_k)
     if top:
         listings = binarize_amenities(listings, top)

@@ -13,6 +13,8 @@ from .models import FAMILIES, HyperParams, fit_family, predict
 from .tabular import Table
 
 METRIC_ROWS = ("R-Squared", "Mean Absolute Error", "Root Mean Squared Error")
+# families fit by coordinate descent; their reports carry converged / n_iter
+CD_FAMILIES = ("lasso", "ridge", "elastic")
 
 
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -54,6 +56,8 @@ class EvalReport:
     rmse: float
     config: HyperParams = field(default_factory=HyperParams)
     feature_set: tuple[str, ...] = ()
+    converged: bool | None = None  # coordinate-descent families only
+    n_iter: int | None = None
 
     def __post_init__(self):
         if self.mae < 0 or self.rmse < 0:
@@ -228,6 +232,7 @@ def compare_models(
     for cfg in configs:
         model = fit_family(cfg.family, m_train, cfg.params, seed=cfg.seed)
         yhat = predict(model, m_test)
+        cd = cfg.family in CD_FAMILIES
         reports.append(
             EvalReport(
                 cfg.name,
@@ -236,6 +241,8 @@ def compare_models(
                 rmse(m_test.y, yhat),
                 cfg.params,
                 m_train.feature_names,
+                converged=model.converged if cd else None,
+                n_iter=model.n_iter if cd else None,
             )
         )
     return reports
@@ -253,8 +260,9 @@ def reports_to_table(reports: list[EvalReport]) -> Table:
 
 
 def reports_to_doc(reports: list[EvalReport]) -> list[dict]:
-    return [
-        {
+    docs = []
+    for rep in reports:
+        doc = {
             "model_name": rep.model_name,
             "r_squared": rep.r_squared,
             "mae": rep.mae,
@@ -262,5 +270,8 @@ def reports_to_doc(reports: list[EvalReport]) -> list[dict]:
             "config": rep.config.to_dict(),
             "feature_set": list(rep.feature_set),
         }
-        for rep in reports
-    ]
+        if rep.converged is not None:
+            doc["converged"] = rep.converged
+            doc["n_iter"] = rep.n_iter
+        docs.append(doc)
+    return docs

@@ -92,6 +92,11 @@ def fit_elastic_net(
 ) -> LinearModel:
     """Cyclic coordinate descent with exact soft-threshold updates.
 
+    Uses covariance updates (Friedman, Hastie & Tibshirani 2010, sec. 2.2):
+    the Gram matrix is formed once, and the residual correlations
+    corr[j] = xc[:, j] @ residual / n are kept current with one O(p) update
+    per changed coefficient instead of two O(n) column passes.
+
     Converged when the largest coefficient change in a sweep drops below tol;
     hitting max_iter first is flagged on the model, not an error.
     """
@@ -113,26 +118,30 @@ def fit_elastic_net(
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
 
-    beta = np.zeros(p)
-    residual = yc.copy()
+    gram_rows = list(xc.T @ xc / n)
+    corr = xc.T @ yc / n
+    active = [j for j in range(p) if col_sq[j] != 0.0]
+    sq = col_sq.tolist()
+    denom = [s + l2 for s in sq]
+
+    beta = [0.0] * p
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
         max_delta = 0.0
-        for j in range(p):
-            if col_sq[j] == 0.0:
-                continue
+        for j in active:
             old = beta[j]
-            rho = (xc[:, j] @ residual) / n + col_sq[j] * old
-            new = soft_threshold(rho, l1) / (col_sq[j] + l2)
+            rho = corr.item(j) + sq[j] * old
+            new = soft_threshold(rho, l1) / denom[j]
             if new != old:
-                residual += xc[:, j] * (old - new)
+                corr -= gram_rows[j] * (new - old)
                 beta[j] = new
                 max_delta = max(max_delta, abs(new - old))
         if max_delta < tol:
             converged = True
             break
 
+    beta = np.array(beta, dtype=np.float64)
     intercept = y_mean - float(x_mean @ beta)
     if l1_ratio == 0.0:
         penalty = "l2"

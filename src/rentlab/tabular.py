@@ -271,7 +271,8 @@ def schema_of(table: Table, name: str = "derived") -> Schema:
 def clean_currency(col: Column) -> Column:
     """Strip '$' and ',' from a text column and parse as decimal.
 
-    Parse failures (including empty strings) degrade to missing.
+    Parse failures (including empty strings) and text that parses to nan or
+    +-inf degrade to missing, as in _parse_cell.
     """
     if col.kind != "text":
         raise SchemaError(f"clean_currency expects a text column, got {col.kind}")
@@ -282,9 +283,10 @@ def clean_currency(col: Column) -> Column:
             continue
         stripped = v.replace("$", "").replace(",", "").strip()
         try:
-            out.append(float(stripped))
+            value = float(stripped)
         except ValueError:
-            out.append(None)
+            value = math.nan
+        out.append(value if math.isfinite(value) else None)
     return Column("numeric", tuple(out))
 
 

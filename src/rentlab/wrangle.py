@@ -7,6 +7,7 @@ StageReport so the CLI can emit the operation/column/rows_affected CSV.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, SchemaError
@@ -50,10 +51,17 @@ class GapSpec:
 
 
 def quantile(values, q: float) -> float:
-    """Linear-interpolation quantile at position (n-1)*q, missing excluded."""
+    """Linear-interpolation quantile at position (n-1)*q, missing excluded.
+
+    A non-finite value (nan, +-inf) raises ValueError naming it.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0,1], got {q}")
-    xs = sorted(v for v in values if v is not None)
+    xs = [v for v in values if v is not None]
+    for v in xs:
+        if not math.isfinite(v):
+            raise ValueError(f"quantile of non-finite input value {v!r}")
+    xs.sort()
     if not xs:
         raise EmptyInputError("quantile of all-missing input")
     pos = (len(xs) - 1) * q

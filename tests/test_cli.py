@@ -319,6 +319,28 @@ class TestTrainSelectExplain:
             assert meta["n_trials"] == 2
             assert "cv_score" in meta
 
+    def test_eval_report_records_cd_diagnostics(self, tmp_path, features_csv):
+        from rentlab.evaluation import train_test_split
+        from rentlab.features import matrix_from_csv
+        from rentlab.models import HyperParams, fit_family
+
+        assert main(["evaluate", "--features", str(features_csv),
+                     "--families", "lasso", "ridge", "elastic", "forest", "gbm",
+                     "--seed", "2", "--out-dir", str(tmp_path / "ev")]) == 0
+        doc = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+        train, _ = train_test_split(matrix_from_csv(str(features_csv)), 0.8, 2)
+        for rep in doc["reports"]:
+            family = rep["model_name"]
+            if family in ("lasso", "ridge", "elastic"):
+                model = fit_family(family, train, HyperParams())
+                assert rep["converged"] is model.converged
+                assert type(rep["n_iter"]) is int
+                assert rep["n_iter"] == model.n_iter >= 1
+            else:
+                assert "converged" not in rep and "n_iter" not in rep
+        header = (tmp_path / "ev" / "eval_report.csv").read_text().splitlines()[0]
+        assert header == "Metric,lasso,ridge,elastic,forest,gbm"
+
     def test_select_forward_writes_ordered_list(self, tmp_path, features_csv):
         out = tmp_path / "sel.csv"
         assert main(["select", "--features", str(features_csv), "--mode", "forward",

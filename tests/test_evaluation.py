@@ -16,6 +16,7 @@ from rentlab.evaluation import (
     mae,
     r_squared,
     random_search,
+    reports_to_doc,
     reports_to_table,
     rmse,
     train_test_split,
@@ -254,6 +255,17 @@ class TestCompareModels:
         a = compare_models(train, test, configs)
         b = compare_models(train, test, configs)
         assert a == b
+
+    def test_cd_diagnostics_only_on_cd_families(self):
+        train, test = self._split()
+        configs = [ModelConfig(f, f, HyperParams(n_trees=3, n_rounds=3))
+                   for f in ("ols", "lasso", "ridge", "elastic", "forest", "gbm")]
+        docs = {d["model_name"]: d for d in reports_to_doc(compare_models(train, test, configs))}
+        for family in ("lasso", "ridge", "elastic"):
+            assert docs[family]["converged"] is True
+            assert docs[family]["n_iter"] >= 1
+        for family in ("ols", "forest", "gbm"):
+            assert "converged" not in docs[family] and "n_iter" not in docs[family]
 
     def test_feature_set_mismatch_rejected(self):
         train, test = self._split()

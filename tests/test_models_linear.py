@@ -182,6 +182,99 @@ class TestElasticNet:
             _fm([1.0, np.nan], [1.0, 2.0])
 
 
+def _residual_cd(m, alpha, l1_ratio, tol=1e-6, max_iter=1000):
+    """Reference coordinate descent: keeps the residual vector and spends two
+    O(n) column passes per coordinate. Returns (intercept, beta, converged,
+    n_iter)."""
+    x, y = m.x, m.y
+    n, p = x.shape
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x - x_mean
+    col_sq = (xc * xc).sum(axis=0) / n
+    l1 = alpha * l1_ratio
+    l2 = alpha * (1.0 - l1_ratio)
+    beta = np.zeros(p)
+    residual = y - y_mean
+    n_iter = 0
+    converged = False
+    for n_iter in range(1, max_iter + 1):
+        max_delta = 0.0
+        for j in range(p):
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = (xc[:, j] @ residual) / n + col_sq[j] * old
+            new = soft_threshold(rho, l1) / (col_sq[j] + l2)
+            if new != old:
+                residual += xc[:, j] * (old - new)
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        if max_delta < tol:
+            converged = True
+            break
+    return y_mean - float(x_mean @ beta), beta, converged, n_iter
+
+
+def _oracle_matrix(seed=41, n=300):
+    # seven columns: five independent, one constant (index 2), and a nearly
+    # collinear pair (5, 6) that puts cond(xc) near 1e6
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 7)) * [1.0, 3.0, 0.0, 0.5, 2.0, 1.0, 1.0]
+    x[:, 2] = 4.0
+    x[:, 6] = x[:, 5] + 3e-6 * rng.normal(size=n)
+    y = x @ [1.5, -0.7, 0.0, 2.0, 0.0, 0.8, 0.4] + 10.0 + rng.normal(size=n)
+    return _fm(x, y)
+
+
+class TestCovarianceUpdateOracle:
+    """fit_elastic_net uses covariance (Gram) updates; the residual-update
+    loop above computes the same iterates in a different rounding order."""
+
+    def test_fixture_is_ill_conditioned(self):
+        m = _oracle_matrix()
+        xc = m.x - m.x.mean(axis=0)
+        cond = np.linalg.cond(np.delete(xc, 2, axis=1))
+        assert 3e5 < cond < 3e6
+
+    @pytest.mark.parametrize("max_iter", [2, 1000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    @pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
+    def test_matches_residual_updates(self, l1_ratio, alpha, max_iter):
+        m = _oracle_matrix()
+        model = fit_elastic_net(m, alpha=alpha, l1_ratio=l1_ratio, max_iter=max_iter)
+        intercept, beta, converged, n_iter = _residual_cd(m, alpha, l1_ratio, max_iter=max_iter)
+        assert model.converged == converged
+        assert model.n_iter == n_iter
+        assert model.coefficients[2] == 0.0  # the constant column is skipped
+        np.testing.assert_allclose(model.coefficients, beta, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(model.intercept, intercept, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    @pytest.mark.parametrize("l1_ratio", [0.0, 0.5, 1.0])
+    def test_matches_over_full_sweep_budget(self, l1_ratio, alpha):
+        # tol = 0 never stops early: 1000 sweeps of accumulated rounding
+        m = _oracle_matrix()
+        model = fit_elastic_net(m, alpha=alpha, l1_ratio=l1_ratio, tol=0.0)
+        intercept, beta, converged, n_iter = _residual_cd(m, alpha, l1_ratio, tol=0.0)
+        assert (model.converged, model.n_iter) == (converged, n_iter) == (False, 1000)
+        np.testing.assert_allclose(model.coefficients, beta, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(model.intercept, intercept, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_converged_fits_match(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(120, 5))
+        y = x @ rng.normal(size=5) + rng.normal(size=120)
+        m = _fm(x, y)
+        model = fit_elastic_net(m, alpha=0.1, l1_ratio=0.5)
+        intercept, beta, converged, n_iter = _residual_cd(m, 0.1, 0.5)
+        assert converged and model.converged
+        assert model.n_iter == n_iter
+        np.testing.assert_allclose(model.coefficients, beta, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(model.intercept, intercept, rtol=1e-9, atol=1e-12)
+
+
 class TestPredict:
     def test_linear_arithmetic(self):
         model = LinearModel(1.0, np.array([2.0]))

@@ -122,6 +122,10 @@ class TestCleanCurrency:
         col = Column("text", ("", "abc", None))
         assert clean_currency(col).values == (None, None, None)
 
+    def test_non_finite_text_degrades_to_missing(self):
+        col = Column("text", ("nan", "inf", "-Infinity", "$1e309", "$5"))
+        assert clean_currency(col).values == (None, None, None, None, 5.0)
+
     def test_requires_text_column(self):
         with pytest.raises(SchemaError):
             clean_currency(Column("numeric", (1.0,)))

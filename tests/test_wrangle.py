@@ -42,6 +42,11 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_input_raises_naming_it(self, bad):
+        with pytest.raises(ValueError, match=f"non-finite input value {bad!r}"):
+            quantile([1.0, None, bad, 3.0], 0.5)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
@@ -89,6 +94,10 @@ class TestIqrFences:
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
             iqr_fences([1, 2, 3], -0.1)
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(ValueError, match="non-finite input value nan"):
+            iqr_fences([1.0, 2.0, float("nan"), 4.0], 0.5)
 
 
 def _price_table(values):
