@@ -1,10 +1,14 @@
 """Batch pipeline runner.
 
 Subcommands mirror the pipeline stages (gen, wrangle, sentiment, featurize,
-select, train, evaluate, explain); `run` chains them through the same file
-formats, so stage-by-stage execution and the monolithic run produce identical
-artifacts. All randomness flows from the configured seed. Exit codes:
-0 success, 1 pipeline/data error, 2 usage/config error.
+select, train, evaluate, explain). Each stage writes its artifacts and hands
+its result (tables, feature matrix, fitted model) to the next as an object;
+`run` chains the stages in memory and reads only its inputs. A subcommand
+loads its input files, calls the stage and lets the stage write. The contract
+is tests/test_cli.py::TestStageComposition: the chain of subcommands
+reproduces every artifact of `run` byte for byte. All randomness flows from
+the configured seed. Exit codes: 0 success, 1 pipeline/data error, 2
+usage/config error.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .features import (
     standardize,
     top_k_amenities,
 )
-from .models import FAMILIES, HyperParams, fit_family, load_model, save_model
+from .models import FAMILIES, FittedModel, HyperParams, fit_family, load_model, save_model
 from .report import StageReport
 from .select_explain import f_scores, forward_select, mean_abs_ranking, select_k_best, shapley_values
 from .sentiment import default_lexicon, fill_missing_sentiment, load_lexicon, score_reviews
@@ -54,6 +58,7 @@ from .tabular import (
     CALENDAR_SCHEMA,
     LISTINGS_SCHEMA,
     REVIEWS_SCHEMA,
+    Column,
     Schema,
     Table,
     drop_duplicates,
@@ -302,7 +307,10 @@ def stage_wrangle(
     multiplier: float = 0.5,
     knn_k: int = 10,
     gap: GapSpec | None = None,
-) -> dict[str, str]:
+) -> tuple[Table, Table]:
+    """Clean the raw listings and calendar CSVs; write listings_clean.csv,
+    calendar_clean.csv and wrangle_report.csv to out_dir and return the
+    cleaned (listings, calendar)."""
     os.makedirs(out_dir, exist_ok=True)
     report = StageReport()
     listings, listings_load = read_csv(listings_path, LISTINGS_SCHEMA)
@@ -332,39 +340,38 @@ def stage_wrangle(
     if "review_scores_location" in listings and listings.column("review_scores_location").n_missing:
         listings = knn_impute_geo(listings, "review_scores_location", k=knn_k, report=report)
 
-    paths = {
-        "listings": os.path.join(out_dir, "listings_clean.csv"),
-        "calendar": os.path.join(out_dir, "calendar_clean.csv"),
-        "report": os.path.join(out_dir, "wrangle_report.csv"),
-    }
-    write_table(listings, paths["listings"])
-    write_table(calendar, paths["calendar"])
-    write_table(report.to_table(), paths["report"])
-    return paths
+    write_table(listings, os.path.join(out_dir, "listings_clean.csv"))
+    write_table(calendar, os.path.join(out_dir, "calendar_clean.csv"))
+    write_table(report.to_table(), os.path.join(out_dir, "wrangle_report.csv"))
+    return listings, calendar
 
 
 def stage_sentiment(
     reviews_path: str,
     out_path: str,
     lexicon_path: str | None = None,
-    listings_path: str | None = None,
-) -> str:
+    listings: Table | None = None,
+) -> Table:
+    """Score the raw reviews CSV; with the cleaned listings, keep only their
+    reviews and fill missing scores per host. Write the scored table to
+    out_path and sentiment_report.csv next to it; return the scored table."""
     lex = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
-    reviews, _ = read_csv(reviews_path, REVIEWS_SCHEMA)
+    reviews, load = read_csv(reviews_path, REVIEWS_SCHEMA)
+    report = StageReport()
+    report.add("read_csv", "reviews", reviews.n_rows, f"coerced={load.total_coerced}")
     host_col = "listing_id"
-    if listings_path:
-        listings, _ = read_csv(listings_path, LISTINGS_SCHEMA)
+    if listings is not None:
         key_cols = Table(
             ("id", "host_id"),
             (listings.column("id"), listings.column("host_id")),
         )
         reviews = inner_join(reviews, key_cols, "listing_id", "id")
         host_col = "host_id"
-    report = StageReport()
     scored = score_reviews(reviews, lex, report=report)
     scored = fill_missing_sentiment(scored, host_col=host_col, report=report)
     write_table(scored, out_path)
-    return out_path
+    write_table(report.to_table(), os.path.join(os.path.dirname(out_path), "sentiment_report.csv"))
+    return scored
 
 
 def _one_hot_with_reference(table: Table, col: str) -> Table:
@@ -395,16 +402,17 @@ def _listing_sentiment_column(scored: Table, listings: Table) -> list[float]:
 
 
 def stage_featurize(
-    listings_path: str,
-    calendar_path: str,
+    listings: Table,
+    calendar: Table,
     out_path: str,
     pois_path: str | None = None,
     amenity_k: int = 30,
     standardize_flag: bool = False,
-    reviews_scored_path: str | None = None,
-) -> str:
-    listings, _ = read_csv(listings_path, LISTINGS_SCHEMA)
-    calendar, _ = read_csv(calendar_path, CALENDAR_SCHEMA)
+    scored: Table | None = None,
+) -> FeatureMatrix:
+    """Join the cleaned calendar and listings (plus the mean review sentiment
+    per listing, given the scored reviews) into the design matrix; write it
+    to out_path and return it."""
     pois = load_pois(pois_path) if pois_path else default_pois()
 
     listings, bad_rows = poi_distance_features(listings, pois)
@@ -417,10 +425,7 @@ def stage_featurize(
     for col in ("room_type", "property_type"):
         if col in listings:
             listings = _one_hot_with_reference(listings, col)
-    if reviews_scored_path:
-        scored, _ = read_csv(reviews_scored_path, REVIEWS_SCORED_SCHEMA)
-        from .tabular import Column
-
+    if scored is not None:
         listings = listings.with_column(
             "listing_sentiment",
             Column("numeric", tuple(_listing_sentiment_column(scored, listings))),
@@ -447,11 +452,11 @@ def stage_featurize(
     if standardize_flag:
         matrix = standardize(matrix)
     write_matrix(matrix, out_path)
-    return out_path
+    return matrix
 
 
 def stage_select(
-    features_path: str,
+    matrix: FeatureMatrix,
     out_path: str,
     mode: str = "kbest",
     k: int = 40,
@@ -459,7 +464,6 @@ def stage_select(
     min_rel_improvement: float = 1e-3,
     seed: int = 0,
 ) -> list[str]:
-    matrix = matrix_from_csv(features_path)
     if mode == "kbest":
         scores = f_scores(matrix)
         chosen = select_k_best(scores, min(k, matrix.n_features))
@@ -485,48 +489,31 @@ def stage_select(
     return chosen
 
 
-def read_selection(path: str) -> list[str]:
-    table, _ = read_csv(path, Schema("selection", {"feature": "text"}, frozenset({"feature"})))
-    return [v for v in table.values("feature") if v is not None]
-
-
-def _restrict(matrix: FeatureMatrix, selection_path: str | None) -> FeatureMatrix:
-    if not selection_path:
-        return matrix
-    names = [n for n in read_selection(selection_path) if n in matrix.feature_names]
-    if not names:
-        raise PipelineError(f"selection {selection_path} matches no features")
-    return matrix.select(names)
-
-
 def stage_train(
-    features_path: str,
+    matrix: FeatureMatrix,
     out_path: str,
     family: str,
     hp: HyperParams,
     seed: int = 0,
-    selection_path: str | None = None,
-) -> str:
-    matrix = _restrict(matrix_from_csv(features_path), selection_path)
+) -> FittedModel:
+    """Fit one family on the matrix, save it to out_path and return it."""
     model = fit_family(family, matrix, hp, seed=seed)
     _atomic_replace(out_path, lambda tmp: save_model(model, tmp))
-    return out_path
+    return model
 
 
 def stage_evaluate(
-    features_path: str,
+    matrix: FeatureMatrix,
     out_dir: str,
     families: tuple[str, ...] = DEFAULT_FAMILIES,
     train_fraction: float = 0.8,
     cv_k: int = 5,
     search_samples: int = 0,
     seed: int = 0,
-    selection_path: str | None = None,
     grids: dict | None = None,
     hyperparams: dict | None = None,
 ) -> tuple[list[EvalReport], dict[str, HyperParams]]:
     os.makedirs(out_dir, exist_ok=True)
-    matrix = _restrict(matrix_from_csv(features_path), selection_path)
     train, test = train_test_split(matrix, train_fraction, seed)
     grids = grids if grids is not None else default_grids()
 
@@ -564,17 +551,15 @@ def stage_evaluate(
 
 
 def stage_explain(
-    model_path: str,
-    features_path: str,
+    model: FittedModel,
+    matrix: FeatureMatrix,
     out_path: str,
     top: int = 20,
     budget: int = 200,
     rows: int = 25,
     seed: int = 0,
     explanations_path: str | None = None,
-) -> str:
-    model = load_model(model_path)
-    matrix = matrix_from_csv(features_path)
+) -> None:
     if rows and matrix.n_rows > rows:
         picks = np.random.default_rng(seed).choice(matrix.n_rows, size=rows, replace=False)
         matrix = matrix.take(np.sort(picks))
@@ -600,7 +585,6 @@ def stage_explain(
             for expl in explanations
         ]
         write_json_doc(docs, explanations_path)
-    return out_path
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:
@@ -619,52 +603,46 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     if cfg.pois_path:
         _require_file(cfg.pois_path, "POI file")
 
-    cleaned = stage_wrangle(
+    listings, calendar = stage_wrangle(
         raw["listings"], raw["calendar"], out,
         multiplier=cfg.multiplier, knn_k=cfg.knn_k, gap=cfg.gap,
     )
-    scored_path = stage_sentiment(
+    scored = stage_sentiment(
         raw["reviews"], os.path.join(out, "reviews_scored.csv"),
-        lexicon_path=cfg.lexicon_path, listings_path=cleaned["listings"],
+        lexicon_path=cfg.lexicon_path, listings=listings,
     )
-    features_path = stage_featurize(
-        cleaned["listings"], cleaned["calendar"],
-        os.path.join(out, "features.csv"),
+    matrix = stage_featurize(
+        listings, calendar, os.path.join(out, "features.csv"),
         pois_path=cfg.pois_path, amenity_k=cfg.amenity_k,
-        standardize_flag=cfg.standardize, reviews_scored_path=scored_path,
+        standardize_flag=cfg.standardize, scored=scored,
     )
+    del listings, calendar, scored  # free the tables before the model stages
 
-    selection_path = None
     if cfg.selection_mode != "none":
-        selection_path = os.path.join(out, "selection.csv")
-        stage_select(
-            features_path, selection_path, mode=cfg.selection_mode,
+        chosen = stage_select(
+            matrix, os.path.join(out, "selection.csv"), mode=cfg.selection_mode,
             k=cfg.selection_k, max_features=cfg.selection_max,
             min_rel_improvement=cfg.selection_tol, seed=cfg.seed,
         )
+        if not chosen:
+            raise PipelineError("selection chose no features")
+        matrix = matrix.select(chosen)
+        write_matrix(matrix, os.path.join(out, "features_selected.csv"))
 
-    reports, chosen = stage_evaluate(
-        features_path, out, families=cfg.families,
+    reports, chosen_hp = stage_evaluate(
+        matrix, out, families=cfg.families,
         train_fraction=cfg.train_fraction, cv_k=cfg.cv_k,
         search_samples=cfg.search_samples, seed=cfg.seed,
-        selection_path=selection_path, grids=cfg.grids,
-        hyperparams=cfg.hyperparams,
+        grids=cfg.grids, hyperparams=cfg.hyperparams,
     )
 
     best = max(reports, key=lambda r: r.r_squared)
-    model_path = os.path.join(out, "model.json")
-    stage_train(
-        features_path, model_path, best.model_name, chosen[best.model_name],
+    model = stage_train(
+        matrix, os.path.join(out, "model.json"), best.model_name, chosen_hp[best.model_name],
         seed=_derived_seed(cfg.seed, FAMILIES.index(best.model_name), 1),
-        selection_path=selection_path,
     )
-    explain_source = features_path
-    if selection_path:
-        restricted = _restrict(matrix_from_csv(features_path), selection_path)
-        explain_source = os.path.join(out, "features_selected.csv")
-        write_matrix(restricted, explain_source)
     stage_explain(
-        model_path, explain_source, os.path.join(out, "shap_ranking.csv"),
+        model, matrix, os.path.join(out, "shap_ranking.csv"),
         top=cfg.explain_top, budget=cfg.explain_budget,
         rows=cfg.explain_rows, seed=cfg.seed,
         explanations_path=os.path.join(out, "shap_explanations.json"),
@@ -673,7 +651,29 @@ def run_pipeline(cfg: PipelineConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing; each subcommand loads its input files and calls its stage
+
+
+def _read_table(path: str, what: str, schema: Schema) -> Table:
+    table, _ = read_csv(_require_file(path, what), schema)
+    return table
+
+
+def read_selection(path: str) -> list[str]:
+    table, _ = read_csv(path, Schema("selection", {"feature": "text"}, frozenset({"feature"})))
+    return [v for v in table.values("feature") if v is not None]
+
+
+def _read_matrix(features_path: str, selection_path: str | None = None) -> FeatureMatrix:
+    """The feature matrix CSV, restricted to the features a selection CSV names."""
+    matrix = matrix_from_csv(_require_file(features_path, "feature matrix CSV"))
+    if not selection_path:
+        return matrix
+    selection = read_selection(_require_file(selection_path, "selection CSV"))
+    names = [n for n in selection if n in matrix.feature_names]
+    if not names:
+        raise PipelineError(f"selection {selection_path} matches no features")
+    return matrix.select(names)
 
 
 def _add_gen(sub) -> None:
@@ -723,13 +723,12 @@ def _cmd_wrangle(args) -> int:
     gap = None
     if args.gap_start and args.gap_end:
         gap = GapSpec(_dt.date.fromisoformat(args.gap_start), _dt.date.fromisoformat(args.gap_end))
-    paths = stage_wrangle(
+    stage_wrangle(
         _require_file(args.listings, "listings CSV"),
         _require_file(args.calendar, "calendar CSV"),
         args.out_dir, multiplier=args.multiplier, knn_k=args.knn_k, gap=gap,
     )
-    for name, path in paths.items():
-        print(f"{name}: {path}")
+    print(f"artifacts in {args.out_dir}")
     return 0
 
 
@@ -743,12 +742,12 @@ def _add_sentiment(sub) -> None:
 
 def _cmd_sentiment(args) -> int:
     lexicon = _require_file(args.lexicon, "lexicon file") if args.lexicon else None
-    listings = _require_file(args.listings, "listings CSV") if args.listings else None
-    out = stage_sentiment(
+    listings = _read_table(args.listings, "listings CSV", LISTINGS_SCHEMA) if args.listings else None
+    stage_sentiment(
         _require_file(args.reviews, "reviews CSV"), args.out,
-        lexicon_path=lexicon, listings_path=listings,
+        lexicon_path=lexicon, listings=listings,
     )
-    print(out)
+    print(args.out)
     return 0
 
 
@@ -764,19 +763,19 @@ def _add_featurize(sub) -> None:
 
 
 def _cmd_featurize(args) -> int:
-    out = stage_featurize(
-        _require_file(args.listings, "listings CSV"),
-        _require_file(args.calendar, "calendar CSV"),
+    stage_featurize(
+        _read_table(args.listings, "listings CSV", LISTINGS_SCHEMA),
+        _read_table(args.calendar, "calendar CSV", CALENDAR_SCHEMA),
         args.out,
         pois_path=_require_file(args.pois, "POI file") if args.pois else None,
         amenity_k=args.amenity_k,
         standardize_flag=args.standardize,
-        reviews_scored_path=(
-            _require_file(args.reviews_scored, "scored reviews CSV")
+        scored=(
+            _read_table(args.reviews_scored, "scored reviews CSV", REVIEWS_SCORED_SCHEMA)
             if args.reviews_scored else None
         ),
     )
-    print(out)
+    print(args.out)
     return 0
 
 
@@ -793,7 +792,7 @@ def _add_select(sub) -> None:
 
 def _cmd_select(args) -> int:
     chosen = stage_select(
-        _require_file(args.features, "feature matrix CSV"), args.out,
+        _read_matrix(args.features), args.out,
         mode=args.mode, k=args.k, max_features=args.max_features,
         min_rel_improvement=args.min_rel_improvement, seed=args.seed,
     )
@@ -816,12 +815,8 @@ def _cmd_train(args) -> int:
     if args.params:
         with open(_require_file(args.params, "params file"), encoding="utf-8") as fh:
             hp = HyperParams.from_dict(json.load(fh))
-    out = stage_train(
-        _require_file(args.features, "feature matrix CSV"), args.out,
-        args.family, hp, seed=args.seed,
-        selection_path=_require_file(args.selection, "selection CSV") if args.selection else None,
-    )
-    print(out)
+    stage_train(_read_matrix(args.features, args.selection), args.out, args.family, hp, seed=args.seed)
+    print(args.out)
     return 0
 
 
@@ -839,10 +834,9 @@ def _add_evaluate(sub) -> None:
 
 def _cmd_evaluate(args) -> int:
     reports, _ = stage_evaluate(
-        _require_file(args.features, "feature matrix CSV"), args.out_dir,
+        _read_matrix(args.features, args.selection), args.out_dir,
         families=tuple(args.families), train_fraction=args.train_fraction,
         cv_k=args.cv_k, search_samples=args.search_samples, seed=args.seed,
-        selection_path=_require_file(args.selection, "selection CSV") if args.selection else None,
     )
     for rep in reports:
         print(f"{rep.model_name}: r2={rep.r_squared:.4f} mae={rep.mae:.3f} rmse={rep.rmse:.3f}")
@@ -862,13 +856,13 @@ def _add_explain(sub) -> None:
 
 
 def _cmd_explain(args) -> int:
-    out = stage_explain(
-        _require_file(args.model, "model JSON"),
-        _require_file(args.data, "feature matrix CSV"),
+    model_path = _require_file(args.model, "model JSON")
+    stage_explain(
+        load_model(model_path), _read_matrix(args.data),
         args.out, top=args.top, budget=args.budget, rows=args.rows, seed=args.seed,
         explanations_path=args.explanations,
     )
-    print(out)
+    print(args.out)
     return 0
 
 
@@ -886,11 +880,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         if cfg.generator is not None:
-            gen_doc = {
-                f: getattr(cfg.generator, f) for f in GenConfig.__dataclass_fields__
-            }
-            gen_doc["seed"] = args.seed
-            cfg.generator = GenConfig(**gen_doc)
+            cfg.generator = replace(cfg.generator, seed=args.seed)
     status = run_pipeline(cfg)
     print(f"artifacts in {cfg.output_dir}")
     return status

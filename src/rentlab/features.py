@@ -195,8 +195,9 @@ def binarize_amenities(
     """Add one 0/1 column per amenity plus amenity_count (full list length)."""
     if not amenities:
         raise ValueError("amenity list must be non-empty")
-    parsed = [set(parse_amenities(cell, delimiter)) for cell in table.values(col)]
-    lengths = [len(parse_amenities(cell, delimiter)) for cell in table.values(col)]
+    lists = [parse_amenities(cell, delimiter) for cell in table.values(col)]
+    parsed = [set(items) for items in lists]
+    lengths = [len(items) for items in lists]
     out = table
     for a in amenities:
         out = out.with_column(
@@ -298,9 +299,11 @@ def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> Featu
         arrays.append(np.array([float(v) for v in col.values], dtype=np.float64))
     if offending:
         raise AssemblyError("missing cells in: " + "; ".join(offending))
-    y = arrays.pop()
-    x = np.column_stack(arrays) if arrays else np.empty((len(y), 0))
-    return FeatureMatrix(x, tuple(feature_cols), y, None)
+    # x and y are views of one block, target last, the layout matrix_from_csv
+    # reads back: a strided y takes another BLAS path in fits (a.T @ y), so
+    # only the same layout gives bit-identical models either way.
+    data = np.column_stack(arrays)
+    return FeatureMatrix(data[:, :-1], tuple(feature_cols), data[:, -1], None)
 
 
 TARGET_HEADER = "target"

@@ -462,9 +462,3 @@ REVIEWS_SCHEMA = Schema(
     },
     frozenset({"listing_id", "id", "date", "comments"}),
 )
-
-BUILTIN_SCHEMAS = {
-    "listings": LISTINGS_SCHEMA,
-    "calendar": CALENDAR_SCHEMA,
-    "reviews": REVIEWS_SCHEMA,
-}

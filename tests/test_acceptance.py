@@ -33,7 +33,6 @@ from rentlab.features import (
     binarize_amenities,
     default_pois,
     expand_date,
-    matrix_from_csv,
     one_hot,
     poi_distance_features,
     standardize,
@@ -449,11 +448,8 @@ def test_c7_noiseless_recovery(tmp_path):
     )
     out = str(tmp_path)
     raw = stage_gen(cfg, out)
-    cleaned = stage_wrangle(raw["listings"], raw["calendar"], out)
-    features_path = stage_featurize(
-        cleaned["listings"], cleaned["calendar"], os.path.join(out, "features.csv")
-    )
-    m = matrix_from_csv(features_path)
+    listings, calendar = stage_wrangle(raw["listings"], raw["calendar"], out)
+    m = stage_featurize(listings, calendar, os.path.join(out, "features.csv"))
     model = fit_ols(m)
     by_name = dict(zip(model.feature_names, model.coefficients))
     worst = 0.0

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
-from rentlab.cli import main
+from rentlab.cli import main, read_selection
+from rentlab.evaluation import _derived_seed
+from rentlab.features import matrix_from_csv, matrix_to_csv
+from rentlab.models import FAMILIES
 
 BASE_CONFIG = {
     "version": 1,
@@ -72,6 +75,24 @@ class TestSentimentCommand:
         header = out.read_text().splitlines()[0].split(",")
         for col in ("pos", "neg", "neu", "compound", "label"):
             assert col in header
+
+    def test_report_counts_bad_review_date(self, tmp_path):
+        main(["gen", "--seed", "5", "--listings", "12", "--start", "2023-01-01",
+              "--end", "2023-01-05", "--out-dir", str(tmp_path)])
+        lines = (tmp_path / "reviews.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        listing_id, review_id, _, rest = lines[1].split(",", 3)
+        lines[1] = ",".join([listing_id, review_id, "2023-02-30", rest])
+        (tmp_path / "reviews.csv").write_text("".join(lines), encoding="utf-8")
+        out_dir = tmp_path / "scored"
+        os.makedirs(out_dir)
+        assert main(["sentiment", str(tmp_path / "reviews.csv"),
+                     "--out", str(out_dir / "reviews_scored.csv")]) == 0
+        report = (out_dir / "sentiment_report.csv").read_text().splitlines()
+        assert report[0] == "operation,column,rows_affected,flags"
+        assert report[1] == f"read_csv,reviews,{len(lines) - 1},coerced=1"
+        assert [line.split(",")[0] for line in report[2:]] == [
+            "score_reviews", "fill_missing_sentiment",
+        ]
 
     def test_missing_lexicon_exits_2_naming_path(self, tmp_path, capsys):
         main(["gen", "--seed", "5", "--listings", "5", "--start", "2023-01-01",
@@ -145,6 +166,42 @@ class TestRunCommand:
         path.write_text("{not json", encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_run_reads_only_its_inputs(self, tmp_path, monkeypatch):
+        import rentlab.cli
+
+        cfg_path, out_dir = _write_config(tmp_path, {"selection": {"mode": "kbest", "k": 10}})
+        read = []
+        read_back = []
+        real_read_csv = rentlab.cli.read_csv
+
+        def recording_read_csv(path, schema):
+            read.append(str(path))
+            return real_read_csv(path, schema)
+
+        def reader(name):
+            def record(*args, **kwargs):
+                read_back.append(name)
+                raise AssertionError(f"run called {name}")
+            return record
+
+        monkeypatch.setattr(rentlab.cli, "read_csv", recording_read_csv)
+        for name in ("matrix_from_csv", "load_model", "read_selection"):
+            monkeypatch.setattr(rentlab.cli, name, reader(name))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert read_back == []
+        inputs = [os.path.join(out_dir, f"{k}.csv") for k in ("listings", "calendar", "reviews")]
+        assert sorted(read) == sorted(inputs)
+        assert os.path.isfile(os.path.join(out_dir, "features_selected.csv"))
+        assert os.path.isfile(os.path.join(out_dir, "sentiment_report.csv"))
+
+    def test_empty_selection_exits_1(self, tmp_path, capsys):
+        cfg_path, out_dir = _write_config(
+            tmp_path, {"selection": {"mode": "forward", "min_rel_improvement": 10.0}}
+        )
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "selection" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "eval_report.csv"))
+
     def test_run_on_existing_input_csvs(self, tmp_path):
         data_dir = tmp_path / "data"
         main(["gen", "--seed", "21", "--listings", "14", "--start", "2023-01-01",
@@ -205,14 +262,19 @@ class TestRunCommand:
 class TestStageComposition:
     def test_subcommands_reproduce_run_report(self, tmp_path):
         # defaults everywhere so stage flags can mirror the config exactly
-        overrides = {"models": {"hyperparams": {}}, "explain": {"top": 5, "budget": 10, "rows": 3}}
+        overrides = {
+            "models": {"hyperparams": {}},
+            "selection": {"mode": "kbest", "k": 10},
+            "explain": {"top": 5, "budget": 10, "rows": 3},
+        }
         cfg_path, out_dir = _write_config(tmp_path, overrides)
         assert main(["run", "--config", str(cfg_path)]) == 0
 
+        seed = BASE_CONFIG["seed"]
         stage_dir = tmp_path / "stages"
         os.makedirs(stage_dir)
         gen_doc = dict(BASE_CONFIG["generator"])
-        gen_doc["seed"] = BASE_CONFIG["seed"]
+        gen_doc["seed"] = seed
         (stage_dir / "gen.json").write_text(json.dumps(gen_doc), encoding="utf-8")
         assert main(["gen", "--config", str(stage_dir / "gen.json"),
                      "--out-dir", str(stage_dir)]) == 0
@@ -228,19 +290,46 @@ class TestStageComposition:
                      "--reviews-scored", str(stage_dir / "reviews_scored.csv"),
                      "--amenity-k", "8",
                      "--out", str(stage_dir / "features.csv")]) == 0
+        assert main(["select", "--features", str(stage_dir / "features.csv"),
+                     "--mode", "kbest", "--k", "10", "--seed", str(seed),
+                     "--out", str(stage_dir / "selection.csv")]) == 0
         assert main(["evaluate", "--features", str(stage_dir / "features.csv"),
+                     "--selection", str(stage_dir / "selection.csv"),
                      "--families", "lasso", "ridge", "elastic", "forest", "gbm",
                      "--train-fraction", "0.8", "--cv-k", "3",
-                     "--seed", str(BASE_CONFIG["seed"]),
+                     "--seed", str(seed),
                      "--out-dir", str(stage_dir)]) == 0
 
-        via_run = (tmp_path / "out" / "eval_report.csv").read_bytes()
-        via_stages = (stage_dir / "eval_report.csv").read_bytes()
-        assert via_run == via_stages
+        # run refits the family with the best test R^2 on its chosen params
+        reports = json.loads((stage_dir / "eval_report.json").read_text())["reports"]
+        best = max(reports, key=lambda r: r["r_squared"])
+        family = best["model_name"]
+        (stage_dir / "params.json").write_text(json.dumps(best["config"]), encoding="utf-8")
+        assert main(["train", "--features", str(stage_dir / "features.csv"),
+                     "--selection", str(stage_dir / "selection.csv"),
+                     "--family", family, "--params", str(stage_dir / "params.json"),
+                     "--seed", str(_derived_seed(seed, FAMILIES.index(family), 1)),
+                     "--out", str(stage_dir / "model.json")]) == 0
 
-        feats_run = (tmp_path / "out" / "features.csv").read_bytes()
-        feats_stage = (stage_dir / "features.csv").read_bytes()
-        assert feats_run == feats_stage
+        # explain takes no selection, so it reads the restricted matrix
+        full = matrix_from_csv(str(stage_dir / "features.csv"))
+        matrix_to_csv(full.select(read_selection(str(stage_dir / "selection.csv"))),
+                      str(stage_dir / "features_selected.csv"))
+        assert main(["explain", "--model", str(stage_dir / "model.json"),
+                     "--data", str(stage_dir / "features_selected.csv"),
+                     "--top", "5", "--budget", "10", "--rows", "3", "--seed", str(seed),
+                     "--out", str(stage_dir / "shap_ranking.csv"),
+                     "--explanations", str(stage_dir / "shap_explanations.json")]) == 0
+
+        for artifact in (
+            "listings_clean.csv", "calendar_clean.csv", "wrangle_report.csv",
+            "reviews_scored.csv", "features.csv", "selection.csv", "features_selected.csv",
+            "eval_report.csv", "eval_report.json", "model.json",
+            "shap_ranking.csv", "shap_explanations.json",
+        ):
+            via_run = (tmp_path / "out" / artifact).read_bytes()
+            via_stages = (stage_dir / artifact).read_bytes()
+            assert via_run == via_stages, artifact
 
 
 class TestTrainSelectExplain:

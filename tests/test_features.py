@@ -28,6 +28,7 @@ from rentlab.features import (
     standardize,
     top_k_amenities,
 )
+from rentlab.models import fit_ols
 from rentlab.tabular import Table
 
 geo_points = st.builds(
@@ -325,6 +326,22 @@ class TestAssembleMatrix:
         t = Table.from_dict({"a": ("text", ["x"]), "y": ("numeric", [1.0])})
         with pytest.raises(AssemblyError):
             assemble_matrix(t, "y", ["a"])
+
+    @pytest.mark.parametrize("n", range(330, 340))
+    def test_fits_bit_identically_to_its_csv_round_trip(self, tmp_path, n):
+        # run hands the assembled matrix to the fits; the subcommands read it
+        # back from features.csv. Both must give the same model bytes. Whether
+        # BLAS rounds a.T @ y differently for a strided and a contiguous y
+        # depends on n, hence several sizes.
+        rng = np.random.default_rng(n)
+        data = {f"f{j}": ("numeric", list(rng.normal(0, 10.0 ** (j % 4), n))) for j in range(9)}
+        data["y"] = ("numeric", list(rng.normal(150.0, 40.0, n)))
+        m = assemble_matrix(Table.from_dict(data), "y", [f"f{j}" for j in range(9)])
+        matrix_to_csv(m, tmp_path / "m.csv")
+        back = matrix_from_csv(tmp_path / "m.csv")
+        assembled, read_back = fit_ols(m), fit_ols(back)
+        assert assembled.intercept == read_back.intercept
+        assert assembled.coefficients.tobytes() == read_back.coefficients.tobytes()
 
 
 def test_matrix_csv_roundtrip(tmp_path):
