@@ -4,11 +4,12 @@ Subcommands mirror the pipeline stages (gen, wrangle, sentiment, featurize,
 select, train, evaluate, explain). Each stage writes its artifacts and hands
 its result (tables, feature matrix, fitted model) to the next as an object;
 `run` chains the stages in memory and reads only its inputs. A subcommand
-loads its input files, calls the stage and lets the stage write. The contract
-is tests/test_cli.py::TestStageComposition: the chain of subcommands
-reproduces every artifact of `run` byte for byte. All randomness flows from
-the configured seed. Exit codes: 0 success, 1 pipeline/data error, 2
-usage/config error.
+loads its input files, calls the stage and lets the stage write; `select`
+writes the restricted matrix (features_selected.csv) that train, evaluate
+and explain read. The contract is tests/test_cli.py::TestStageComposition:
+the chain of subcommands reproduces every artifact of `run` byte for byte.
+All randomness flows from the configured seed. Exit codes: 0 success, 1
+pipeline/data error, 2 usage/config error (an unknown config key included).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .features import (
     standardize,
     top_k_amenities,
 )
-from .models import FAMILIES, FittedModel, HyperParams, fit_family, load_model, save_model
+from .models import FAMILIES, FittedModel, HyperParams, check_columns, fit_family, load_model, save_model
 from .report import StageReport
 from .select_explain import f_scores, forward_select, mean_abs_ranking, select_k_best, shapley_values
 from .sentiment import default_lexicon, fill_missing_sentiment, load_lexicon, score_reviews
@@ -149,8 +150,31 @@ def _require_file(path: str, what: str) -> str:
 # pipeline configuration
 
 
+# the keys each config section may hold; any other key is a ConfigError
+SECTION_KEYS = {
+    "inputs": ("listings", "calendar", "reviews"),
+    "wrangle": ("multiplier", "knn_k", "gap_start", "gap_end"),
+    "features": ("pois", "amenity_k", "standardize"),
+    "sentiment": ("lexicon",),
+    "selection": ("mode", "k", "max_features", "min_rel_improvement"),
+    "models": ("families", "hyperparams", "grids"),
+    "eval": ("train_fraction", "cv_k", "search_samples"),
+    "explain": ("top", "budget", "rows"),
+}
+TOP_LEVEL_KEYS = ("version", "seed", "output_dir", "generator", *SECTION_KEYS)
+
+
+def _check_keys(doc, allowed, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    return doc
+
+
 def gen_config_from_doc(doc: dict, seed: int | None = None) -> GenConfig:
-    doc = dict(doc)
+    doc = dict(_check_keys(doc, GenConfig.__dataclass_fields__, "generator"))
     if "date_range" in doc:
         start, end = doc["date_range"]
         doc["date_range"] = (_dt.date.fromisoformat(start), _dt.date.fromisoformat(end))
@@ -158,10 +182,6 @@ def gen_config_from_doc(doc: dict, seed: int | None = None) -> GenConfig:
         doc["peak_months"] = tuple(doc["peak_months"])
     if seed is not None and "seed" not in doc:
         doc["seed"] = seed
-    allowed = set(GenConfig.__dataclass_fields__)
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown generator fields: {sorted(unknown)}")
     try:
         return GenConfig(**doc)
     except (TypeError, ValueError) as exc:
@@ -197,10 +217,11 @@ class PipelineConfig:
 
     @staticmethod
     def from_doc(doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("pipeline config must be a JSON object")
+        _check_keys(doc, TOP_LEVEL_KEYS, "config")
         if doc.get("version") not in (None, 1):
             raise ConfigError(f"unsupported config version {doc.get('version')!r}")
+        for section in SECTION_KEYS:
+            _check_keys(doc.get(section, {}), SECTION_KEYS[section], section)
         if "seed" not in doc:
             raise ConfigError("config field 'seed' is mandatory")
         seed = int(doc["seed"])
@@ -248,8 +269,12 @@ class PipelineConfig:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown model family {fam!r}")
         cfg.families = families
-        cfg.hyperparams = dict(models_doc.get("hyperparams", {}))
+        hp_names = HyperParams.__dataclass_fields__
+        hyperparams = models_doc.get("hyperparams", {})
+        cfg.hyperparams = dict(_check_keys(hyperparams, hp_names, "models.hyperparams"))
         cfg.grids = models_doc.get("grids")
+        for fam, grid in _check_keys(cfg.grids or {}, FAMILIES, "models.grids").items():
+            _check_keys(grid, hp_names, f"models.grids.{fam}")
 
         eval_doc = doc.get("eval", {})
         cfg.train_fraction = float(eval_doc.get("train_fraction", 0.8))
@@ -463,7 +488,10 @@ def stage_select(
     max_features: int = 85,
     min_rel_improvement: float = 1e-3,
     seed: int = 0,
-) -> list[str]:
+) -> FeatureMatrix:
+    """Choose features; write the choice to out_path and the matrix
+    restricted to it as features_selected.csv next to it; return that
+    matrix. An empty choice is written, then fails."""
     if mode == "kbest":
         scores = f_scores(matrix)
         chosen = select_k_best(scores, min(k, matrix.n_features))
@@ -486,7 +514,11 @@ def stage_select(
     else:
         raise ConfigError(f"unknown selection mode {mode!r}")
     write_table(table, out_path)
-    return chosen
+    if not chosen:
+        raise PipelineError("selection chose no features")
+    selected = matrix.select(chosen)
+    write_matrix(selected, os.path.join(os.path.dirname(out_path), "features_selected.csv"))
+    return selected
 
 
 def stage_train(
@@ -560,6 +592,7 @@ def stage_explain(
     seed: int = 0,
     explanations_path: str | None = None,
 ) -> None:
+    check_columns(model, matrix.feature_names)  # shapley_values passes arrays
     if rows and matrix.n_rows > rows:
         picks = np.random.default_rng(seed).choice(matrix.n_rows, size=rows, replace=False)
         matrix = matrix.take(np.sort(picks))
@@ -619,15 +652,11 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     del listings, calendar, scored  # free the tables before the model stages
 
     if cfg.selection_mode != "none":
-        chosen = stage_select(
+        matrix = stage_select(
             matrix, os.path.join(out, "selection.csv"), mode=cfg.selection_mode,
             k=cfg.selection_k, max_features=cfg.selection_max,
             min_rel_improvement=cfg.selection_tol, seed=cfg.seed,
         )
-        if not chosen:
-            raise PipelineError("selection chose no features")
-        matrix = matrix.select(chosen)
-        write_matrix(matrix, os.path.join(out, "features_selected.csv"))
 
     reports, chosen_hp = stage_evaluate(
         matrix, out, families=cfg.families,
@@ -657,23 +686,6 @@ def run_pipeline(cfg: PipelineConfig) -> int:
 def _read_table(path: str, what: str, schema: Schema) -> Table:
     table, _ = read_csv(_require_file(path, what), schema)
     return table
-
-
-def read_selection(path: str) -> list[str]:
-    table, _ = read_csv(path, Schema("selection", {"feature": "text"}, frozenset({"feature"})))
-    return [v for v in table.values("feature") if v is not None]
-
-
-def _read_matrix(features_path: str, selection_path: str | None = None) -> FeatureMatrix:
-    """The feature matrix CSV, restricted to the features a selection CSV names."""
-    matrix = matrix_from_csv(_require_file(features_path, "feature matrix CSV"))
-    if not selection_path:
-        return matrix
-    selection = read_selection(_require_file(selection_path, "selection CSV"))
-    names = [n for n in selection if n in matrix.feature_names]
-    if not names:
-        raise PipelineError(f"selection {selection_path} matches no features")
-    return matrix.select(names)
 
 
 def _add_gen(sub) -> None:
@@ -791,12 +803,12 @@ def _add_select(sub) -> None:
 
 
 def _cmd_select(args) -> int:
-    chosen = stage_select(
-        _read_matrix(args.features), args.out,
+    selected = stage_select(
+        matrix_from_csv(_require_file(args.features, "feature matrix CSV")), args.out,
         mode=args.mode, k=args.k, max_features=args.max_features,
         min_rel_improvement=args.min_rel_improvement, seed=args.seed,
     )
-    print(f"{len(chosen)} features -> {args.out}")
+    print(f"{selected.n_features} features -> {args.out}")
     return 0
 
 
@@ -805,7 +817,6 @@ def _add_train(sub) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--params", help="HyperParams JSON file")
-    p.add_argument("--selection", help="selection CSV restricting the features")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="model.json")
 
@@ -814,8 +825,12 @@ def _cmd_train(args) -> int:
     hp = HyperParams()
     if args.params:
         with open(_require_file(args.params, "params file"), encoding="utf-8") as fh:
-            hp = HyperParams.from_dict(json.load(fh))
-    stage_train(_read_matrix(args.features, args.selection), args.out, args.family, hp, seed=args.seed)
+            try:
+                hp = HyperParams.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ConfigError(f"params file {args.params}: {exc}") from exc
+    matrix = matrix_from_csv(_require_file(args.features, "feature matrix CSV"))
+    stage_train(matrix, args.out, args.family, hp, seed=args.seed)
     print(args.out)
     return 0
 
@@ -827,14 +842,13 @@ def _add_evaluate(sub) -> None:
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--cv-k", type=int, default=5)
     p.add_argument("--search-samples", type=int, default=0)
-    p.add_argument("--selection")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
 
 
 def _cmd_evaluate(args) -> int:
     reports, _ = stage_evaluate(
-        _read_matrix(args.features, args.selection), args.out_dir,
+        matrix_from_csv(_require_file(args.features, "feature matrix CSV")), args.out_dir,
         families=tuple(args.families), train_fraction=args.train_fraction,
         cv_k=args.cv_k, search_samples=args.search_samples, seed=args.seed,
     )
@@ -858,7 +872,7 @@ def _add_explain(sub) -> None:
 def _cmd_explain(args) -> int:
     model_path = _require_file(args.model, "model JSON")
     stage_explain(
-        load_model(model_path), _read_matrix(args.data),
+        load_model(model_path), matrix_from_csv(_require_file(args.data, "feature matrix CSV")),
         args.out, top=args.top, budget=args.budget, rows=args.rows, seed=args.seed,
         explanations_path=args.explanations,
     )

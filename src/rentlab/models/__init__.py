@@ -53,9 +53,10 @@ class HyperParams:
 
     @staticmethod
     def from_dict(values: dict) -> "HyperParams":
-        base = HyperParams().to_dict()
-        base.update({k: v for k, v in values.items() if k in base})
-        return HyperParams(**base)
+        unknown = sorted(set(values) - set(HyperParams.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown hyperparameters: {unknown}")
+        return HyperParams(**values)
 
 
 def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0) -> FittedModel:
@@ -89,22 +90,35 @@ def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0) ->
 
 
 def predict(model: FittedModel, x) -> np.ndarray:
-    """Predict for a FeatureMatrix, a 2-d array, or a single row."""
+    """Predict for a FeatureMatrix, a 2-d array, or a single row. A matrix
+    must carry the model's columns by name and in order; an array only
+    their count."""
     if isinstance(x, FeatureMatrix):
+        check_columns(model, x.feature_names)
         data = x.x
     else:
         data = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    expected = n_model_features(model)
-    if expected is not None and data.shape[1] != expected:
-        raise ValueError(f"model expects {expected} features, got {data.shape[1]}")
+    names = getattr(model, "feature_names", ())
+    n = len(model.coefficients) if isinstance(model, LinearModel) else len(names)
+    if n and data.shape[1] != n:
+        raise ValueError(f"model expects {n} features, got {data.shape[1]}")
     return model.predict(data)
 
 
-def n_model_features(model: FittedModel) -> int | None:
-    if isinstance(model, LinearModel):
-        return len(model.coefficients)
-    names = getattr(model, "feature_names", ())
-    return len(names) if names else None
+def check_columns(model: FittedModel, names) -> None:
+    """Raise a ValueError naming the missing and unexpected columns when a
+    model fitted on named features meets other columns or another order."""
+    expected = tuple(getattr(model, "feature_names", ()))
+    names = tuple(names)
+    if not expected or names == expected:
+        return
+    missing = [n for n in expected if n not in names]
+    unexpected = [n for n in names if n not in expected]
+    if not (missing or unexpected):
+        raise ValueError(f"model expects its columns in the order {list(expected)}")
+    parts = [f"{what} {cols}" for what, cols in (("missing", missing), ("unexpected", unexpected))
+             if cols]
+    raise ValueError("model was fitted on other columns: " + ", ".join(parts))
 
 
 __all__ = [
@@ -116,6 +130,7 @@ __all__ = [
     "LinearModel",
     "Tree",
     "auto_max_features",
+    "check_columns",
     "elastic_net_objective",
     "fit_elastic_net",
     "fit_family",
@@ -126,7 +141,6 @@ __all__ = [
     "load_model",
     "model_from_doc",
     "model_to_doc",
-    "n_model_features",
     "predict",
     "save_model",
     "soft_threshold",

@@ -303,24 +303,6 @@ def _sampled_shapley(v: _ValueFunction, p: int, budget: int, seed: int) -> np.nd
     return phi / budget
 
 
-def shap_ranking(
-    model: FittedModel,
-    data: FeatureMatrix,
-    budget: int = 2000,
-    seed: int = 0,
-    background: FeatureMatrix | None = None,
-) -> list[tuple[str, float]]:
-    """Mean |Shapley value| per feature across all rows, descending."""
-    if data.n_rows == 0:
-        raise EmptyInputError("shap_ranking on an empty matrix")
-    bg = background if background is not None else data
-    explanations = [
-        shapley_values(model, data.x[i], bg, budget=budget, seed=seed + i)
-        for i in range(data.n_rows)
-    ]
-    return mean_abs_ranking(data.feature_names, explanations)
-
-
 def mean_abs_ranking(
     names: tuple[str, ...], explanations: list[ShapExplanation]
 ) -> list[tuple[str, float]]:

@@ -42,9 +42,6 @@ class Column:
     def n_missing(self) -> int:
         return sum(1 for v in self.values if v is None)
 
-    def non_missing(self) -> list:
-        return [v for v in self.values if v is not None]
-
 
 @dataclass(frozen=True)
 class Table:
@@ -120,17 +117,6 @@ class Table:
         names = tuple(data.keys())
         cols = tuple(Column(k, tuple(v)) for k, v in data.values())
         return Table(names, cols)
-
-
-@dataclass(frozen=True)
-class ListingKey:
-    """The join key shared by the listings, calendar, and reviews datasets."""
-
-    listing_id: int
-
-    def __post_init__(self):
-        if self.listing_id <= 0:
-            raise ValueError(f"listing_id must be positive, got {self.listing_id}")
 
 
 @dataclass(frozen=True)

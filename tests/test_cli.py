@@ -1,12 +1,18 @@
+import importlib.util
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from rentlab.cli import main, read_selection
+from rentlab.cli import ConfigError, PipelineConfig, main, stage_explain
 from rentlab.evaluation import _derived_seed
-from rentlab.features import matrix_from_csv, matrix_to_csv
-from rentlab.models import FAMILIES
+from rentlab.features import matrix_from_csv
+from rentlab.models import FAMILIES, load_model
+
+REPO = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = {
     "version": 1,
@@ -185,7 +191,7 @@ class TestRunCommand:
             return record
 
         monkeypatch.setattr(rentlab.cli, "read_csv", recording_read_csv)
-        for name in ("matrix_from_csv", "load_model", "read_selection"):
+        for name in ("matrix_from_csv", "load_model"):
             monkeypatch.setattr(rentlab.cli, name, reader(name))
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert read_back == []
@@ -293,8 +299,9 @@ class TestStageComposition:
         assert main(["select", "--features", str(stage_dir / "features.csv"),
                      "--mode", "kbest", "--k", "10", "--seed", str(seed),
                      "--out", str(stage_dir / "selection.csv")]) == 0
-        assert main(["evaluate", "--features", str(stage_dir / "features.csv"),
-                     "--selection", str(stage_dir / "selection.csv"),
+        # evaluate, train and explain read the restricted matrix select wrote
+        selected = str(stage_dir / "features_selected.csv")
+        assert main(["evaluate", "--features", selected,
                      "--families", "lasso", "ridge", "elastic", "forest", "gbm",
                      "--train-fraction", "0.8", "--cv-k", "3",
                      "--seed", str(seed),
@@ -305,18 +312,12 @@ class TestStageComposition:
         best = max(reports, key=lambda r: r["r_squared"])
         family = best["model_name"]
         (stage_dir / "params.json").write_text(json.dumps(best["config"]), encoding="utf-8")
-        assert main(["train", "--features", str(stage_dir / "features.csv"),
-                     "--selection", str(stage_dir / "selection.csv"),
+        assert main(["train", "--features", selected,
                      "--family", family, "--params", str(stage_dir / "params.json"),
                      "--seed", str(_derived_seed(seed, FAMILIES.index(family), 1)),
                      "--out", str(stage_dir / "model.json")]) == 0
-
-        # explain takes no selection, so it reads the restricted matrix
-        full = matrix_from_csv(str(stage_dir / "features.csv"))
-        matrix_to_csv(full.select(read_selection(str(stage_dir / "selection.csv"))),
-                      str(stage_dir / "features_selected.csv"))
         assert main(["explain", "--model", str(stage_dir / "model.json"),
-                     "--data", str(stage_dir / "features_selected.csv"),
+                     "--data", selected,
                      "--top", "5", "--budget", "10", "--rows", "3", "--seed", str(seed),
                      "--out", str(stage_dir / "shap_ranking.csv"),
                      "--explanations", str(stage_dir / "shap_explanations.json")]) == 0
@@ -440,13 +441,73 @@ class TestTrainSelectExplain:
 
     def test_train_on_selection(self, tmp_path, features_csv):
         sel = tmp_path / "sel.csv"
-        main(["select", "--features", str(features_csv), "--mode", "kbest",
-              "--k", "5", "--out", str(sel)])
+        assert main(["select", "--features", str(features_csv), "--mode", "kbest",
+                     "--k", "5", "--out", str(sel)]) == 0
+        chosen = [line.split(",")[0] for line in sel.read_text().splitlines()[1:]]
+        selected = tmp_path / "features_selected.csv"
+        assert selected.read_text().splitlines()[0].split(",") == chosen + ["target"]
         model_path = tmp_path / "model.json"
-        assert main(["train", "--features", str(features_csv), "--family", "ols",
-                     "--selection", str(sel), "--out", str(model_path)]) == 0
+        assert main(["train", "--features", str(selected), "--family", "ols",
+                     "--out", str(model_path)]) == 0
         doc = json.loads(model_path.read_text())
         assert len(doc["coefficients"]) == 5
+        assert doc["feature_names"] == chosen
+
+    def test_empty_selection_exits_1(self, tmp_path, features_csv, capsys):
+        sel = tmp_path / "sel.csv"
+        assert main(["select", "--features", str(features_csv), "--mode", "forward",
+                     "--min-rel-improvement", "10.0", "--out", str(sel)]) == 1
+        assert "selection chose no features" in capsys.readouterr().err
+        assert sel.read_text().splitlines() == ["feature,order"]
+        assert not (tmp_path / "features_selected.csv").exists()
+
+    def test_explain_on_other_columns_exits_1_naming_them(self, tmp_path, features_csv, capsys):
+        sel = tmp_path / "sel.csv"
+        assert main(["select", "--features", str(features_csv), "--mode", "kbest",
+                     "--k", "4", "--out", str(sel)]) == 0
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(tmp_path / "features_selected.csv"),
+                     "--family", "gbm", "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["explain", "--model", str(model_path), "--data", str(features_csv),
+                     "--budget", "2", "--rows", "2",
+                     "--out", str(tmp_path / "rank.csv")]) == 1
+        err = capsys.readouterr().err
+        chosen = {line.split(",")[0] for line in sel.read_text().splitlines()[1:]}
+        header = features_csv.read_text().splitlines()[0].split(",")[:-1]
+        assert "unexpected" in err and "missing" not in err
+        for name in header:
+            assert (repr(name) in err) == (name not in chosen)
+        assert not (tmp_path / "rank.csv").exists()
+
+    def test_stage_explain_checks_columns_first(self, tmp_path, features_csv):
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(features_csv), "--family", "ridge",
+                     "--out", str(model_path)]) == 0
+        full = matrix_from_csv(str(features_csv))
+        names = list(full.feature_names)
+        dropped = full.select(names[1:])
+        with pytest.raises(ValueError, match=re.escape(f"missing [{names[0]!r}]")):
+            stage_explain(load_model(str(model_path)), dropped, str(tmp_path / "rank.csv"))
+        reordered = full.select(names[1:] + names[:1])
+        with pytest.raises(ValueError, match="order"):
+            stage_explain(load_model(str(model_path)), reordered, str(tmp_path / "rank.csv"))
+        assert not (tmp_path / "rank.csv").exists()
+
+    def test_train_and_evaluate_take_no_selection(self, capsys):
+        for command in ("train", "evaluate"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--help"])
+            assert excinfo.value.code == 0
+            assert "selection" not in capsys.readouterr().out
+
+    def test_params_with_unknown_key_exits_2(self, tmp_path, features_csv, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"max_depht": 3}), encoding="utf-8")
+        assert main(["train", "--features", str(features_csv), "--family", "gbm",
+                     "--params", str(params), "--out", str(tmp_path / "model.json")]) == 2
+        assert "max_depht" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestUsageErrors:
@@ -463,3 +524,61 @@ class TestUsageErrors:
     def test_missing_features_file_exits_2(self, capsys):
         assert main(["train", "--features", "nope.csv", "--family", "ols"]) == 2
         assert "nope.csv" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("overrides, name", [
+        ({"selecton": {"mode": "kbest", "k": 5}}, "selecton"),
+        ({"wrangle": {"multipler": 2.0}}, "multipler"),
+        ({"explain": {"budgett": 3}}, "budgett"),
+        ({"models": {"hyperparams": {"max_depht": 3}}}, "max_depht"),
+        ({"models": {"grids": {"gbm": {"n_round": [5, 10]}}}}, "n_round"),
+        ({"models": {"grids": {"gmb": {"n_rounds": [5, 10]}}}}, "gmb"),
+    ])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, overrides, name):
+        cfg_path, out_dir = _write_config(tmp_path, overrides)
+        doc = json.loads(cfg_path.read_text())
+        with pytest.raises(ConfigError, match=name):
+            PipelineConfig.from_doc(doc)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    def test_benchmark_workload_configs_load(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("workloads", REPO / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        inputs = {k: str(tmp_path / f"{k}.csv") for k in ("listings", "calendar", "reviews")}
+        for name in workloads.WORKLOADS:
+            cfg = PipelineConfig.from_doc(workloads.pipeline_doc(name, 1, inputs, str(tmp_path)))
+            assert cfg.inputs == inputs
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
+
+
+class TestReadme:
+    def test_demo_config_is_the_readme_config(self):
+        example = json.loads((REPO / "examples" / "demo.json").read_text(encoding="utf-8"))
+        (block,) = [b for b in _readme_blocks("json") if '"generator"' in b]
+        assert json.loads(block) == example
+        assert PipelineConfig.from_doc(example).explain_budget == 200
+        assert any("rentlab run --config examples/demo.json" in b for b in _readme_blocks("sh"))
+
+    def test_stage_by_stage_example_runs_verbatim(self, tmp_path):
+        (block,) = [b for b in _readme_blocks("sh") if "rentlab gen " in b]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("rentlab ")]
+        assert [argv[0] for argv in commands] == [
+            "gen", "wrangle", "sentiment", "featurize", "select", "evaluate", "train", "explain",
+        ]
+        for argv in commands:
+            mapped = [
+                str(tmp_path / arg[len("data/"):]) if arg.startswith("data/")
+                else str(tmp_path) if arg == "data" else arg
+                for arg in argv
+            ]
+            assert main(mapped) == 0, " ".join(argv)
+        assert (tmp_path / "shap_ranking.csv").is_file()

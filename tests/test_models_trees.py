@@ -242,9 +242,40 @@ class TestHyperParams:
         hp = HyperParams(alpha=0.5, n_trees=7)
         assert HyperParams.from_dict(hp.to_dict()) == hp
 
-    def test_from_dict_ignores_unknown_keys(self):
-        hp = HyperParams.from_dict({"alpha": 0.25, "bogus": 9})
-        assert hp.alpha == 0.25
+    def test_from_dict_rejects_unknown_keys(self):
+        assert HyperParams.from_dict({"alpha": 0.25}).alpha == 0.25
+        with pytest.raises(ValueError, match="max_depht"):
+            HyperParams.from_dict({"alpha": 0.25, "max_depht": 3})
+
+
+class TestPredictColumns:
+    def _model_and_data(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(30, 3))
+        m = _fm(x, x @ np.array([1.0, -2.0, 0.5]), ("a", "b", "c"))
+        return fit_gbm(m, n_rounds=3, max_depth=2), m
+
+    def test_same_columns_predict(self):
+        model, m = self._model_and_data()
+        assert np.array_equal(predict(model, m), predict(model, m.x))
+
+    def test_other_columns_fail_naming_them(self):
+        model, m = self._model_and_data()
+        other = FeatureMatrix(np.column_stack([m.x[:, :2], m.x[:, :1]]), ("a", "b", "d"), m.y)
+        with pytest.raises(ValueError, match=r"missing \['c'\], unexpected \['d'\]"):
+            predict(model, other)
+        with pytest.raises(ValueError, match=r"missing \['c'\]$"):
+            predict(model, m.select(["a", "b"]))
+
+    def test_reordered_columns_fail(self):
+        model, m = self._model_and_data()
+        with pytest.raises(ValueError, match="order"):
+            predict(model, m.select(["b", "a", "c"]))
+
+    def test_array_input_checks_count(self):
+        model, m = self._model_and_data()
+        with pytest.raises(ValueError, match="expects 3 features, got 2"):
+            predict(model, m.x[:, :2])
 
 
 class TestSerialization:

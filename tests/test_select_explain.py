@@ -15,9 +15,9 @@ from rentlab.select_explain import (
     f_survival,
     forward_select,
     impurity_importance,
+    mean_abs_ranking,
     regularized_incomplete_beta,
     select_k_best,
-    shap_ranking,
     shapley_values,
 )
 
@@ -333,18 +333,26 @@ class TestShapleyMonteCarlo:
 
 
 class TestShapRanking:
+    @staticmethod
+    def _ranking(model, data, background=None):
+        bg = data if background is None else background
+        explanations = [
+            shapley_values(model, data.x[i], bg, budget=2000, seed=i) for i in range(data.n_rows)
+        ]
+        return mean_abs_ranking(data.feature_names, explanations)
+
     def test_ignored_feature_ranks_zero(self):
         model = LinearModel(0.0, np.array([2.0, 0.0]))
         rng = np.random.default_rng(19)
         data = _fm(rng.normal(size=(12, 2)), np.zeros(12))
-        ranking = dict(shap_ranking(model, data))
+        ranking = dict(self._ranking(model, data))
         assert ranking["x1"] == pytest.approx(0.0, abs=1e-12)
         assert ranking["x0"] > 0
 
     def test_constant_model_all_zero(self):
         model = LinearModel(5.0, np.array([0.0, 0.0]))
         data = _fm(np.random.default_rng(23).normal(size=(8, 2)), np.zeros(8))
-        assert all(v == pytest.approx(0.0, abs=1e-12) for _, v in shap_ranking(model, data))
+        assert all(v == pytest.approx(0.0, abs=1e-12) for _, v in self._ranking(model, data))
 
     def test_stable_under_background_duplication(self):
         model = LinearModel(1.0, np.array([2.0, -3.0, 0.5]))
@@ -352,8 +360,8 @@ class TestShapRanking:
         x = rng.normal(size=(10, 3))
         data = _fm(x, np.zeros(10))
         doubled = _fm(np.vstack([x, x]), np.zeros(20))
-        base = shap_ranking(model, data, background=data)
-        dup = shap_ranking(model, data, background=doubled)
+        base = self._ranking(model, data, background=data)
+        dup = self._ranking(model, data, background=doubled)
         assert [n for n, _ in base] == [n for n, _ in dup]
         for (_, a), (_, b) in zip(base, dup):
             assert a == pytest.approx(b, abs=1e-9)

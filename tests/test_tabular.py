@@ -263,16 +263,6 @@ def test_schema_rejects_unknown_parse_kind():
         Schema("bad", {"a": "quaternion"}, frozenset())
 
 
-def test_listing_key_must_be_positive():
-    from rentlab.tabular import ListingKey
-
-    assert ListingKey(5456).listing_id == 5456
-    with pytest.raises(ValueError):
-        ListingKey(0)
-    with pytest.raises(ValueError):
-        ListingKey(-3)
-
-
 def test_full_width_listings_dump_loads_typed(tmp_path):
     # a row shaped like the public 74-column dump parses without coercion
     header = list(LISTINGS_SCHEMA.fields)
