@@ -2,14 +2,17 @@
 
 Subcommands mirror the pipeline stages (gen, wrangle, sentiment, featurize,
 select, train, evaluate, explain). Each stage writes its artifacts and hands
-its result (tables, feature matrix, fitted model) to the next as an object;
-`run` chains the stages in memory and reads only its inputs. A subcommand
-loads its input files, calls the stage and lets the stage write; `select`
-writes the restricted matrix (features_selected.csv) that train, evaluate
-and explain read. The contract is tests/test_cli.py::TestStageComposition:
-the chain of subcommands reproduces every artifact of `run` byte for byte.
+its result to the next as an object; `run` chains the stages in memory and
+reads only its inputs, a subcommand reads its input files. `select` writes
+the restricted matrix (features_selected.csv) that train, evaluate and
+explain read. tests/test_cli.py::TestStageComposition is the contract: the
+chain of subcommands reproduces every artifact of `run` byte for byte.
+A stage takes its config section, a frozen dataclass whose fields are the
+section's JSON keys and the subcommand's flags and hold the only defaults;
+one typed loader reads a section from the config file or from the flags.
 All randomness flows from the configured seed. Exit codes: 0 success, 1
-pipeline/data error, 2 usage/config error (an unknown config key included).
+pipeline/data error, 2 usage/config error (an unknown key, a mistyped value,
+a bad hyperparameter or gap, a missing file; the message names section.key).
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+import types
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,7 +57,10 @@ from .features import (
 )
 from .models import FAMILIES, FittedModel, HyperParams, check_columns, fit_family, load_model, save_model
 from .report import StageReport
-from .select_explain import f_scores, forward_select, mean_abs_ranking, select_k_best, shapley_values
+from .select_explain import (
+    DEFAULT_FORWARD_MAX, DEFAULT_FORWARD_TOL, f_scores, forward_select, mean_abs_ranking,
+    select_k_best, shapley_values,
+)
 from .sentiment import default_lexicon, fill_missing_sentiment, load_lexicon, score_reviews
 from .synthgen import GenConfig, generate
 from .tabular import (
@@ -68,6 +76,8 @@ from .tabular import (
     write_csv,
 )
 from .wrangle import (
+    DEFAULT_IQR_MULTIPLIER,
+    DEFAULT_KNN_K,
     GapSpec,
     fill_calendar_gap,
     impute_global_median,
@@ -76,7 +86,7 @@ from .wrangle import (
     remove_outliers,
 )
 
-DEFAULT_FAMILIES = ("lasso", "ridge", "elastic", "forest", "gbm")
+INPUT_NAMES = ("listings", "calendar", "reviews")
 ID_COLUMNS = frozenset({"id", "listing_id", "host_id", "reviewer_id", "scrape_id"})
 REVIEW_SCORE_COLUMNS = (
     "review_scores_rating",
@@ -150,20 +160,6 @@ def _require_file(path: str, what: str) -> str:
 # pipeline configuration
 
 
-# the keys each config section may hold; any other key is a ConfigError
-SECTION_KEYS = {
-    "inputs": ("listings", "calendar", "reviews"),
-    "wrangle": ("multiplier", "knn_k", "gap_start", "gap_end"),
-    "features": ("pois", "amenity_k", "standardize"),
-    "sentiment": ("lexicon",),
-    "selection": ("mode", "k", "max_features", "min_rel_improvement"),
-    "models": ("families", "hyperparams", "grids"),
-    "eval": ("train_fraction", "cv_k", "search_samples"),
-    "explain": ("top", "budget", "rows"),
-}
-TOP_LEVEL_KEYS = ("version", "seed", "output_dir", "generator", *SECTION_KEYS)
-
-
 def _check_keys(doc, allowed, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -171,6 +167,62 @@ def _check_keys(doc, allowed, where: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
     return doc
+
+
+def _value(tp, value, where: str):
+    """value checked against the annotation tp; None only for an optional
+    field. A float field takes a JSON int as a float, no field a bool but bool."""
+    if isinstance(tp, types.UnionType):  # X | None
+        if value is None:
+            return None
+        tp = next(t for t in get_args(tp) if t is not type(None))
+    if value is None:
+        raise ConfigError(f"{where} is missing")
+    if is_dataclass(tp):
+        return _section(tp, value, where)
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_value(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if type(value) is not tp and not (tp is float and type(value) is int):
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    return float(value) if tp is float else value
+
+
+def _file(tp, value, where: str) -> str | None:
+    """A path field: None, or a string naming an existing file."""
+    return None if value is None else _require_file(_value(str, value, where), where)
+
+
+def _section(cls, doc, where: str):
+    """Load dataclass cls from a JSON object whose keys are fields of cls, each value
+    typed as its field (or read by the field's "load" metadata). A failure is a
+    ConfigError naming where.key; a ValueError from cls must start with the key."""
+    fields = cls.__dataclass_fields__
+    hints = get_type_hints(cls)
+    values = {
+        key: fields[key].metadata.get("load", _value)(hints[key], value, f"{where}.{key}")
+        for key, value in _check_keys(doc, fields, where).items()
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
+
+
+def _grids(tp, doc, where: str) -> dict | None:
+    """models.grids: family -> hyperparameter -> non-empty list of its values."""
+    if doc is None:
+        return None
+    grids = {}
+    for fam, grid in _check_keys(doc, FAMILIES, where).items():
+        at = f"{where}.{fam}"
+        grids[fam] = {}
+        for name, values in _check_keys(grid, HyperParams.__dataclass_fields__, at).items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"{at}.{name} must be a non-empty list, got {values!r}")
+            grids[fam][name] = [getattr(_section(HyperParams, {name: v}, at), name) for v in values]
+    return grids
 
 
 def gen_config_from_doc(doc: dict, seed: int | None = None) -> GenConfig:
@@ -188,114 +240,128 @@ def gen_config_from_doc(doc: dict, seed: int | None = None) -> GenConfig:
         raise ConfigError(f"bad generator config: {exc}") from exc
 
 
-@dataclass
-class PipelineConfig:
-    seed: int
-    output_dir: str
-    generator: GenConfig | None = None
-    inputs: dict[str, str] = field(default_factory=dict)
-    multiplier: float = 0.5
-    knn_k: int = 10
-    gap: GapSpec | None = None
-    pois_path: str | None = None
+# One frozen dataclass per config section: a field's name is its key in the
+# section and its subcommand flag (knn_k, --knn-k), its default the only one.
+@dataclass(frozen=True)
+class Wrangle:
+    multiplier: float = DEFAULT_IQR_MULTIPLIER
+    knn_k: int = DEFAULT_KNN_K
+    gap_start: str | None = None
+    gap_end: str | None = None
+
+    def __post_init__(self):
+        self.gap  # raises unless both ends or neither are given, each a date
+
+    @property
+    def gap(self) -> GapSpec | None:
+        """The calendar gap to backfill; None when neither end is given."""
+        if self.gap_start is None and self.gap_end is None:
+            return None
+        ends = []
+        for name in ("gap_start", "gap_end"):
+            text = getattr(self, name)
+            if text is None:
+                raise ValueError(f"{name} is missing: give both gap ends or neither")
+            try:
+                ends.append(_dt.date.fromisoformat(text))
+            except ValueError as exc:
+                raise ValueError(f"{name} is not an ISO date: {text!r} ({exc})") from None
+        return GapSpec(*ends)
+
+
+@dataclass(frozen=True)
+class Features:
+    pois: str | None = field(default=None, metadata={"load": _file})  # None: shipped Austin set
     amenity_k: int = 30
     standardize: bool = False
-    lexicon_path: str | None = None
-    selection_mode: str = "none"  # none | kbest | forward
-    selection_k: int = 40
-    selection_max: int = 85
-    selection_tol: float = 1e-3
-    families: tuple[str, ...] = DEFAULT_FAMILIES
-    hyperparams: dict = field(default_factory=dict)
-    grids: dict | None = None
+
+
+@dataclass(frozen=True)
+class Sentiment:
+    lexicon: str | None = field(default=None, metadata={"load": _file})  # None: shipped lexicon
+
+
+@dataclass(frozen=True)
+class Selection:
+    mode: str = "none"  # none | kbest | forward
+    k: int = 40
+    max_features: int = DEFAULT_FORWARD_MAX
+    min_rel_improvement: float = DEFAULT_FORWARD_TOL
+
+    def __post_init__(self):
+        if self.mode not in ("none", "kbest", "forward"):
+            raise ValueError(f"mode: unknown selection mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class Models:
+    families: tuple[str, ...] = ("lasso", "ridge", "elastic", "forest", "gbm")
+    hyperparams: HyperParams = HyperParams()
+    grids: dict | None = field(default=None, metadata={"load": _grids})  # None = default_grids()
+
+    def __post_init__(self):
+        if not self.families or not set(self.families) <= set(FAMILIES):
+            raise ValueError(f"families must name one or more of {FAMILIES}, got {self.families}")
+
+
+@dataclass(frozen=True)
+class Eval:
     train_fraction: float = 0.8
     cv_k: int = 5
     search_samples: int = 0
-    explain_top: int = 20
-    explain_budget: int = 200
-    explain_rows: int = 25
+
+
+@dataclass(frozen=True)
+class Explain:
+    top: int = 20
+    budget: int = 200
+    rows: int = 25
+
+
+@dataclass
+class PipelineConfig:
+    """A `rentlab run` config; its JSON document has these keys plus an
+    optional "version" (1), and "generator" or "inputs"."""
+
+    seed: int
+    output_dir: str = "rentlab_out"
+    generator: GenConfig | None = None
+    inputs: dict[str, str] = field(default_factory=dict)
+    wrangle: Wrangle = Wrangle()
+    features: Features = Features()
+    sentiment: Sentiment = Sentiment()
+    selection: Selection = Selection()
+    models: Models = Models()
+    eval: Eval = Eval()
+    explain: Explain = Explain()
 
     @staticmethod
     def from_doc(doc: dict) -> "PipelineConfig":
-        _check_keys(doc, TOP_LEVEL_KEYS, "config")
-        if doc.get("version") not in (None, 1):
-            raise ConfigError(f"unsupported config version {doc.get('version')!r}")
-        for section in SECTION_KEYS:
-            _check_keys(doc.get(section, {}), SECTION_KEYS[section], section)
+        _check_keys(doc, ("version", *PipelineConfig.__dataclass_fields__), "config")
+        if _value(int, doc.get("version", 1), "version") != 1:
+            raise ConfigError(f"unsupported config version {doc['version']!r}")
         if "seed" not in doc:
             raise ConfigError("config field 'seed' is mandatory")
-        seed = int(doc["seed"])
-        out_dir = doc.get("output_dir", "rentlab_out")
-
-        cfg = PipelineConfig(seed=seed, output_dir=out_dir)
-        if "generator" in doc:
-            cfg.generator = gen_config_from_doc(doc["generator"], seed=seed)
-        elif "inputs" in doc:
-            inputs = doc["inputs"]
-            for key in ("listings", "calendar", "reviews"):
-                if key not in inputs:
-                    raise ConfigError(f"inputs must name a {key} CSV")
-            cfg.inputs = dict(inputs)
-        else:
+        if "generator" not in doc and "inputs" not in doc:
             raise ConfigError("config needs either 'generator' or 'inputs'")
-
-        wrangle_doc = doc.get("wrangle", {})
-        cfg.multiplier = float(wrangle_doc.get("multiplier", 0.5))
-        cfg.knn_k = int(wrangle_doc.get("knn_k", 10))
-        if wrangle_doc.get("gap_start") and wrangle_doc.get("gap_end"):
-            cfg.gap = GapSpec(
-                _dt.date.fromisoformat(wrangle_doc["gap_start"]),
-                _dt.date.fromisoformat(wrangle_doc["gap_end"]),
-            )
-
-        feat = doc.get("features", {})
-        cfg.pois_path = feat.get("pois")
-        cfg.amenity_k = int(feat.get("amenity_k", 30))
-        cfg.standardize = bool(feat.get("standardize", False))
-
-        cfg.lexicon_path = doc.get("sentiment", {}).get("lexicon")
-
-        sel = doc.get("selection", {})
-        cfg.selection_mode = sel.get("mode", "none")
-        if cfg.selection_mode not in ("none", "kbest", "forward"):
-            raise ConfigError(f"unknown selection mode {cfg.selection_mode!r}")
-        cfg.selection_k = int(sel.get("k", 40))
-        cfg.selection_max = int(sel.get("max_features", 85))
-        cfg.selection_tol = float(sel.get("min_rel_improvement", 1e-3))
-
-        models_doc = doc.get("models", {})
-        families = tuple(models_doc.get("families", DEFAULT_FAMILIES))
-        for fam in families:
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown model family {fam!r}")
-        cfg.families = families
-        hp_names = HyperParams.__dataclass_fields__
-        hyperparams = models_doc.get("hyperparams", {})
-        cfg.hyperparams = dict(_check_keys(hyperparams, hp_names, "models.hyperparams"))
-        cfg.grids = models_doc.get("grids")
-        for fam, grid in _check_keys(cfg.grids or {}, FAMILIES, "models.grids").items():
-            _check_keys(grid, hp_names, f"models.grids.{fam}")
-
-        eval_doc = doc.get("eval", {})
-        cfg.train_fraction = float(eval_doc.get("train_fraction", 0.8))
-        cfg.cv_k = int(eval_doc.get("cv_k", 5))
-        cfg.search_samples = int(eval_doc.get("search_samples", 0))
-
-        explain_doc = doc.get("explain", {})
-        cfg.explain_top = int(explain_doc.get("top", 20))
-        cfg.explain_budget = int(explain_doc.get("budget", 200))
-        cfg.explain_rows = int(explain_doc.get("rows", 25))
-        return cfg
+        given = {
+            name: _value(tp, doc[name], name) for name, tp in get_type_hints(PipelineConfig).items()
+            if name in doc and (is_dataclass(tp) or tp in (int, str))  # sections, seed, output_dir
+        }
+        if "inputs" in doc:
+            inputs = _check_keys(doc["inputs"], INPUT_NAMES, "inputs")
+            given["inputs"] = {k: _value(str, inputs.get(k), f"inputs.{k}") for k in INPUT_NAMES}
+        if "generator" in doc:  # the generator wins over inputs
+            given["generator"] = gen_config_from_doc(doc["generator"], seed=given["seed"])
+        return PipelineConfig(**given)
 
 
-def load_pipeline_config(path: str) -> PipelineConfig:
-    _require_file(path, "config file")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return PipelineConfig.from_doc(doc)
+def _read_json(path: str, what: str):
+    with open(_require_file(path, what), encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def default_grids() -> dict:
@@ -313,15 +379,9 @@ def default_grids() -> dict:
 
 def stage_gen(cfg: GenConfig, out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
-    listings, calendar, reviews = generate(cfg)
-    paths = {
-        "listings": os.path.join(out_dir, "listings.csv"),
-        "calendar": os.path.join(out_dir, "calendar.csv"),
-        "reviews": os.path.join(out_dir, "reviews.csv"),
-    }
-    write_table(listings, paths["listings"])
-    write_table(calendar, paths["calendar"])
-    write_table(reviews, paths["reviews"])
+    paths = {name: os.path.join(out_dir, f"{name}.csv") for name in INPUT_NAMES}
+    for name, table in zip(INPUT_NAMES, generate(cfg)):
+        write_table(table, paths[name])
     return paths
 
 
@@ -329,9 +389,7 @@ def stage_wrangle(
     listings_path: str,
     calendar_path: str,
     out_dir: str,
-    multiplier: float = 0.5,
-    knn_k: int = 10,
-    gap: GapSpec | None = None,
+    opts: Wrangle = Wrangle(),
 ) -> tuple[Table, Table]:
     """Clean the raw listings and calendar CSVs; write listings_clean.csv,
     calendar_clean.csv and wrangle_report.csv to out_dir and return the
@@ -353,9 +411,9 @@ def stage_wrangle(
     n_before = calendar.n_rows
     priced = calendar.filter([v is not None for v in calendar.values("price")])
     report.add("drop_missing_rows", "price", n_before - priced.n_rows)
-    calendar = remove_outliers(priced, "price", multiplier, report=report)
-    if gap is not None:
-        calendar = fill_calendar_gap(calendar, gap, report=report)
+    calendar = remove_outliers(priced, "price", opts.multiplier, report=report)
+    if opts.gap is not None:
+        calendar = fill_calendar_gap(calendar, opts.gap, report=report)
 
     for col in REVIEW_SCORE_COLUMNS:
         if col in listings and listings.column(col).n_missing:
@@ -363,7 +421,7 @@ def stage_wrangle(
             if listings.column(col).n_missing:
                 listings = impute_global_median(listings, col, report=report)
     if "review_scores_location" in listings and listings.column("review_scores_location").n_missing:
-        listings = knn_impute_geo(listings, "review_scores_location", k=knn_k, report=report)
+        listings = knn_impute_geo(listings, "review_scores_location", k=opts.knn_k, report=report)
 
     write_table(listings, os.path.join(out_dir, "listings_clean.csv"))
     write_table(calendar, os.path.join(out_dir, "calendar_clean.csv"))
@@ -374,13 +432,13 @@ def stage_wrangle(
 def stage_sentiment(
     reviews_path: str,
     out_path: str,
-    lexicon_path: str | None = None,
+    opts: Sentiment = Sentiment(),
     listings: Table | None = None,
 ) -> Table:
     """Score the raw reviews CSV; with the cleaned listings, keep only their
     reviews and fill missing scores per host. Write the scored table to
     out_path and sentiment_report.csv next to it; return the scored table."""
-    lex = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
+    lex = load_lexicon(opts.lexicon) if opts.lexicon else default_lexicon()
     reviews, load = read_csv(reviews_path, REVIEWS_SCHEMA)
     report = StageReport()
     report.add("read_csv", "reviews", reviews.n_rows, f"coerced={load.total_coerced}")
@@ -430,21 +488,19 @@ def stage_featurize(
     listings: Table,
     calendar: Table,
     out_path: str,
-    pois_path: str | None = None,
-    amenity_k: int = 30,
-    standardize_flag: bool = False,
+    opts: Features = Features(),
     scored: Table | None = None,
 ) -> FeatureMatrix:
     """Join the cleaned calendar and listings (plus the mean review sentiment
     per listing, given the scored reviews) into the design matrix; write it
     to out_path and return it."""
-    pois = load_pois(pois_path) if pois_path else default_pois()
+    pois = load_pois(opts.pois) if opts.pois else default_pois()
 
     listings, bad_rows = poi_distance_features(listings, pois)
     if bad_rows:
         bad = set(bad_rows)
         listings = listings.take([i for i in range(listings.n_rows) if i not in bad])
-    top = top_k_amenities(listings, amenity_k)
+    top = top_k_amenities(listings, opts.amenity_k)
     if top:
         listings = binarize_amenities(listings, top)
     for col in ("room_type", "property_type"):
@@ -474,27 +530,21 @@ def stage_featurize(
             continue  # constant columns collide with the intercept
         feature_cols.append(name)
     matrix = assemble_matrix(joined, "price", feature_cols)
-    if standardize_flag:
+    if opts.standardize:
         matrix = standardize(matrix)
     write_matrix(matrix, out_path)
     return matrix
 
 
 def stage_select(
-    matrix: FeatureMatrix,
-    out_path: str,
-    mode: str = "kbest",
-    k: int = 40,
-    max_features: int = 85,
-    min_rel_improvement: float = 1e-3,
-    seed: int = 0,
+    matrix: FeatureMatrix, out_path: str, opts: Selection, seed: int = 0
 ) -> FeatureMatrix:
     """Choose features; write the choice to out_path and the matrix
     restricted to it as features_selected.csv next to it; return that
     matrix. An empty choice is written, then fails."""
-    if mode == "kbest":
+    if opts.mode == "kbest":
         scores = f_scores(matrix)
-        chosen = select_k_best(scores, min(k, matrix.n_features))
+        chosen = select_k_best(scores, min(opts.k, matrix.n_features))
         by_name = {s.feature: s for s in scores}
         table = Table.from_dict(
             {
@@ -503,8 +553,8 @@ def stage_select(
                 "p_value": ("numeric", [by_name[c].p_value for c in chosen]),
             }
         )
-    elif mode == "forward":
-        chosen = forward_select(matrix, max_features, min_rel_improvement, seed=seed)
+    elif opts.mode == "forward":
+        chosen = forward_select(matrix, opts.max_features, opts.min_rel_improvement, seed=seed)
         table = Table.from_dict(
             {
                 "feature": ("text", chosen),
@@ -512,7 +562,7 @@ def stage_select(
             }
         )
     else:
-        raise ConfigError(f"unknown selection mode {mode!r}")
+        raise ConfigError(f"select needs mode kbest or forward, got {opts.mode!r}")
     write_table(table, out_path)
     if not chosen:
         raise PipelineError("selection chose no features")
@@ -537,27 +587,23 @@ def stage_train(
 def stage_evaluate(
     matrix: FeatureMatrix,
     out_dir: str,
-    families: tuple[str, ...] = DEFAULT_FAMILIES,
-    train_fraction: float = 0.8,
-    cv_k: int = 5,
-    search_samples: int = 0,
+    opts: Eval = Eval(),
+    models: Models = Models(),
     seed: int = 0,
-    grids: dict | None = None,
-    hyperparams: dict | None = None,
 ) -> tuple[list[EvalReport], dict[str, HyperParams]]:
     os.makedirs(out_dir, exist_ok=True)
-    train, test = train_test_split(matrix, train_fraction, seed)
-    grids = grids if grids is not None else default_grids()
+    train, test = train_test_split(matrix, opts.train_fraction, seed)
+    grids = models.grids if models.grids is not None else default_grids()
 
     chosen: dict[str, HyperParams] = {}
     search_meta: dict[str, dict] = {}
     configs = []
-    for fam in families:
-        base = HyperParams.from_dict(hyperparams or {})
-        grid = grids.get(fam) or {}
-        if search_samples > 0 and grid:
+    for fam in models.families:
+        hp = models.hyperparams
+        grid = grids.get(fam)
+        if opts.search_samples > 0 and grid:
             hp, cv_score, trials = random_search(
-                train, fam, grid, n_samples=search_samples, k=cv_k,
+                train, fam, grid, n_samples=opts.search_samples, k=opts.cv_k,
                 seed=_derived_seed(seed, FAMILIES.index(fam)),
             )
             search_meta[fam] = {
@@ -565,8 +611,6 @@ def stage_evaluate(
                 "n_trials": len(trials),
                 "best": hp.to_dict(),
             }
-        else:
-            hp = base
         chosen[fam] = hp
         configs.append(ModelConfig(fam, fam, hp, seed=_derived_seed(seed, FAMILIES.index(fam), 1)))
 
@@ -586,25 +630,23 @@ def stage_explain(
     model: FittedModel,
     matrix: FeatureMatrix,
     out_path: str,
-    top: int = 20,
-    budget: int = 200,
-    rows: int = 25,
+    opts: Explain = Explain(),
     seed: int = 0,
     explanations_path: str | None = None,
 ) -> None:
     check_columns(model, matrix.feature_names)  # shapley_values passes arrays
-    if rows and matrix.n_rows > rows:
-        picks = np.random.default_rng(seed).choice(matrix.n_rows, size=rows, replace=False)
+    if opts.rows and matrix.n_rows > opts.rows:
+        picks = np.random.default_rng(seed).choice(matrix.n_rows, size=opts.rows, replace=False)
         matrix = matrix.take(np.sort(picks))
     explanations = [
-        shapley_values(model, matrix.x[i], matrix, budget=budget, seed=seed + i)
+        shapley_values(model, matrix.x[i], matrix, budget=opts.budget, seed=seed + i)
         for i in range(matrix.n_rows)
     ]
     ranking = mean_abs_ranking(matrix.feature_names, explanations)
     table = Table.from_dict(
         {
-            "feature": ("text", [name for name, _ in ranking[:top]]),
-            "mean_abs_shap": ("numeric", [value for _, value in ranking[:top]]),
+            "feature": ("text", [name for name, _ in ranking[:opts.top]]),
+            "mean_abs_shap": ("numeric", [value for _, value in ranking[:opts.top]]),
         }
     )
     write_table(table, out_path)
@@ -631,39 +673,22 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             key: _require_file(path, f"{key} CSV")
             for key, path in cfg.inputs.items()
         }
-    if cfg.lexicon_path:
-        _require_file(cfg.lexicon_path, "lexicon file")
-    if cfg.pois_path:
-        _require_file(cfg.pois_path, "POI file")
 
-    listings, calendar = stage_wrangle(
-        raw["listings"], raw["calendar"], out,
-        multiplier=cfg.multiplier, knn_k=cfg.knn_k, gap=cfg.gap,
-    )
+    listings, calendar = stage_wrangle(raw["listings"], raw["calendar"], out, cfg.wrangle)
     scored = stage_sentiment(
-        raw["reviews"], os.path.join(out, "reviews_scored.csv"),
-        lexicon_path=cfg.lexicon_path, listings=listings,
+        raw["reviews"], os.path.join(out, "reviews_scored.csv"), cfg.sentiment, listings=listings,
     )
     matrix = stage_featurize(
-        listings, calendar, os.path.join(out, "features.csv"),
-        pois_path=cfg.pois_path, amenity_k=cfg.amenity_k,
-        standardize_flag=cfg.standardize, scored=scored,
+        listings, calendar, os.path.join(out, "features.csv"), cfg.features, scored=scored,
     )
     del listings, calendar, scored  # free the tables before the model stages
 
-    if cfg.selection_mode != "none":
+    if cfg.selection.mode != "none":
         matrix = stage_select(
-            matrix, os.path.join(out, "selection.csv"), mode=cfg.selection_mode,
-            k=cfg.selection_k, max_features=cfg.selection_max,
-            min_rel_improvement=cfg.selection_tol, seed=cfg.seed,
+            matrix, os.path.join(out, "selection.csv"), cfg.selection, seed=cfg.seed
         )
 
-    reports, chosen_hp = stage_evaluate(
-        matrix, out, families=cfg.families,
-        train_fraction=cfg.train_fraction, cv_k=cfg.cv_k,
-        search_samples=cfg.search_samples, seed=cfg.seed,
-        grids=cfg.grids, hyperparams=cfg.hyperparams,
-    )
+    reports, chosen_hp = stage_evaluate(matrix, out, cfg.eval, cfg.models, seed=cfg.seed)
 
     best = max(reports, key=lambda r: r.r_squared)
     model = stage_train(
@@ -671,9 +696,7 @@ def run_pipeline(cfg: PipelineConfig) -> int:
         seed=_derived_seed(cfg.seed, FAMILIES.index(best.model_name), 1),
     )
     stage_explain(
-        model, matrix, os.path.join(out, "shap_ranking.csv"),
-        top=cfg.explain_top, budget=cfg.explain_budget,
-        rows=cfg.explain_rows, seed=cfg.seed,
+        model, matrix, os.path.join(out, "shap_ranking.csv"), cfg.explain, seed=cfg.seed,
         explanations_path=os.path.join(out, "shap_explanations.json"),
     )
     return 0
@@ -686,6 +709,12 @@ def run_pipeline(cfg: PipelineConfig) -> int:
 def _read_table(path: str, what: str, schema: Schema) -> Table:
     table, _ = read_csv(_require_file(path, what), schema)
     return table
+
+
+def _from_flags(cls, args):
+    """Config section cls from the subcommand's flags; an absent flag keeps the default."""
+    given = {k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__ and v is not None}
+    return _section(cls, given, cls.__name__.lower())
 
 
 def _add_gen(sub) -> None:
@@ -703,8 +732,7 @@ def _add_gen(sub) -> None:
 
 def _cmd_gen(args) -> int:
     if args.config:
-        with open(_require_file(args.config, "generator config"), encoding="utf-8") as fh:
-            cfg = gen_config_from_doc(json.load(fh), seed=args.seed)
+        cfg = gen_config_from_doc(_read_json(args.config, "generator config"), seed=args.seed)
     else:
         cfg = GenConfig(
             n_listings=args.listings,
@@ -724,21 +752,18 @@ def _add_wrangle(sub) -> None:
     p = sub.add_parser("wrangle", help="outliers, imputation, calendar gap fill")
     p.add_argument("--listings", required=True)
     p.add_argument("--calendar", required=True)
-    p.add_argument("--multiplier", type=float, default=0.5)
-    p.add_argument("--knn-k", type=int, default=10)
+    p.add_argument("--multiplier", type=float)
+    p.add_argument("--knn-k", type=int)
     p.add_argument("--gap-start")
     p.add_argument("--gap-end")
     p.add_argument("--out-dir", default=".")
 
 
 def _cmd_wrangle(args) -> int:
-    gap = None
-    if args.gap_start and args.gap_end:
-        gap = GapSpec(_dt.date.fromisoformat(args.gap_start), _dt.date.fromisoformat(args.gap_end))
     stage_wrangle(
         _require_file(args.listings, "listings CSV"),
         _require_file(args.calendar, "calendar CSV"),
-        args.out_dir, multiplier=args.multiplier, knn_k=args.knn_k, gap=gap,
+        args.out_dir, _from_flags(Wrangle, args),
     )
     print(f"artifacts in {args.out_dir}")
     return 0
@@ -753,12 +778,9 @@ def _add_sentiment(sub) -> None:
 
 
 def _cmd_sentiment(args) -> int:
-    lexicon = _require_file(args.lexicon, "lexicon file") if args.lexicon else None
+    opts = _from_flags(Sentiment, args)
     listings = _read_table(args.listings, "listings CSV", LISTINGS_SCHEMA) if args.listings else None
-    stage_sentiment(
-        _require_file(args.reviews, "reviews CSV"), args.out,
-        lexicon_path=lexicon, listings=listings,
-    )
+    stage_sentiment(_require_file(args.reviews, "reviews CSV"), args.out, opts, listings=listings)
     print(args.out)
     return 0
 
@@ -769,7 +791,7 @@ def _add_featurize(sub) -> None:
     p.add_argument("--calendar", required=True)
     p.add_argument("--reviews-scored")
     p.add_argument("--pois", help="POI CSV name,lat,lon (default: shipped Austin set)")
-    p.add_argument("--amenity-k", type=int, default=30)
+    p.add_argument("--amenity-k", type=int)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--out", default="features.csv")
 
@@ -778,10 +800,7 @@ def _cmd_featurize(args) -> int:
     stage_featurize(
         _read_table(args.listings, "listings CSV", LISTINGS_SCHEMA),
         _read_table(args.calendar, "calendar CSV", CALENDAR_SCHEMA),
-        args.out,
-        pois_path=_require_file(args.pois, "POI file") if args.pois else None,
-        amenity_k=args.amenity_k,
-        standardize_flag=args.standardize,
+        args.out, _from_flags(Features, args),
         scored=(
             _read_table(args.reviews_scored, "scored reviews CSV", REVIEWS_SCORED_SCHEMA)
             if args.reviews_scored else None
@@ -795,9 +814,9 @@ def _add_select(sub) -> None:
     p = sub.add_parser("select", help="feature selection (kbest or forward)")
     p.add_argument("--features", required=True)
     p.add_argument("--mode", choices=("kbest", "forward"), default="kbest")
-    p.add_argument("--k", type=int, default=40)
-    p.add_argument("--max-features", type=int, default=85)
-    p.add_argument("--min-rel-improvement", type=float, default=1e-3)
+    p.add_argument("--k", type=int)
+    p.add_argument("--max-features", type=int)
+    p.add_argument("--min-rel-improvement", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="selection.csv")
 
@@ -805,8 +824,7 @@ def _add_select(sub) -> None:
 def _cmd_select(args) -> int:
     selected = stage_select(
         matrix_from_csv(_require_file(args.features, "feature matrix CSV")), args.out,
-        mode=args.mode, k=args.k, max_features=args.max_features,
-        min_rel_improvement=args.min_rel_improvement, seed=args.seed,
+        _from_flags(Selection, args), seed=args.seed,
     )
     print(f"{selected.n_features} features -> {args.out}")
     return 0
@@ -824,11 +842,7 @@ def _add_train(sub) -> None:
 def _cmd_train(args) -> int:
     hp = HyperParams()
     if args.params:
-        with open(_require_file(args.params, "params file"), encoding="utf-8") as fh:
-            try:
-                hp = HyperParams.from_dict(json.load(fh))
-            except ValueError as exc:
-                raise ConfigError(f"params file {args.params}: {exc}") from exc
+        hp = _section(HyperParams, _read_json(args.params, "params file"), "params")
     matrix = matrix_from_csv(_require_file(args.features, "feature matrix CSV"))
     stage_train(matrix, args.out, args.family, hp, seed=args.seed)
     print(args.out)
@@ -838,10 +852,10 @@ def _cmd_train(args) -> int:
 def _add_evaluate(sub) -> None:
     p = sub.add_parser("evaluate", help="train/test comparison of model families")
     p.add_argument("--features", required=True)
-    p.add_argument("--families", nargs="+", choices=FAMILIES, default=list(DEFAULT_FAMILIES))
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--cv-k", type=int, default=5)
-    p.add_argument("--search-samples", type=int, default=0)
+    p.add_argument("--families", nargs="+", choices=FAMILIES)
+    p.add_argument("--train-fraction", type=float)
+    p.add_argument("--cv-k", type=int)
+    p.add_argument("--search-samples", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
 
@@ -849,8 +863,7 @@ def _add_evaluate(sub) -> None:
 def _cmd_evaluate(args) -> int:
     reports, _ = stage_evaluate(
         matrix_from_csv(_require_file(args.features, "feature matrix CSV")), args.out_dir,
-        families=tuple(args.families), train_fraction=args.train_fraction,
-        cv_k=args.cv_k, search_samples=args.search_samples, seed=args.seed,
+        _from_flags(Eval, args), _from_flags(Models, args), seed=args.seed,
     )
     for rep in reports:
         print(f"{rep.model_name}: r2={rep.r_squared:.4f} mae={rep.mae:.3f} rmse={rep.rmse:.3f}")
@@ -861,9 +874,9 @@ def _add_explain(sub) -> None:
     p = sub.add_parser("explain", help="mean |Shapley| feature ranking for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="feature matrix CSV")
-    p.add_argument("--top", type=int, default=20)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--rows", type=int, default=25, help="explained-row subsample")
+    p.add_argument("--top", type=int)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--rows", type=int, help="explained-row subsample")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="shap_ranking.csv")
     p.add_argument("--explanations", help="also write per-row explanations JSON here")
@@ -873,7 +886,7 @@ def _cmd_explain(args) -> int:
     model_path = _require_file(args.model, "model JSON")
     stage_explain(
         load_model(model_path), matrix_from_csv(_require_file(args.data, "feature matrix CSV")),
-        args.out, top=args.top, budget=args.budget, rows=args.rows, seed=args.seed,
+        args.out, _from_flags(Explain, args), seed=args.seed,
         explanations_path=args.explanations,
     )
     print(args.out)
@@ -888,7 +901,7 @@ def _add_run(sub) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_pipeline_config(args.config)
+    cfg = PipelineConfig.from_doc(_read_json(args.config, "config file"))
     if args.out_dir:
         cfg.output_dir = args.out_dir
     if args.seed is not None:
@@ -900,6 +913,19 @@ def _cmd_run(args) -> int:
     return status
 
 
+_COMMANDS = {
+    "gen": (_add_gen, _cmd_gen),
+    "wrangle": (_add_wrangle, _cmd_wrangle),
+    "sentiment": (_add_sentiment, _cmd_sentiment),
+    "featurize": (_add_featurize, _cmd_featurize),
+    "select": (_add_select, _cmd_select),
+    "train": (_add_train, _cmd_train),
+    "evaluate": (_add_evaluate, _cmd_evaluate),
+    "explain": (_add_explain, _cmd_explain),
+    "run": (_add_run, _cmd_run),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rentlab",
@@ -907,41 +933,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rentlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_gen(sub)
-    _add_wrangle(sub)
-    _add_sentiment(sub)
-    _add_featurize(sub)
-    _add_select(sub)
-    _add_train(sub)
-    _add_evaluate(sub)
-    _add_explain(sub)
-    _add_run(sub)
+    for add_parser, _ in _COMMANDS.values():
+        add_parser(sub)
     return parser
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "wrangle": _cmd_wrangle,
-    "sentiment": _cmd_sentiment,
-    "featurize": _cmd_featurize,
-    "select": _cmd_select,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "explain": _cmd_explain,
-    "run": _cmd_run,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = _COMMANDS[args.command]
+    _, command = _COMMANDS[args.command]
     try:
         return command(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pipeline/data failure

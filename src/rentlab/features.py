@@ -147,40 +147,35 @@ def poi_distance_features(
     return out, bad_rows
 
 
-def parse_amenities(cell: str | None, delimiter: str | None = None) -> list[str]:
-    """Split an amenities cell into a list of amenity strings.
-
-    JSON-style lists (the raw dump format) and semicolon-separated strings are
-    both accepted; pass an explicit delimiter to force splitting on it.
-    """
+def parse_amenities(cell: str | None) -> list[str]:
+    """Split an amenities cell into a list of amenity strings: a JSON-style
+    list (the raw dump format) or a semicolon-separated string."""
     if cell is None:
         return []
     text = cell.strip()
     if not text:
         return []
-    if delimiter is None and text.startswith("["):
+    if text.startswith("["):
         try:
             items = json.loads(text)
             return [str(a).strip() for a in items if str(a).strip()]
         except (json.JSONDecodeError, TypeError):
             text = text.strip("[]")
             return [a.strip().strip('"').strip() for a in text.split(",") if a.strip().strip('"')]
-    sep = delimiter or ";"
-    return [a.strip() for a in text.split(sep) if a.strip()]
+    return [a.strip() for a in text.split(";") if a.strip()]
 
 
 def top_k_amenities(
     table: Table,
     k: int = 30,
     col: str = "amenities",
-    delimiter: str | None = None,
 ) -> list[str]:
     """The k most frequent amenity strings, ties broken alphabetically."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     counts: dict[str, int] = {}
     for cell in table.values(col):
-        for a in parse_amenities(cell, delimiter):
+        for a in parse_amenities(cell):
             counts[a] = counts.get(a, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [name for name, _ in ranked[:k]]
@@ -190,12 +185,11 @@ def binarize_amenities(
     table: Table,
     amenities: list[str],
     col: str = "amenities",
-    delimiter: str | None = None,
 ) -> Table:
     """Add one 0/1 column per amenity plus amenity_count (full list length)."""
     if not amenities:
         raise ValueError("amenity list must be non-empty")
-    lists = [parse_amenities(cell, delimiter) for cell in table.values(col)]
+    lists = [parse_amenities(cell) for cell in table.values(col)]
     parsed = [set(items) for items in lists]
     lengths = [len(items) for items in lists]
     out = table

@@ -43,7 +43,7 @@ class GapSpec:
 
     def __post_init__(self):
         if self.start > self.end:
-            raise ValueError(f"gap start {self.start} after end {self.end}")
+            raise ValueError(f"gap_start {self.start} is after gap_end {self.end}")
 
     def dates(self) -> list[_dt.date]:
         n = (self.end - self.start).days + 1

@@ -3,11 +3,28 @@ import json
 import os
 import re
 import shlex
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
-from rentlab.cli import ConfigError, PipelineConfig, main, stage_explain
+from rentlab.cli import (
+    ConfigError,
+    Eval,
+    Explain,
+    Features,
+    Models,
+    PipelineConfig,
+    Selection,
+    Sentiment,
+    Wrangle,
+    _from_flags,
+    build_parser,
+    main,
+    stage_explain,
+    stage_wrangle,
+)
 from rentlab.evaluation import _derived_seed
 from rentlab.features import matrix_from_csv
 from rentlab.models import FAMILIES, load_model
@@ -265,6 +282,17 @@ class TestRunCommand:
         assert len(lines) == 11
 
 
+    def test_wrangle_gap_flag_without_other_end_exits_2(self, tmp_path, capsys):
+        main(["gen", "--seed", "31", "--listings", "6", "--start", "2023-01-01",
+              "--end", "2023-01-10", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["wrangle", "--listings", str(tmp_path / "listings.csv"),
+                     "--calendar", str(tmp_path / "calendar.csv"),
+                     "--gap-start", "2023-02-01", "--out-dir", str(tmp_path)]) == 2
+        assert "wrangle.gap_end is missing" in capsys.readouterr().err
+        assert not (tmp_path / "wrangle_report.csv").exists()
+
+
 class TestStageComposition:
     def test_subcommands_reproduce_run_report(self, tmp_path):
         # defaults everywhere so stage flags can mirror the config exactly
@@ -501,6 +529,14 @@ class TestTrainSelectExplain:
             assert excinfo.value.code == 0
             assert "selection" not in capsys.readouterr().out
 
+    def test_params_with_mistyped_value_exits_2(self, tmp_path, features_csv, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"max_depth": "3"}), encoding="utf-8")
+        assert main(["train", "--features", str(features_csv), "--family", "gbm",
+                     "--params", str(params), "--out", str(tmp_path / "model.json")]) == 2
+        assert "params.max_depth must be int" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_params_with_unknown_key_exits_2(self, tmp_path, features_csv, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"max_depht": 3}), encoding="utf-8")
@@ -554,6 +590,85 @@ class TestConfigKeys:
             assert cfg.inputs == inputs
 
 
+
+class TestConfigValues:
+    @pytest.mark.parametrize("overrides, name", [
+        ({"wrangle": {"knn_k": "ten"}}, "wrangle.knn_k"),
+        ({"features": {"standardize": "false"}}, "features.standardize"),
+        ({"selection": {"k": 40.7}}, "selection.k"),
+        ({"seed": 7.9}, "seed"),
+        ({"models": {"families": "lasso"}}, "models.families"),
+        ({"models": {"families": []}}, "models.families"),
+        ({"models": {"families": ["lasso", "lassoo"]}}, "models.families"),
+        ({"explain": {"rows": True}}, "explain.rows"),
+        ({"models": {"hyperparams": {"max_depth": -1}}}, "models.hyperparams.max_depth"),
+        ({"models": {"grids": {"gbm": {"learning_rate": [0.0]}}}},
+         "models.grids.gbm.learning_rate"),
+        ({"wrangle": {"gap_start": "2023-02-01"}}, "wrangle.gap_end"),
+        ({"wrangle": {"gap_start": "2023-02-30", "gap_end": "2023-03-02"}}, "wrangle.gap_start"),
+    ])
+    def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, overrides, name):
+        cfg_path, out_dir = _write_config(tmp_path, overrides)
+        doc = json.loads(cfg_path.read_text())
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} "):
+            PipelineConfig.from_doc(doc)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"config error: {name} " in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    def test_int_for_float_field_cleans_alike(self, tmp_path):
+        main(["gen", "--seed", "31", "--listings", "8", "--start", "2023-01-01",
+              "--end", "2023-01-10", "--outlier-fraction", "0.05", "--out-dir", str(tmp_path)])
+        reports = []
+        for value in (1, 1.0):
+            cfg_path, _ = _write_config(tmp_path, {"wrangle": {"multiplier": value}})
+            opts = PipelineConfig.from_doc(json.loads(cfg_path.read_text())).wrangle
+            assert type(opts.multiplier) is float
+            out = tmp_path / f"wrangle_{value!r}"
+            stage_wrangle(str(tmp_path / "listings.csv"), str(tmp_path / "calendar.csv"),
+                          str(out), opts)
+            reports.append((out / "wrangle_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
+
+class TestConfigFlags:
+    # the subcommand whose flags set each section's fields
+    COMMANDS = {
+        Wrangle: "wrangle", Features: "featurize", Sentiment: "sentiment",
+        Selection: "select", Models: "evaluate", Eval: "evaluate", Explain: "explain",
+    }
+    # JSON documents with no flag; `train --params` reads a hyperparams file
+    JSON_ONLY = {(Models, "hyperparams"), (Models, "grids")}
+
+    def _actions(self, command):
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        return {a.dest: a for a in subcommands[command]._actions}
+
+    def test_sections_are_the_config_sections(self):
+        hints = get_type_hints(PipelineConfig)
+        assert {tp for tp in hints.values() if is_dataclass(tp)} == set(self.COMMANDS)
+
+    def test_every_section_field_is_a_flag_of_the_same_name(self):
+        for cls, command in self.COMMANDS.items():
+            actions = self._actions(command)
+            for name in cls.__dataclass_fields__:
+                if (cls, name) in self.JSON_ONLY:
+                    continue
+                assert f"--{name.replace('_', '-')}" in actions[name].option_strings, (cls, name)
+
+    def test_absent_flags_keep_the_section_defaults(self):
+        required = {"wrangle": ["--listings", "l", "--calendar", "c"],
+                    "featurize": ["--listings", "l", "--calendar", "c"],
+                    "sentiment": ["r"], "select": ["--features", "f"],
+                    "evaluate": ["--features", "f"],
+                    "explain": ["--model", "m", "--data", "d"]}
+        parser = build_parser()
+        for cls, command in self.COMMANDS.items():
+            args = parser.parse_args([command, *required[command]])
+            expected = Selection(mode="kbest") if cls is Selection else cls()
+            assert _from_flags(cls, args) == expected, command
+
+
 def _readme_blocks(lang: str) -> list[str]:
     text = (REPO / "README.md").read_text(encoding="utf-8")
     return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
@@ -564,7 +679,7 @@ class TestReadme:
         example = json.loads((REPO / "examples" / "demo.json").read_text(encoding="utf-8"))
         (block,) = [b for b in _readme_blocks("json") if '"generator"' in b]
         assert json.loads(block) == example
-        assert PipelineConfig.from_doc(example).explain_budget == 200
+        assert PipelineConfig.from_doc(example).explain.budget == 200
         assert any("rentlab run --config examples/demo.json" in b for b in _readme_blocks("sh"))
 
     def test_stage_by_stage_example_runs_verbatim(self, tmp_path):
