@@ -171,7 +171,8 @@ def _check_keys(doc, allowed, where: str) -> dict:
 
 def _value(tp, value, where: str):
     """value checked against the annotation tp; None only for an optional
-    field. A float field takes a JSON int as a float, no field a bool but bool."""
+    field. A float field takes a JSON int as a float, no field a bool but bool,
+    a date field an ISO date string."""
     if isinstance(tp, types.UnionType):  # X | None
         if value is None:
             return None
@@ -180,10 +181,24 @@ def _value(tp, value, where: str):
         raise ConfigError(f"{where} is missing")
     if is_dataclass(tp):
         return _section(tp, value, where)
-    if get_origin(tp) is tuple:  # tuple[X, ...]
+    if get_origin(tp) is tuple:  # tuple[X, ...] or a fixed tuple[X, Y]
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
-        return tuple(_value(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where} must be a list of {len(args)}, got {value!r}")
+        return tuple(_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if get_origin(tp) is dict:  # dict[str, X]
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        return {k: _value(get_args(tp)[1], v, f"{where}.{k}") for k, v in value.items()}
+    if tp is _dt.date and isinstance(value, str):
+        try:
+            return _dt.date.fromisoformat(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where} is not an ISO date: {value!r} ({exc})") from None
     if type(value) is not tp and not (tp is float and type(value) is int):
         raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
     return float(value) if tp is float else value
@@ -226,18 +241,10 @@ def _grids(tp, doc, where: str) -> dict | None:
 
 
 def gen_config_from_doc(doc: dict, seed: int | None = None) -> GenConfig:
-    doc = dict(_check_keys(doc, GenConfig.__dataclass_fields__, "generator"))
-    if "date_range" in doc:
-        start, end = doc["date_range"]
-        doc["date_range"] = (_dt.date.fromisoformat(start), _dt.date.fromisoformat(end))
-    if "peak_months" in doc:
-        doc["peak_months"] = tuple(doc["peak_months"])
-    if seed is not None and "seed" not in doc:
-        doc["seed"] = seed
-    try:
-        return GenConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad generator config: {exc}") from exc
+    """The generator section; seed stands in for a missing "seed" key."""
+    if seed is not None and isinstance(doc, dict):
+        doc = {"seed": seed, **doc}
+    return _section(GenConfig, doc, "generator")
 
 
 # One frozen dataclass per config section: a field's name is its key in the
@@ -250,6 +257,8 @@ class Wrangle:
     gap_end: str | None = None
 
     def __post_init__(self):
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         self.gap  # raises unless both ends or neither are given, each a date
 
     @property
@@ -274,6 +283,10 @@ class Features:
     pois: str | None = field(default=None, metadata={"load": _file})  # None: shipped Austin set
     amenity_k: int = 30
     standardize: bool = False
+
+    def __post_init__(self):
+        if self.amenity_k < 1:
+            raise ValueError(f"amenity_k must be >= 1, got {self.amenity_k}")
 
 
 @dataclass(frozen=True)
@@ -310,12 +323,24 @@ class Eval:
     cv_k: int = 5
     search_samples: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.cv_k < 2:
+            raise ValueError(f"cv_k must be >= 2, got {self.cv_k}")
+
 
 @dataclass(frozen=True)
 class Explain:
     top: int = 20
     budget: int = 200
-    rows: int = 25
+    rows: int = 25  # 0: every row
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.rows < 0:
+            raise ValueError(f"rows must be >= 0, got {self.rows}")
 
 
 @dataclass
@@ -720,29 +745,26 @@ def _from_flags(cls, args):
 def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate synthetic listings/calendar/reviews CSVs")
     p.add_argument("--config", help="GenConfig JSON file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--listings", type=int, default=100, help="number of listings")
-    p.add_argument("--start", default="2023-01-01")
-    p.add_argument("--end", default="2023-03-31")
-    p.add_argument("--noise-std", type=float, default=10.0)
-    p.add_argument("--outlier-fraction", type=float, default=0.0)
-    p.add_argument("--missing-fraction", type=float, default=0.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--listings", type=int, dest="n_listings", help="number of listings")
+    p.add_argument("--start", help="first date, ISO")
+    p.add_argument("--end", help="last date, ISO")
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--outlier-fraction", type=float)
+    p.add_argument("--missing-fraction", type=float)
     p.add_argument("--out-dir", default=".")
 
 
 def _cmd_gen(args) -> int:
     if args.config:
-        cfg = gen_config_from_doc(_read_json(args.config, "generator config"), seed=args.seed)
+        doc = _read_json(args.config, "generator config")
     else:
-        cfg = GenConfig(
-            n_listings=args.listings,
-            date_range=(_dt.date.fromisoformat(args.start), _dt.date.fromisoformat(args.end)),
-            seed=args.seed,
-            noise_std=args.noise_std,
-            outlier_fraction=args.outlier_fraction,
-            missing_fraction=args.missing_fraction,
-        )
-    paths = stage_gen(cfg, args.out_dir)
+        doc = {k: v for k, v in vars(args).items()
+               if k in GenConfig.__dataclass_fields__ and v is not None}
+        if args.start or args.end:
+            start, end = GenConfig.date_range
+            doc["date_range"] = [args.start or start, args.end or end]
+    paths = stage_gen(gen_config_from_doc(doc, seed=args.seed), args.out_dir)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

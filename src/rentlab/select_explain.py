@@ -1,10 +1,13 @@
 """Feature selection (univariate F-scores, top-K, greedy forward selection)
 and Shapley-value explanations.
 
-Shapley values use the interventional value function: v(S) is the mean model
-output over the background rows with the columns in S pinned to the explained
-instance. Exact enumeration covers p <= 12; beyond that, marginal
-contributions are averaged over seeded random permutations.
+Shapley values use the interventional value function (Lundberg & Lee, 2017):
+v(S) is the mean model output over the background rows with the columns in S
+pinned to the explained instance. A coalition is a row of a bool mask matrix,
+and `_coalition_values` evaluates a whole matrix in a few batched predicts.
+Exact enumeration passes all 2^p masks when p <= 12; beyond that, marginal
+contributions are averaged over seeded random permutations (Strumbelj &
+Kononenko, 2014), one batch of p+1 prefix masks per permutation.
 """
 
 from __future__ import annotations
@@ -216,28 +219,24 @@ def _as_background(background) -> np.ndarray:
     return bg
 
 
-class _ValueFunction:
-    """v(S): mean prediction over the background with S pinned to the instance."""
+# A block of coalitions holds at most this many composite cells (1 MiB of
+# float64), so batching stays small in memory: one permutation's (p+1)*B*p
+# block over a 13.5k-row background would take ~460 MB. One coalition whose
+# B*p cells exceed the cap is a block of its own.
+_BLOCK_CELLS = 1 << 17
 
-    def __init__(self, model: FittedModel, instance: np.ndarray, background: np.ndarray):
-        self.model = model
-        self.instance = instance
-        self.background = background
-        self.p = instance.shape[0]
-        self._cache: dict[int, float] = {}
 
-    def __call__(self, mask: int) -> float:
-        hit = self._cache.get(mask)
-        if hit is not None:
-            return hit
-        composite = self.background.copy()
-        for j in range(self.p):
-            if mask >> j & 1:
-                composite[:, j] = self.instance[j]
-        value = float(predict(self.model, composite).mean())
-        if self.p <= 20:
-            self._cache[mask] = value
-        return value
+def _coalition_values(model: FittedModel, instance, background, masks) -> np.ndarray:
+    """v(S) for each row S of the (m, p) bool masks: the mean prediction over
+    the background rows with the columns in S pinned to the instance."""
+    n_bg, p = background.shape
+    step = max(1, _BLOCK_CELLS // max(1, n_bg * p))
+    values = np.empty(masks.shape[0])
+    for start in range(0, masks.shape[0], step):
+        block = masks[start:start + step]
+        composite = np.where(block[:, None, :], instance, background).reshape(-1, p)
+        values[start:start + step] = predict(model, composite).reshape(-1, n_bg).mean(axis=1)
+    return values
 
 
 def shapley_values(
@@ -252,55 +251,52 @@ def shapley_values(
     Exact enumeration over all 2^p coalitions when p <= 12; otherwise
     `budget` random feature permutations with marginal-contribution
     averaging (telescoping keeps the efficiency identity exact either way).
+    Coalitions reach the model in blocks of at most _BLOCK_CELLS cells.
     """
     inst = np.asarray(instance, dtype=np.float64).reshape(-1)
     bg = _as_background(background)
     if bg.shape[1] != inst.shape[0]:
         raise ValueError(f"instance has {inst.shape[0]} features, background {bg.shape[1]}")
-    p = inst.shape[0]
-    v = _ValueFunction(model, inst, bg)
-    base = v(0)
-    prediction = float(predict(model, inst.reshape(1, -1))[0])
-
-    if p <= EXACT_SHAPLEY_MAX_P:
-        values = _exact_shapley(v, p)
+    if inst.shape[0] <= EXACT_SHAPLEY_MAX_P:
+        base, values = _exact_shapley(model, inst, bg)
     else:
-        values = _sampled_shapley(v, p, budget, seed)
+        base, values = _sampled_shapley(model, inst, bg, budget, seed)
+    prediction = float(predict(model, inst.reshape(1, -1))[0])
     return ShapExplanation(base, values, prediction)
 
 
-def _exact_shapley(v: _ValueFunction, p: int) -> np.ndarray:
+def _exact_shapley(model: FittedModel, inst, bg) -> tuple[float, np.ndarray]:
+    """(v(empty), phi). Mask row k has bit j of k as feature j, so adding j
+    to row k gives row k + 2^j; phi_j sums its terms in row order."""
+    p = inst.shape[0]
     fact = [math.factorial(i) for i in range(p + 1)]
-    weight = [fact[s] * fact[p - 1 - s] / fact[p] for s in range(p)]
-    table = np.empty(1 << p)
-    for mask in range(1 << p):
-        table[mask] = v(mask)
+    weight = np.array([fact[s] * fact[p - 1 - s] / fact[p] for s in range(p)])
+    masks = (np.arange(1 << p)[:, None] >> np.arange(p) & 1).astype(bool)
+    table = _coalition_values(model, inst, bg, masks)
+    size = masks.sum(axis=1)
     phi = np.zeros(p)
-    for mask in range(1 << p):
-        s = bin(mask).count("1")
-        for j in range(p):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            phi[j] += weight[s] * (table[mask | bit] - table[mask])
-    return phi
+    for j in range(p):
+        without = np.flatnonzero(~masks[:, j])
+        terms = weight[size[without]] * (table[without + (1 << j)] - table[without])
+        phi[j] = np.cumsum(terms)[-1]  # sequential, not pairwise, summation
+    return float(table[0]), phi
 
 
-def _sampled_shapley(v: _ValueFunction, p: int, budget: int, seed: int) -> np.ndarray:
+def _sampled_shapley(model: FittedModel, inst, bg, budget: int, seed: int) -> tuple[float, np.ndarray]:
+    """(v(empty), phi) over `budget` seeded permutations, each one batch of
+    its p+1 prefix coalitions."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    p = inst.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A9)))
     phi = np.zeros(p)
+    rank = np.empty(p, dtype=np.intp)
     for _ in range(budget):
         order = rng.permutation(p)
-        mask = 0
-        prev = v(0)
-        for j in order:
-            mask |= 1 << int(j)
-            cur = v(mask)
-            phi[j] += cur - prev
-            prev = cur
-    return phi / budget
+        rank[order] = np.arange(p)
+        v = _coalition_values(model, inst, bg, rank < np.arange(p + 1)[:, None])
+        phi[order] += v[1:] - v[:-1]
+    return float(v[0]), phi / budget
 
 
 def mean_abs_ranking(

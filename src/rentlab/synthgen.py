@@ -119,9 +119,9 @@ class GenConfig:
         if start > end:
             raise ValueError(f"date_range start {start} after end {end}")
         if not 0.0 < self.q1 <= self.weekday_median <= self.q3_weekday:
-            raise ValueError("need 0 < q1 <= weekday_median <= q3_weekday")
+            raise ValueError("weekday_median: need 0 < q1 <= weekday_median <= q3_weekday")
         if not self.q1 <= self.weekend_median <= self.q3_weekend:
-            raise ValueError("need q1 <= weekend_median <= q3_weekend")
+            raise ValueError("weekend_median: need q1 <= weekend_median <= q3_weekend")
         if self.peak_uplift < 0:
             raise ValueError(f"peak_uplift must be >= 0, got {self.peak_uplift}")
         if self.noise_std < 0:

@@ -159,8 +159,7 @@ def test_c2_shapley_axioms_and_monte_carlo():
     assert abs(tree_expl.residual()) <= 1e-9
 
     # Monte Carlo at 2000 permutations within 0.05 * |prediction - base|
-    v = select_explain._ValueFunction(tree, x_tree[3], tree_background.x)
-    sampled = select_explain._sampled_shapley(v, p, 2000, 7)
+    _, sampled = select_explain._sampled_shapley(tree, x_tree[3], tree_background.x, 2000, 7)
     tol = 0.05 * (abs(tree_expl.prediction - tree_expl.base_value) + 1e-9)
     mc_err = float(np.max(np.abs(sampled - tree_expl.values)))
     assert mc_err <= tol

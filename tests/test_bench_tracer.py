@@ -1,0 +1,74 @@
+"""The benchmark's tracer (bench/tracer.py) wraps rentlab functions by name;
+these tests fail when a refactor moves a traced function or routes explain's
+predictions past the name the tracer wraps."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rentlab.cli import Explain
+from rentlab.features import FeatureMatrix
+from rentlab.models import fit_tree
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def installed(tracer):
+    """A Tracer installed on every rentlab module, undone afterwards."""
+    t = tracer.Tracer()
+    modules = [m for k, m in list(sys.modules.items())
+               if m is not None and (k == "rentlab" or k.startswith("rentlab."))]
+    saved = [(m, dict(vars(m))) for m in modules]
+    t.install()
+    try:
+        yield t
+    finally:
+        for module, attrs in saved:
+            for name, value in attrs.items():
+                if vars(module).get(name) is not value:
+                    setattr(module, name, value)
+
+
+def test_every_traced_name_resolves_to_a_callable(tracer):
+    for module_name, func_name in tracer.TRACED:
+        func = getattr(importlib.import_module(module_name), func_name, None)
+        assert callable(func), f"{module_name}.{func_name}"
+
+
+@pytest.mark.parametrize("p, budget", [(6, 1), (20, 3)])  # exact, sampled
+def test_explain_predict_calls_are_counted(tmp_path, tracer, installed, p, budget):
+    import rentlab.cli
+    import rentlab.select_explain
+
+    rng = np.random.default_rng(p)
+    x = rng.normal(size=(30, p))
+    m = FeatureMatrix(x, tuple(f"f{j}" for j in range(p)), x[:, 0] * x[:, 1] + x[:, 2])
+    model = fit_tree(m, max_depth=4)
+    rows = 4
+    rentlab.cli.stage_explain(model, m, str(tmp_path / "rank.csv"),
+                              Explain(rows=rows, budget=budget), seed=2)
+
+    installed.dump(str(tmp_path / "spans.json"))
+    spans = tracer.load_spans(str(tmp_path / "spans.json"))
+    metrics = tracer.layer_metrics(spans)
+    assert metrics["explain.shapley_values_calls"] == rows
+    # one block of coalitions per permutation (or all 2^p at once) and the
+    # prediction itself, per row, all through select_explain.predict
+    blocks = 1 if p <= rentlab.select_explain.EXACT_SHAPLEY_MAX_P else budget
+    assert metrics["explain.predict_calls"] == rows * (blocks + 1)
+    explain_rows = sum(s["counts"]["rows"] for s in spans if s["name"] == "models.predict")
+    coalitions = (1 << p) if p <= rentlab.select_explain.EXACT_SHAPLEY_MAX_P else budget * (p + 1)
+    assert explain_rows == rows * (coalitions * rows + 1)

@@ -1,3 +1,4 @@
+import datetime as dt
 import importlib.util
 import json
 import os
@@ -28,6 +29,7 @@ from rentlab.cli import (
 from rentlab.evaluation import _derived_seed
 from rentlab.features import matrix_from_csv
 from rentlab.models import FAMILIES, load_model
+from rentlab.synthgen import GenConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -86,6 +88,32 @@ class TestGenCommand:
         assert status == 0
         text = (tmp_path / "calendar.csv").read_text()
         assert text.count("\n") == 16  # header + 5*3 rows
+
+
+    def test_absent_flags_keep_the_generator_defaults(self, tmp_path, monkeypatch):
+        import rentlab.cli
+
+        configs = []
+        monkeypatch.setattr(rentlab.cli, "stage_gen", lambda cfg, out_dir: configs.append(cfg) or {})
+        assert main(["gen", "--out-dir", str(tmp_path)]) == 0
+        assert main(["gen", "--end", "2023-04-02", "--out-dir", str(tmp_path)]) == 0
+        assert configs[0] == GenConfig()
+        assert configs[1] == GenConfig(date_range=(GenConfig().date_range[0], dt.date(2023, 4, 2)))
+
+    @pytest.mark.parametrize("argv, doc, name", [
+        (["--start", "2023-02-30"], None, "generator.date_range[0]"),
+        (["--listings", "0"], None, "generator.n_listings"),
+        ([], {"n_listings": 2.5}, "generator.n_listings"),
+        ([], {"date_range": ["2023-02-30", "2023-03-02"]}, "generator.date_range[0]"),
+    ])
+    def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, argv, doc, name):
+        if doc is not None:
+            (tmp_path / "gen.json").write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["--config", str(tmp_path / "gen.json")]
+        out_dir = tmp_path / "out"
+        assert main(["gen", *argv, "--out-dir", str(out_dir)]) == 2
+        assert f"config error: {name} " in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestSentimentCommand:
@@ -606,6 +634,21 @@ class TestConfigValues:
          "models.grids.gbm.learning_rate"),
         ({"wrangle": {"gap_start": "2023-02-01"}}, "wrangle.gap_end"),
         ({"wrangle": {"gap_start": "2023-02-30", "gap_end": "2023-03-02"}}, "wrangle.gap_start"),
+        # range checks
+        ({"eval": {"train_fraction": 1.5}}, "eval.train_fraction"),
+        ({"eval": {"train_fraction": 0}}, "eval.train_fraction"),
+        ({"eval": {"cv_k": 1}}, "eval.cv_k"),
+        ({"explain": {"rows": -1}}, "explain.rows"),
+        ({"explain": {"budget": 0}}, "explain.budget"),
+        ({"features": {"amenity_k": 0}}, "features.amenity_k"),
+        ({"wrangle": {"knn_k": 0}}, "wrangle.knn_k"),
+        # the generator section goes through the same loader
+        ({"generator": {"n_listings": 2.5}}, "generator.n_listings"),
+        ({"generator": {"n_listings": 0}}, "generator.n_listings"),
+        ({"generator": {"date_range": ["2023-02-30", "2023-03-02"]}}, "generator.date_range[0]"),
+        ({"generator": {"date_range": ["2023-01-01"]}}, "generator.date_range"),
+        ({"generator": {"peak_months": [3, "oct"]}}, "generator.peak_months[1]"),
+        ({"generator": {"true_coefficients": {"Pool": "15"}}}, "generator.true_coefficients.Pool"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, overrides, name):
         cfg_path, out_dir = _write_config(tmp_path, overrides)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rentlab.features import FeatureMatrix
-from rentlab.models import LinearModel, fit_forest, fit_ols, fit_tree
+from rentlab.models import HyperParams, LinearModel, fit_family, fit_forest, fit_ols, fit_tree, predict
 from rentlab.select_explain import (
+    EXACT_SHAPLEY_MAX_P,
     FeatureScore,
+    ShapExplanation,
     f_scores,
     f_survival,
     forward_select,
@@ -297,9 +299,7 @@ class TestShapleyMonteCarlo:
 
         from rentlab import select_explain
 
-        sampled_values = select_explain._sampled_shapley(
-            select_explain._ValueFunction(model, instance, background.x), 8, 2000, 0
-        )
+        _, sampled_values = select_explain._sampled_shapley(model, instance, background.x, 2000, 0)
         tol = 0.05 * (abs(exact.prediction - exact.base_value) + 1e-9)
         assert np.max(np.abs(sampled_values - exact.values)) <= tol
 
@@ -312,8 +312,7 @@ class TestShapleyMonteCarlo:
         from rentlab import select_explain
 
         def max_err(budget, seed):
-            v = select_explain._ValueFunction(model, instance, background.x)
-            sampled = select_explain._sampled_shapley(v, 8, budget, seed)
+            _, sampled = select_explain._sampled_shapley(model, instance, background.x, budget, seed)
             return float(np.max(np.abs(sampled - exact.values)))
 
         small = np.median([max_err(60, s) for s in range(5)])
@@ -326,10 +325,182 @@ class TestShapleyMonteCarlo:
 
         from rentlab import select_explain
 
-        v = select_explain._ValueFunction(model, m.x[2], background.x)
-        sampled = select_explain._sampled_shapley(v, 8, 50, 3)
-        prediction = float(v((1 << 8) - 1))
-        assert prediction - v(0) == pytest.approx(float(sampled.sum()), abs=1e-9)
+        _, sampled = select_explain._sampled_shapley(model, m.x[2], background.x, 50, 3)
+        masks = np.array([[False] * 8, [True] * 8])
+        base, prediction = select_explain._coalition_values(model, m.x[2], background.x, masks)
+        assert prediction - base == pytest.approx(float(sampled.sum()), abs=1e-9)
+
+
+# Reference Shapley estimators: one predict per coalition, each coalition an
+# int bitmask (bit j = feature j) with its value cached by mask. The batched
+# estimators in select_explain must reproduce them.
+class _ValueFunction:
+    """v(S): mean prediction over the background with S pinned to the instance."""
+
+    def __init__(self, model, instance: np.ndarray, background: np.ndarray):
+        self.model = model
+        self.instance = instance
+        self.background = background
+        self.p = instance.shape[0]
+        self._cache: dict[int, float] = {}
+
+    def __call__(self, mask: int) -> float:
+        hit = self._cache.get(mask)
+        if hit is not None:
+            return hit
+        composite = self.background.copy()
+        for j in range(self.p):
+            if mask >> j & 1:
+                composite[:, j] = self.instance[j]
+        value = float(predict(self.model, composite).mean())
+        if self.p <= 20:
+            self._cache[mask] = value
+        return value
+
+
+def _exact_shapley(v: _ValueFunction, p: int) -> np.ndarray:
+    fact = [math.factorial(i) for i in range(p + 1)]
+    weight = [fact[s] * fact[p - 1 - s] / fact[p] for s in range(p)]
+    table = np.empty(1 << p)
+    for mask in range(1 << p):
+        table[mask] = v(mask)
+    phi = np.zeros(p)
+    for mask in range(1 << p):
+        s = bin(mask).count("1")
+        for j in range(p):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            phi[j] += weight[s] * (table[mask | bit] - table[mask])
+    return phi
+
+
+def _sampled_shapley(v: _ValueFunction, p: int, budget: int, seed: int) -> np.ndarray:
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A9)))
+    phi = np.zeros(p)
+    for _ in range(budget):
+        order = rng.permutation(p)
+        mask = 0
+        prev = v(0)
+        for j in order:
+            mask |= 1 << int(j)
+            cur = v(mask)
+            phi[j] += cur - prev
+            prev = cur
+    return phi / budget
+
+
+def _reference_shapley(model, instance, background, budget=2000, seed=0) -> ShapExplanation:
+    inst = np.asarray(instance, dtype=np.float64).reshape(-1)
+    p = inst.shape[0]
+    v = _ValueFunction(model, inst, background)
+    base = v(0)
+    prediction = float(predict(model, inst.reshape(1, -1))[0])
+    if p <= EXACT_SHAPLEY_MAX_P:
+        values = _exact_shapley(v, p)
+    else:
+        values = _sampled_shapley(v, p, budget, seed)
+    return ShapExplanation(base, values, prediction)
+
+
+def _price_data(p, n=120, seed=0):
+    """Price-scale data with an interaction, so trees split on many columns."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * np.linspace(1.0, 5.0, p)
+    y = 150.0 + x @ rng.normal(0, 3, size=p) + 8 * x[:, 0] * (x[:, 1] > 0) + rng.normal(0, 2, n)
+    return _fm(x, y)
+
+
+def _fit(family, m):
+    if family == "tree":
+        return fit_tree(m, max_depth=6)
+    hp = HyperParams(n_trees=4, max_depth=4, n_rounds=8, alpha=0.05, learning_rate=0.3)
+    return fit_family(family, m, hp, seed=3)
+
+
+class TestBatchedShapleyMatchesReference:
+    """The batched estimators against the per-coalition reference above."""
+
+    # (p, background rows, budget): exact at p = 8 and 12, sampled at p = 40;
+    # the last two split every evaluation into several blocks
+    CASES = [(8, 10, 1), (12, 12, 1), (12, 40, 1), (40, 9, 3), (40, 100, 2)]
+
+    @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
+    @pytest.mark.parametrize("p,n_bg,budget", CASES)
+    def test_tree_families_bit_identical(self, family, p, n_bg, budget):
+        m = _price_data(p, seed=p)
+        model = _fit(family, m)
+        background = m.x[:n_bg]
+        for i in (n_bg, n_bg + 1):
+            ours = shapley_values(model, m.x[i], background, budget=budget, seed=i)
+            ref = _reference_shapley(model, m.x[i], background, budget=budget, seed=i)
+            assert ours.base_value == ref.base_value
+            assert ours.prediction == ref.prediction
+            assert np.array_equal(ours.values, ref.values)
+
+    @pytest.mark.parametrize("family", ["ols", "lasso", "ridge", "elastic"])
+    @pytest.mark.parametrize("p,n_bg,budget", CASES)
+    @pytest.mark.parametrize("offset", [0.0, 1000.0])
+    def test_linear_families_agree_to_1e12_of_the_output(self, family, p, n_bg, budget, offset):
+        # a block's matrix-vector product may round a row differently from a
+        # one-coalition product. The rounding error scales with the terms of
+        # x @ beta, so it is bounded relative to the model's output, not to
+        # each (possibly tiny) value; the offset makes those terms cancel.
+        m = _price_data(p, seed=p)
+        m = _fm(m.x + offset * np.arange(1, p + 1) / p, m.y)
+        model = _fit(family, m)
+        background = m.x[:n_bg]
+        for i in (n_bg, n_bg + 1):
+            ours = shapley_values(model, m.x[i], background, budget=budget, seed=i)
+            ref = _reference_shapley(model, m.x[i], background, budget=budget, seed=i)
+            scale = max(abs(ref.base_value), abs(ref.prediction), 1.0)
+            assert ours.prediction == ref.prediction
+            assert abs(ours.base_value - ref.base_value) <= 1e-12 * scale
+            assert np.max(np.abs(ours.values - ref.values)) <= 1e-12 * scale
+
+
+class TestCoalitionBlocks:
+    @staticmethod
+    def _record_rows(monkeypatch):
+        from rentlab import select_explain
+
+        rows = []
+
+        def recording_predict(model, x):
+            rows.append(np.atleast_2d(x).shape[0])
+            return predict(model, x)
+
+        monkeypatch.setattr(select_explain, "predict", recording_predict)
+        return rows
+
+    @pytest.mark.parametrize("p,n_bg,budget", [(12, 40, 1), (40, 100, 2), (40, 4000, 1)])
+    def test_blocks_stay_within_the_cap(self, monkeypatch, p, n_bg, budget):
+        from rentlab.select_explain import _BLOCK_CELLS
+
+        m = _price_data(p, n=n_bg + 1)
+        model = _fit("tree", m)
+        rows = self._record_rows(monkeypatch)
+        shapley_values(model, m.x[n_bg], m.x[:n_bg], budget=budget)
+        *blocks, single = rows
+        assert single == 1  # the prediction itself
+        coalitions = (1 << p) if p <= EXACT_SHAPLEY_MAX_P else budget * (p + 1)
+        assert sum(blocks) == coalitions * n_bg
+        for block in blocks:
+            assert block % n_bg == 0
+            # a block holds one coalition when one alone exceeds the cap
+            assert block * p <= max(_BLOCK_CELLS, n_bg * p)
+        assert len(blocks) > 1
+
+    def test_demo_sized_row_takes_one_predict_per_permutation(self, monkeypatch):
+        # the benchmark's demo workload explains 6 rows of 60 features
+        # against those 6 rows with a budget of 2 permutations
+        m = _price_data(60, n=6)
+        model = _fit("gbm", m)
+        rows = self._record_rows(monkeypatch)
+        shapley_values(model, m.x[0], m, budget=2, seed=0)
+        assert rows == [61 * 6, 61 * 6, 1]
 
 
 class TestShapRanking:
