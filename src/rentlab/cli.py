@@ -71,8 +71,10 @@ from .tabular import (
     Schema,
     Table,
     drop_duplicates,
+    group_means,
     inner_join,
     read_csv,
+    shipped_file,
     write_csv,
 )
 from .wrangle import (
@@ -328,6 +330,8 @@ class Eval:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.cv_k < 2:
             raise ValueError(f"cv_k must be >= 2, got {self.cv_k}")
+        if self.search_samples < 0:
+            raise ValueError(f"search_samples must be >= 0, got {self.search_samples}")
 
 
 @dataclass(frozen=True)
@@ -337,6 +341,8 @@ class Explain:
     rows: int = 25  # 0: every row
 
     def __post_init__(self):
+        if self.top < 1:
+            raise ValueError(f"top must be >= 1, got {self.top}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.rows < 0:
@@ -360,6 +366,10 @@ class PipelineConfig:
     eval: Eval = Eval()
     explain: Explain = Explain()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     @staticmethod
     def from_doc(doc: dict) -> "PipelineConfig":
         _check_keys(doc, ("version", *PipelineConfig.__dataclass_fields__), "config")
@@ -376,9 +386,10 @@ class PipelineConfig:
         if "inputs" in doc:
             inputs = _check_keys(doc["inputs"], INPUT_NAMES, "inputs")
             given["inputs"] = {k: _value(str, inputs.get(k), f"inputs.{k}") for k in INPUT_NAMES}
+        cfg = PipelineConfig(**given)  # checks seed before the generator inherits it
         if "generator" in doc:  # the generator wins over inputs
-            given["generator"] = gen_config_from_doc(doc["generator"], seed=given["seed"])
-        return PipelineConfig(**given)
+            cfg.generator = gen_config_from_doc(doc["generator"], seed=cfg.seed)
+        return cfg
 
 
 def _read_json(path: str, what: str):
@@ -390,10 +401,8 @@ def _read_json(path: str, what: str):
 
 
 def default_grids() -> dict:
-    from importlib import resources
-
-    ref = resources.files("rentlab.data").joinpath("default_grids.json")
-    doc = json.loads(ref.read_text(encoding="utf-8"))
+    with shipped_file("default_grids.json") as path, open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     doc.pop("_comment", None)
     return doc
 
@@ -490,25 +499,6 @@ def _one_hot_with_reference(table: Table, col: str) -> Table:
     return encoded
 
 
-def _listing_sentiment_column(scored: Table, listings: Table) -> list[float]:
-    sums: dict = {}
-    counts: dict = {}
-    total, n = 0.0, 0
-    for lid, c in zip(scored.values("listing_id"), scored.values("compound")):
-        if c is None:
-            continue
-        total += c
-        n += 1
-        if lid is not None:
-            sums[lid] = sums.get(lid, 0.0) + c
-            counts[lid] = counts.get(lid, 0) + 1
-    global_mean = total / n if n else 0.0
-    return [
-        sums[lid] / counts[lid] if counts.get(lid) else global_mean
-        for lid in listings.values("id")
-    ]
-
-
 def stage_featurize(
     listings: Table,
     calendar: Table,
@@ -531,10 +521,12 @@ def stage_featurize(
     for col in ("room_type", "property_type"):
         if col in listings:
             listings = _one_hot_with_reference(listings, col)
-    if scored is not None:
+    if scored is not None:  # a listing without scored reviews takes the mean of all
+        means, overall = group_means(scored.values("listing_id"), scored.values("compound"))
+        fallback = 0.0 if overall is None else overall
         listings = listings.with_column(
             "listing_sentiment",
-            Column("numeric", tuple(_listing_sentiment_column(scored, listings))),
+            Column("numeric", tuple(means.get(lid, fallback) for lid in listings.values("id"))),
         )
 
     calendar = expand_date(calendar, "date")
@@ -927,7 +919,7 @@ def _cmd_run(args) -> int:
     if args.out_dir:
         cfg.output_dir = args.out_dir
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # range-checked like the config's seed
         if cfg.generator is not None:
             cfg.generator = replace(cfg.generator, seed=args.seed)
     status = run_pipeline(cfg)

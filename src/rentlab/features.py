@@ -7,12 +7,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .errors import AssemblyError, SchemaError
-from .tabular import Column, Table
+from .tabular import Column, Table, shipped_file
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -116,8 +115,7 @@ def load_pois(path) -> PoiSet:
 
 def default_pois() -> PoiSet:
     """The 13 shipped Austin attractions (replaceable configuration)."""
-    ref = resources.files("rentlab.data").joinpath("pois_austin.csv")
-    with resources.as_file(ref) as path:
+    with shipped_file("pois_austin.csv") as path:
         return load_pois(path)
 
 

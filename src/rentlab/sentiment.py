@@ -2,19 +2,20 @@
 
 Valence lookup comes from a word->rating lexicon; rules adjust per-token
 valence for boosters, negation, and ALL-CAPS emphasis, then the summed
-valence is squashed to a compound score in [-1, 1]. All rule constants are
-configuration with the defaults below.
+valence is squashed to a compound score in [-1, 1]. The rule constants
+below and the shipped emoji and contraction tables are fixed; only the
+lexicon is replaceable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from importlib import resources
 
 from .report import StageReport
-from .tabular import Column, Table
+from .tabular import Column, Table, group_means, shipped_file
 
 COMPOUND_ALPHA = 15.0
 BOOSTER_INCREMENT = 0.293
@@ -26,6 +27,10 @@ CONTEXT_WINDOW = 3
 
 POSITIVE_THRESHOLD = 0.05
 NEGATIVE_THRESHOLD = -0.05
+
+# looks_english: a text of at least this many tokens needs this share of stop words.
+ENGLISH_MIN_TOKENS = 5
+ENGLISH_MIN_STOP_RATIO = 0.05
 
 NEGATIONS = frozenset(
     """not cannot never no none neither nor nothing nobody nowhere without
@@ -113,45 +118,22 @@ def load_lexicon(path) -> Lexicon:
     return Lexicon({w.lower(): float(v) for w, v in raw.items()})
 
 
-def _data_path(name: str):
-    return resources.files("rentlab.data").joinpath(name)
-
-
 def default_lexicon() -> Lexicon:
-    with resources.as_file(_data_path("lexicon.tsv")) as path:
+    with shipped_file("lexicon.tsv") as path:
         return load_lexicon(path)
 
 
-def load_contractions(path=None) -> dict[str, str]:
-    if path is not None:
+@functools.cache
+def _shipped_map(name: str) -> dict[str, str]:
+    with shipped_file(name) as path:
         return _load_tsv_map(path)
-    with resources.as_file(_data_path("contractions.tsv")) as p:
-        return _load_tsv_map(p)
 
 
-def load_emoji_map(path=None) -> dict[str, str]:
-    if path is not None:
-        return _load_tsv_map(path)
-    with resources.as_file(_data_path("emoji.tsv")) as p:
-        return _load_tsv_map(p)
-
-
-_CONTRACTIONS: dict[str, str] | None = None
-_EMOJI: dict[str, str] | None = None
-
-
-def _contractions() -> dict[str, str]:
-    global _CONTRACTIONS
-    if _CONTRACTIONS is None:
-        _CONTRACTIONS = load_contractions()
-    return _CONTRACTIONS
-
-
-def _emoji() -> dict[str, str]:
-    global _EMOJI
-    if _EMOJI is None:
-        _EMOJI = load_emoji_map()
-    return _EMOJI
+@functools.cache
+def _contraction_pattern() -> re.Pattern:
+    """Longest-first alternation of the shipped contractions, built once."""
+    by_length = sorted(_shipped_map("contractions.tsv"), key=len, reverse=True)
+    return re.compile(r"\b(" + "|".join(re.escape(c) for c in by_length) + r")\b", re.IGNORECASE)
 
 
 def _match_case(replacement: str, original: str) -> str:
@@ -162,32 +144,23 @@ def _match_case(replacement: str, original: str) -> str:
     return replacement
 
 
-def clean_text(
-    raw: str,
-    contractions: dict[str, str] | None = None,
-    emoji_map: dict[str, str] | None = None,
-) -> str:
+def clean_text(raw: str) -> str:
     """Normalize review text for scoring.
 
     URLs and HTML tags are removed, emojis become their textual aliases,
     contractions are expanded (case-preserving), runs of identical punctuation
-    collapse to one, and whitespace is normalized to single spaces.
+    collapse to one, and whitespace is normalized to single spaces. The emoji
+    and contraction maps are the fixed tables shipped in rentlab/data.
     """
-    contractions = _contractions() if contractions is None else contractions
-    emoji_map = _emoji() if emoji_map is None else emoji_map
+    contractions = _shipped_map("contractions.tsv")
     text = _URL_RE.sub(" ", raw)
     text = _HTML_RE.sub(" ", text)
-    for symbol, alias in emoji_map.items():
+    for symbol, alias in _shipped_map("emoji.tsv").items():
         if symbol in text:
             text = text.replace(symbol, f" {alias} ")
-    if contractions:
-        pattern = re.compile(
-            r"\b(" + "|".join(re.escape(c) for c in sorted(contractions, key=len, reverse=True)) + r")\b",
-            re.IGNORECASE,
-        )
-        text = pattern.sub(
-            lambda m: _match_case(contractions[m.group(0).lower()], m.group(0)), text
-        )
+    text = _contraction_pattern().sub(
+        lambda m: _match_case(contractions[m.group(0).lower()], m.group(0)), text
+    )
     text = _PUNCT_RUN_RE.sub(r"\1", text)
     text = _WS_RE.sub(" ", text)
     return text.strip()
@@ -269,28 +242,23 @@ def classify(s: SentimentScore) -> str:
     return classify_compound(s.compound)
 
 
-def looks_english(text: str, min_tokens: int = 5, min_stop_ratio: float = 0.05) -> bool:
-    """Stop-word-ratio heuristic; short texts pass by default."""
+def looks_english(text: str) -> bool:
+    """Stop-word-ratio heuristic; texts under ENGLISH_MIN_TOKENS tokens pass."""
     tokens = [t.lower() for t in _tokenize(text)]
-    if len(tokens) < min_tokens:
+    if len(tokens) < ENGLISH_MIN_TOKENS:
         return True
     hits = sum(1 for t in tokens if t in STOP_WORDS)
-    return hits / len(tokens) >= min_stop_ratio
+    return hits / len(tokens) >= ENGLISH_MIN_STOP_RATIO
 
 
-def score_reviews(
-    reviews: Table,
-    lex: Lexicon,
-    comments_col: str = "comments",
-    report: StageReport | None = None,
-) -> Table:
-    """Clean and score every comment, appending pos/neg/neu/compound/label.
+def score_reviews(reviews: Table, lex: Lexicon, report: StageReport | None = None) -> Table:
+    """Clean and score every "comments" cell, appending pos/neg/neu/compound/label.
 
     Rows failing the English heuristic are dropped (and counted in the
     report). Empty or missing comments get missing sentiment cells so the
     host-average fill can overwrite them.
     """
-    comments = reviews.values(comments_col)
+    comments = reviews.values("comments")
     keep: list[int] = []
     dropped = 0
     cleaned: list[str | None] = []
@@ -326,7 +294,7 @@ def score_reviews(
     out = out.with_column("compound", Column("numeric", tuple(compound)))
     out = out.with_column("label", Column("text", tuple(label)))
     if report is not None:
-        report.add("score_reviews", comments_col, scored, f"dropped_non_english={dropped}")
+        report.add("score_reviews", "comments", scored, f"dropped_non_english={dropped}")
     return out
 
 
@@ -339,19 +307,8 @@ def fill_missing_sentiment(
     when the host has no scored reviews) and rebuild labels for filled rows."""
     compounds = table.values("compound")
     hosts = table.values(host_col)
-    sums: dict = {}
-    counts: dict = {}
-    g_sum = 0.0
-    g_cnt = 0
-    for h, c in zip(hosts, compounds):
-        if c is None:
-            continue
-        g_sum += c
-        g_cnt += 1
-        if h is not None:
-            sums[h] = sums.get(h, 0.0) + c
-            counts[h] = counts.get(h, 0) + 1
-    global_mean = g_sum / g_cnt if g_cnt else 0.0
+    host_means, overall = group_means(hosts, compounds)
+    global_mean = 0.0 if overall is None else overall
 
     labels = list(table.values("label")) if "label" in table else [None] * table.n_rows
     filled = 0
@@ -360,7 +317,7 @@ def fill_missing_sentiment(
         if c is not None:
             new_compound.append(c)
             continue
-        value = sums[h] / counts[h] if h is not None and counts.get(h) else global_mean
+        value = host_means.get(h, global_mean)
         value = max(-1.0, min(1.0, value))
         new_compound.append(value)
         labels[i] = classify_compound(value)

@@ -115,6 +115,8 @@ class GenConfig:
     def __post_init__(self):
         if self.n_listings < 1:
             raise ValueError(f"n_listings must be >= 1, got {self.n_listings}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         start, end = self.date_range
         if start > end:
             raise ValueError(f"date_range start {start} after end {end}")
@@ -132,6 +134,10 @@ class GenConfig:
             raise ValueError("missing_fraction must be in [0, 0.5)")
         if not 0.0 <= self.positive_review_rate <= 1.0:
             raise ValueError("positive_review_rate must be in [0, 1]")
+        if self.max_reviews_per_listing < 0:
+            raise ValueError(
+                f"max_reviews_per_listing must be >= 0, got {self.max_reviews_per_listing}"
+            )
 
     @property
     def n_days(self) -> int:

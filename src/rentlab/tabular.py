@@ -11,6 +11,7 @@ import csv
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
+from importlib import resources
 
 from .errors import SchemaError
 
@@ -274,6 +275,33 @@ def clean_currency(col: Column) -> Column:
             value = math.nan
         out.append(value if math.isfinite(value) else None)
     return Column("numeric", tuple(out))
+
+
+def group_means(keys, values) -> tuple[dict, float | None]:
+    """Mean of values per key, and the mean of every non-missing value (None
+    when there is none).
+
+    A row with a missing value is skipped; a row with a missing key counts
+    only toward the overall mean. Values are added in row order with ``+``
+    from 0.0, so a mean is reproducible to the last bit.
+    """
+    sums: dict = {}
+    counts: dict = {}
+    total, n = 0.0, 0
+    for key, v in zip(keys, values):
+        if v is None:
+            continue
+        total += v
+        n += 1
+        if key is not None:
+            sums[key] = sums.get(key, 0.0) + v
+            counts[key] = counts.get(key, 0) + 1
+    return {key: s / counts[key] for key, s in sums.items()}, (total / n if n else None)
+
+
+def shipped_file(name: str):
+    """Context manager giving a filesystem path to a file in rentlab/data."""
+    return resources.as_file(resources.files("rentlab.data").joinpath(name))
 
 
 def drop_duplicates(table: Table, keys: list[str]) -> Table:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import EmptyInputError, SchemaError
 from .features import haversine_km, GeoPoint
 from .report import StageReport
-from .tabular import Column, Table
+from .tabular import Column, Table, group_means
 
 DEFAULT_IQR_MULTIPLIER = 0.5
 DEFAULT_KNN_K = 10
@@ -117,18 +117,12 @@ def impute_group_mean(
     gcol = table.column(group)
     if tcol.kind not in ("numeric", "integer"):
         raise SchemaError(f"impute target {target!r} must be numeric, is {tcol.kind}")
-    sums: dict = {}
-    counts: dict = {}
-    for g, v in zip(gcol.values, tcol.values):
-        if g is None or v is None:
-            continue
-        sums[g] = sums.get(g, 0.0) + v
-        counts[g] = counts.get(g, 0) + 1
+    means, _ = group_means(gcol.values, tcol.values)
     filled = 0
     out = []
     for g, v in zip(gcol.values, tcol.values):
-        if v is None and g is not None and counts.get(g):
-            out.append(sums[g] / counts[g])
+        if v is None and g in means:
+            out.append(means[g])
             filled += 1
         else:
             out.append(float(v) if v is not None else None)
@@ -233,35 +227,22 @@ def fill_calendar_gap(
     dates = calendar.values("date")
     prices = calendar.values("price")
 
-    dow_sum: dict = {}
-    dow_cnt: dict = {}
-    all_sum: dict = {}
-    all_cnt: dict = {}
-    existing = set()
-    for lid, d, p in zip(ids, dates, prices):
-        if lid is None or d is None:
-            continue
-        existing.add((lid, d))
-        if p is None:
-            continue
-        key = (lid, d.weekday())
-        dow_sum[key] = dow_sum.get(key, 0.0) + p
-        dow_cnt[key] = dow_cnt.get(key, 0) + 1
-        all_sum[lid] = all_sum.get(lid, 0.0) + p
-        all_cnt[lid] = all_cnt.get(lid, 0) + 1
+    dated = [lid is not None and d is not None for lid, d in zip(ids, dates)]
+    existing = {(lid, d) for lid, d, ok in zip(ids, dates, dated) if ok}
+    dow_mean, _ = group_means(
+        ((lid, d.weekday()) if ok else None for lid, d, ok in zip(ids, dates, dated)), prices
+    )
+    listing_mean, _ = group_means((lid if ok else None for lid, ok in zip(ids, dated)), prices)
 
-    listings = sorted(all_cnt)
     new_rows: list[tuple] = []
     fallback = 0
-    for lid in listings:
+    for lid in sorted(listing_mean):
         for d in gap.dates():
             if (lid, d) in existing:
                 continue
-            key = (lid, d.weekday())
-            if dow_cnt.get(key):
-                price = dow_sum[key] / dow_cnt[key]
-            else:
-                price = all_sum[lid] / all_cnt[lid]
+            price = dow_mean.get((lid, d.weekday()))
+            if price is None:
+                price = listing_mean[lid]
                 fallback += 1
             new_rows.append((lid, d, price))
 

@@ -89,6 +89,13 @@ class TestGenCommand:
         text = (tmp_path / "calendar.csv").read_text()
         assert text.count("\n") == 16  # header + 5*3 rows
 
+    def test_zero_reviews_per_listing_writes_a_header_only_reviews_csv(self, tmp_path):
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({"n_listings": 4, "max_reviews_per_listing": 0}),
+                            encoding="utf-8")
+        assert main(["gen", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "reviews.csv").read_text().count("\n") == 1
+
 
     def test_absent_flags_keep_the_generator_defaults(self, tmp_path, monkeypatch):
         import rentlab.cli
@@ -105,6 +112,8 @@ class TestGenCommand:
         (["--listings", "0"], None, "generator.n_listings"),
         ([], {"n_listings": 2.5}, "generator.n_listings"),
         ([], {"date_range": ["2023-02-30", "2023-03-02"]}, "generator.date_range[0]"),
+        (["--seed", "-1"], None, "generator.seed"),
+        ([], {"max_reviews_per_listing": -1}, "generator.max_reviews_per_listing"),
     ])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, argv, doc, name):
         if doc is not None:
@@ -642,6 +651,10 @@ class TestConfigValues:
         ({"explain": {"budget": 0}}, "explain.budget"),
         ({"features": {"amenity_k": 0}}, "features.amenity_k"),
         ({"wrangle": {"knn_k": 0}}, "wrangle.knn_k"),
+        ({"explain": {"top": 0}}, "explain.top"),
+        ({"explain": {"top": -1}}, "explain.top"),
+        ({"eval": {"search_samples": -3}}, "eval.search_samples"),
+        ({"seed": -1}, "seed"),
         # the generator section goes through the same loader
         ({"generator": {"n_listings": 2.5}}, "generator.n_listings"),
         ({"generator": {"n_listings": 0}}, "generator.n_listings"),
@@ -649,6 +662,8 @@ class TestConfigValues:
         ({"generator": {"date_range": ["2023-01-01"]}}, "generator.date_range"),
         ({"generator": {"peak_months": [3, "oct"]}}, "generator.peak_months[1]"),
         ({"generator": {"true_coefficients": {"Pool": "15"}}}, "generator.true_coefficients.Pool"),
+        ({"generator": {"seed": -1}}, "generator.seed"),
+        ({"generator": {"max_reviews_per_listing": -1}}, "generator.max_reviews_per_listing"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, overrides, name):
         cfg_path, out_dir = _write_config(tmp_path, overrides)
@@ -658,6 +673,18 @@ class TestConfigValues:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert f"config error: {name} " in capsys.readouterr().err
         assert not os.path.exists(out_dir)
+
+    def test_negative_seed_flag_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path, out_dir = _write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "config error: seed " in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    def test_zero_reviews_per_listing_runs(self, tmp_path):
+        cfg_path, out_dir = _write_config(tmp_path, {"generator": {"max_reviews_per_listing": 0}})
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert (Path(out_dir) / "reviews.csv").read_text().count("\n") == 1  # header only
+        assert (Path(out_dir) / "shap_ranking.csv").is_file()
 
     def test_int_for_float_field_cleans_alike(self, tmp_path):
         main(["gen", "--seed", "31", "--listings", "8", "--start", "2023-01-01",

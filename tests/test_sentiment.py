@@ -1,9 +1,14 @@
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rentlab import sentiment
 from rentlab.report import StageReport
 from rentlab.sentiment import (
     COMPOUND_ALPHA,
@@ -84,6 +89,48 @@ class TestCleanText:
 
     def test_question_run_collapsed(self):
         assert clean_text("why??? how???") == "why? how?"
+
+    def test_contraction_pattern_is_built_once(self, monkeypatch):
+        sentiment._contraction_pattern.cache_clear()
+        escaped = []
+        real_escape = re.escape
+        monkeypatch.setattr(re, "escape", lambda text: escaped.append(text) or real_escape(text))
+        outputs = {clean_text("Can't wait, it's great") for _ in range(20)}
+        assert outputs == {"Cannot wait, it is great"}
+        assert len(escaped) == len(sentiment._shipped_map("contractions.tsv"))
+
+
+class TestShippedTextTables:
+    def test_loaders_and_globals_are_gone(self):
+        for name in ("load_contractions", "load_emoji_map", "_contractions", "_emoji",
+                     "_CONTRACTIONS", "_EMOJI"):
+            assert not hasattr(sentiment, name), name
+
+    @pytest.mark.parametrize("call", [
+        lambda: clean_text("x", {}),
+        lambda: clean_text("x", contractions={}),
+        lambda: clean_text("x", emoji_map={}),
+        lambda: looks_english("x", 3),
+        lambda: looks_english("x", min_tokens=3),
+        lambda: looks_english("x", min_stop_ratio=0.5),
+        lambda: score_reviews(_reviews(["x"]), Lexicon({}), comments_col="comments"),
+    ], ids=["clean_text-positional", "clean_text-contractions", "clean_text-emoji_map",
+            "looks_english-positional", "looks_english-min_tokens",
+            "looks_english-min_stop_ratio", "score_reviews-comments_col"])
+    def test_removed_parameters_raise_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_tables_load_on_first_use_not_on_import(self):
+        code = (
+            "import rentlab.cli, rentlab.sentiment as s\n"
+            "assert s._shipped_map.cache_info().currsize == 0\n"
+            "assert s._contraction_pattern.cache_info().currsize == 0\n"
+            "s.clean_text('ok')\n"
+            "assert s._shipped_map.cache_info().currsize == 2\n"
+        )
+        src = os.path.dirname(os.path.dirname(sentiment.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestScore:

@@ -14,6 +14,7 @@ from rentlab.tabular import (
     Table,
     clean_currency,
     drop_duplicates,
+    group_means,
     inner_join,
     read_csv,
     schema_of,
@@ -182,6 +183,63 @@ class TestTableInvariants:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
             Column("complex", (1.0,))
+
+
+def _row_order_means(keys, values):
+    """Reference: the hand-written per-key loop every caller used to carry."""
+    sums, counts = {}, {}
+    total, n = 0.0, 0
+    for key, v in zip(keys, values):
+        if v is None:
+            continue
+        total += v
+        n += 1
+        if key is not None:
+            sums[key] = sums.get(key, 0.0) + v
+            counts[key] = counts.get(key, 0) + 1
+    return {key: sums[key] / counts[key] for key in sums}, (total / n if n else None)
+
+
+def _bits(means, overall):
+    return [(k, v.hex()) for k, v in means.items()], None if overall is None else overall.hex()
+
+
+class TestGroupMeans:
+    def test_row_order_sum_on_cancelling_values(self):
+        # per key, 1e16 + 1.0 rounds back to 1e16, so the row-order sum is 3.0
+        # (math.fsum would give 4.0); missing keys and values are skipped
+        keys = ["a", "b", None, "a", "b", "a", None, "a", "b", "c", "b", "b"]
+        values = [1e16, 1e16, 7.0, 1.0, 1.0, -1e16, None, 3.0, -1e16, None, 3.0, None]
+        means, overall = group_means(keys, values)
+        assert means == {"a": 0.75, "b": 0.75}
+        assert list(means) == ["a", "b"]  # first-seen order
+        assert _bits(means, overall) == _bits(*_row_order_means(keys, values))
+
+    def test_keyless_rows_count_only_overall(self):
+        assert group_means([None, 1], [2.0, 4.0]) == ({1: 4.0}, 3.0)
+
+    def test_no_value_gives_no_means(self):
+        assert group_means([1, None], [None, None]) == ({}, None)
+        assert group_means([], []) == ({}, None)
+
+    def test_integer_values_average_as_floats(self):
+        means, overall = group_means([1, 1, 2], [1, 2, 4])
+        assert means == {1: 1.5, 2: 4.0} and overall == 7 / 3
+
+    def test_tuple_keys(self):
+        means, _ = group_means([(1, 0), (1, 0), (1, 6)], [2.0, 4.0, 5.0])
+        assert means == {(1, 0): 3.0, (1, 6): 5.0}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([None, 0, 1, 2]),
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, min_value=-1e17,
+                                       max_value=1e17)),
+    ), max_size=40))
+    def test_matches_the_row_order_loop_bit_for_bit(self, rows):
+        keys = [k for k, _ in rows]
+        values = [v for _, v in rows]
+        assert _bits(*group_means(keys, values)) == _bits(*_row_order_means(keys, values))
 
 
 @st.composite
