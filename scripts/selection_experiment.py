@@ -81,7 +81,7 @@ def main(seed: int) -> int:
     forest_hp = HyperParams(n_trees=20, max_depth=10)
     gbm_hp = HyperParams(n_rounds=60, learning_rate=0.1, max_depth=3)
     per_family = {"forest": forest_hp, "gbm": gbm_hp}
-    configs = [ModelConfig(f, f, per_family.get(f, linear_hp), seed=3) for f in FAMILIES]
+    configs = [ModelConfig(f, per_family.get(f, linear_hp), seed=3) for f in FAMILIES]
 
     full = compare_models(train, test, configs)
     print_table(f"All {m.n_features} features", full)

@@ -629,7 +629,7 @@ def stage_evaluate(
                 "best": hp.to_dict(),
             }
         chosen[fam] = hp
-        configs.append(ModelConfig(fam, fam, hp, seed=_derived_seed(seed, FAMILIES.index(fam), 1)))
+        configs.append(ModelConfig(fam, hp, seed=_derived_seed(seed, FAMILIES.index(fam), 1)))
 
     reports = compare_models(train, test, configs)
     write_table(reports_to_table(reports), os.path.join(out_dir, "eval_report.csv"))
@@ -734,6 +734,17 @@ def _from_flags(cls, args):
     return _section(cls, given, cls.__name__.lower())
 
 
+def _seed(text: str) -> int:
+    """argparse type of the stage subcommands' --seed: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="generate synthetic listings/calendar/reviews CSVs")
     p.add_argument("--config", help="GenConfig JSON file")
@@ -831,7 +842,7 @@ def _add_select(sub) -> None:
     p.add_argument("--k", type=int)
     p.add_argument("--max-features", type=int)
     p.add_argument("--min-rel-improvement", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="selection.csv")
 
 
@@ -849,7 +860,7 @@ def _add_train(sub) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--params", help="HyperParams JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="model.json")
 
 
@@ -870,7 +881,7 @@ def _add_evaluate(sub) -> None:
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--cv-k", type=int)
     p.add_argument("--search-samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default=".")
 
 
@@ -891,7 +902,7 @@ def _add_explain(sub) -> None:
     p.add_argument("--top", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--rows", type=int, help="explained-row subsample")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="shap_ranking.csv")
     p.add_argument("--explanations", help="also write per-row explanations JSON here")
 

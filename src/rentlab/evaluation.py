@@ -216,7 +216,6 @@ def random_search(
 
 @dataclass(frozen=True)
 class ModelConfig:
-    name: str
     family: str
     params: HyperParams = field(default_factory=HyperParams)
     seed: int = 0
@@ -235,7 +234,7 @@ def compare_models(
         cd = cfg.family in CD_FAMILIES
         reports.append(
             EvalReport(
-                cfg.name,
+                cfg.family,
                 r_squared(m_test.y, yhat),
                 mae(m_test.y, yhat),
                 rmse(m_test.y, yhat),

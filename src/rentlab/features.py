@@ -1,5 +1,5 @@
 """Feature engineering: POI distances, amenity binarization, date expansion,
-one-hot encoding, scaling, and design-matrix assembly."""
+one-hot encoding, standardization, and design-matrix assembly."""
 
 from __future__ import annotations
 
@@ -44,20 +44,12 @@ class PoiSet:
 
 
 @dataclass(frozen=True)
-class Scaling:
-    means: np.ndarray
-    stds: np.ndarray
-    constant_features: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Dense design matrix with named columns and a target vector."""
 
     x: np.ndarray
     feature_names: tuple[str, ...]
     y: np.ndarray
-    scaling: Scaling | None = None
 
     def __post_init__(self):
         if self.x.ndim != 2:
@@ -83,11 +75,11 @@ class FeatureMatrix:
 
     def take(self, indices) -> "FeatureMatrix":
         idx = np.asarray(indices)
-        return FeatureMatrix(self.x[idx], self.feature_names, self.y[idx], self.scaling)
+        return FeatureMatrix(self.x[idx], self.feature_names, self.y[idx])
 
     def select(self, names: list[str]) -> "FeatureMatrix":
         pos = [self.feature_names.index(n) for n in names]
-        return FeatureMatrix(self.x[:, pos], tuple(names), self.y, None)
+        return FeatureMatrix(self.x[:, pos], tuple(names), self.y)
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -240,36 +232,12 @@ def one_hot(table: Table, col: str) -> Table:
 
 
 def standardize(m: FeatureMatrix) -> FeatureMatrix:
-    """Scale every column to zero mean, unit (population) std.
-
-    Zero-variance columns become all-zero and are recorded in the scaling so
-    they can be flagged downstream; the stored params reproduce the transform
-    on held-out rows and invert it.
-    """
+    """Scale every column to zero mean, unit (population) std; zero-variance
+    columns become all-zero."""
     means = m.x.mean(axis=0)
     stds = m.x.std(axis=0)
-    constant = tuple(
-        name for name, s in zip(m.feature_names, stds) if s == 0.0
-    )
     safe = np.where(stds == 0.0, 1.0, stds)
-    x = (m.x - means) / safe
-    return FeatureMatrix(x, m.feature_names, m.y, Scaling(means, stds, constant))
-
-
-def apply_scaling(m: FeatureMatrix, scaling: Scaling) -> FeatureMatrix:
-    """Apply train-set scaling parameters to held-out rows."""
-    safe = np.where(scaling.stds == 0.0, 1.0, scaling.stds)
-    x = (m.x - scaling.means) / safe
-    return FeatureMatrix(x, m.feature_names, m.y, scaling)
-
-
-def destandardize(m: FeatureMatrix) -> FeatureMatrix:
-    """Invert standardize(); constant columns come back at their mean."""
-    if m.scaling is None:
-        raise ValueError("matrix carries no scaling parameters")
-    safe = np.where(m.scaling.stds == 0.0, 1.0, m.scaling.stds)
-    x = m.x * safe + m.scaling.means
-    return FeatureMatrix(x, m.feature_names, m.y, None)
+    return FeatureMatrix((m.x - means) / safe, m.feature_names, m.y)
 
 
 def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> FeatureMatrix:
@@ -295,7 +263,7 @@ def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> Featu
     # reads back: a strided y takes another BLAS path in fits (a.T @ y), so
     # only the same layout gives bit-identical models either way.
     data = np.column_stack(arrays)
-    return FeatureMatrix(data[:, :-1], tuple(feature_cols), data[:, -1], None)
+    return FeatureMatrix(data[:, :-1], tuple(feature_cols), data[:, -1])
 
 
 TARGET_HEADER = "target"
@@ -320,4 +288,4 @@ def matrix_from_csv(path) -> FeatureMatrix:
     if not header or header[-1] != TARGET_HEADER:
         raise SchemaError(f"{path}: last column must be {TARGET_HEADER!r}")
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
-    return FeatureMatrix(data[:, :-1], tuple(header[:-1]), data[:, -1], None)
+    return FeatureMatrix(data[:, :-1], tuple(header[:-1]), data[:, -1])

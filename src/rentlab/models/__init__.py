@@ -3,13 +3,12 @@ and JSON serialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 from ..features import FeatureMatrix
 from .boosting import BoostedModel, fit_gbm
 from .forest import ForestModel, auto_max_features, fit_forest
+from .hyperparams import HyperParams
 from .linear import LinearModel, elastic_net_objective, fit_elastic_net, fit_ols, soft_threshold
 from .serialize import load_model, model_from_doc, model_to_doc, save_model
 from .tree import Tree, fit_tree
@@ -17,46 +16,6 @@ from .tree import Tree, fit_tree
 FAMILIES = ("ols", "lasso", "ridge", "elastic", "forest", "gbm")
 
 FittedModel = LinearModel | Tree | ForestModel | BoostedModel
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    alpha: float = 0.001
-    l1_ratio: float = 0.5
-    n_trees: int = 30
-    max_depth: int = 8
-    min_samples_split: int = 2
-    max_features: int = 0  # 0 = ceil(p/3)
-    learning_rate: float = 0.1
-    n_rounds: int = 50
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0.0 <= self.l1_ratio <= 1.0:
-            raise ValueError(f"l1_ratio must be in [0,1], got {self.l1_ratio}")
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ValueError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
-        if self.max_features < 0:
-            raise ValueError(f"max_features must be >= 0, got {self.max_features}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in (0,1], got {self.learning_rate}")
-        if self.n_rounds < 0:
-            raise ValueError(f"n_rounds must be >= 0, got {self.n_rounds}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(values: dict) -> "HyperParams":
-        unknown = sorted(set(values) - set(HyperParams.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown hyperparameters: {unknown}")
-        return HyperParams(**values)
 
 
 def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0) -> FittedModel:
@@ -70,22 +29,9 @@ def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0) ->
     if family == "elastic":
         return fit_elastic_net(m, alpha=hp.alpha, l1_ratio=hp.l1_ratio)
     if family == "forest":
-        return fit_forest(
-            m,
-            n_trees=hp.n_trees,
-            max_depth=hp.max_depth,
-            min_samples_split=hp.min_samples_split,
-            max_features=hp.max_features,
-            seed=seed,
-        )
+        return fit_forest(m, hp, seed=seed)
     if family == "gbm":
-        return fit_gbm(
-            m,
-            n_rounds=hp.n_rounds,
-            learning_rate=hp.learning_rate,
-            max_depth=hp.max_depth,
-            min_samples_split=hp.min_samples_split,
-        )
+        return fit_gbm(m, hp)
     raise ValueError(f"unknown model family {family!r}; expected one of {FAMILIES}")
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
+from .hyperparams import HyperParams
 from .tree import Tree, fit_tree
 
 
@@ -28,28 +29,17 @@ class BoostedModel:
         return acc
 
 
-def fit_gbm(
-    m: FeatureMatrix,
-    n_rounds: int = 50,
-    learning_rate: float = 0.1,
-    max_depth: int = 3,
-    min_samples_split: int = 2,
-) -> BoostedModel:
+def fit_gbm(m: FeatureMatrix, hp: HyperParams = HyperParams()) -> BoostedModel:
     """Squared-loss boosting; the negative gradient is just the residual."""
-    if not 0.0 < learning_rate <= 1.0:
-        raise ValueError(f"learning_rate must be in (0,1], got {learning_rate}")
-    if n_rounds < 0:
-        raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
     if m.n_rows == 0:
         raise EmptyInputError("cannot fit on an empty matrix")
     y = np.asarray(m.y, dtype=np.float64)
     base = float(y.mean())
     pred = np.full(m.n_rows, base)
     trees: list[Tree] = []
-    for _ in range(n_rounds):
+    for _ in range(hp.n_rounds):
         residual = y - pred
-        stage = FeatureMatrix(m.x, m.feature_names, residual, None)
-        tree = fit_tree(stage, max_depth=max_depth, min_samples_split=min_samples_split)
+        tree = fit_tree(FeatureMatrix(m.x, m.feature_names, residual), hp)
         trees.append(tree)
-        pred += learning_rate * tree.predict(m.x)
-    return BoostedModel(base, trees, learning_rate, feature_names=m.feature_names)
+        pred += hp.learning_rate * tree.predict(m.x)
+    return BoostedModel(base, trees, hp.learning_rate, feature_names=m.feature_names)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import FeatureMatrix
+from .hyperparams import HyperParams
 from .tree import Tree, fit_tree
 
 
@@ -40,31 +41,23 @@ def auto_max_features(p: int) -> int:
 
 def fit_forest(
     m: FeatureMatrix,
-    n_trees: int = 30,
-    max_depth: int = 8,
-    min_samples_split: int = 2,
-    max_features: int = 0,
+    hp: HyperParams = HyperParams(),
     seed: int = 0,
     bootstrap: bool = True,
 ) -> ForestModel:
-    """Fit n_trees bagged trees; max_features=0 means ceil(p/3)."""
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    """Fit hp.n_trees bagged trees; hp.max_features=0 means ceil(p/3)."""
     p = m.n_features
-    mf = max_features if max_features else auto_max_features(p)
+    mf = hp.max_features or auto_max_features(p)
     if mf > p:
         raise ValueError(f"max_features {mf} exceeds feature count {p}")
     n = m.n_rows
     trees = []
-    for t in range(n_trees):
+    for t in range(hp.n_trees):
         rng = _tree_rng(seed, t)
         if bootstrap:
             rows = rng.integers(0, n, size=n)
-            sample = FeatureMatrix(m.x[rows], m.feature_names, m.y[rows], None)
+            sample = FeatureMatrix(m.x[rows], m.feature_names, m.y[rows])
         else:
             sample = m
-        trees.append(
-            fit_tree(sample, max_depth=max_depth, min_samples_split=min_samples_split,
-                     max_features=mf, rng=rng)
-        )
+        trees.append(fit_tree(sample, hp, max_features=mf, rng=rng))
     return ForestModel(trees, mf, seed, feature_names=m.feature_names, bootstrap=bootstrap)

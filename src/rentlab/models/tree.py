@@ -7,6 +7,7 @@ import numpy as np
 
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
+from .hyperparams import HyperParams
 
 MIN_GAIN = 1e-12
 _FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "gain")
@@ -158,22 +159,21 @@ def _grow(nodes, x, y, idx, depth, max_depth, min_samples_split, max_features, r
 
 def fit_tree(
     m: FeatureMatrix,
-    max_depth: int = 8,
-    min_samples_split: int = 2,
+    hp: HyperParams = HyperParams(),
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tree:
-    """Grow a depth-limited regression tree; leaves predict the node mean."""
+    """Grow a regression tree to ``hp.max_depth``, splitting only nodes of at
+    least ``hp.min_samples_split`` rows; leaves predict the node mean. Each
+    split tries ``max_features`` features drawn from ``rng``, or all of them
+    when None; ``hp.max_features`` is the forest's, which resolves it."""
     if m.n_rows == 0:
         raise EmptyInputError("cannot fit a tree on an empty matrix")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    if min_samples_split < 2:
-        raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
     x = np.asarray(m.x, dtype=np.float64)
     y = np.asarray(m.y, dtype=np.float64)
     if rng is None:
         rng = np.random.default_rng(0)
     nodes = {f: [] for f in _FIELDS}
-    _grow(nodes, x, y, np.arange(m.n_rows), 0, max_depth, min_samples_split, max_features, rng)
+    _grow(nodes, x, y, np.arange(m.n_rows), 0, hp.max_depth, hp.min_samples_split,
+          max_features, rng)
     return Tree(*(nodes[f] for f in _FIELDS))

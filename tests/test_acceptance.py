@@ -152,7 +152,7 @@ def test_c2_shapley_axioms_and_monte_carlo():
     y_tree = 2.0 * x_tree[:, 0] * (x_tree[:, 1] > 0) + x_tree[:, 2]
     x_tree[:, 7] = 0.0  # constant: never splittable
     m_tree = _fm(x_tree, y_tree)
-    tree = fit_tree(m_tree, max_depth=5)
+    tree = fit_tree(m_tree, HyperParams(max_depth=5))
     tree_background = m_tree.take(range(25))
     tree_expl = shapley_values(tree, x_tree[3], tree_background)
     assert abs(tree_expl.values[7]) <= 1e-12
@@ -361,11 +361,11 @@ def test_c5_qualitative_model_ordering():
         train,
         test,
         [
-            ModelConfig("lasso", "lasso", linear_hp, seed=3),
-            ModelConfig("ridge", "ridge", linear_hp, seed=3),
-            ModelConfig("elastic", "elastic", linear_hp, seed=3),
-            ModelConfig("forest", "forest", forest_hp, seed=3),
-            ModelConfig("gbm", "gbm", gbm_hp, seed=3),
+            ModelConfig("lasso", linear_hp, seed=3),
+            ModelConfig("ridge", linear_hp, seed=3),
+            ModelConfig("elastic", linear_hp, seed=3),
+            ModelConfig("forest", forest_hp, seed=3),
+            ModelConfig("gbm", gbm_hp, seed=3),
         ],
     )
     by_name = {r.model_name: r.r_squared for r in reports}

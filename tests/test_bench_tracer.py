@@ -12,7 +12,7 @@ import pytest
 
 from rentlab.cli import Explain
 from rentlab.features import FeatureMatrix
-from rentlab.models import fit_tree
+from rentlab.models import HyperParams, fit_tree
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -56,7 +56,7 @@ def test_explain_predict_calls_are_counted(tmp_path, tracer, installed, p, budge
     rng = np.random.default_rng(p)
     x = rng.normal(size=(30, p))
     m = FeatureMatrix(x, tuple(f"f{j}" for j in range(p)), x[:, 0] * x[:, 1] + x[:, 2])
-    model = fit_tree(m, max_depth=4)
+    model = fit_tree(m, HyperParams(max_depth=4))
     rows = 4
     rentlab.cli.stage_explain(model, m, str(tmp_path / "rank.csv"),
                               Explain(rows=rows, budget=budget), seed=2)

@@ -504,6 +504,18 @@ class TestTrainSelectExplain:
         assert lines[0] == "feature,order"
         assert len(lines) >= 2
 
+    def test_seed_zero_runs_every_seeded_stage(self, tmp_path, features_csv):
+        sel, model_path = tmp_path / "sel.csv", tmp_path / "model.json"
+        selected = tmp_path / "features_selected.csv"
+        assert main(["select", "--features", str(features_csv), "--mode", "forward",
+                     "--max-features", "4", "--seed", "0", "--out", str(sel)]) == 0
+        assert main(["train", "--features", str(selected), "--family", "gbm",
+                     "--seed", "0", "--out", str(model_path)]) == 0
+        assert main(["evaluate", "--features", str(selected), "--families", "ols", "forest",
+                     "--seed", "0", "--out-dir", str(tmp_path / "ev")]) == 0
+        assert main(["explain", "--model", str(model_path), "--data", str(selected),
+                     "--rows", "2", "--seed", "0", "--out", str(tmp_path / "rank.csv")]) == 0
+
     def test_train_on_selection(self, tmp_path, features_csv):
         sel = tmp_path / "sel.csv"
         assert main(["select", "--features", str(features_csv), "--mode", "kbest",
@@ -593,6 +605,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--features", "f.csv", "--mode", "forward"],
+        ["train", "--features", "f.csv", "--family", "gbm"],
+        ["evaluate", "--features", "f.csv"],
+        ["explain", "--model", "m.json", "--data", "f.csv"],
+    ])
+    def test_negative_seed_exits_2_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
 
     def test_missing_features_file_exits_2(self, capsys):
         assert main(["train", "--features", "nope.csv", "--family", "ols"]) == 2

@@ -239,7 +239,7 @@ class TestCompareModels:
 
     def test_report_layout_columns(self):
         train, test = self._split()
-        configs = [ModelConfig("lasso", "lasso"), ModelConfig("forest", "forest", HyperParams(n_trees=5))]
+        configs = [ModelConfig("lasso"), ModelConfig("forest", HyperParams(n_trees=5))]
         reports = compare_models(train, test, configs)
         table = reports_to_table(reports)
         assert table.names == ("Metric", "lasso", "forest")
@@ -251,14 +251,14 @@ class TestCompareModels:
 
     def test_deterministic_run_twice(self):
         train, test = self._split()
-        configs = [ModelConfig("gbm", "gbm", HyperParams(n_rounds=5)), ModelConfig("ridge", "ridge")]
+        configs = [ModelConfig("gbm", HyperParams(n_rounds=5)), ModelConfig("ridge")]
         a = compare_models(train, test, configs)
         b = compare_models(train, test, configs)
         assert a == b
 
     def test_cd_diagnostics_only_on_cd_families(self):
         train, test = self._split()
-        configs = [ModelConfig(f, f, HyperParams(n_trees=3, n_rounds=3))
+        configs = [ModelConfig(f, HyperParams(n_trees=3, n_rounds=3))
                    for f in ("ols", "lasso", "ridge", "elastic", "forest", "gbm")]
         docs = {d["model_name"]: d for d in reports_to_doc(compare_models(train, test, configs))}
         for family in ("lasso", "ridge", "elastic"):
@@ -271,4 +271,4 @@ class TestCompareModels:
         train, test = self._split()
         other = FeatureMatrix(test.x, ("a", "b", "c"), test.y)
         with pytest.raises(ValueError):
-            compare_models(train, other, [ModelConfig("ols", "ols")])
+            compare_models(train, other, [ModelConfig("ols")])

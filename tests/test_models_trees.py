@@ -10,6 +10,7 @@ from rentlab.models import (
     BoostedModel,
     HyperParams,
     Tree,
+    fit_family,
     fit_forest,
     fit_gbm,
     fit_tree,
@@ -32,7 +33,7 @@ def _fm(x, y, names=None):
 class TestFitTree:
     def test_perfect_split_depth_one(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 1.0, 5.0, 5.0])
-        tree = fit_tree(m, max_depth=3)
+        tree = fit_tree(m, HyperParams(max_depth=3))
         assert tree.depth == 1
         leaves = sorted([tree.value[tree.left[0]], tree.value[tree.right[0]]])
         assert leaves == [1.0, 5.0]
@@ -40,13 +41,13 @@ class TestFitTree:
 
     def test_depth_zero_single_leaf(self):
         m = _fm([0.0, 1.0, 2.0], [1.0, 2.0, 6.0])
-        tree = fit_tree(m, max_depth=0)
+        tree = fit_tree(m, HyperParams(max_depth=0))
         assert tree.feature[0] == -1
         assert tree.value[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_constant_target_single_leaf(self):
         m = _fm([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
-        tree = fit_tree(m, max_depth=5)
+        tree = fit_tree(m, HyperParams(max_depth=5))
         assert tree.feature[0] == -1
 
     def test_empty_matrix_raises(self):
@@ -56,12 +57,12 @@ class TestFitTree:
 
     def test_min_samples_split_respected(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 2.0, 5.0, 6.0])
-        tree = fit_tree(m, max_depth=10, min_samples_split=5)
+        tree = fit_tree(m, HyperParams(max_depth=10, min_samples_split=5))
         assert tree.feature[0] == -1
 
     def test_split_sends_low_values_left(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 1.0, 5.0, 5.0])
-        tree = fit_tree(m, max_depth=1)
+        tree = fit_tree(m, HyperParams(max_depth=1))
         assert tree.predict(np.array([[tree.threshold[0]]]))[0] == tree.value[tree.left[0]]
 
     def test_training_row_in_pure_leaf_predicts_its_target(self):
@@ -69,7 +70,7 @@ class TestFitTree:
         x = rng.normal(size=(32, 3))
         y = rng.normal(size=32)
         m = _fm(x, y)
-        tree = fit_tree(m, max_depth=30)
+        tree = fit_tree(m, HyperParams(max_depth=30))
         # deep tree isolates every distinct row: prediction = training target
         assert np.allclose(tree.predict(x), y, atol=1e-12)
 
@@ -77,13 +78,13 @@ class TestFitTree:
         # both features allow the same perfect split
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         m = _fm(x, [1.0, 1.0, 9.0, 9.0])
-        tree = fit_tree(m, max_depth=1)
+        tree = fit_tree(m, HyperParams(max_depth=1))
         assert tree.feature[0] == 0
 
     def test_nodes_are_in_preorder(self):
         rng = np.random.default_rng(6)
         m = _fm(rng.normal(size=(40, 3)), rng.normal(size=40))
-        tree = fit_tree(m, max_depth=4)
+        tree = fit_tree(m, HyperParams(max_depth=4))
         nodes = np.arange(tree.feature.size)
         split = tree.feature >= 0
         assert split[0]
@@ -115,7 +116,7 @@ class TestTreePredict:
         x = rng.normal(size=(120, 4))
         x[:, 2] = np.round(x[:, 2])  # ties among training values
         y = x[:, 0] + np.sign(x[:, 1]) + rng.normal(0, 0.3, size=120)
-        tree = fit_tree(_fm(x, y), max_depth=max_depth)
+        tree = fit_tree(_fm(x, y), HyperParams(max_depth=max_depth))
         grid = rng.normal(size=(200, 4)) * 2
         # one row sitting exactly on each split threshold
         on_split = grid[: int((tree.feature >= 0).sum())].copy()
@@ -130,7 +131,7 @@ class TestTreePredict:
 
     def test_single_row(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 1.0, 5.0, 5.0])
-        tree = fit_tree(m, max_depth=2)
+        tree = fit_tree(m, HyperParams(max_depth=2))
         assert tree.predict(np.array([10.5])).tolist() == [5.0]
 
 
@@ -143,13 +144,14 @@ class TestFitForest:
 
     def test_degenerate_forest_equals_single_tree(self):
         m = self._data()
-        forest = fit_forest(m, n_trees=1, max_depth=4, max_features=m.n_features, bootstrap=False)
-        tree = fit_tree(m, max_depth=4)
+        hp = HyperParams(n_trees=1, max_depth=4, max_features=m.n_features)
+        forest = fit_forest(m, hp, bootstrap=False)
+        tree = fit_tree(m, HyperParams(max_depth=4))
         assert np.allclose(forest.predict(m.x), tree.predict(m.x))
 
     def test_predictions_within_target_range(self):
         m = self._data()
-        forest = fit_forest(m, n_trees=10, max_depth=6, seed=1)
+        forest = fit_forest(m, HyperParams(n_trees=10, max_depth=6), seed=1)
         grid = np.random.default_rng(2).normal(size=(50, m.n_features)) * 3
         preds = forest.predict(grid)
         assert preds.min() >= m.y.min() - 1e-9
@@ -157,29 +159,32 @@ class TestFitForest:
 
     def test_same_seed_bit_identical(self):
         m = self._data()
-        a = fit_forest(m, n_trees=5, max_depth=5, seed=42)
-        b = fit_forest(m, n_trees=5, max_depth=5, seed=42)
+        a = fit_forest(m, HyperParams(n_trees=5, max_depth=5), seed=42)
+        b = fit_forest(m, HyperParams(n_trees=5, max_depth=5), seed=42)
         assert model_to_doc(a) == model_to_doc(b)
 
     def test_different_seed_differs(self):
         m = self._data()
-        a = fit_forest(m, n_trees=5, max_depth=5, seed=1)
-        b = fit_forest(m, n_trees=5, max_depth=5, seed=2)
+        a = fit_forest(m, HyperParams(n_trees=5, max_depth=5), seed=1)
+        b = fit_forest(m, HyperParams(n_trees=5, max_depth=5), seed=2)
         assert model_to_doc(a) != model_to_doc(b)
 
     def test_forest_prediction_is_mean_of_trees(self):
         m = self._data()
-        forest = fit_forest(m, n_trees=7, max_depth=4, seed=3)
+        forest = fit_forest(m, HyperParams(n_trees=7, max_depth=4), seed=3)
         grid = m.x[:10]
         stacked = np.stack([t.predict(grid) for t in forest.trees])
         assert np.allclose(forest.predict(grid), stacked.mean(axis=0), atol=1e-12)
 
+    def test_default_hyperparams_match_fit_family(self):
+        m = self._data()
+        expected = fit_family("forest", m, HyperParams(), seed=5)
+        assert model_to_doc(fit_forest(m, seed=5)) == model_to_doc(expected)
+
     def test_max_features_validation(self):
         m = self._data(p=3)
         with pytest.raises(ValueError):
-            fit_forest(m, n_trees=2, max_features=10)
-        with pytest.raises(ValueError):
-            fit_forest(m, n_trees=0)
+            fit_forest(m, HyperParams(n_trees=2, max_features=10))
 
 
 class TestFitGbm:
@@ -191,14 +196,14 @@ class TestFitGbm:
 
     def test_zero_rounds_predict_mean(self):
         m = self._data()
-        model = fit_gbm(m, n_rounds=0)
+        model = fit_gbm(m, HyperParams(n_rounds=0))
         assert np.allclose(model.predict(m.x), m.y.mean())
 
     def test_training_rmse_non_increasing(self):
         m = self._data()
         losses = []
         for rounds in range(0, 12, 2):
-            model = fit_gbm(m, n_rounds=rounds, learning_rate=0.3, max_depth=2)
+            model = fit_gbm(m, HyperParams(n_rounds=rounds, learning_rate=0.3, max_depth=2))
             err = m.y - model.predict(m.x)
             losses.append(float(err @ err))
         for earlier, later in zip(losses, losses[1:]):
@@ -206,22 +211,17 @@ class TestFitGbm:
 
     def test_one_round_full_rate_deep_tree_fits_residuals(self):
         m = _fm([0.0, 1.0, 10.0, 11.0], [1.0, 2.0, 8.0, 9.0])
-        model = fit_gbm(m, n_rounds=1, learning_rate=1.0, max_depth=8)
+        model = fit_gbm(m, HyperParams(n_rounds=1, learning_rate=1.0, max_depth=8))
         resid = m.y - model.predict(m.x)
         assert np.max(np.abs(resid)) < 1e-9
+
+    def test_default_hyperparams_match_fit_family(self):
+        m = self._data()
+        assert model_to_doc(fit_gbm(m)) == model_to_doc(fit_family("gbm", m, HyperParams()))
 
     def test_base_only_prediction(self):
         model = BoostedModel(10.0, [], 0.5)
         assert predict(model, np.zeros((3, 0)))[0] == 10.0
-
-    def test_learning_rate_validation(self):
-        m = self._data()
-        with pytest.raises(ValueError):
-            fit_gbm(m, learning_rate=0.0)
-        with pytest.raises(ValueError):
-            fit_gbm(m, learning_rate=1.5)
-        with pytest.raises(ValueError):
-            fit_gbm(m, n_rounds=-1)
 
 
 class TestHyperParams:
@@ -237,6 +237,14 @@ class TestHyperParams:
             HyperParams(learning_rate=0.0)
         with pytest.raises(ValueError):
             HyperParams(min_samples_split=1)
+        with pytest.raises(ValueError):
+            HyperParams(learning_rate=1.5)
+        with pytest.raises(ValueError):
+            HyperParams(n_rounds=-1)
+        with pytest.raises(ValueError):
+            HyperParams(n_trees=0)
+        with pytest.raises(ValueError):
+            HyperParams(max_depth=-1)
 
     def test_dict_round_trip(self):
         hp = HyperParams(alpha=0.5, n_trees=7)
@@ -253,7 +261,7 @@ class TestPredictColumns:
         rng = np.random.default_rng(41)
         x = rng.normal(size=(30, 3))
         m = _fm(x, x @ np.array([1.0, -2.0, 0.5]), ("a", "b", "c"))
-        return fit_gbm(m, n_rounds=3, max_depth=2), m
+        return fit_gbm(m, HyperParams(n_rounds=3, max_depth=2)), m
 
     def test_same_columns_predict(self):
         model, m = self._model_and_data()
@@ -299,24 +307,25 @@ class TestSerialization:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(30, 2))
         m = _fm(x, rng.normal(size=30))
-        self._round_trip(fit_tree(m, max_depth=5), x, tmp_path)
+        self._round_trip(fit_tree(m, HyperParams(max_depth=5)), x, tmp_path)
 
     def test_forest_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 2))
         m = _fm(x, rng.normal(size=30))
-        self._round_trip(fit_forest(m, n_trees=4, max_depth=4, seed=9), x, tmp_path)
+        self._round_trip(fit_forest(m, HyperParams(n_trees=4, max_depth=4), seed=9), x, tmp_path)
 
     def test_gbm_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 2))
         m = _fm(x, rng.normal(size=30))
-        self._round_trip(fit_gbm(m, n_rounds=5, learning_rate=0.5, max_depth=3), x, tmp_path)
+        hp = HyperParams(n_rounds=5, learning_rate=0.5, max_depth=3)
+        self._round_trip(fit_gbm(m, hp), x, tmp_path)
 
     def test_family_tag_self_describing(self, tmp_path):
         m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
         path = tmp_path / "model.json"
-        save_model(fit_tree(m, max_depth=2), path)
+        save_model(fit_tree(m, HyperParams(max_depth=2)), path)
         doc = json.loads(path.read_text())
         assert doc["family"] == "tree"
 
@@ -326,7 +335,7 @@ class TestSerialization:
 
     def test_tree_document_is_flat_arrays(self):
         m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
-        doc = model_to_doc(fit_tree(m, max_depth=2))
+        doc = model_to_doc(fit_tree(m, HyperParams(max_depth=2)))
         assert doc == {
             "family": "tree",
             "feature": [0, -1, -1],
@@ -346,7 +355,8 @@ class TestSerialization:
             model_from_doc({"family": "tree", "root": nested})
 
     def test_malformed_tree_arrays_rejected(self):
-        doc = model_to_doc(fit_tree(_fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0]), max_depth=2))
+        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
+        doc = model_to_doc(fit_tree(m, HyperParams(max_depth=2)))
         doc["left"][0] = 0  # a split that points back at itself would never end
         with pytest.raises(ValueError, match="preorder"):
             model_from_doc(doc)

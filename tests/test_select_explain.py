@@ -253,7 +253,7 @@ class TestShapleyExact:
         x = rng.normal(size=(30, 5))
         y = x[:, 0] * x[:, 1] + x[:, 2] + rng.normal(0, 0.1, 30)
         m = _fm(x, y)
-        model = fit_forest(m, n_trees=5, max_depth=4, seed=1)
+        model = fit_forest(m, HyperParams(n_trees=5, max_depth=4), seed=1)
         background = _fm(x[:15], y[:15])
         expl = shapley_values(model, x[0], background)
         assert abs(expl.residual()) < 1e-9
@@ -288,7 +288,7 @@ class TestShapleyMonteCarlo:
         x = rng.normal(size=(n, p))
         y = 3 * x[:, 0] * (x[:, 1] > 0) + x[:, 2] + 0.5 * x[:, 3] + rng.normal(0, 0.05, n)
         m = _fm(x, y)
-        model = fit_tree(m, max_depth=5)
+        model = fit_tree(m, HyperParams(max_depth=5))
         return model, m
 
     def test_matches_exact_within_tolerance_at_2000(self):
@@ -415,7 +415,7 @@ def _price_data(p, n=120, seed=0):
 
 def _fit(family, m):
     if family == "tree":
-        return fit_tree(m, max_depth=6)
+        return fit_tree(m, HyperParams(max_depth=6))
     hp = HyperParams(n_trees=4, max_depth=4, n_rounds=8, alpha=0.05, learning_rate=0.3)
     return fit_family(family, m, hp, seed=3)
 
@@ -544,7 +544,7 @@ class TestImpurityImportance:
         x = rng.normal(size=(40, 1))
         y = (x[:, 0] > 0).astype(float) * 4
         m = _fm(x, y)
-        forest = fit_forest(m, n_trees=3, max_depth=3, seed=0)
+        forest = fit_forest(m, HyperParams(n_trees=3, max_depth=3), seed=0)
         imps = dict(impurity_importance(forest))
         assert imps["x0"] == pytest.approx(1.0, abs=1e-9)
 
@@ -552,7 +552,7 @@ class TestImpurityImportance:
         rng = np.random.default_rng(37)
         x = np.column_stack([rng.normal(size=50), np.zeros(50)])
         y = 2 * x[:, 0]
-        forest = fit_forest(_fm(x, y), n_trees=3, max_depth=3, max_features=2, seed=0)
+        forest = fit_forest(_fm(x, y), HyperParams(n_trees=3, max_depth=3, max_features=2), seed=0)
         imps = dict(impurity_importance(forest))
         assert imps["x1"] == 0.0
 
@@ -560,6 +560,6 @@ class TestImpurityImportance:
         rng = np.random.default_rng(41)
         x = rng.normal(size=(60, 4))
         y = x[:, 0] + 2 * x[:, 1] + rng.normal(0, 0.1, 60)
-        forest = fit_forest(_fm(x, y), n_trees=5, max_depth=4, seed=2)
+        forest = fit_forest(_fm(x, y), HyperParams(n_trees=5, max_depth=4), seed=2)
         total = sum(v for _, v in impurity_importance(forest))
         assert total == pytest.approx(1.0, abs=1e-9)
