@@ -65,11 +65,6 @@ class Tree:
                             self.left[node], self.right[node])
         return self.value[node]
 
-    def splits(self) -> tuple[np.ndarray, np.ndarray]:
-        """(feature, gain) of every split node, in preorder."""
-        split = self.feature >= 0
-        return self.feature[split], self.gain[split]
-
     def to_doc(self) -> dict:
         return {f: getattr(self, f).tolist() for f in _FIELDS}
 
@@ -84,40 +79,71 @@ class Tree:
         return Tree(*(doc[f] for f in _FIELDS))
 
 
-def _best_split(x, y, idx, features):
-    """Scan candidate features; return (gain, feature, threshold, left_mask)
-    or None. Ties keep the lowest feature index, then lowest threshold."""
+# A block of candidate features holds at most this many (feature, row) cells,
+# so each node's split search makes a few numpy calls per block instead of a
+# few per feature, and its temporaries stay near 64 KiB apiece. A node of more
+# rows than this scores one feature per block.
+_BLOCK_CELLS = 1 << 13
+
+
+def _best_split(x, node_y, idx, features):
+    """Scan the candidate ``features`` (ascending) of the rows ``idx``, whose
+    targets are ``node_y``; return (gain, feature, threshold, left_rows,
+    right_rows) or None. Ties keep the lowest feature index, then the lowest
+    threshold.
+
+    Each block of features is sorted, summed and scored as one (f, n) array.
+    A stable row-wise argsort gives each feature's 1-D stable order, cumsum
+    adds in sequence along a row, and the elementwise gain keeps the
+    per-feature expression's operation order, so every gain carries the
+    same bits as a feature-at-a-time scan."""
     n = idx.size
-    node_y = y[idx]
     total_sum = node_y.sum()
     total_sq = float(node_y @ node_y)
     parent_sse = total_sq - total_sum * total_sum / n
+    k = np.arange(1, n, dtype=np.float64)
+    n_right = n - k
+    step = max(1, _BLOCK_CELLS // n)
 
     best = None
-    for j in features:
-        xs = x[idx, j]
-        order = np.argsort(xs, kind="stable")
-        sx = xs[order]
-        if sx[0] == sx[-1]:
-            continue
+    for start in range(0, features.size, step):
+        cols = features[start:start + step]
+        sx = x.T[np.ix_(cols, idx)]
+        order = np.argsort(sx, axis=1, kind="stable")
+        sx = np.take_along_axis(sx, order, axis=1)
         sy = node_y[order]
-        csum = np.cumsum(sy)[:-1]
-        csq = np.cumsum(sy * sy)[:-1]
-        k = np.arange(1, n, dtype=np.float64)
-        left_sse = csq - csum * csum / k
-        right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - k)
-        gains = parent_sse - left_sse - right_sse
-        gains[sx[1:] == sx[:-1]] = -np.inf
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if gain <= MIN_GAIN:
+        csum = np.cumsum(sy, axis=1)[:, :-1]
+        np.multiply(sy, sy, out=sy)
+        csq = np.cumsum(sy, axis=1, out=sy)[:, :-1]
+        # left_sse = csq - csum * csum / k
+        gains = np.multiply(csum, csum)
+        gains /= k
+        np.subtract(csq, gains, out=gains)
+        # right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - k)
+        sq = np.subtract(total_sum, csum, out=csum)
+        np.multiply(sq, sq, out=sq)
+        sq /= n_right
+        right = np.subtract(total_sq, csq, out=csq)
+        right -= sq
+        # gain = parent_sse - left_sse - right_sse
+        np.subtract(parent_sse, gains, out=gains)
+        gains -= right
+        np.copyto(gains, -np.inf, where=sx[:, 1:] == sx[:, :-1])
+        pos = gains.argmax(axis=1)
+        top = gains[np.arange(cols.size), pos]
+        # a feature whose best gain is <= MIN_GAIN (all ties: a constant
+        # column) is skipped; argmax keeps the first, lowest-index feature
+        top[top <= MIN_GAIN] = -np.inf
+        i = int(top.argmax())
+        gain = float(top[i])
+        if gain == -np.inf or (best is not None and gain <= best[0]):
             continue
-        if best is None or gain > best[0]:
-            a, b = float(sx[pos]), float(sx[pos + 1])
-            thr = (a + b) / 2.0
-            if not (a <= thr < b):
-                thr = a
-            best = (gain, j, thr, order[: pos + 1], order[pos + 1 :])
+        p = int(pos[i])
+        a, b = float(sx[i, p]), float(sx[i, p + 1])
+        thr = (a + b) / 2.0
+        if not (a <= thr < b):
+            thr = a
+        best = (gain, int(cols[i]), thr, idx[order[i, : p + 1]], idx[order[i, p + 1 :]])
     return best
 
 
@@ -144,16 +170,16 @@ def _grow(nodes, x, y, idx, depth, max_depth, min_samples_split, max_features, r
     else:
         features = np.arange(p)
 
-    found = _best_split(x, y, idx, features)
+    found = _best_split(x, node_y, idx, features)
     if found is None:
         return
-    gain, feature, thr, left_order, right_order = found
-    nodes["feature"][node] = int(feature)
+    gain, feature, thr, left_rows, right_rows = found
+    nodes["feature"][node] = feature
     nodes["threshold"][node] = thr
     nodes["gain"][node] = gain
-    for side, order in (("left", left_order), ("right", right_order)):
+    for side, rows in (("left", left_rows), ("right", right_rows)):
         nodes[side][node] = len(nodes["value"])
-        _grow(nodes, x, y, idx[order], depth + 1, max_depth,
+        _grow(nodes, x, y, rows, depth + 1, max_depth,
               min_samples_split, max_features, rng)
 
 

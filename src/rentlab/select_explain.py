@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyInputError, RankDeficiencyError
 from .features import FeatureMatrix
-from .models import FittedModel, ForestModel, fit_ols, predict
+from .models import FittedModel, fit_ols, predict
 
 EXACT_SHAPLEY_MAX_P = 12
 DEFAULT_FORWARD_MAX = 85
@@ -311,23 +311,4 @@ def mean_abs_ranking(
         totals += np.abs(expl.values)
     means = totals / len(explanations)
     ranked = sorted(zip(names, means), key=lambda kv: (-kv[1], kv[0]))
-    return [(name, float(value)) for name, value in ranked]
-
-
-def impurity_importance(forest: ForestModel) -> list[tuple[str, float]]:
-    """Per-feature SSE reduction summed over splits, averaged over trees,
-    normalized to total 1."""
-    splits = [t.splits() for t in forest.trees]
-    names = forest.feature_names or tuple(
-        f"f{j}" for j in range(max((int(f.max()) for f, _ in splits if f.size), default=-1) + 1)
-    )
-    acc = np.zeros(len(names))
-    for features, gains in splits:
-        for j, gain in zip(features.tolist(), gains.tolist()):
-            acc[j] += gain
-    acc /= max(len(forest.trees), 1)
-    total = acc.sum()
-    if total > 0:
-        acc = acc / total
-    ranked = sorted(zip(names, acc), key=lambda kv: (-kv[1], kv[0]))
     return [(name, float(value)) for name, value in ranked]

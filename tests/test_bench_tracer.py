@@ -72,3 +72,25 @@ def test_explain_predict_calls_are_counted(tmp_path, tracer, installed, p, budge
     explain_rows = sum(s["counts"]["rows"] for s in spans if s["name"] == "models.predict")
     coalitions = (1 << p) if p <= rentlab.select_explain.EXACT_SHAPLEY_MAX_P else budget * (p + 1)
     assert explain_rows == rows * (coalitions * rows + 1)
+
+
+@pytest.mark.parametrize("family", ["gbm", "forest"])
+def test_ensembles_grow_every_tree_through_fit_tree(tmp_path, tracer, installed, family):
+    # models.fit_tree_calls counts the trees the forest and gbm grow through
+    # the fit_tree they bind; a fit path that skipped it would read 0
+    import rentlab.models.boosting
+    import rentlab.models.forest
+
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 5))
+    m = FeatureMatrix(x, tuple(f"f{j}" for j in range(5)), x[:, 0] + x[:, 1] ** 2)
+    hp = HyperParams(n_trees=4, n_rounds=6, max_depth=3)
+    if family == "gbm":
+        rentlab.models.boosting.fit_gbm(m, hp)
+    else:
+        rentlab.models.forest.fit_forest(m, hp, seed=1)
+
+    installed.dump(str(tmp_path / "spans.json"))
+    metrics = tracer.layer_metrics(tracer.load_spans(str(tmp_path / "spans.json")))
+    assert metrics["models.fit_tree_calls"] == (hp.n_rounds if family == "gbm" else hp.n_trees)
+    assert metrics[f"models.fit_{family}_s"] > 0

@@ -1,11 +1,14 @@
+import csv
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rentlab import features
 from rentlab.errors import AssemblyError, SchemaError
 from rentlab.features import (
     EARTH_RADIUS_KM,
@@ -23,6 +26,7 @@ from rentlab.features import (
     one_hot,
     parse_amenities,
     poi_distance_features,
+    TARGET_HEADER,
     standardize,
     top_k_amenities,
 )
@@ -327,3 +331,53 @@ def test_matrix_csv_roundtrip(tmp_path):
     assert back.feature_names == m.feature_names
     assert np.array_equal(back.x, m.x)
     assert np.array_equal(back.y, m.y)
+
+
+def _per_cell_matrix_to_csv(m, path):
+    """Slow oracle: the writer matrix_to_csv replaced, one repr per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(m.feature_names) + [TARGET_HEADER])
+        for i in range(m.n_rows):
+            writer.writerow([repr(float(v)) for v in m.x[i]] + [repr(float(m.y[i]))])
+
+
+# signed zeros, subnormals, the extremes of the exponent range and values
+# whose shortest repr switches between fixed and exponent notation
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e16, 9999999999999998.0,
+                1e-5, 0.0001, 0.1, 1 / 3, -2.5, 1e22, 123456789.0]
+_cells = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestMatrixToCsvMatchesPerCellWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_same_bytes(self, tmp_path_factory, n_rows, n_cols, block_rows, data):
+        # a small pool makes repeated values, within and across row blocks
+        pool = data.draw(st.lists(_cells, min_size=1, max_size=6))
+        cells = data.draw(st.lists(st.sampled_from(pool) | _cells,
+                                   min_size=n_rows * (n_cols + 1), max_size=n_rows * (n_cols + 1)))
+        grid = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols + 1)
+        m = FeatureMatrix(grid[:, :-1], tuple(f"f{j}" for j in range(n_cols)), grid[:, -1])
+        out = tmp_path_factory.mktemp("csv")
+        _per_cell_matrix_to_csv(m, out / "cell.csv")
+        with mock.patch.object(features, "_CSV_BLOCK_ROWS", block_rows):
+            matrix_to_csv(m, out / "block.csv")
+        assert (out / "block.csv").read_bytes() == (out / "cell.csv").read_bytes()
+
+    def test_same_bytes_across_full_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * features._CSV_BLOCK_ROWS + 7
+        x = np.column_stack([rng.integers(0, 3, n).astype(float), rng.normal(size=n),
+                             np.where(rng.random(n) < 0.5, 0.0, -0.0), np.full(n, 5e-324)])
+        m = FeatureMatrix(x, ("a", "b", "c", "d"), rng.normal(100.0, 30.0, n))
+        _per_cell_matrix_to_csv(m, tmp_path / "cell.csv")
+        matrix_to_csv(m, tmp_path / "block.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+    def test_signed_zeros_stay_distinct(self, tmp_path):
+        m = FeatureMatrix(np.array([[0.0], [-0.0], [0.0]]), ("a",), np.array([-0.0, 0.0, -0.0]))
+        matrix_to_csv(m, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == b"a,target\r\n0.0,-0.0\r\n-0.0,0.0\r\n0.0,-0.0\r\n"

@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import rentlab.models.boosting
+import rentlab.models.forest
+import rentlab.models.tree
 from rentlab.cli import main
 from rentlab.errors import EmptyInputError
 from rentlab.features import FeatureMatrix, matrix_to_csv
@@ -222,6 +225,198 @@ class TestFitGbm:
     def test_base_only_prediction(self):
         model = BoostedModel(10.0, [], 0.5)
         assert predict(model, np.zeros((3, 0)))[0] == 10.0
+
+
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "gain")
+
+
+def _reference_best_split(x, y, idx, features):
+    """Slow oracle: the feature-at-a-time scan the blocked split search
+    replaced. Returns (gain, feature, threshold, left_order, right_order),
+    the orders indexing into idx."""
+    n = idx.size
+    node_y = y[idx]
+    total_sum = node_y.sum()
+    total_sq = float(node_y @ node_y)
+    parent_sse = total_sq - total_sum * total_sum / n
+
+    best = None
+    for j in features:
+        xs = x[idx, j]
+        order = np.argsort(xs, kind="stable")
+        sx = xs[order]
+        if sx[0] == sx[-1]:
+            continue
+        sy = node_y[order]
+        csum = np.cumsum(sy)[:-1]
+        csq = np.cumsum(sy * sy)[:-1]
+        k = np.arange(1, n, dtype=np.float64)
+        left_sse = csq - csum * csum / k
+        right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - k)
+        gains = parent_sse - left_sse - right_sse
+        gains[sx[1:] == sx[:-1]] = -np.inf
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        if gain <= rentlab.models.tree.MIN_GAIN:
+            continue
+        if best is None or gain > best[0]:
+            a, b = float(sx[pos]), float(sx[pos + 1])
+            thr = (a + b) / 2.0
+            if not (a <= thr < b):
+                thr = a
+            best = (gain, j, thr, order[: pos + 1], order[pos + 1 :])
+    return best
+
+
+def _reference_grow(nodes, x, y, idx, depth, max_depth, min_samples_split, max_features, rng):
+    node_y = y[idx]
+    n = idx.size
+    node = len(nodes["value"])
+    leaf = {"feature": -1, "threshold": 0.0, "left": node, "right": node,
+            "value": float(node_y.mean()), "n_samples": n, "gain": 0.0}
+    for f in _TREE_FIELDS:
+        nodes[f].append(leaf[f])
+    if (depth >= max_depth or n < min_samples_split or n < 2
+            or float(node_y.min()) == float(node_y.max())):
+        return
+    p = x.shape[1]
+    if max_features is not None and max_features < p:
+        features = np.sort(rng.choice(p, size=max_features, replace=False))
+    else:
+        features = np.arange(p)
+    found = _reference_best_split(x, y, idx, features)
+    if found is None:
+        return
+    gain, feature, thr, left_order, right_order = found
+    nodes["feature"][node] = int(feature)
+    nodes["threshold"][node] = thr
+    nodes["gain"][node] = gain
+    for side, order in (("left", left_order), ("right", right_order)):
+        nodes[side][node] = len(nodes["value"])
+        _reference_grow(nodes, x, y, idx[order], depth + 1, max_depth,
+                        min_samples_split, max_features, rng)
+
+
+def _reference_fit_tree(m, hp=HyperParams(), max_features=None, rng=None):
+    x = np.asarray(m.x, dtype=np.float64)
+    y = np.asarray(m.y, dtype=np.float64)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    nodes = {f: [] for f in _TREE_FIELDS}
+    _reference_grow(nodes, x, y, np.arange(m.n_rows), 0, hp.max_depth, hp.min_samples_split,
+                    max_features, rng)
+    return Tree(*(nodes[f] for f in _TREE_FIELDS))
+
+
+def _assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in _TREE_FIELDS:
+            x, y = getattr(a, f), getattr(b, f)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f
+
+
+def _coarse(n, seed):
+    """Binary and few-valued columns, a constant column and duplicate rows."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([
+        rng.integers(0, 2, n),
+        rng.integers(0, 4, n) * 0.5,
+        np.full(n, 3.0),
+        rng.integers(0, 3, n),
+        rng.normal(size=n).round(1),
+        np.zeros(n),
+    ]).astype(np.float64)
+    x[n // 2:] = x[: n - n // 2]  # second half repeats the first
+    y = x[:, 0] * 5 + x[:, 1] - x[:, 3] + rng.normal(0, 0.5, n).round(2)
+    return _fm(x, y)
+
+
+def _continuous(n, p, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    return _fm(x, x[:, 0] * 3 + np.sin(x[:, 1] * 2) + x[:, 2] * x[:, -1] + rng.normal(0, 0.3, n))
+
+
+def _same_partition(seed, half=50):
+    """Features 0 and 1 both split the rows into the same halves, each
+    sorting a half in its own order, so their best gains differ only by the
+    rounding of their cumulative sums."""
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([rng.normal(100, 30, half), rng.normal(300, 30, half)])
+    x = np.empty((2 * half, 2))
+    for j in range(2):
+        x[:half, j] = rng.permutation(half)
+        x[half:, j] = 100 + rng.permutation(half)
+    return _fm(x, y)
+
+
+class TestBlockedSplitSearchMatchesReference:
+    """The blocked split search grows, bit for bit, the trees that the
+    feature-at-a-time scan grew, through fit_tree, fit_forest and fit_gbm."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        """Runs a fit with the forest and gbm growing their trees through
+        the reference scan."""
+        def fit(fn, *args, **kwargs):
+            with monkeypatch.context() as mp:
+                mp.setattr(rentlab.models.forest, "fit_tree", _reference_fit_tree)
+                mp.setattr(rentlab.models.boosting, "fit_tree", _reference_fit_tree)
+                return fn(*args, **kwargs)
+        return fit
+
+    def _check_all(self, reference, m, hp, max_features=None):
+        _assert_same_trees(
+            [fit_tree(m, hp, max_features, rng=np.random.default_rng(4))],
+            [_reference_fit_tree(m, hp, max_features, rng=np.random.default_rng(4))],
+        )
+        _assert_same_trees(fit_forest(m, hp, seed=2).trees,
+                           reference(fit_forest, m, hp, seed=2).trees)
+        _assert_same_trees(fit_gbm(m, hp).trees, reference(fit_gbm, m, hp).trees)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_continuous(self, reference, seed):
+        hp = HyperParams(max_depth=6, n_trees=3, n_rounds=4, learning_rate=0.3)
+        self._check_all(reference, _continuous(150, 7, seed), hp)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_coarse_duplicates_and_constant_columns(self, reference, seed):
+        hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
+        self._check_all(reference, _coarse(90, seed), hp)
+
+    @pytest.mark.parametrize("seed, relation", [(0, 1), (3, 0), (4, -1)])
+    def test_same_partition_gains_apart_in_the_last_bits(self, reference, seed, relation):
+        m = _same_partition(seed)
+        x, y, idx = m.x, m.y, np.arange(m.n_rows)
+        g0 = _reference_best_split(x, y, idx, np.array([0]))[0]
+        g1 = _reference_best_split(x, y, idx, np.array([1]))[0]
+        # the fixture does what it says: nearly equal gains, ordered as named
+        assert g0 == pytest.approx(g1, rel=1e-14) and np.sign(g0 - g1) == relation
+        tree = fit_tree(m, HyperParams(max_depth=6))
+        assert tree.feature[0] == (1 if relation < 0 else 0)
+        self._check_all(reference, m, HyperParams(max_depth=6, n_trees=2, n_rounds=3))
+
+    @pytest.mark.parametrize("max_features, min_samples_split", [(1, 2), (3, 5), (5, 12)])
+    def test_feature_subsets_and_min_samples_split(self, reference, max_features, min_samples_split):
+        m = _continuous(120, 6, max_features)
+        hp = HyperParams(max_depth=7, min_samples_split=min_samples_split, n_trees=3,
+                         n_rounds=3, max_features=max_features)
+        self._check_all(reference, m, hp, max_features=max_features)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 700, rentlab.models.tree._BLOCK_CELLS + 3])
+    def test_node_sizes_up_past_one_feature_per_block(self, reference, n):
+        m = _continuous(n, 4, n) if n > 3 else _fm(np.arange(n * 4.0).reshape(n, 4) % 3, np.arange(n))
+        self._check_all(reference, m, HyperParams(max_depth=3, n_trees=2, n_rounds=2))
+
+    @pytest.mark.parametrize("cells", [1, 90, 1 << 30])
+    def test_block_cells_extremes(self, reference, monkeypatch, cells):
+        # 1: one feature per block; 90: the root's n rows, one feature per
+        # block there and several in smaller nodes; 2^30: one block per node
+        monkeypatch.setattr(rentlab.models.tree, "_BLOCK_CELLS", cells)
+        hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
+        self._check_all(reference, _coarse(90, 5), hp)
+        self._check_all(reference, _same_partition(0, half=45), hp)
 
 
 class TestHyperParams:

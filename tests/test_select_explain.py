@@ -16,7 +16,6 @@ from rentlab.select_explain import (
     f_scores,
     f_survival,
     forward_select,
-    impurity_importance,
     mean_abs_ranking,
     regularized_incomplete_beta,
     select_k_best,
@@ -536,30 +535,3 @@ class TestShapRanking:
         assert [n for n, _ in base] == [n for n, _ in dup]
         for (_, a), (_, b) in zip(base, dup):
             assert a == pytest.approx(b, abs=1e-9)
-
-
-class TestImpurityImportance:
-    def test_single_feature_gets_all(self):
-        rng = np.random.default_rng(31)
-        x = rng.normal(size=(40, 1))
-        y = (x[:, 0] > 0).astype(float) * 4
-        m = _fm(x, y)
-        forest = fit_forest(m, HyperParams(n_trees=3, max_depth=3), seed=0)
-        imps = dict(impurity_importance(forest))
-        assert imps["x0"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_unused_feature_zero(self):
-        rng = np.random.default_rng(37)
-        x = np.column_stack([rng.normal(size=50), np.zeros(50)])
-        y = 2 * x[:, 0]
-        forest = fit_forest(_fm(x, y), HyperParams(n_trees=3, max_depth=3, max_features=2), seed=0)
-        imps = dict(impurity_importance(forest))
-        assert imps["x1"] == 0.0
-
-    def test_importances_sum_to_one(self):
-        rng = np.random.default_rng(41)
-        x = rng.normal(size=(60, 4))
-        y = x[:, 0] + 2 * x[:, 1] + rng.normal(0, 0.1, 60)
-        forest = fit_forest(_fm(x, y), HyperParams(n_trees=5, max_depth=4), seed=2)
-        total = sum(v for _, v in impurity_importance(forest))
-        assert total == pytest.approx(1.0, abs=1e-9)
