@@ -337,6 +337,8 @@ class Eval:
 @dataclass(frozen=True)
 class Explain:
     top: int = 20
+    # no effect: Shapley values are exact. Still loadable, because the
+    # benchmark's workload configs set it.
     budget: int = 200
     rows: int = 25  # 0: every row
 
@@ -655,10 +657,7 @@ def stage_explain(
     if opts.rows and matrix.n_rows > opts.rows:
         picks = np.random.default_rng(seed).choice(matrix.n_rows, size=opts.rows, replace=False)
         matrix = matrix.take(np.sort(picks))
-    explanations = [
-        shapley_values(model, matrix.x[i], matrix, budget=opts.budget, seed=seed + i)
-        for i in range(matrix.n_rows)
-    ]
+    explanations = [shapley_values(model, matrix.x[i], matrix) for i in range(matrix.n_rows)]
     ranking = mean_abs_ranking(matrix.feature_names, explanations)
     table = Table.from_dict(
         {
@@ -900,7 +899,6 @@ def _add_explain(sub) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="feature matrix CSV")
     p.add_argument("--top", type=int)
-    p.add_argument("--budget", type=int)
     p.add_argument("--rows", type=int, help="explained-row subsample")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="shap_ranking.csv")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, SchemaError
-from .tabular import Column, Table, shipped_file
+from .tabular import Column, Table, _parse_cell, shipped_file
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -305,11 +305,36 @@ def matrix_to_csv(m: FeatureMatrix, path) -> None:
 
 
 def matrix_from_csv(path) -> FeatureMatrix:
+    """Read a matrix that matrix_to_csv wrote. A ragged row, or an empty,
+    non-numeric or non-finite cell, raises AssemblyError naming the file,
+    the line and the column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
-    if not header or header[-1] != TARGET_HEADER:
-        raise SchemaError(f"{path}: last column must be {TARGET_HEADER!r}")
+        header = next(reader, [])
+        if not header or header[-1] != TARGET_HEADER:
+            raise SchemaError(f"{path}: last column must be {TARGET_HEADER!r}")
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}, column"
+            if len(row) != len(header):
+                # a short row names its first column without a cell, a long one the last
+                column = header[min(len(row), len(header) - 1)]
+                raise AssemblyError(f"{where} {column!r}: the row has {len(row)} cells, "
+                                    f"the header {len(header)}")
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                column, cell = next((h, c) for h, c in zip(header, row)
+                                    if _parse_cell(c, "numeric")[0] is None)
+                problem = f"not a number: {cell!r}" if cell.strip() else "empty cell"
+                raise AssemblyError(f"{where} {column!r}: {problem}") from None
+            lines.append(reader.line_num)
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise AssemblyError(f"{path}: line {lines[i]}, column {header[j]!r}: "
+                            f"{data[i, j]} is not a finite number")
     return FeatureMatrix(data[:, :-1], tuple(header[:-1]), data[:, -1])

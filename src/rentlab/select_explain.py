@@ -3,11 +3,9 @@ and Shapley-value explanations.
 
 Shapley values use the interventional value function (Lundberg & Lee, 2017):
 v(S) is the mean model output over the background rows with the columns in S
-pinned to the explained instance. A coalition is a row of a bool mask matrix,
-and `_coalition_values` evaluates a whole matrix in a few batched predicts.
-Exact enumeration passes all 2^p masks when p <= 12; beyond that, marginal
-contributions are averaged over seeded random permutations (Strumbelj &
-Kononenko, 2014), one batch of p+1 prefix masks per permutation.
+pinned to the explained instance. They are exact for every model family, in
+closed form: a linear model's from its coefficients, a tree model's from the
+boxes its leaves cut out of feature space (interventional TreeSHAP).
 """
 
 from __future__ import annotations
@@ -20,9 +18,8 @@ import numpy as np
 
 from .errors import EmptyInputError, RankDeficiencyError
 from .features import FeatureMatrix
-from .models import FittedModel, fit_ols, predict
+from .models import BoostedModel, FittedModel, ForestModel, LinearModel, Tree, fit_ols, predict
 
-EXACT_SHAPLEY_MAX_P = 12
 DEFAULT_FORWARD_MAX = 85
 DEFAULT_FORWARD_TOL = 1e-3
 
@@ -212,91 +209,93 @@ def forward_select(
     return selected
 
 
-def _as_background(background) -> np.ndarray:
+# Background rows go through in blocks of at most this many (row, path slot,
+# leaf) cells, so the tree temporaries stay bounded whatever the background
+# size; a tree whose leaves alone exceed it takes one row per block.
+_LEAF_CELLS = 1 << 18
+
+
+def _leaf_boxes(tree: Tree):
+    """(feature, lo, hi) of each leaf, as (depth, leaves) slots: each feature
+    on the leaf's path with the (lo, hi] interval the path allows it. A
+    feature split twice on a path narrows one slot; a free slot is
+    (-inf, inf] on feature 0. Every node learns its parent in one pass over
+    the preorder arrays; then all leaves climb to the root together."""
+    split = tree.feature >= 0
+    parent = np.arange(tree.feature.size)  # the root is its own parent
+    parent[tree.left[split]] = parent[tree.right[split]] = np.flatnonzero(split)
+    child = np.flatnonzero(~split)
+    feature = np.zeros((tree.depth, child.size), dtype=np.int64)
+    lo = np.full((tree.depth, child.size), -np.inf)
+    hi = np.full((tree.depth, child.size), np.inf)
+    for k in range(tree.depth):
+        node = parent[child]
+        new = node != child  # False once a leaf's climb has reached the root
+        is_left = tree.left[node] == child
+        f, t = tree.feature[node], tree.threshold[node]
+        for j in range(k):  # a feature already in a slot narrows that slot
+            hit = new & (feature[j] == f)
+            lo[j] = np.where(hit & ~is_left, np.maximum(lo[j], t), lo[j])
+            hi[j] = np.where(hit & is_left, np.minimum(hi[j], t), hi[j])
+            new &= ~hit
+        feature[k] = np.where(new, f, 0)
+        lo[k] = np.where(new & ~is_left, t, -np.inf)
+        hi[k] = np.where(new & is_left, t, np.inf)
+        child = node
+    return feature, lo, hi
+
+
+def _tree_shapley(tree: Tree, inst: np.ndarray, bg: np.ndarray) -> np.ndarray:
+    """Interventional TreeSHAP (Lundberg et al., 2020). Against background
+    row z, the row that takes x on a coalition S and z elsewhere reaches a
+    leaf iff S holds every path feature A that only x satisfies and none B
+    that only z satisfies, so each j in A gains value*(|A|-1)!|B|!/(|A|+|B|)!
+    and each j in B loses value*|A|!(|B|-1)!/(|A|+|B|)!; phi is the mean over z."""
+    feature, lo, hi = _leaf_boxes(tree)
+    value = tree.value[tree.feature < 0]
+    depth = tree.depth
+    # (a-1)! b! / (a+b)! = 1 / (a * C(a+b, a)); the loss weight is its transpose
+    weight = np.array([[1.0 / (a * math.comb(a + b, a)) if a else 0.0 for b in range(depth + 1)]
+                       for a in range(depth + 1)])
+    by_x = (lo < inst[feature]) & (inst[feature] <= hi)
+    phi = np.zeros(inst.shape[0])
+    step = max(1, _LEAF_CELLS // (max(1, depth) * value.size))
+    for start in range(0, bg.shape[0], step):
+        z = bg[start:start + step][:, feature]
+        by_z = (lo < z) & (z <= hi)
+        # only the few (row, leaf) pairs whose hybrid rows reach the leaf add
+        row, leaf = np.nonzero((by_x | by_z).all(axis=1))
+        in_z, in_x = by_z[row, :, leaf], by_x[:, leaf].T
+        only_x, only_z = in_x & ~in_z, in_z & ~in_x
+        a, b, v = only_x.sum(axis=1), only_z.sum(axis=1), value[leaf]
+        share = only_x * (v * weight[a, b])[:, None] - only_z * (v * weight[b, a])[:, None]
+        phi += np.bincount(feature[:, leaf].T.ravel(), share.ravel(), minlength=phi.size)
+    return phi / bg.shape[0]
+
+
+def shapley_values(model: FittedModel, instance, background) -> ShapExplanation:
+    """Exact interventional Shapley attribution of one prediction. A linear
+    model's is beta_j * (x_j - background mean of column j); a forest's or a
+    gbm's sums its trees' TreeSHAP values as it sums their predictions."""
+    inst = np.asarray(instance, dtype=np.float64).reshape(-1)
     bg = background.x if isinstance(background, FeatureMatrix) else np.atleast_2d(np.asarray(background, dtype=np.float64))
     if bg.shape[0] == 0:
         raise ValueError("background must be non-empty")
-    return bg
-
-
-# A block of coalitions holds at most this many composite cells (1 MiB of
-# float64), so batching stays small in memory: one permutation's (p+1)*B*p
-# block over a 13.5k-row background would take ~460 MB. One coalition whose
-# B*p cells exceed the cap is a block of its own.
-_BLOCK_CELLS = 1 << 17
-
-
-def _coalition_values(model: FittedModel, instance, background, masks) -> np.ndarray:
-    """v(S) for each row S of the (m, p) bool masks: the mean prediction over
-    the background rows with the columns in S pinned to the instance."""
-    n_bg, p = background.shape
-    step = max(1, _BLOCK_CELLS // max(1, n_bg * p))
-    values = np.empty(masks.shape[0])
-    for start in range(0, masks.shape[0], step):
-        block = masks[start:start + step]
-        composite = np.where(block[:, None, :], instance, background).reshape(-1, p)
-        values[start:start + step] = predict(model, composite).reshape(-1, n_bg).mean(axis=1)
-    return values
-
-
-def shapley_values(
-    model: FittedModel,
-    instance,
-    background,
-    budget: int = 2000,
-    seed: int = 0,
-) -> ShapExplanation:
-    """Shapley attribution of one prediction.
-
-    Exact enumeration over all 2^p coalitions when p <= 12; otherwise
-    `budget` random feature permutations with marginal-contribution
-    averaging (telescoping keeps the efficiency identity exact either way).
-    Coalitions reach the model in blocks of at most _BLOCK_CELLS cells.
-    """
-    inst = np.asarray(instance, dtype=np.float64).reshape(-1)
-    bg = _as_background(background)
     if bg.shape[1] != inst.shape[0]:
         raise ValueError(f"instance has {inst.shape[0]} features, background {bg.shape[1]}")
-    if inst.shape[0] <= EXACT_SHAPLEY_MAX_P:
-        base, values = _exact_shapley(model, inst, bg)
+    if isinstance(model, LinearModel):
+        values = model.coefficients * (inst - bg.mean(axis=0))
+    elif isinstance(model, Tree):
+        values = _tree_shapley(model, inst, bg)
+    elif isinstance(model, ForestModel):
+        values = sum(_tree_shapley(t, inst, bg) for t in model.trees) / len(model.trees)
+    elif isinstance(model, BoostedModel):
+        values = sum(model.learning_rate * _tree_shapley(t, inst, bg) for t in model.trees)
     else:
-        base, values = _sampled_shapley(model, inst, bg, budget, seed)
+        raise TypeError(f"no Shapley values for a {type(model).__name__}")
+    base = float(predict(model, bg).mean())
     prediction = float(predict(model, inst.reshape(1, -1))[0])
     return ShapExplanation(base, values, prediction)
-
-
-def _exact_shapley(model: FittedModel, inst, bg) -> tuple[float, np.ndarray]:
-    """(v(empty), phi). Mask row k has bit j of k as feature j, so adding j
-    to row k gives row k + 2^j; phi_j sums its terms in row order."""
-    p = inst.shape[0]
-    fact = [math.factorial(i) for i in range(p + 1)]
-    weight = np.array([fact[s] * fact[p - 1 - s] / fact[p] for s in range(p)])
-    masks = (np.arange(1 << p)[:, None] >> np.arange(p) & 1).astype(bool)
-    table = _coalition_values(model, inst, bg, masks)
-    size = masks.sum(axis=1)
-    phi = np.zeros(p)
-    for j in range(p):
-        without = np.flatnonzero(~masks[:, j])
-        terms = weight[size[without]] * (table[without + (1 << j)] - table[without])
-        phi[j] = np.cumsum(terms)[-1]  # sequential, not pairwise, summation
-    return float(table[0]), phi
-
-
-def _sampled_shapley(model: FittedModel, inst, bg, budget: int, seed: int) -> tuple[float, np.ndarray]:
-    """(v(empty), phi) over `budget` seeded permutations, each one batch of
-    its p+1 prefix coalitions."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    p = inst.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A9)))
-    phi = np.zeros(p)
-    rank = np.empty(p, dtype=np.intp)
-    for _ in range(budget):
-        order = rng.permutation(p)
-        rank[order] = np.arange(p)
-        v = _coalition_values(model, inst, bg, rank < np.arange(p + 1)[:, None])
-        phi[order] += v[1:] - v[:-1]
-    return float(v[0]), phi / budget
 
 
 def mean_abs_ranking(

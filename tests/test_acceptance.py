@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from rentlab import select_explain
+from shapley_oracle import ValueFunction, sampled_shapley
 from rentlab.cli import main as cli_main
 from rentlab.cli import stage_featurize, stage_gen, stage_wrangle
 from rentlab.evaluation import (
@@ -136,14 +136,11 @@ def test_c2_shapley_axioms_and_monte_carlo():
     assert abs(expl.residual()) <= 1e-9
 
     # symmetry: a model of the sum of two clones attributes them equally
-    class CloneSum:
-        def predict(self, x):
-            return x[:, 0] + x[:, 1] + 0.3 * x[:, 2]
-
+    clone_sum = LinearModel(0.0, np.array([1.0, 1.0, 0.3]))
     sym_bg = rng.normal(size=(20, 1))
     sym_bg = np.column_stack([sym_bg[:, 0], sym_bg[:, 0], rng.normal(size=20)])
     sym_inst = np.array([1.7, 1.7, -0.4])
-    sym = shapley_values(CloneSum(), sym_inst, _fm(sym_bg, np.zeros(20)))
+    sym = shapley_values(clone_sum, sym_inst, _fm(sym_bg, np.zeros(20)))
     assert abs(sym.values[0] - sym.values[1]) <= 1e-9
     assert abs(sym.residual()) <= 1e-9
 
@@ -159,7 +156,7 @@ def test_c2_shapley_axioms_and_monte_carlo():
     assert abs(tree_expl.residual()) <= 1e-9
 
     # Monte Carlo at 2000 permutations within 0.05 * |prediction - base|
-    _, sampled = select_explain._sampled_shapley(tree, x_tree[3], tree_background.x, 2000, 7)
+    sampled = sampled_shapley(ValueFunction(tree, x_tree[3], tree_background.x), 2000, 7)
     tol = 0.05 * (abs(tree_expl.prediction - tree_expl.base_value) + 1e-9)
     mc_err = float(np.max(np.abs(sampled - tree_expl.values)))
     assert mc_err <= tol
@@ -484,7 +481,7 @@ def test_c8_run_determinism(tmp_path, monkeypatch):
             "hyperparams": {"n_trees": 6, "n_rounds": 8, "max_depth": 4},
         },
         "eval": {"cv_k": 3},
-        "explain": {"top": 8, "budget": 15, "rows": 3},
+        "explain": {"top": 8, "rows": 3},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")

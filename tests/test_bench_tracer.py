@@ -48,30 +48,26 @@ def test_every_traced_name_resolves_to_a_callable(tracer):
         assert callable(func), f"{module_name}.{func_name}"
 
 
-@pytest.mark.parametrize("p, budget", [(6, 1), (20, 3)])  # exact, sampled
-def test_explain_predict_calls_are_counted(tmp_path, tracer, installed, p, budget):
+def test_explain_predict_calls_are_counted(tmp_path, tracer, installed):
     import rentlab.cli
-    import rentlab.select_explain
 
+    p = 20
     rng = np.random.default_rng(p)
     x = rng.normal(size=(30, p))
     m = FeatureMatrix(x, tuple(f"f{j}" for j in range(p)), x[:, 0] * x[:, 1] + x[:, 2])
     model = fit_tree(m, HyperParams(max_depth=4))
     rows = 4
-    rentlab.cli.stage_explain(model, m, str(tmp_path / "rank.csv"),
-                              Explain(rows=rows, budget=budget), seed=2)
+    rentlab.cli.stage_explain(model, m, str(tmp_path / "rank.csv"), Explain(rows=rows), seed=2)
 
     installed.dump(str(tmp_path / "spans.json"))
     spans = tracer.load_spans(str(tmp_path / "spans.json"))
     metrics = tracer.layer_metrics(spans)
     assert metrics["explain.shapley_values_calls"] == rows
-    # one block of coalitions per permutation (or all 2^p at once) and the
-    # prediction itself, per row, all through select_explain.predict
-    blocks = 1 if p <= rentlab.select_explain.EXACT_SHAPLEY_MAX_P else budget
-    assert metrics["explain.predict_calls"] == rows * (blocks + 1)
+    # per row, one predict over the background (the explained rows) for the
+    # base value and one of the row itself, both through select_explain.predict
+    assert metrics["explain.predict_calls"] == rows * 2
     explain_rows = sum(s["counts"]["rows"] for s in spans if s["name"] == "models.predict")
-    coalitions = (1 << p) if p <= rentlab.select_explain.EXACT_SHAPLEY_MAX_P else budget * (p + 1)
-    assert explain_rows == rows * (coalitions * rows + 1)
+    assert explain_rows == rows * (rows + 1)
 
 
 @pytest.mark.parametrize("family", ["gbm", "forest"])

@@ -51,7 +51,7 @@ BASE_CONFIG = {
         "hyperparams": {"n_trees": 8, "n_rounds": 10, "max_depth": 5},
     },
     "eval": {"train_fraction": 0.8, "cv_k": 3, "search_samples": 0},
-    "explain": {"top": 10, "budget": 20, "rows": 4},
+    "explain": {"top": 10, "rows": 4},
 }
 
 
@@ -336,7 +336,7 @@ class TestStageComposition:
         overrides = {
             "models": {"hyperparams": {}},
             "selection": {"mode": "kbest", "k": 10},
-            "explain": {"top": 5, "budget": 10, "rows": 3},
+            "explain": {"top": 5, "rows": 3},
         }
         cfg_path, out_dir = _write_config(tmp_path, overrides)
         assert main(["run", "--config", str(cfg_path)]) == 0
@@ -383,7 +383,7 @@ class TestStageComposition:
                      "--out", str(stage_dir / "model.json")]) == 0
         assert main(["explain", "--model", str(stage_dir / "model.json"),
                      "--data", selected,
-                     "--top", "5", "--budget", "10", "--rows", "3", "--seed", str(seed),
+                     "--top", "5", "--rows", "3", "--seed", str(seed),
                      "--out", str(stage_dir / "shap_ranking.csv"),
                      "--explanations", str(stage_dir / "shap_explanations.json")]) == 0
 
@@ -396,6 +396,24 @@ class TestStageComposition:
             via_run = (tmp_path / "out" / artifact).read_bytes()
             via_stages = (stage_dir / artifact).read_bytes()
             assert via_run == via_stages, artifact
+
+
+class TestFeatureMatrixErrors:
+    # line 3 of each file is bad; every subcommand reading a matrix exits 1
+    # naming the file, the line and the column
+    @pytest.mark.parametrize("bad_row, column", [
+        ("4.0,5.0", "c"),  # ragged: the row stops before column c
+        ("4.0,,6.0,7.0", "b"),  # an empty cell
+        ("4.0,nan,6.0,7.0", "b"),  # a non-finite value
+    ], ids=["ragged", "empty", "nan"])
+    def test_bad_cell_exits_1_naming_file_line_and_column(self, tmp_path, capsys, bad_row, column):
+        path = tmp_path / "features.csv"
+        path.write_text(f"a,b,c,target\n1.0,2.0,3.0,4.0\n{bad_row}\n", encoding="utf-8")
+        assert main(["train", "--features", str(path), "--family", "ols",
+                     "--out", str(tmp_path / "model.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 3" in err and repr(column) in err
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestTrainSelectExplain:
@@ -421,7 +439,7 @@ class TestTrainSelectExplain:
         ranking = tmp_path / "rank.csv"
         explanations = tmp_path / "expl.json"
         assert main(["explain", "--model", str(model_path), "--data", str(features_csv),
-                     "--top", "5", "--budget", "15", "--rows", "3",
+                     "--top", "5", "--rows", "3",
                      "--out", str(ranking), "--explanations", str(explanations)]) == 0
         lines = ranking.read_text().splitlines()
         assert lines[0] == "feature,mean_abs_shap"
@@ -440,7 +458,7 @@ class TestTrainSelectExplain:
         real = rentlab.select_explain.shapley_values
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["seed"])
+            calls.append(args[1])
             return real(*args, **kwargs)
 
         for module in (rentlab.cli, rentlab.select_explain):
@@ -451,9 +469,9 @@ class TestTrainSelectExplain:
         ranking = tmp_path / "rank.csv"
         explanations = tmp_path / "expl.json"
         assert main(["explain", "--model", str(model_path), "--data", str(features_csv),
-                     "--top", "50", "--budget", "5", "--rows", "3", "--seed", "4",
+                     "--top", "50", "--rows", "3", "--seed", "4",
                      "--out", str(ranking), "--explanations", str(explanations)]) == 0
-        assert calls == [4, 5, 6]
+        assert len(calls) == 3
         # the ranking is the mean |value| of the written explanations
         docs = json.loads(explanations.read_text())
         for line in ranking.read_text().splitlines()[1:]:
@@ -538,6 +556,14 @@ class TestTrainSelectExplain:
         assert sel.read_text().splitlines() == ["feature,order"]
         assert not (tmp_path / "features_selected.csv").exists()
 
+    def test_explain_has_no_budget_flag(self, tmp_path, features_csv, capsys):
+        # Shapley values are exact, so there is no permutation budget to set
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--model", str(tmp_path / "model.json"), "--data", str(features_csv),
+                  "--budget", "5"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
     def test_explain_on_other_columns_exits_1_naming_them(self, tmp_path, features_csv, capsys):
         sel = tmp_path / "sel.csv"
         assert main(["select", "--features", str(features_csv), "--mode", "kbest",
@@ -547,7 +573,7 @@ class TestTrainSelectExplain:
                      "--family", "gbm", "--out", str(model_path)]) == 0
         capsys.readouterr()
         assert main(["explain", "--model", str(model_path), "--data", str(features_csv),
-                     "--budget", "2", "--rows", "2",
+                     "--rows", "2",
                      "--out", str(tmp_path / "rank.csv")]) == 1
         err = capsys.readouterr().err
         chosen = {line.split(",")[0] for line in sel.read_text().splitlines()[1:]}
@@ -733,6 +759,8 @@ class TestConfigFlags:
     }
     # JSON documents with no flag; `train --params` reads a hyperparams file
     JSON_ONLY = {(Models, "hyperparams"), (Models, "grids")}
+    # loadable but without effect (Shapley values are exact), so no flag sets it
+    INERT = {(Explain, "budget")}
 
     def _actions(self, command):
         subcommands = build_parser()._subparsers._group_actions[0].choices
@@ -746,7 +774,7 @@ class TestConfigFlags:
         for cls, command in self.COMMANDS.items():
             actions = self._actions(command)
             for name in cls.__dataclass_fields__:
-                if (cls, name) in self.JSON_ONLY:
+                if (cls, name) in self.JSON_ONLY | self.INERT:
                     continue
                 assert f"--{name.replace('_', '-')}" in actions[name].option_strings, (cls, name)
 
@@ -773,7 +801,7 @@ class TestReadme:
         example = json.loads((REPO / "examples" / "demo.json").read_text(encoding="utf-8"))
         (block,) = [b for b in _readme_blocks("json") if '"generator"' in b]
         assert json.loads(block) == example
-        assert PipelineConfig.from_doc(example).explain.budget == 200
+        assert "budget" not in example["explain"]
         assert any("rentlab run --config examples/demo.json" in b for b in _readme_blocks("sh"))
 
     def test_stage_by_stage_example_runs_verbatim(self, tmp_path):

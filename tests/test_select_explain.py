@@ -6,13 +6,12 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shapley_oracle import ValueFunction, exact_shapley, sampled_shapley
 
 from rentlab.features import FeatureMatrix
 from rentlab.models import HyperParams, LinearModel, fit_family, fit_forest, fit_ols, fit_tree, predict
 from rentlab.select_explain import (
-    EXACT_SHAPLEY_MAX_P,
     FeatureScore,
-    ShapExplanation,
     f_scores,
     f_survival,
     forward_select,
@@ -259,14 +258,9 @@ class TestShapleyExact:
 
     def test_symmetry_axiom(self):
         # two functionally identical features: model uses their sum
-        class SumModel:
-            feature_names = ("a", "b")
-
-            def predict(self, x):
-                return x[:, 0] + x[:, 1]
-
+        model = LinearModel(0.0, np.array([1.0, 1.0]), feature_names=("a", "b"))
         bg = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        expl = shapley_values(SumModel(), np.array([3.0, 3.0]), _fm(bg, np.zeros(3)))
+        expl = shapley_values(model, np.array([3.0, 3.0]), _fm(bg, np.zeros(3)))
         assert expl.values[0] == pytest.approx(expl.values[1], abs=1e-9)
 
     def test_null_player_axiom(self):
@@ -280,8 +274,19 @@ class TestShapleyExact:
         with pytest.raises(ValueError):
             shapley_values(model, np.array([1.0]), np.empty((0, 1)))
 
+    def test_single_leaf_tree_attributes_nothing(self):
+        m = _fm(np.arange(6.0).reshape(3, 2), [4.0, 4.0, 4.0])
+        model = fit_tree(m)
+        assert model.depth == 0
+        expl = shapley_values(model, np.array([9.0, -9.0]), m)
+        assert expl.values.tolist() == [0.0, 0.0]
+        assert expl.base_value == expl.prediction == 4.0
 
-class TestShapleyMonteCarlo:
+
+class TestSamplerOracle:
+    """The permutation sampler in shapley_oracle, which C2 and the p = 40
+    gate below rely on."""
+
     def _tree_model_and_data(self, p=8, n=60, seed=11):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, p))
@@ -290,29 +295,15 @@ class TestShapleyMonteCarlo:
         model = fit_tree(m, HyperParams(max_depth=5))
         return model, m
 
-    def test_matches_exact_within_tolerance_at_2000(self):
-        model, m = self._tree_model_and_data()
-        background = m.take(range(25))
-        instance = m.x[0]
-        exact = shapley_values(model, instance, background)
-
-        from rentlab import select_explain
-
-        _, sampled_values = select_explain._sampled_shapley(model, instance, background.x, 2000, 0)
-        tol = 0.05 * (abs(exact.prediction - exact.base_value) + 1e-9)
-        assert np.max(np.abs(sampled_values - exact.values)) <= tol
-
     def test_budget_growth_shrinks_error(self):
         model, m = self._tree_model_and_data(seed=13)
-        background = m.take(range(20))
+        background = m.x[:20]
         instance = m.x[1]
         exact = shapley_values(model, instance, background)
-
-        from rentlab import select_explain
+        v = ValueFunction(model, instance, background)
 
         def max_err(budget, seed):
-            _, sampled = select_explain._sampled_shapley(model, instance, background.x, budget, seed)
-            return float(np.max(np.abs(sampled - exact.values)))
+            return float(np.max(np.abs(sampled_shapley(v, budget, seed) - exact.values)))
 
         small = np.median([max_err(60, s) for s in range(5)])
         large = np.median([max_err(600, s) for s in range(5)])
@@ -320,88 +311,9 @@ class TestShapleyMonteCarlo:
 
     def test_sampled_efficiency_is_exact_by_telescoping(self):
         model, m = self._tree_model_and_data(seed=17)
-        background = m.take(range(10))
-
-        from rentlab import select_explain
-
-        _, sampled = select_explain._sampled_shapley(model, m.x[2], background.x, 50, 3)
-        masks = np.array([[False] * 8, [True] * 8])
-        base, prediction = select_explain._coalition_values(model, m.x[2], background.x, masks)
-        assert prediction - base == pytest.approx(float(sampled.sum()), abs=1e-9)
-
-
-# Reference Shapley estimators: one predict per coalition, each coalition an
-# int bitmask (bit j = feature j) with its value cached by mask. The batched
-# estimators in select_explain must reproduce them.
-class _ValueFunction:
-    """v(S): mean prediction over the background with S pinned to the instance."""
-
-    def __init__(self, model, instance: np.ndarray, background: np.ndarray):
-        self.model = model
-        self.instance = instance
-        self.background = background
-        self.p = instance.shape[0]
-        self._cache: dict[int, float] = {}
-
-    def __call__(self, mask: int) -> float:
-        hit = self._cache.get(mask)
-        if hit is not None:
-            return hit
-        composite = self.background.copy()
-        for j in range(self.p):
-            if mask >> j & 1:
-                composite[:, j] = self.instance[j]
-        value = float(predict(self.model, composite).mean())
-        if self.p <= 20:
-            self._cache[mask] = value
-        return value
-
-
-def _exact_shapley(v: _ValueFunction, p: int) -> np.ndarray:
-    fact = [math.factorial(i) for i in range(p + 1)]
-    weight = [fact[s] * fact[p - 1 - s] / fact[p] for s in range(p)]
-    table = np.empty(1 << p)
-    for mask in range(1 << p):
-        table[mask] = v(mask)
-    phi = np.zeros(p)
-    for mask in range(1 << p):
-        s = bin(mask).count("1")
-        for j in range(p):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            phi[j] += weight[s] * (table[mask | bit] - table[mask])
-    return phi
-
-
-def _sampled_shapley(v: _ValueFunction, p: int, budget: int, seed: int) -> np.ndarray:
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A9)))
-    phi = np.zeros(p)
-    for _ in range(budget):
-        order = rng.permutation(p)
-        mask = 0
-        prev = v(0)
-        for j in order:
-            mask |= 1 << int(j)
-            cur = v(mask)
-            phi[j] += cur - prev
-            prev = cur
-    return phi / budget
-
-
-def _reference_shapley(model, instance, background, budget=2000, seed=0) -> ShapExplanation:
-    inst = np.asarray(instance, dtype=np.float64).reshape(-1)
-    p = inst.shape[0]
-    v = _ValueFunction(model, inst, background)
-    base = v(0)
-    prediction = float(predict(model, inst.reshape(1, -1))[0])
-    if p <= EXACT_SHAPLEY_MAX_P:
-        values = _exact_shapley(v, p)
-    else:
-        values = _sampled_shapley(v, p, budget, seed)
-    return ShapExplanation(base, values, prediction)
+        v = ValueFunction(model, m.x[2], m.x[:10])
+        sampled = sampled_shapley(v, 50, 3)
+        assert v((1 << 8) - 1) - v(0) == pytest.approx(float(sampled.sum()), abs=1e-9)
 
 
 def _price_data(p, n=120, seed=0):
@@ -419,87 +331,123 @@ def _fit(family, m):
     return fit_family(family, m, hp, seed=3)
 
 
-class TestBatchedShapleyMatchesReference:
-    """The batched estimators against the per-coalition reference above."""
+FAMILIES = ["tree", "forest", "gbm", "ols", "lasso", "ridge", "elastic"]
 
-    # (p, background rows, budget): exact at p = 8 and 12, sampled at p = 40;
-    # the last two split every evaluation into several blocks
-    CASES = [(8, 10, 1), (12, 12, 1), (12, 40, 1), (40, 9, 3), (40, 100, 2)]
+
+class TestShapleyGates:
+    """The closed forms against the per-coalition oracles in shapley_oracle."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p,n_bg", [(3, 1), (8, 10), (12, 12)])
+    def test_exact_matches_enumeration_to_1e10_of_the_output(self, family, p, n_bg):
+        m = _price_data(p, seed=p)
+        model = _fit(family, m)
+        background = m.x[:n_bg]
+        for i in (n_bg, n_bg + 1):
+            ours = shapley_values(model, m.x[i], background)
+            v = ValueFunction(model, m.x[i], background)
+            scale = max(abs(ours.base_value), abs(ours.prediction), 1.0)
+            assert ours.base_value == pytest.approx(v(0), abs=1e-12 * scale)
+            assert ours.prediction == float(predict(model, m.x[i:i + 1])[0])
+            assert np.max(np.abs(ours.values - exact_shapley(v))) <= 1e-10 * scale
+
+    def test_sampler_at_2000_permutations_agrees_at_p40(self):
+        m = _price_data(40, seed=40)
+        model = _fit("tree", m)
+        background = m.x[:8]
+        # the bound scales with |prediction - base|, so the probe is the row
+        # whose prediction lies farthest from the base; near the base the
+        # bound would fall below the sampler's own Monte Carlo error
+        gap = np.abs(predict(model, m.x[8:40]) - predict(model, background).mean())
+        probe = m.x[8 + int(gap.argmax())]
+        ours = shapley_values(model, probe, background)
+        sampled = sampled_shapley(ValueFunction(model, probe, background), 2000, 0)
+        tol = 0.05 * abs(ours.prediction - ours.base_value)
+        assert np.max(np.abs(sampled - ours.values)) <= tol
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [8, 40])
+    def test_efficiency_residual_within_1e9(self, family, p):
+        m = _price_data(p, seed=p)
+        model = _fit(family, m)
+        for i in range(3):
+            assert abs(shapley_values(model, m.x[50 + i], m.x[:30]).residual()) <= 1e-9
 
     @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
-    @pytest.mark.parametrize("p,n_bg,budget", CASES)
-    def test_tree_families_bit_identical(self, family, p, n_bg, budget):
-        m = _price_data(p, seed=p)
+    def test_cells_on_split_thresholds_route_as_predict_does(self, family):
+        # x <= threshold goes left, so a cell equal to a threshold must count
+        # as inside the left box and outside the right one
+        m = _price_data(6, seed=7)
         model = _fit(family, m)
-        background = m.x[:n_bg]
-        for i in (n_bg, n_bg + 1):
-            ours = shapley_values(model, m.x[i], background, budget=budget, seed=i)
-            ref = _reference_shapley(model, m.x[i], background, budget=budget, seed=i)
-            assert ours.base_value == ref.base_value
-            assert ours.prediction == ref.prediction
-            assert np.array_equal(ours.values, ref.values)
+        trees = [model] if family == "tree" else model.trees
+        rng = np.random.default_rng(0)
+        grid = m.x[:12].copy()
+        for j in range(6):
+            on_j = np.concatenate([t.threshold[t.feature == j] for t in trees])
+            if on_j.size:
+                grid[:, j] = rng.choice(on_j, size=12)
+        for i in (0, 1):
+            ours = shapley_values(model, grid[i], grid[2:])
+            oracle = exact_shapley(ValueFunction(model, grid[i], grid[2:]))
+            scale = max(abs(ours.base_value), abs(ours.prediction), 1.0)
+            assert np.max(np.abs(ours.values - oracle)) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("family", ["ols", "lasso", "ridge", "elastic"])
-    @pytest.mark.parametrize("p,n_bg,budget", CASES)
-    @pytest.mark.parametrize("offset", [0.0, 1000.0])
-    def test_linear_families_agree_to_1e12_of_the_output(self, family, p, n_bg, budget, offset):
-        # a block's matrix-vector product may round a row differently from a
-        # one-coalition product. The rounding error scales with the terms of
-        # x @ beta, so it is bounded relative to the model's output, not to
-        # each (possibly tiny) value; the offset makes those terms cancel.
-        m = _price_data(p, seed=p)
-        m = _fm(m.x + offset * np.arange(1, p + 1) / p, m.y)
+    @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
+    def test_feature_on_no_leaf_path_gets_exactly_zero(self, family):
+        # columns 0 and 5 are constant, so no split uses them; column 0 also
+        # shares its index with the free slots of short leaf paths
+        m = _price_data(6, seed=6)
+        x = m.x.copy()
+        x[:, [0, 5]] = 1.5
+        m = _fm(x, m.y)
         model = _fit(family, m)
-        background = m.x[:n_bg]
-        for i in (n_bg, n_bg + 1):
-            ours = shapley_values(model, m.x[i], background, budget=budget, seed=i)
-            ref = _reference_shapley(model, m.x[i], background, budget=budget, seed=i)
-            scale = max(abs(ref.base_value), abs(ref.prediction), 1.0)
-            assert ours.prediction == ref.prediction
-            assert abs(ours.base_value - ref.base_value) <= 1e-12 * scale
-            assert np.max(np.abs(ours.values - ref.values)) <= 1e-12 * scale
+        probe = m.x[7].copy()
+        probe[[0, 5]] = [-40.0, 40.0]
+        expl = shapley_values(model, probe, m.x[:20])
+        assert expl.values[0] == 0.0 and expl.values[5] == 0.0
+        assert np.any(expl.values != 0.0)
 
-
-class TestCoalitionBlocks:
-    @staticmethod
-    def _record_rows(monkeypatch):
+    @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
+    def test_background_in_several_blocks_equals_one_block(self, monkeypatch, family):
         from rentlab import select_explain
 
-        rows = []
+        m = _price_data(10, n=300, seed=10)
+        model = _fit(family, m)
+        one = shapley_values(model, m.x[0], m.x[1:])
+        monkeypatch.setattr(select_explain, "_LEAF_CELLS", 1)  # one row per block
+        several = shapley_values(model, m.x[0], m.x[1:])
+        # blocks only regroup the sum over background rows
+        scale = max(abs(one.base_value), abs(one.prediction))
+        assert several.base_value == one.base_value
+        assert several.prediction == one.prediction
+        assert np.max(np.abs(several.values - one.values)) <= 1e-12 * scale
 
-        def recording_predict(model, x):
-            rows.append(np.atleast_2d(x).shape[0])
-            return predict(model, x)
+    def test_large_background_stays_within_the_block_cap(self):
+        # 20,000 background rows x 61 leaves x 6 path slots take about 71 MB
+        # of temporaries in one block; blocks of 2^18 cells take under 5 MB
+        import tracemalloc
 
-        monkeypatch.setattr(select_explain, "predict", recording_predict)
-        return rows
+        m = _price_data(10, n=500, seed=1)
+        model = fit_tree(m, HyperParams(max_depth=6))
+        background = np.random.default_rng(2).normal(size=(20_000, 10))
+        tracemalloc.start()
+        try:
+            shapley_values(model, m.x[0], background)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("p,n_bg,budget", [(12, 40, 1), (40, 100, 2), (40, 4000, 1)])
-    def test_blocks_stay_within_the_cap(self, monkeypatch, p, n_bg, budget):
-        from rentlab.select_explain import _BLOCK_CELLS
+    def test_unsupported_model_raises_type_error_naming_it(self):
+        class SumModel:
+            feature_names = ("a", "b")
 
-        m = _price_data(p, n=n_bg + 1)
-        model = _fit("tree", m)
-        rows = self._record_rows(monkeypatch)
-        shapley_values(model, m.x[n_bg], m.x[:n_bg], budget=budget)
-        *blocks, single = rows
-        assert single == 1  # the prediction itself
-        coalitions = (1 << p) if p <= EXACT_SHAPLEY_MAX_P else budget * (p + 1)
-        assert sum(blocks) == coalitions * n_bg
-        for block in blocks:
-            assert block % n_bg == 0
-            # a block holds one coalition when one alone exceeds the cap
-            assert block * p <= max(_BLOCK_CELLS, n_bg * p)
-        assert len(blocks) > 1
+            def predict(self, x):
+                return x[:, 0] + x[:, 1]
 
-    def test_demo_sized_row_takes_one_predict_per_permutation(self, monkeypatch):
-        # the benchmark's demo workload explains 6 rows of 60 features
-        # against those 6 rows with a budget of 2 permutations
-        m = _price_data(60, n=6)
-        model = _fit("gbm", m)
-        rows = self._record_rows(monkeypatch)
-        shapley_values(model, m.x[0], m, budget=2, seed=0)
-        assert rows == [61 * 6, 61 * 6, 1]
+        bg = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(TypeError, match="SumModel"):
+            shapley_values(SumModel(), np.array([3.0, 3.0]), bg)
 
 
 class TestShapRanking:
@@ -507,7 +455,7 @@ class TestShapRanking:
     def _ranking(model, data, background=None):
         bg = data if background is None else background
         explanations = [
-            shapley_values(model, data.x[i], bg, budget=2000, seed=i) for i in range(data.n_rows)
+            shapley_values(model, data.x[i], bg) for i in range(data.n_rows)
         ]
         return mean_abs_ranking(data.feature_names, explanations)
 
