@@ -48,15 +48,14 @@ def test_every_traced_name_resolves_to_a_callable(tracer):
         assert callable(func), f"{module_name}.{func_name}"
 
 
-def test_explain_predict_calls_are_counted(tmp_path, tracer, installed):
+@pytest.mark.parametrize("p, rows", [(6, 1), (20, 3)])
+def test_explain_predict_calls_are_counted(tmp_path, tracer, installed, p, rows):
     import rentlab.cli
 
-    p = 20
     rng = np.random.default_rng(p)
     x = rng.normal(size=(30, p))
     m = FeatureMatrix(x, tuple(f"f{j}" for j in range(p)), x[:, 0] * x[:, 1] + x[:, 2])
     model = fit_tree(m, HyperParams(max_depth=4))
-    rows = 4
     rentlab.cli.stage_explain(model, m, str(tmp_path / "rank.csv"), Explain(rows=rows), seed=2)
 
     installed.dump(str(tmp_path / "spans.json"))

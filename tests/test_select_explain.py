@@ -283,7 +283,7 @@ class TestShapleyExact:
         assert expl.base_value == expl.prediction == 4.0
 
 
-class TestSamplerOracle:
+class TestShapleyMonteCarlo:
     """The permutation sampler in shapley_oracle, which C2 and the p = 40
     gate below rely on."""
 
@@ -294,6 +294,15 @@ class TestSamplerOracle:
         m = _fm(x, y)
         model = fit_tree(m, HyperParams(max_depth=5))
         return model, m
+
+    def test_matches_exact_within_tolerance_at_2000(self):
+        model, m = self._tree_model_and_data()
+        background = m.x[:25]
+        instance = m.x[0]
+        exact = shapley_values(model, instance, background)
+        sampled = sampled_shapley(ValueFunction(model, instance, background), 2000, 0)
+        tol = 0.05 * (abs(exact.prediction - exact.base_value) + 1e-9)
+        assert np.max(np.abs(sampled - exact.values)) <= tol
 
     def test_budget_growth_shrinks_error(self):
         model, m = self._tree_model_and_data(seed=13)
@@ -351,9 +360,10 @@ class TestShapleyGates:
             assert ours.prediction == float(predict(model, m.x[i:i + 1])[0])
             assert np.max(np.abs(ours.values - exact_shapley(v))) <= 1e-10 * scale
 
-    def test_sampler_at_2000_permutations_agrees_at_p40(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sampler_at_2000_permutations_agrees_at_p40(self, family):
         m = _price_data(40, seed=40)
-        model = _fit("tree", m)
+        model = _fit(family, m)
         background = m.x[:8]
         # the bound scales with |prediction - base|, so the probe is the row
         # whose prediction lies farthest from the base; near the base the
@@ -422,13 +432,15 @@ class TestShapleyGates:
         assert several.prediction == one.prediction
         assert np.max(np.abs(several.values - one.values)) <= 1e-12 * scale
 
-    def test_large_background_stays_within_the_block_cap(self):
+    @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
+    def test_large_background_stays_within_the_block_cap(self, family):
         # 20,000 background rows x 61 leaves x 6 path slots take about 71 MB
-        # of temporaries in one block; blocks of 2^18 cells take under 5 MB
+        # of temporaries in one block; blocks of 2^18 cells take under 5 MB,
+        # and the ensembles explain one tree at a time
         import tracemalloc
 
         m = _price_data(10, n=500, seed=1)
-        model = fit_tree(m, HyperParams(max_depth=6))
+        model = fit_tree(m, HyperParams(max_depth=6)) if family == "tree" else _fit(family, m)
         background = np.random.default_rng(2).normal(size=(20_000, 10))
         tracemalloc.start()
         try:
