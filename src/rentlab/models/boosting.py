@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import Tree, fit_tree
+from .tree import CodedMatrix, Tree, fit_tree
 
 
 @dataclass
@@ -36,10 +36,13 @@ def fit_gbm(m: FeatureMatrix, hp: HyperParams = HyperParams()) -> BoostedModel:
     y = np.asarray(m.y, dtype=np.float64)
     base = float(y.mean())
     pred = np.full(m.n_rows, base)
+    # every round grows a tree over the same rows, so x is coded and its
+    # root columns sorted once per fit
+    coded = CodedMatrix.of(m).with_root_order()
     trees: list[Tree] = []
     for _ in range(hp.n_rounds):
         residual = y - pred
-        tree = fit_tree(FeatureMatrix(m.x, m.feature_names, residual), hp)
+        tree = fit_tree(coded.with_target(residual), hp)
         trees.append(tree)
         pred += hp.learning_rate * tree.predict(m.x)
     return BoostedModel(base, trees, hp.learning_rate, feature_names=m.feature_names)

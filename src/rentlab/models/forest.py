@@ -10,7 +10,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import Tree, fit_tree
+from .tree import CodedMatrix, Tree, fit_tree
 
 
 @dataclass
@@ -51,13 +51,10 @@ def fit_forest(
     if mf > p:
         raise ValueError(f"max_features {mf} exceeds feature count {p}")
     n = m.n_rows
+    coded = CodedMatrix.of(m)
     trees = []
     for t in range(hp.n_trees):
         rng = _tree_rng(seed, t)
-        if bootstrap:
-            rows = rng.integers(0, n, size=n)
-            sample = FeatureMatrix(m.x[rows], m.feature_names, m.y[rows])
-        else:
-            sample = m
+        sample = coded.take(rng.integers(0, n, size=n)) if bootstrap else coded
         trees.append(fit_tree(sample, hp, max_features=mf, rng=rng))
     return ForestModel(trees, mf, seed, feature_names=m.feature_names, bootstrap=bootstrap)

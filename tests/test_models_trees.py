@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rentlab.models.boosting
 import rentlab.models.forest
@@ -13,6 +16,7 @@ from rentlab.models import (
     BoostedModel,
     HyperParams,
     Tree,
+    auto_max_features,
     fit_family,
     fit_forest,
     fit_gbm,
@@ -23,6 +27,7 @@ from rentlab.models import (
     predict,
     save_model,
 )
+from rentlab.models.tree import code_columns
 
 
 def _fm(x, y, names=None):
@@ -308,6 +313,15 @@ def _reference_fit_tree(m, hp=HyperParams(), max_features=None, rng=None):
     return Tree(*(nodes[f] for f in _TREE_FIELDS))
 
 
+def _reference_fit_coded(m, hp=HyperParams(), max_features=None, rng=None):
+    """The reference grower over the floats a CodedMatrix codes: the forest
+    and gbm hand fit_tree their rows coded. The decoded floats equal the
+    originals (only 0.0 may come back for -0.0, which no split tells apart)."""
+    x = np.column_stack([v[c] for v, c in zip(m.values, m.codes)]) if m.n_features \
+        else np.empty((m.n_rows, 0))
+    return _reference_fit_tree(_fm(x, m.y), hp, max_features, rng)
+
+
 def _assert_same_trees(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -361,8 +375,8 @@ class TestBlockedSplitSearchMatchesReference:
         the reference scan."""
         def fit(fn, *args, **kwargs):
             with monkeypatch.context() as mp:
-                mp.setattr(rentlab.models.forest, "fit_tree", _reference_fit_tree)
-                mp.setattr(rentlab.models.boosting, "fit_tree", _reference_fit_tree)
+                mp.setattr(rentlab.models.forest, "fit_tree", _reference_fit_coded)
+                mp.setattr(rentlab.models.boosting, "fit_tree", _reference_fit_coded)
                 return fn(*args, **kwargs)
         return fit
 
@@ -417,6 +431,167 @@ class TestBlockedSplitSearchMatchesReference:
         hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
         self._check_all(reference, _coarse(90, 5), hp)
         self._check_all(reference, _same_partition(0, half=45), hp)
+
+
+def _reference_forest(m, hp, seed, bootstrap=True):
+    """fit_forest's loop over the float rows of each bootstrap sample, every
+    tree grown by the reference scan."""
+    mf = hp.max_features or auto_max_features(m.n_features)
+    trees = []
+    for t in range(hp.n_trees):
+        rng = rentlab.models.forest._tree_rng(seed, t)
+        sample = m.take(rng.integers(0, m.n_rows, size=m.n_rows)) if bootstrap else m
+        trees.append(_reference_fit_tree(sample, hp, mf, rng))
+    return trees
+
+
+def _reference_gbm(m, hp):
+    """fit_gbm's loop, every round's tree grown by the reference scan from a
+    matrix of the floats and the residuals."""
+    pred = np.full(m.n_rows, float(m.y.mean()))
+    trees = []
+    for _ in range(hp.n_rounds):
+        tree = _reference_fit_tree(FeatureMatrix(m.x, m.feature_names, m.y - pred), hp)
+        trees.append(tree)
+        pred += hp.learning_rate * tree.predict(m.x)
+    return trees
+
+
+# signed zeros, subnormals, adjacent floats (1 + 2^-52 and 1 + 2^-51 have a
+# midpoint that rounds up, so the threshold falls back to the lower value)
+# and a pair whose sum overflows
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 1.0, 1.0 + 2.0 ** -52,
+                1.0 + 2.0 ** -51, 3.0, 1.5e308, 1.7e308, -1.7e308)
+
+
+@st.composite
+def _edge_matrices(draw):
+    """Rows drawn with repeats from a few distinct rows of edge floats; some
+    examples add a column of 300 distinct values, which codes as uint16."""
+    p = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.sampled_from(_EDGE_FLOATS),
+                          min_size=distinct * p, max_size=distinct * p))
+    n = draw(st.integers(2, 40))
+    pick = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    x = np.array(cells).reshape(distinct, p)[pick]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        x = np.column_stack([np.resize(x, (300, p)), rng.permutation(300) * 0.25 - 30.0])
+    y = rng.normal(0.0, 10.0, x.shape[0]).round(draw(st.integers(0, 2)))
+    return _fm(x, y)
+
+
+class TestCodedTreesMatchReference:
+    """Trees grown from rank codes equal, byte for byte, the trees the
+    feature-at-a-time scan grows from the floats, through fit_tree,
+    fit_forest and fit_gbm."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=_edge_matrices(), max_depth=st.integers(0, 6), min_samples_split=st.integers(2, 5),
+           max_features=st.integers(0, 5), seed=st.integers(0, 3), bootstrap=st.booleans())
+    def test_fit_tree_forest_and_gbm(self, m, max_depth, min_samples_split, max_features,
+                                     seed, bootstrap):
+        mf = min(max_features, m.n_features)
+        hp = HyperParams(max_depth=max_depth, min_samples_split=min_samples_split, n_trees=2,
+                         n_rounds=3, learning_rate=0.5, max_features=mf)
+        _assert_same_trees([fit_tree(m, hp, mf or None, rng=np.random.default_rng(seed))],
+                           [_reference_fit_tree(m, hp, mf or None, rng=np.random.default_rng(seed))])
+        _assert_same_trees(fit_forest(m, hp, seed=seed, bootstrap=bootstrap).trees,
+                           _reference_forest(m, hp, seed, bootstrap))
+        _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp))
+
+    def test_uint16_codes_on_continuous_data(self):
+        m = _continuous(400, 3, 9)
+        assert code_columns(m.x)[0].dtype == np.uint16
+        hp = HyperParams(max_depth=6, n_trees=2, n_rounds=3, max_features=2)
+        _assert_same_trees(fit_forest(m, hp, seed=5).trees, _reference_forest(m, hp, 5))
+        _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp))
+
+
+class TestCodeColumns:
+    def _check_codes(self, x):
+        codes, values = code_columns(x)
+        assert codes.shape == (x.shape[1], x.shape[0])
+        for j in range(x.shape[1]):
+            col, c = x[:, j], codes[j].astype(np.int64)
+            # equal exactly where the floats are equal, in the floats' order
+            assert np.array_equal(c[:, None] == c[None, :], col[:, None] == col[None, :])
+            assert np.array_equal(c[:, None] < c[None, :], col[:, None] < col[None, :])
+            assert np.array_equal(values[j][c], col)
+            assert np.array_equal(np.argsort(c, kind="stable"), np.argsort(col, kind="stable"))
+        return codes, values
+
+    def test_signed_zeros_share_a_code(self):
+        x = np.array([[0.0], [-0.0], [5e-324], [-5e-324], [0.0], [-0.0]])
+        codes, values = self._check_codes(x)
+        assert codes[0].tolist() == [1, 1, 2, 0, 1, 1]
+        assert values[0].size == 3
+
+    def test_ranks_of_duplicates_and_edge_floats(self):
+        rng = np.random.default_rng(0)
+        x = rng.choice(np.array(_EDGE_FLOATS), size=(60, 3))
+        x[:, 2] = np.round(rng.normal(size=60), 1)
+        self._check_codes(x)
+
+    def test_ranks_are_dense_per_column(self):
+        codes, values = self._check_codes(np.array([[5.0, 1.0], [5.0, -2.0], [7.5, 1.0]]))
+        assert codes.tolist() == [[0, 0, 1], [1, 0, 1]]
+        assert [v.tolist() for v in values] == [[5.0, 7.5], [-2.0, 1.0]]
+
+    @pytest.mark.parametrize("distinct, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                                  (65536, np.uint16), (65537, np.uint32)])
+    def test_narrowest_dtype_holds_the_widest_column(self, distinct, dtype):
+        x = np.zeros((distinct, 2))
+        x[:, 1] = np.arange(distinct)[::-1] * 0.5
+        codes, values = code_columns(x)
+        assert codes.dtype == dtype
+        assert values[1].size == distinct and codes[1, 0] == distinct - 1
+
+    def test_no_columns(self):
+        codes, values = code_columns(np.empty((4, 0)))
+        assert codes.shape == (0, 4) and values == ()
+
+
+class TestSplitSearchMemory:
+    """A forest or gbm fit over a 20,000 x 60 matrix holds its codes and
+    their distinct values, one bootstrap sample or root order of the codes,
+    and split-search temporaries bounded by _BLOCK_CELLS: a copy of x per
+    tree, or a sort of all 60 columns at once, would not fit."""
+
+    @pytest.fixture(scope="class")
+    def m(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(20_000, 60)).round(3)
+        return _fm(x, x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(size=20_000))
+
+    def _peak(self, fit):
+        tracemalloc.start()
+        try:
+            fit()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _check(self, m, peak, code_copies, max_depth):
+        codes, values = code_columns(m.x)
+        held = code_copies * codes.nbytes + sum(v.nbytes for v in values)
+        # each level down one path holds a node's rows, targets and children
+        rows = 4 * 8 * m.n_rows * (max_depth + 1)
+        # about a dozen 8-byte arrays per (feature, row) cell of a block
+        temporaries = 16 * 8 * max(rentlab.models.tree._BLOCK_CELLS, m.n_rows)
+        assert rows + temporaries < m.x.nbytes
+        assert peak < held + rows + temporaries
+
+    def test_forest(self, m):
+        # the codes and one bootstrap sample of them
+        peak = self._peak(lambda: fit_forest(m, HyperParams(n_trees=3, max_depth=3), seed=0))
+        self._check(m, peak, code_copies=2, max_depth=3)
+
+    def test_gbm(self, m):
+        # the codes, the root orders (as wide) and their cut flags (half)
+        peak = self._peak(lambda: fit_gbm(m, HyperParams(n_rounds=2, max_depth=3)))
+        self._check(m, peak, code_copies=3.5, max_depth=3)
 
 
 class TestHyperParams:
