@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import CodedMatrix, Tree, fit_tree
+from .tree import Tree, _CodedMatrix, fit_tree
 
 
 @dataclass
@@ -38,7 +38,7 @@ def fit_gbm(m: FeatureMatrix, hp: HyperParams = HyperParams()) -> BoostedModel:
     pred = np.full(m.n_rows, base)
     # every round grows a tree over the same rows, so x is coded and its
     # root columns sorted once per fit
-    coded = CodedMatrix.of(m).with_root_order()
+    coded = _CodedMatrix.of(m).with_root_order()
     trees: list[Tree] = []
     for _ in range(hp.n_rounds):
         residual = y - pred

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import CodedMatrix, Tree, fit_tree
+from .tree import Tree, _CodedMatrix, fit_tree
 
 
 @dataclass
@@ -51,7 +51,7 @@ def fit_forest(
     if mf > p:
         raise ValueError(f"max_features {mf} exceeds feature count {p}")
     n = m.n_rows
-    coded = CodedMatrix.of(m)
+    coded = _CodedMatrix.of(m)
     trees = []
     for t in range(hp.n_trees):
         rng = _tree_rng(seed, t)

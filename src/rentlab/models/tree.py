@@ -144,7 +144,7 @@ class _RootOrder:
 
 
 @dataclass(frozen=True, eq=False)
-class CodedMatrix:
+class _CodedMatrix:
     """Training rows coded for split search (see ``code_columns``), with
     their targets. ``fit_forest`` and ``fit_gbm`` code their matrix once and
     hand every tree's rows and targets to ``fit_tree`` in this form; ``root``
@@ -156,9 +156,9 @@ class CodedMatrix:
     root: _RootOrder | None = None
 
     @staticmethod
-    def of(m: FeatureMatrix) -> "CodedMatrix":
+    def of(m: FeatureMatrix) -> "_CodedMatrix":
         codes, values = code_columns(m.x)
-        return CodedMatrix(codes, values, np.asarray(m.y, dtype=np.float64))
+        return _CodedMatrix(codes, values, np.asarray(m.y, dtype=np.float64))
 
     @property
     def n_rows(self) -> int:
@@ -168,14 +168,14 @@ class CodedMatrix:
     def n_features(self) -> int:
         return self.codes.shape[0]
 
-    def take(self, rows: np.ndarray) -> "CodedMatrix":
+    def take(self, rows: np.ndarray) -> "_CodedMatrix":
         """The given rows, repeats allowed, coded as before."""
-        return CodedMatrix(self.codes[:, rows], self.values, self.y[rows])
+        return _CodedMatrix(self.codes[:, rows], self.values, self.y[rows])
 
-    def with_target(self, y: np.ndarray) -> "CodedMatrix":
+    def with_target(self, y: np.ndarray) -> "_CodedMatrix":
         return replace(self, y=y)
 
-    def with_root_order(self) -> "CodedMatrix":
+    def with_root_order(self) -> "_CodedMatrix":
         return replace(self, root=_RootOrder(self.codes))
 
 
@@ -205,19 +205,7 @@ def _best_split(coded, node_y, idx, features, root):
         if root is not None:
             order, cut = root.order[cols], root.cut[cols]
         else:
-            # a run of features is a view of the codes; a subset gathers
-            # only its own cells
-            if cols[-1] - cols[0] == cols.size - 1:
-                sc = coded.codes[cols[0]:cols[-1] + 1, idx]
-            else:
-                sc = coded.codes[cols[:, None], idx]
-            # only features that vary in the node are sorted and summed
-            live = sc.min(axis=1) != sc.max(axis=1)
-            if not live.any():
-                continue
-            if not live.all():
-                cols, sc = cols[live], sc[live]
-            order, cut = _sort_block(sc)
+            order, cut = _sort_block(coded.codes[cols[:, None], idx])
         fi, pos = np.divmod(np.flatnonzero(cut), n - 1)
         if fi.size == 0:
             continue
@@ -295,7 +283,7 @@ def _grow(nodes, coded, idx, depth, max_depth, min_samples_split, max_features, 
 
 
 def fit_tree(
-    m: FeatureMatrix | CodedMatrix,
+    m: FeatureMatrix | _CodedMatrix,
     hp: HyperParams = HyperParams(),
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
@@ -307,7 +295,7 @@ def fit_tree(
     may come coded already, as the forest and gbm pass it."""
     if m.n_rows == 0:
         raise EmptyInputError("cannot fit a tree on an empty matrix")
-    coded = m if isinstance(m, CodedMatrix) else CodedMatrix.of(m)
+    coded = m if isinstance(m, _CodedMatrix) else _CodedMatrix.of(m)
     if rng is None:
         rng = np.random.default_rng(0)
     nodes = {f: [] for f in _FIELDS}

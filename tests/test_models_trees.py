@@ -314,7 +314,7 @@ def _reference_fit_tree(m, hp=HyperParams(), max_features=None, rng=None):
 
 
 def _reference_fit_coded(m, hp=HyperParams(), max_features=None, rng=None):
-    """The reference grower over the floats a CodedMatrix codes: the forest
+    """The reference grower over the floats a _CodedMatrix codes: the forest
     and gbm hand fit_tree their rows coded. The decoded floats equal the
     originals (only 0.0 may come back for -0.0, which no split tells apart)."""
     x = np.column_stack([v[c] for v, c in zip(m.values, m.codes)]) if m.n_features \
