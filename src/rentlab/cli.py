@@ -259,6 +259,8 @@ class Wrangle:
     gap_end: str | None = None
 
     def __post_init__(self):
+        if self.multiplier < 0:
+            raise ValueError(f"multiplier must be >= 0, got {self.multiplier}")
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         self.gap  # raises unless both ends or neither are given, each a date
@@ -306,6 +308,10 @@ class Selection:
     def __post_init__(self):
         if self.mode not in ("none", "kbest", "forward"):
             raise ValueError(f"mode: unknown selection mode {self.mode!r}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.max_features < 1:
+            raise ValueError(f"max_features must be >= 1, got {self.max_features}")
 
 
 @dataclass(frozen=True)
@@ -609,14 +615,16 @@ def stage_evaluate(
     opts: Eval = Eval(),
     models: Models = Models(),
     seed: int = 0,
-) -> tuple[list[EvalReport], dict[str, HyperParams]]:
+) -> tuple[list[EvalReport], dict[str, ModelConfig]]:
+    """Compare the families on a seeded train/test split, each with its
+    hyperparameters (searched when opts.search_samples > 0); write the eval
+    report and return it with each family's config for its final fit."""
     os.makedirs(out_dir, exist_ok=True)
     train, test = train_test_split(matrix, opts.train_fraction, seed)
     grids = models.grids if models.grids is not None else default_grids()
 
-    chosen: dict[str, HyperParams] = {}
     search_meta: dict[str, dict] = {}
-    configs = []
+    configs: dict[str, ModelConfig] = {}
     for fam in models.families:
         hp = models.hyperparams
         grid = grids.get(fam)
@@ -630,10 +638,10 @@ def stage_evaluate(
                 "n_trials": len(trials),
                 "best": hp.to_dict(),
             }
-        chosen[fam] = hp
-        configs.append(ModelConfig(fam, hp, seed=_derived_seed(seed, FAMILIES.index(fam), 1)))
+        configs[fam] = ModelConfig(fam, hp, seed=_derived_seed(seed, FAMILIES.index(fam), 1))
 
-    reports = compare_models(train, test, configs)
+    # one report per listed family, a repeated one included
+    reports = compare_models(train, test, [configs[fam] for fam in models.families])
     write_table(reports_to_table(reports), os.path.join(out_dir, "eval_report.csv"))
     doc = {
         "reports": reports_to_doc(reports),
@@ -642,7 +650,7 @@ def stage_evaluate(
         "test_rows": test.n_rows,
     }
     write_json_doc(doc, os.path.join(out_dir, "eval_report.json"))
-    return reports, chosen
+    return reports, configs
 
 
 def stage_explain(
@@ -704,12 +712,10 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             matrix, os.path.join(out, "selection.csv"), cfg.selection, seed=cfg.seed
         )
 
-    reports, chosen_hp = stage_evaluate(matrix, out, cfg.eval, cfg.models, seed=cfg.seed)
-
-    best = max(reports, key=lambda r: r.r_squared)
+    reports, configs = stage_evaluate(matrix, out, cfg.eval, cfg.models, seed=cfg.seed)
+    best = configs[max(reports, key=lambda r: r.r_squared).model_name]
     model = stage_train(
-        matrix, os.path.join(out, "model.json"), best.model_name, chosen_hp[best.model_name],
-        seed=_derived_seed(cfg.seed, FAMILIES.index(best.model_name), 1),
+        matrix, os.path.join(out, "model.json"), best.family, best.params, seed=best.seed
     )
     stage_explain(
         model, matrix, os.path.join(out, "shap_ranking.csv"), cfg.explain, seed=cfg.seed,
@@ -784,10 +790,11 @@ def _add_wrangle(sub) -> None:
 
 
 def _cmd_wrangle(args) -> int:
+    opts = _from_flags(Wrangle, args)
     stage_wrangle(
         _require_file(args.listings, "listings CSV"),
         _require_file(args.calendar, "calendar CSV"),
-        args.out_dir, _from_flags(Wrangle, args),
+        args.out_dir, opts,
     )
     print(f"artifacts in {args.out_dir}")
     return 0
@@ -846,9 +853,10 @@ def _add_select(sub) -> None:
 
 
 def _cmd_select(args) -> int:
+    opts = _from_flags(Selection, args)
     selected = stage_select(
-        matrix_from_csv(_require_file(args.features, "feature matrix CSV")), args.out,
-        _from_flags(Selection, args), seed=args.seed,
+        matrix_from_csv(_require_file(args.features, "feature matrix CSV")), args.out, opts,
+        seed=args.seed,
     )
     print(f"{selected.n_features} features -> {args.out}")
     return 0

@@ -69,33 +69,6 @@ class EvalReport:
             raise ValueError(f"r_squared {self.r_squared} > 1")
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignments: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = self.fold_sizes()
-        if any(s == 0 for s in sizes):
-            raise ValueError("every fold must be non-empty")
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError(f"fold sizes differ by more than 1: {sizes}")
-        if any(not 0 <= a < self.k for a in self.assignments):
-            raise ValueError("fold index out of range")
-
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for a in self.assignments:
-            sizes[a] += 1
-        return sizes
-
-    def fold_rows(self, fold: int) -> list[int]:
-        return [i for i, a in enumerate(self.assignments) if a == fold]
-
-    def other_rows(self, fold: int) -> list[int]:
-        return [i for i, a in enumerate(self.assignments) if a != fold]
-
-
 def train_test_split(
     m: FeatureMatrix, train_fraction: float = 0.8, seed: int = 0
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
@@ -111,22 +84,18 @@ def train_test_split(
     return m.take(perm[:n_train]), m.take(perm[n_train:])
 
 
-def kfold_plan(n: int, k: int, seed: int = 0) -> FoldPlan:
-    """Shuffled fold assignment with sizes differing by at most one."""
+def kfold_plan(n: int, k: int, seed: int = 0) -> np.ndarray:
+    """Each row's fold (int64): a seeded shuffle of the rows cut into k runs
+    whose sizes differ by at most one, the larger runs first."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    assignments = [0] * n
     base, extra = divmod(n, k)
-    start = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        for row in perm[start : start + size]:
-            assignments[row] = fold
-        start += size
-    return FoldPlan(k, tuple(assignments))
+    sizes = base + (np.arange(k) < extra)
+    fold = np.empty(n, dtype=np.int64)
+    fold[np.random.default_rng(seed).permutation(n)] = np.repeat(np.arange(k), sizes)
+    return fold
 
 
 def _derived_seed(seed: int, *indices: int) -> int:
@@ -134,25 +103,40 @@ def _derived_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**31))
 
 
+def _score(
+    family: str, hp: HyperParams, seed: int, train: FeatureMatrix, test: FeatureMatrix
+) -> EvalReport:
+    """Fit one family on train and score its predictions on test."""
+    model = fit_family(family, train, hp, seed=seed)
+    yhat = predict(model, test)
+    cd = family in CD_FAMILIES
+    return EvalReport(
+        family,
+        r_squared(test.y, yhat),
+        mae(test.y, yhat),
+        rmse(test.y, yhat),
+        hp,
+        train.feature_names,
+        converged=model.converged if cd else None,
+        n_iter=model.n_iter if cd else None,
+    )
+
+
 def cross_validate(
     m: FeatureMatrix, family: str, hp: HyperParams, k: int = 5, seed: int = 0
 ) -> EvalReport:
     """Mean validation R^2/MAE/RMSE over k seeded folds."""
-    plan = kfold_plan(m.n_rows, k, seed)
-    r2s, maes, rmses = [], [], []
-    for fold in range(k):
-        train = m.take(plan.other_rows(fold))
-        val = m.take(plan.fold_rows(fold))
-        model = fit_family(family, train, hp, seed=_derived_seed(seed, fold))
-        yhat = predict(model, val)
-        r2s.append(r_squared(val.y, yhat))
-        maes.append(mae(val.y, yhat))
-        rmses.append(rmse(val.y, yhat))
+    fold = kfold_plan(m.n_rows, k, seed)
+    folds = [
+        _score(family, hp, _derived_seed(seed, f),
+               m.take(np.flatnonzero(fold != f)), m.take(np.flatnonzero(fold == f)))
+        for f in range(k)
+    ]
     return EvalReport(
         family,
-        float(np.mean(r2s)),
-        float(np.mean(maes)),
-        float(np.mean(rmses)),
+        float(np.mean([r.r_squared for r in folds])),
+        float(np.mean([r.mae for r in folds])),
+        float(np.mean([r.rmse for r in folds])),
         hp,
         m.feature_names,
     )
@@ -227,24 +211,7 @@ def compare_models(
     """Fit each configured family on train and score R^2/MAE/RMSE on test."""
     if m_train.feature_names != m_test.feature_names:
         raise ValueError("train and test feature sets differ")
-    reports = []
-    for cfg in configs:
-        model = fit_family(cfg.family, m_train, cfg.params, seed=cfg.seed)
-        yhat = predict(model, m_test)
-        cd = cfg.family in CD_FAMILIES
-        reports.append(
-            EvalReport(
-                cfg.family,
-                r_squared(m_test.y, yhat),
-                mae(m_test.y, yhat),
-                rmse(m_test.y, yhat),
-                cfg.params,
-                m_train.feature_names,
-                converged=model.converged if cd else None,
-                n_iter=model.n_iter if cd else None,
-            )
-        )
-    return reports
+    return [_score(c.family, c.params, c.seed, m_train, m_test) for c in configs]
 
 
 def reports_to_table(reports: list[EvalReport]) -> Table:

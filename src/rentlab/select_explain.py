@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, RankDeficiencyError
+from .evaluation import train_test_split
 from .features import FeatureMatrix
 from .models import BoostedModel, FittedModel, ForestModel, LinearModel, Tree, fit_ols, predict
 
@@ -176,8 +177,6 @@ def forward_select(
     the relative MSE improvement drops below min_rel_improvement or the
     feature budget is reached. Returns features in selection order.
     """
-    from .evaluation import train_test_split
-
     if max_features < 1:
         raise ValueError(f"max_features must be >= 1, got {max_features}")
     train, val = train_test_split(m, 0.8, seed)

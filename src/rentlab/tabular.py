@@ -256,25 +256,13 @@ def schema_of(table: Table, name: str = "derived") -> Schema:
 
 
 def clean_currency(col: Column) -> Column:
-    """Strip '$' and ',' from a text column and parse as decimal.
-
-    Parse failures (including empty strings) and text that parses to nan or
-    +-inf degrade to missing, as in _parse_cell.
-    """
+    """Parse a text column as currency cells, as _parse_cell does: '$' and ','
+    are stripped, and unparseable, empty or non-finite text becomes missing."""
     if col.kind != "text":
         raise SchemaError(f"clean_currency expects a text column, got {col.kind}")
-    out = []
-    for v in col.values:
-        if v is None:
-            out.append(None)
-            continue
-        stripped = v.replace("$", "").replace(",", "").strip()
-        try:
-            value = float(stripped)
-        except ValueError:
-            value = math.nan
-        out.append(value if math.isfinite(value) else None)
-    return Column("numeric", tuple(out))
+    return Column(
+        "numeric", tuple(None if v is None else _parse_cell(v, "currency")[0] for v in col.values)
+    )
 
 
 def group_means(keys, values) -> tuple[dict, float | None]:

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -183,6 +185,28 @@ class TestRunCommand:
             "wrangle_report.csv", "eval_report.json",
         ):
             assert (tmp_path / "out" / artifact).is_file()
+
+    def test_run_loads_no_numpy_ma_scipy_or_hypothesis(self, tmp_path):
+        # numpy.ma alone adds about 1 MB of peak RSS; the pipeline is numpy-only.
+        # numpy.matrixlib always loads, so numpy.ma is checked by its exact name.
+        cfg_path, _ = _write_config(tmp_path, {
+            "generator": {"n_listings": 8},
+            "selection": {"mode": "kbest", "k": 10},
+            "models": {"grids": {"lasso": {"alpha": [0.1]}, "forest": {"max_depth": [2, 3]},
+                                 "gbm": {"n_rounds": [3, 5]}}},
+            "eval": {"search_samples": 2},
+        })
+        code = (
+            "import json, sys\n"
+            "from rentlab.cli import main\n"
+            f"status = main(['run', '--config', {str(cfg_path)!r}])\n"
+            "loaded = [m for m in ('numpy.ma', 'scipy', 'hypothesis') if m in sys.modules]\n"
+            "print(json.dumps([status, loaded]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
     def test_same_config_twice_byte_identical(self, tmp_path):
         cfg_path, out_dir = _write_config(tmp_path)
@@ -644,6 +668,17 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["select", "--features", "f.csv", "--k", "0"], "selection.k"),
+        (["select", "--features", "f.csv", "--mode", "forward", "--max-features", "0"],
+         "selection.max_features"),
+        (["wrangle", "--listings", "l.csv", "--calendar", "c.csv", "--multiplier", "-1"],
+         "wrangle.multiplier"),
+    ])
+    def test_out_of_range_flag_exits_2_naming_it(self, argv, name, capsys):
+        assert main(argv) == 2
+        assert f"config error: {name} must be >= " in capsys.readouterr().err
+
     def test_missing_features_file_exits_2(self, capsys):
         assert main(["train", "--features", "nope.csv", "--family", "ols"]) == 2
         assert "nope.csv" in capsys.readouterr().err
@@ -701,6 +736,9 @@ class TestConfigValues:
         ({"explain": {"budget": 0}}, "explain.budget"),
         ({"features": {"amenity_k": 0}}, "features.amenity_k"),
         ({"wrangle": {"knn_k": 0}}, "wrangle.knn_k"),
+        ({"wrangle": {"multiplier": -1.0}}, "wrangle.multiplier"),
+        ({"selection": {"mode": "kbest", "k": 0}}, "selection.k"),
+        ({"selection": {"mode": "forward", "max_features": 0}}, "selection.max_features"),
         ({"explain": {"top": 0}}, "explain.top"),
         ({"explain": {"top": -1}}, "explain.top"),
         ({"eval": {"search_samples": -3}}, "eval.search_samples"),

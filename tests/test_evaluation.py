@@ -142,18 +142,34 @@ class TestTrainTestSplit:
             train_test_split(_fm([1.0], [1.0]), 0.5, seed=0)
 
 
+def _reference_kfold_plan(n, k, seed):
+    """The per-row fold assignment loop kfold_plan replaced: the seeded
+    permutation cut into runs of base or base + 1 rows, larger runs first."""
+    perm = np.random.default_rng(seed).permutation(n)
+    assignments = [0] * n
+    base, extra = divmod(n, k)
+    start = 0
+    for fold in range(k):
+        size = base + (1 if fold < extra else 0)
+        for row in perm[start : start + size]:
+            assignments[row] = fold
+        start += size
+    return assignments
+
+
 class TestKfoldPlan:
     def test_ten_by_five(self):
-        plan = kfold_plan(10, 5, seed=0)
-        assert plan.fold_sizes() == [2, 2, 2, 2, 2]
+        fold = kfold_plan(10, 5, seed=0)
+        assert np.bincount(fold, minlength=5).tolist() == [2, 2, 2, 2, 2]
 
     def test_eleven_by_five_remainder(self):
-        plan = kfold_plan(11, 5, seed=0)
-        assert sorted(plan.fold_sizes(), reverse=True) == [3, 2, 2, 2, 2]
+        fold = kfold_plan(11, 5, seed=0)
+        assert sorted(np.bincount(fold, minlength=5).tolist(), reverse=True) == [3, 2, 2, 2, 2]
 
     def test_every_row_exactly_once(self):
-        plan = kfold_plan(17, 4, seed=2)
-        seen = [i for fold in range(4) for i in plan.fold_rows(fold)]
+        fold = kfold_plan(17, 4, seed=2)
+        assert fold.dtype == np.int64 and fold.shape == (17,)
+        seen = [i for f in range(4) for i in np.flatnonzero(fold == f)]
         assert sorted(seen) == list(range(17))
 
     def test_k_bounds(self):
@@ -169,12 +185,17 @@ class TestKfoldPlan:
     )
     def test_partition_property_random(self, n, seed):
         k = min(5, n)
-        if k < 2:
-            return
-        plan = kfold_plan(n, k, seed)
-        sizes = plan.fold_sizes()
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == n
+        sizes = np.bincount(kfold_plan(n, k, seed), minlength=k)
+        assert sizes.max() - sizes.min() <= 1
+        assert sizes.sum() == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=500))
+        k = data.draw(st.integers(min_value=2, max_value=min(n, 10)))
+        seed = data.draw(st.integers(min_value=0, max_value=2**63 - 1))
+        assert kfold_plan(n, k, seed).tolist() == _reference_kfold_plan(n, k, seed)
 
 
 def _search_data(seed=0, n=60):
