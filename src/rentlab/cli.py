@@ -321,8 +321,11 @@ class Models:
     grids: dict | None = field(default=None, metadata={"load": _grids})  # None = default_grids()
 
     def __post_init__(self):
-        if not self.families or not set(self.families) <= set(FAMILIES):
-            raise ValueError(f"families must name one or more of {FAMILIES}, got {self.families}")
+        if (not self.families or not set(self.families) <= set(FAMILIES)
+                or len(set(self.families)) != len(self.families)):
+            raise ValueError(
+                f"families must name one or more of {FAMILIES}, each once, got {self.families}"
+            )
 
 
 @dataclass(frozen=True)

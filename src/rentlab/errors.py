@@ -10,7 +10,7 @@ class EmptyInputError(ValueError):
 
 
 class RankDeficiencyError(ValueError):
-    """Normal equations are singular; ridge stabilization would help."""
+    """Normal equations are singular: some columns are collinear or constant."""
 
 
 class AssemblyError(ValueError):

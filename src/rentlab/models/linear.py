@@ -1,5 +1,6 @@
-"""Linear regression: OLS via normal equations and the Lasso/Ridge/ElasticNet
-family via cyclic coordinate descent with soft-thresholding.
+"""Linear regression: OLS via normal equations, and the Lasso/Ridge/ElasticNet
+family solved exactly on the centred Gram matrix: ridge by one Cholesky
+solve, lasso and elastic net by an active-set (feature-sign) search.
 
 The penalized objective is
 
@@ -12,6 +13,7 @@ independent.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,12 @@ import numpy as np
 from ..errors import EmptyInputError, RankDeficiencyError
 from ..features import FeatureMatrix
 
-DEFAULT_TOL = 1e-6
+DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
+# a column counts as collinear with others when the part of its Gram diagonal
+# entry they leave unexplained (its Cholesky pivot, or Schur complement) is
+# below this share of the entry
+_PIVOT_RCOND = 1e-13
 
 
 @dataclass(frozen=True)
@@ -58,24 +64,18 @@ def _check_matrix(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(m.x, dtype=np.float64), np.asarray(m.y, dtype=np.float64)
 
 
-def fit_ols(m: FeatureMatrix, ridge: float = 0.0) -> LinearModel:
-    """Least squares by normal equations with a Cholesky solve.
-
-    A singular Gram matrix raises RankDeficiencyError; pass ridge > 0 to
-    stabilize the solve instead.
-    """
+def fit_ols(m: FeatureMatrix) -> LinearModel:
+    """Least squares by normal equations with a Cholesky solve. A singular
+    Gram matrix raises RankDeficiencyError."""
     x, y = _check_matrix(m)
-    n, p = x.shape
-    a = np.column_stack([np.ones(n), x])
+    a = np.column_stack([np.ones(len(y)), x])
     gram = a.T @ a
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(p + 1)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise RankDeficiencyError(
             "singular design matrix (collinear or constant features); "
-            "retry with ridge > 0 or drop redundant columns"
+            "drop redundant columns"
         ) from None
     rhs = a.T @ y
     z = np.linalg.solve(chol, rhs)
@@ -90,15 +90,20 @@ def fit_elastic_net(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LinearModel:
-    """Cyclic coordinate descent with exact soft-threshold updates.
+    """Exact minimiser of the penalized objective, found on the centred Gram
+    form.
 
-    Uses covariance updates (Friedman, Hastie & Tibshirani 2010, sec. 2.2):
-    the Gram matrix is formed once, and the residual correlations
-    corr[j] = xc[:, j] @ residual / n are kept current with one O(p) update
-    per changed coefficient instead of two O(n) column passes.
+    With G = Xc'Xc/n, c = Xc'yc/n and H = G + l2*I over the columns that
+    vary, the objective is 1/2 b'Hb - c'b + l1*||b||_1 plus a constant.
+    Without an L1 part (ridge, or alpha = 0) that is one Cholesky solve of H
+    (lstsq on the rows when H is singular); with one, a feature-sign search. A
+    zero-variance column keeps a coefficient of exactly 0.
 
-    Converged when the largest coefficient change in a sweep drops below tol;
-    hitting max_iter first is flagged on the model, not an error.
+    tol bounds every KKT residual, relative to max(1, max|c|); max_iter
+    caps the active-set steps, and n_iter counts them (1 without an L1
+    part). A fit left with a larger residual (max_iter reached, or rounding
+    on a nearly singular problem) has converged False and raises a
+    RuntimeWarning.
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -111,37 +116,32 @@ def fit_elastic_net(
 
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
-    xc = x - x_mean
+    live = np.flatnonzero(np.ptp(x, axis=0) > 0.0)
+    xc = x[:, live]  # a copy: centred in place
+    xc -= x_mean[live]
     yc = y - y_mean
-
-    col_sq = (xc * xc).sum(axis=0) / n
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
+    h = xc.T @ xc / n
+    h[np.diag_indices_from(h)] += l2
+    c = xc.T @ yc / n
 
-    gram_rows = list(xc.T @ xc / n)
-    corr = xc.T @ yc / n
-    active = [j for j in range(p) if col_sq[j] != 0.0]
-    sq = col_sq.tolist()
-    denom = [s + l2 for s in sq]
+    tol_abs = tol * max(1.0, float(np.abs(c).max(initial=0.0)))
+    if l1 == 0.0:
+        b = _cholesky_solve(h, c)
+        if b is None:
+            # collinear columns and a negligible ridge term: least squares on
+            # the rows, stacked over sqrt(n*l2)*I, squares cond(H) no further
+            ridge_rows = np.sqrt(n * l2) * np.eye(len(live))
+            b = np.linalg.lstsq(np.vstack([xc, ridge_rows]), np.append(yc, np.zeros(len(live))),
+                                rcond=None)[0]
+        n_iter = 1
+        converged = float(np.abs(h @ b - c).max(initial=0.0)) <= tol_abs
+    else:
+        b, n_iter, converged = _feature_sign(h, c, l1, tol_abs, max_iter)
 
-    beta = [0.0] * p
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, max_iter + 1):
-        max_delta = 0.0
-        for j in active:
-            old = beta[j]
-            rho = corr.item(j) + sq[j] * old
-            new = soft_threshold(rho, l1) / denom[j]
-            if new != old:
-                corr -= gram_rows[j] * (new - old)
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        if max_delta < tol:
-            converged = True
-            break
-
-    beta = np.array(beta, dtype=np.float64)
+    beta = np.zeros(p)
+    beta[live] = b
     intercept = y_mean - float(x_mean @ beta)
     if l1_ratio == 0.0:
         penalty = "l2"
@@ -151,6 +151,13 @@ def fit_elastic_net(
         penalty = "elastic"
     if alpha == 0.0:
         penalty = "none"
+    if not converged:
+        warnings.warn(
+            f"elastic net (penalty {penalty}, alpha {alpha}, l1_ratio {l1_ratio}) missed "
+            f"the KKT conditions by more than tol {tol} after {n_iter} step(s)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return LinearModel(
         intercept,
         beta,
@@ -161,6 +168,122 @@ def fit_elastic_net(
         n_iter=n_iter,
         feature_names=m.feature_names,
     )
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solve a z = b for symmetric positive definite a; None when a is not
+    numerically so: Cholesky fails, or a pivot keeps less than _PIVOT_RCOND
+    of its diagonal entry."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    if (np.diagonal(chol) ** 2 < _PIVOT_RCOND * np.diagonal(a)).any():
+        return None
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+
+def _feature_sign(
+    h: np.ndarray, c: np.ndarray, l1: float, tol_abs: float, max_iter: int
+) -> tuple[np.ndarray, int, bool]:
+    """Feature-sign search (Lee, Battle, Raina & Ng, NIPS 2007) for
+    1/2 b'hb - c'b + l1*||b||_1 with l1 > 0; returns (b, steps, converged).
+
+    A step starts from the KKT conditions at b. While the active (nonzero)
+    coordinates meet theirs, it adds the zero coordinate j with the largest
+    violation |g_j| - l1, signed against its gradient; otherwise it keeps
+    the active set. Either way it then solves h_AA b_A = c_A - l1*s_A with
+    the signs s held fixed, and moves b toward that solution as far as
+    _line_search says. The block is solved by LU, which also gives the
+    Schur complement of an added column: numpy has no triangular solve, so
+    a Cholesky solve would cost three factorizations. Every step that moves
+    b lowers the objective, so no active set and sign pattern recurs and
+    the search ends.
+
+    When j's column is numerically collinear with the active ones (its
+    Schur complement in the block keeps less than _PIVOT_RCOND of its
+    diagonal entry), h_AA is singular and the objective falls linearly, at
+    rate |g_j| - l1, along the direction that moves b_j by s_j and leaves
+    hb unchanged. b slides along it until an active coordinate reaches zero
+    and leaves in j's place. If none would, j is blocked until a coordinate
+    leaves the active set.
+    """
+    b = np.zeros(len(c))
+    signs = np.zeros(len(c))
+    active = np.empty(0, dtype=np.intp)
+    blocked: list[int] = []
+    for step in range(1, max_iter + 1):
+        g = h @ b - c
+        worst_active = float(np.abs(g[active] + l1 * signs[active]).max(initial=0.0))
+        excess = np.abs(g) - l1
+        excess[active] = -np.inf
+        if max(worst_active, float(excess.max())) <= tol_abs:
+            return b, step, True
+        if worst_active <= tol_abs:
+            excess[blocked] = -np.inf
+            j = int(np.argmax(excess))
+            if excess[j] <= tol_abs:
+                return b, step, False  # only blocked coordinates violate
+            signs[j] = -np.sign(g[j])
+            grown = np.append(active, j)
+            block = h[grown][:, grown]
+            rhs = np.zeros((len(grown), 2))
+            rhs[:, 0] = c[grown] - l1 * signs[grown]
+            rhs[-1, 1] = 1.0
+            try:
+                solved = np.linalg.solve(block, rhs)
+            except np.linalg.LinAlgError:
+                solved = np.full_like(rhs, np.nan)
+            # j's Schur complement in the block is 1 / (block^-1)[-1, -1]
+            if 0.0 < solved[-1, 1] * h[j, j] <= 1.0 / _PIVOT_RCOND:
+                active = grown
+                b[active] = _line_search(block, c[active], l1, b[active], solved[:, 0])
+            else:
+                slide = -signs[j] * np.linalg.solve(h[active][:, active], h[active, j])
+                leaving = np.flatnonzero(b[active] * slide < 0.0)
+                if leaving.size == 0:
+                    signs[j] = 0.0
+                    blocked.append(j)
+                    continue
+                at = -b[active[leaving]] / slide[leaving]
+                b[active] += at.min() * slide
+                b[active[leaving[at == at.min()]]] = 0.0
+                b[j] = at.min() * signs[j]
+                active = grown
+        else:
+            block = h[active][:, active]
+            try:
+                target = np.linalg.solve(block, c[active] - l1 * signs[active])
+            except np.linalg.LinAlgError:
+                return b, step, False
+            b[active] = _line_search(block, c[active], l1, b[active], target)
+        signs[active] = np.sign(b[active])
+        kept = b[active] != 0.0
+        if not kept.all():
+            active = active[kept]
+            blocked = []
+    return b, max_iter, False
+
+
+def _line_search(
+    h: np.ndarray, c: np.ndarray, l1: float, start: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """The point of the segment from start to target with the lowest
+    objective among its end and the points where a coordinate changes sign;
+    a coordinate that reaches zero at the chosen point is exactly 0 there.
+
+    The objective agrees with the fixed-sign quadratic up to the first sign
+    change, and that quadratic falls all the way to target, so the first
+    sign-change point alone is already lower than start."""
+    cross = np.flatnonzero(start * target < 0.0)
+    if cross.size == 0:
+        return target
+    at = start[cross] / (start[cross] - target[cross])  # in (0, 1)
+    points = start + np.append(at, 1.0)[:, None] * (target - start)
+    points[:-1, cross] = np.where(at[:, None] == at[None, :], 0.0, points[:-1, cross])
+    objective = 0.5 * ((points @ h) * points).sum(axis=1) - points @ c
+    objective += l1 * np.abs(points).sum(axis=1)
+    return points[int(np.argmin(objective))]
 
 
 def elastic_net_objective(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -241,13 +242,46 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+_CSV_BLOCK_ROWS = 512
+# csv.writer's default dialect quotes a field that holds any of these
+_QUOTED_CHARS = re.compile('[,"\r\n]')
+
+
+def _format_cells(values: tuple) -> tuple[list[str], bool]:
+    """``_format_cell`` of each value, formatting each distinct value once,
+    and whether any cell holds a character that csv.writer quotes.
+
+    Values are keyed with their type, since 1 == 1.0 == True. The two float
+    zeros are equal but format apart, so a zero is formatted by itself."""
+    kinds = set(map(type, values))
+    keys = list(zip(map(type, values), values))
+    distinct = list(dict.fromkeys(keys))
+    # a float's repr is its _format_cell
+    fmt = repr if kinds == {float} else _format_cell
+    text = dict(zip(distinct, map(fmt, [v for _, v in distinct])))
+    cells = [text[key] for key in keys]
+    if any(issubclass(kind, float) and (kind, 0.0) in text for kind in kinds):
+        cells = [_format_cell(v) if isinstance(v, float) and v == 0.0 else cell
+                 for v, cell in zip(values, cells)]
+    return cells, _QUOTED_CHARS.search("".join(text.values())) is not None
+
+
 def write_csv(table: Table, path) -> None:
-    """Write RFC-4180 CSV; missing cells become empty fields."""
+    """Write RFC-4180 CSV; missing cells become empty fields. Cells are
+    formatted a block of rows at a time, each distinct value once."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
-        for i in range(table.n_rows):
-            writer.writerow([_format_cell(c.values[i]) for c in table.cols])
+        for start in range(0, table.n_rows, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            columns, quoted = zip(*(_format_cells(c.values[start:stop]) for c in table.cols))
+            rows = zip(*columns)
+            if len(columns) > 1 and not any(quoted):
+                # csv.writer would quote nothing (it quotes a lone empty
+                # field, hence two columns or more): joining writes its bytes
+                fh.writelines(",".join(row) + "\r\n" for row in rows)
+            else:
+                writer.writerows(rows)
 
 
 def schema_of(table: Table, name: str = "derived") -> Schema:

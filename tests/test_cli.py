@@ -6,10 +6,12 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from rentlab.cli import (
@@ -185,6 +187,25 @@ class TestRunCommand:
             "wrangle_report.csv", "eval_report.json",
         ):
             assert (tmp_path / "out" / artifact).is_file()
+
+    def test_linear_fits_on_raw_features_converge(self, tmp_path):
+        # listing-level columns repeat over each listing's days, so the raw
+        # matrix is rank-deficient: the exact solvers must still meet the KKT
+        # conditions on every fit, the search's included
+        cfg_path, out_dir = _write_config(tmp_path, {
+            "models": {"families": ["lasso", "ridge", "elastic"]},
+            "eval": {"search_samples": 2},
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg_path)]) == 0
+        assert not [w for w in caught if "elastic net" in str(w.message)]
+        doc = json.loads((Path(out_dir) / "eval_report.json").read_text())
+        assert [rep["model_name"] for rep in doc["reports"]] == ["lasso", "ridge", "elastic"]
+        assert all(rep["converged"] is True for rep in doc["reports"])
+        features = matrix_from_csv(str(Path(out_dir) / "features.csv"))
+        xc = features.x - features.x.mean(axis=0)
+        assert np.linalg.matrix_rank(xc) < features.x.shape[1]
 
     def test_run_loads_no_numpy_ma_scipy_or_hypothesis(self, tmp_path):
         # numpy.ma alone adds about 1 MB of peak RSS; the pipeline is numpy-only.
@@ -722,6 +743,7 @@ class TestConfigValues:
         ({"models": {"families": "lasso"}}, "models.families"),
         ({"models": {"families": []}}, "models.families"),
         ({"models": {"families": ["lasso", "lassoo"]}}, "models.families"),
+        ({"models": {"families": ["lasso", "ridge", "lasso"]}}, "models.families"),
         ({"explain": {"rows": True}}, "explain.rows"),
         ({"models": {"hyperparams": {"max_depth": -1}}}, "models.hyperparams.max_depth"),
         ({"models": {"grids": {"gbm": {"learning_rate": [0.0]}}}},

@@ -1,9 +1,13 @@
+import csv
 import datetime as dt
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rentlab import tabular
 from rentlab.errors import SchemaError
 from rentlab.tabular import (
     CALENDAR_SCHEMA,
@@ -12,6 +16,7 @@ from rentlab.tabular import (
     Column,
     Schema,
     Table,
+    _format_cell,
     clean_currency,
     drop_duplicates,
     group_means,
@@ -287,6 +292,57 @@ def test_csv_round_trip(tmp_path_factory, table):
                 assert b is None  # empty text is indistinguishable from missing
             else:
                 assert a == b
+
+
+def _reference_write_csv(table, path):
+    """write_csv as one _format_cell per cell and one csv.writer row per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.names)
+        for i in range(table.n_rows):
+            writer.writerow([_format_cell(c.values[i]) for c in table.cols])
+
+
+_CELL_VALUES = {
+    "numeric": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
+    ),
+    # equal under ==, apart once written; drawn without a pool, so they meet
+    "mixed": st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, np.float64(-0.0), np.float64(0.0)]),
+    "text": st.one_of(
+        st.text(alphabet=st.sampled_from('ab ,"\r\n;\'\t'), max_size=5),
+        st.text(max_size=5).filter(lambda t: "\x00" not in t),
+    ),
+    "integer": st.integers(min_value=-10**6, max_value=10**6),
+    "boolean": st.booleans(),
+    "date": st.dates(min_value=dt.date(1990, 1, 1), max_value=dt.date(2030, 12, 31)),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    columns = {}
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(sorted(_CELL_VALUES)))
+        cells = st.one_of(st.none(), _CELL_VALUES[kind])
+        if kind != "mixed":
+            # a few distinct values each, so that blocks repeat them
+            cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=4)))
+        values = draw(st.lists(cells, min_size=n, max_size=n))
+        columns[f"c{i}"] = ("numeric" if kind == "mixed" else kind, values)
+    return Table.from_dict(columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_tables(), st.sampled_from([1, 3, 512]))
+def test_write_csv_matches_per_cell_writer(tmp_path_factory, table, block_rows):
+    folder = tmp_path_factory.mktemp("csv")
+    with mock.patch.object(tabular, "_CSV_BLOCK_ROWS", block_rows):
+        write_csv(table, folder / "blocked.csv")
+    _reference_write_csv(table, folder / "per_cell.csv")
+    assert (folder / "blocked.csv").read_bytes() == (folder / "per_cell.csv").read_bytes()
 
 
 def test_inner_join_basic():
