@@ -17,6 +17,7 @@ from rentlab.features import (
     binarize_amenities,
     default_pois,
     expand_date,
+    feature_columns,
     one_hot,
     poi_distance_features,
     top_k_amenities,
@@ -50,15 +51,7 @@ def build_matrix(seed: int):
     lst = binarize_amenities(lst, top_k_amenities(lst, 15))
     lst = one_hot(lst, "room_type")
     joined = inner_join(cal, lst, "listing_id", "id")
-    feature_cols = [
-        name
-        for name, col in zip(joined.names, joined.cols)
-        if name not in ("price", "id", "listing_id", "host_id")
-        and col.kind in ("numeric", "integer", "boolean")
-        and col.n_missing == 0
-        and len(set(col.values)) > 1
-    ]
-    return assemble_matrix(joined, "price", feature_cols)
+    return assemble_matrix(joined, "price", feature_columns(joined, "price"))
 
 
 def print_table(title: str, reports) -> None:

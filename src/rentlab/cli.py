@@ -47,6 +47,7 @@ from .features import (
     binarize_amenities,
     default_pois,
     expand_date,
+    feature_columns,
     load_pois,
     matrix_from_csv,
     matrix_to_csv,
@@ -89,7 +90,6 @@ from .wrangle import (
 )
 
 INPUT_NAMES = ("listings", "calendar", "reviews")
-ID_COLUMNS = frozenset({"id", "listing_id", "host_id", "reviewer_id", "scrape_id"})
 REVIEW_SCORE_COLUMNS = (
     "review_scores_rating",
     "review_scores_accuracy",
@@ -541,23 +541,11 @@ def stage_featurize(
         )
 
     calendar = expand_date(calendar, "date")
-    joined = inner_join(calendar, listings, "listing_id", "id")
+    # a listings dump's own price would join as price_r: the target renamed
+    joined = inner_join(calendar, listings.without_columns(["price"]), "listing_id", "id")
     if joined.n_rows == 0:
         raise PipelineError("featurize: join of calendar and listings is empty")
-
-    feature_cols = []
-    for name, col in zip(joined.names, joined.cols):
-        if name == "price" or name in ID_COLUMNS:
-            continue
-        if col.kind not in ("numeric", "integer", "boolean"):
-            continue
-        if col.n_missing:
-            continue
-        distinct = {v for v in col.values}
-        if len(distinct) < 2:
-            continue  # constant columns collide with the intercept
-        feature_cols.append(name)
-    matrix = assemble_matrix(joined, "price", feature_cols)
+    matrix = assemble_matrix(joined, "price", feature_columns(joined, "price"))
     if opts.standardize:
         matrix = standardize(matrix)
     write_matrix(matrix, out_path)

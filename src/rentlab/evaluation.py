@@ -13,7 +13,7 @@ from .models import FAMILIES, HyperParams, fit_family, predict
 from .tabular import Table
 
 METRIC_ROWS = ("R-Squared", "Mean Absolute Error", "Root Mean Squared Error")
-# families fit by coordinate descent; their reports carry converged / n_iter
+# families fit by fit_elastic_net; their reports carry converged / n_iter
 CD_FAMILIES = ("lasso", "ridge", "elastic")
 
 
@@ -56,7 +56,7 @@ class EvalReport:
     rmse: float
     config: HyperParams = field(default_factory=HyperParams)
     feature_set: tuple[str, ...] = ()
-    converged: bool | None = None  # coordinate-descent families only
+    converged: bool | None = None  # fit_elastic_net families only
     n_iter: int | None = None
 
     def __post_init__(self):

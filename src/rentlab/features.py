@@ -240,6 +240,23 @@ def standardize(m: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix((m.x - means) / safe, m.feature_names, m.y)
 
 
+ID_COLUMNS = frozenset({"id", "listing_id", "host_id", "reviewer_id", "scrape_id"})
+
+
+def feature_columns(table: Table, target: str) -> list[str]:
+    """The columns of table that can be features: numeric, integer or
+    boolean, neither the target nor an id, with no missing cell and at least
+    two distinct values (a constant column collides with the intercept)."""
+    return [
+        name
+        for name, col in zip(table.names, table.cols)
+        if name != target and name not in ID_COLUMNS
+        and col.kind in ("numeric", "integer", "boolean")
+        and col.n_missing == 0
+        and len(set(col.values)) > 1
+    ]
+
+
 def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> FeatureMatrix:
     """Stack the named columns into a float design matrix, target last-checked.
 

@@ -1,5 +1,5 @@
-"""Linear regression: OLS via normal equations, and the Lasso/Ridge/ElasticNet
-family solved exactly on the centred Gram matrix: ridge by one Cholesky
+"""Linear regression on the centred normal equations, which leave the
+intercept column and its conditioning out: OLS and ridge by one Cholesky
 solve, lasso and elastic net by an active-set (feature-sign) search.
 
 The penalized objective is
@@ -64,23 +64,29 @@ def _check_matrix(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(m.x, dtype=np.float64), np.asarray(m.y, dtype=np.float64)
 
 
+def _centred_normal_equations(x: np.ndarray, y: np.ndarray, cols: np.ndarray):
+    """(x_mean, y_mean, xc, yc, g, c) for the columns cols: g = xc'xc/n, c = xc'yc/n."""
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x[:, cols]  # a copy: centred in place
+    xc -= x_mean[cols]
+    yc = y - y_mean
+    return x_mean, y_mean, xc, yc, xc.T @ xc / len(y), xc.T @ yc / len(y)
+
+
 def fit_ols(m: FeatureMatrix) -> LinearModel:
-    """Least squares by normal equations with a Cholesky solve. A singular
-    Gram matrix raises RankDeficiencyError."""
+    """Least squares with an intercept by one Cholesky solve of the centred
+    normal equations; a constant or collinear column raises RankDeficiencyError."""
     x, y = _check_matrix(m)
-    a = np.column_stack([np.ones(len(y)), x])
-    gram = a.T @ a
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+    x_mean, y_mean, _, _, g, c = _centred_normal_equations(x, y, np.arange(x.shape[1]))
+    # a constant column's inexact mean leaves noise that passes the pivot test
+    b = None if (np.ptp(x, axis=0) == 0.0).any() else _cholesky_solve(g, c)
+    if b is None:
         raise RankDeficiencyError(
             "singular design matrix (collinear or constant features); "
             "drop redundant columns"
-        ) from None
-    rhs = a.T @ y
-    z = np.linalg.solve(chol, rhs)
-    beta = np.linalg.solve(chol.T, z)
-    return LinearModel(float(beta[0]), beta[1:], feature_names=m.feature_names)
+        )
+    return LinearModel(y_mean - float(x_mean @ b), b, feature_names=m.feature_names)
 
 
 def fit_elastic_net(
@@ -99,11 +105,11 @@ def fit_elastic_net(
     (lstsq on the rows when H is singular); with one, a feature-sign search. A
     zero-variance column keeps a coefficient of exactly 0.
 
-    tol bounds every KKT residual, relative to max(1, max|c|); max_iter
-    caps the active-set steps, and n_iter counts them (1 without an L1
-    part). A fit left with a larger residual (max_iter reached, or rounding
-    on a nearly singular problem) has converged False and raises a
-    RuntimeWarning.
+    tol bounds every KKT residual, relative to max(1, max|c|), plus the
+    rounding of h @ b without an L1 part; max_iter caps the active-set
+    steps, and n_iter counts them (1 without an L1 part). A fit left with a
+    larger residual (max_iter reached, or rounding on a nearly singular
+    problem) has converged False and raises a RuntimeWarning.
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -114,17 +120,11 @@ def fit_elastic_net(
         raise ValueError("non-finite values in training data")
     n, p = x.shape
 
-    x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
     live = np.flatnonzero(np.ptp(x, axis=0) > 0.0)
-    xc = x[:, live]  # a copy: centred in place
-    xc -= x_mean[live]
-    yc = y - y_mean
+    x_mean, y_mean, xc, yc, h, c = _centred_normal_equations(x, y, live)
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
-    h = xc.T @ xc / n
     h[np.diag_indices_from(h)] += l2
-    c = xc.T @ yc / n
 
     tol_abs = tol * max(1.0, float(np.abs(c).max(initial=0.0)))
     if l1 == 0.0:
@@ -136,7 +136,9 @@ def fit_elastic_net(
             b = np.linalg.lstsq(np.vstack([xc, ridge_rows]), np.append(yc, np.zeros(len(live))),
                                 rcond=None)[0]
         n_iter = 1
-        converged = float(np.abs(h @ b - c).max(initial=0.0)) <= tol_abs
+        # allow for the rounding of h @ b, which exceeds tol when b is large
+        rounding = len(b) * np.finfo(np.float64).eps * (np.abs(h) @ np.abs(b))
+        converged = bool((np.abs(h @ b - c) <= tol_abs + rounding).all())
     else:
         b, n_iter, converged = _feature_sign(h, c, l1, tol_abs, max_iter)
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, RankDeficiencyError
+from .errors import EmptyInputError
 from .evaluation import train_test_split
 from .features import FeatureMatrix
-from .models import BoostedModel, FittedModel, ForestModel, LinearModel, Tree, fit_ols, predict
+from .models import BoostedModel, FittedModel, ForestModel, LinearModel, Tree, predict
+from .models.linear import _centred_normal_equations, _cholesky_solve
 
 DEFAULT_FORWARD_MAX = 85
 DEFAULT_FORWARD_TOL = 1e-3
@@ -155,15 +156,6 @@ def select_k_best(scores: list[FeatureScore], k: int = 40) -> list[str]:
     return [s.feature for s in ranked[:k]]
 
 
-def _val_mse(train: FeatureMatrix, val: FeatureMatrix, cols: list[str]) -> float | None:
-    try:
-        model = fit_ols(train.select(cols))
-    except RankDeficiencyError:
-        return None
-    err = val.select(cols).x @ model.coefficients + model.intercept - val.y
-    return float(err @ err) / val.n_rows
-
-
 def forward_select(
     m: FeatureMatrix,
     max_features: int = DEFAULT_FORWARD_MAX,
@@ -175,37 +167,44 @@ def forward_select(
     Uses a fixed, seeded 80/20 internal split. Each step fits OLS on the
     current set plus every remaining candidate and keeps the best; stops when
     the relative MSE improvement drops below min_rel_improvement or the
-    feature budget is reached. Returns features in selection order.
+    feature budget is reached. Returns features in selection order. Columns
+    constant on the train rows, or equal to an earlier column, never enter.
     """
     if max_features < 1:
         raise ValueError(f"max_features must be >= 1, got {max_features}")
     train, val = train_test_split(m, 0.8, seed)
     atol = 1e-12 * max(1.0, float(val.y @ val.y) / val.n_rows)
-
-    selected: list[str] = []
-    remaining = list(m.feature_names)
-    base_err = val.y - train.y.mean()
-    prev_mse = float(base_err @ base_err) / val.n_rows
+    x_mean, y_mean, _, _, g, c = _centred_normal_equations(train.x, train.y, np.arange(m.n_features))
+    val_xc, val_yc = val.x - x_mean, val.y - y_mean
+    first: dict[int, int] = {}  # hash of a column's values -> first column with it
+    remaining = []
+    for j in np.flatnonzero(np.ptp(train.x, axis=0) > 0.0):
+        i = first.setdefault(hash(m.x[:, j].tobytes()), j)
+        if i == j or not np.array_equal(m.x[:, i], m.x[:, j]):
+            remaining.append(j)
+    selected: list[int] = []
+    prev_mse = float(val_yc @ val_yc) / val.n_rows
     while remaining and len(selected) < max_features:
-        best_mse = None
-        best_name = None
+        best_mse = best = None
         for cand in remaining:
-            mse = _val_mse(train, val, selected + [cand])
-            if mse is None:
+            cols = selected + [cand]
+            b = _cholesky_solve(g[np.ix_(cols, cols)], c[cols])
+            if b is None:
                 continue
+            err = val_xc[:, cols] @ b - val_yc
+            mse = float(err @ err) / val.n_rows
             if best_mse is None or mse < best_mse:
-                best_mse, best_name = mse, cand
-        if best_name is None or prev_mse <= 0.0:
+                best_mse, best = mse, cand
+        if best is None or prev_mse <= 0.0:
             break
-        improvement = (prev_mse - best_mse) / prev_mse
-        if improvement < min_rel_improvement:
+        if (prev_mse - best_mse) / prev_mse < min_rel_improvement:
             break
-        selected.append(best_name)
-        remaining.remove(best_name)
+        selected.append(best)
+        remaining.remove(best)
         prev_mse = best_mse
         if prev_mse <= atol:
             break
-    return selected
+    return [m.feature_names[j] for j in selected]
 
 
 # Background rows go through in blocks of at most this many (row, path slot,

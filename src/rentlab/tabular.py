@@ -66,10 +66,6 @@ class Table:
     def n_rows(self) -> int:
         return len(self.cols[0]) if self.cols else 0
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.cols)
-
     def __contains__(self, name: str) -> bool:
         return name in self.names
 
@@ -282,11 +278,6 @@ def write_csv(table: Table, path) -> None:
                 fh.writelines(",".join(row) + "\r\n" for row in rows)
             else:
                 writer.writerows(rows)
-
-
-def schema_of(table: Table, name: str = "derived") -> Schema:
-    """Schema that re-reads what write_csv produced for this table."""
-    return Schema(name, {n: c.kind for n, c in zip(table.names, table.cols)}, frozenset())
 
 
 def clean_currency(col: Column) -> Column:

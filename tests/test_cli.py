@@ -34,6 +34,7 @@ from rentlab.evaluation import _derived_seed
 from rentlab.features import matrix_from_csv
 from rentlab.models import FAMILIES, load_model
 from rentlab.synthgen import GenConfig
+from rentlab.tabular import LISTINGS_SCHEMA, Column, read_csv, write_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -207,16 +208,20 @@ class TestRunCommand:
         xc = features.x - features.x.mean(axis=0)
         assert np.linalg.matrix_rank(xc) < features.x.shape[1]
 
-    def test_run_loads_no_numpy_ma_scipy_or_hypothesis(self, tmp_path):
-        # numpy.ma alone adds about 1 MB of peak RSS; the pipeline is numpy-only.
-        # numpy.matrixlib always loads, so numpy.ma is checked by its exact name.
-        cfg_path, _ = _write_config(tmp_path, {
-            "generator": {"n_listings": 8},
+    @pytest.mark.parametrize("overrides", [
+        {
             "selection": {"mode": "kbest", "k": 10},
             "models": {"grids": {"lasso": {"alpha": [0.1]}, "forest": {"max_depth": [2, 3]},
                                  "gbm": {"n_rounds": [3, 5]}}},
             "eval": {"search_samples": 2},
-        })
+        },
+        # forward selection and OLS, the least-squares paths
+        {"selection": {"mode": "forward"}, "models": {"families": ["ols", "lasso"]}},
+    ], ids=["kbest_search", "forward_ols"])
+    def test_run_loads_no_numpy_ma_scipy_or_hypothesis(self, tmp_path, overrides):
+        # numpy.ma alone adds about 1 MB of peak RSS; the pipeline is numpy-only.
+        # numpy.matrixlib always loads, so numpy.ma is checked by its exact name.
+        cfg_path, _ = _write_config(tmp_path, {"generator": {"n_listings": 8}, **overrides})
         code = (
             "import json, sys\n"
             "from rentlab.cli import main\n"
@@ -441,6 +446,25 @@ class TestStageComposition:
             via_run = (tmp_path / "out" / artifact).read_bytes()
             via_stages = (stage_dir / artifact).read_bytes()
             assert via_run == via_stages, artifact
+
+
+class TestListingPrice:
+    def test_listings_own_price_is_not_a_feature(self, tmp_path):
+        # a listings dump carries a nightly price of its own; joined to the
+        # calendar it would be the target under the name price_r
+        assert main(["gen", "--seed", "1", "--listings", "10", "--start", "2023-01-01",
+                     "--end", "2023-01-10", "--out-dir", str(tmp_path)]) == 0
+        listings, _ = read_csv(tmp_path / "listings.csv", LISTINGS_SCHEMA)
+        price = Column("text", tuple(f"${100 + 7 * i}.00" for i in range(listings.n_rows)))
+        write_csv(listings.with_column("price", price), tmp_path / "listings.csv")
+        assert main(["wrangle", "--listings", str(tmp_path / "listings.csv"),
+                     "--calendar", str(tmp_path / "calendar.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert main(["featurize", "--listings", str(tmp_path / "listings_clean.csv"),
+                     "--calendar", str(tmp_path / "calendar_clean.csv"),
+                     "--out", str(tmp_path / "features.csv")]) == 0
+        names = matrix_from_csv(str(tmp_path / "features.csv")).feature_names
+        assert [n for n in names if "price" in n] == []
 
 
 class TestFeatureMatrixErrors:

@@ -72,6 +72,28 @@ class TestFitOls:
         assert np.allclose(model.coefficients, beta, atol=1e-9)
 
 
+class TestOlsAccuracy:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lstsq_on_large_means_and_small_spread(self, seed):
+        # coordinates like latitude 30 +- 0.05 put cond([1, X]) near 2e5;
+        # normal equations of that design square it and miss lstsq by 3e-8
+        # to 6e-7, while the centred ones leave the intercept column out
+        rng = np.random.default_rng(seed)
+        n = 300
+        x = np.column_stack([30.0 + 0.05 * rng.normal(size=n), -97.7 + 0.05 * rng.normal(size=n),
+                             rng.normal(size=n)])
+        y = 100.0 + 400.0 * x[:, 0] - 300.0 * x[:, 1] + 5.0 * x[:, 2] + rng.normal(size=n)
+        model = fit_ols(_fm(x, y, ("latitude", "longitude", "z")))
+        best = np.linalg.lstsq(np.column_stack([np.ones(n), x]), y, rcond=None)[0]
+        got = np.append(model.intercept, model.coefficients)
+        assert np.abs(got - best).max() <= 1e-10 * np.abs(best).max()
+
+    def test_constant_column_rank_deficient(self):
+        x = np.column_stack([[1.0, 2.0, 4.0], [0.1, 0.1, 0.1]])
+        with pytest.raises(RankDeficiencyError):
+            fit_ols(_fm(x, [1.0, 2.0, 3.0]))
+
+
 class TestElasticNet:
     def test_alpha_zero_matches_ols(self):
         rng = np.random.default_rng(7)
@@ -352,11 +374,8 @@ class TestExactSolver:
         # condition number, misses the minimum by 5e-4 to 1.0 relative.
         base = _oracle_matrix(seed=seed, n=8)
         m = _fm(np.column_stack([base.x, base.x[:, 0]]), base.y)
-        with warnings.catch_warnings():
-            # coefficients near 1e6 put the gradient's rounding above tol, so
-            # the fit may be flagged unconverged; the objective is the test
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = fit_elastic_net(m, alpha=0.0, l1_ratio=0.5)
+        model = fit_elastic_net(m, alpha=0.0, l1_ratio=0.5)
+        assert model.converged
         a = np.column_stack([np.ones(8), m.x])
         best = np.linalg.lstsq(a, m.y, rcond=None)[0]
         ours = elastic_net_objective(m, model.intercept, model.coefficients, 0.0, 0.5)

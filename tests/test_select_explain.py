@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from shapley_oracle import ValueFunction, exact_shapley, sampled_shapley
 
+from rentlab.errors import RankDeficiencyError
+from rentlab.evaluation import train_test_split
 from rentlab.features import FeatureMatrix
 from rentlab.models import HyperParams, LinearModel, fit_family, fit_forest, fit_ols, fit_tree, predict
 from rentlab.select_explain import (
@@ -166,6 +168,74 @@ class TestSelectKBest:
             select_k_best([FeatureScore("a", 1.0, 0.1)], 0)
 
 
+def _greedy_by_refits(m, max_features, min_rel_improvement, seed):
+    """Reference forward selection: for every candidate at every step, a
+    fit_ols refit on copies of the train columns and a validation error from
+    the fitted intercept."""
+    train, val = train_test_split(m, 0.8, seed)
+    atol = 1e-12 * max(1.0, float(val.y @ val.y) / val.n_rows)
+    selected: list[str] = []
+    remaining = list(m.feature_names)
+    base_err = val.y - train.y.mean()
+    prev_mse = float(base_err @ base_err) / val.n_rows
+    while remaining and len(selected) < max_features:
+        best_mse = best_name = None
+        for cand in remaining:
+            cols = selected + [cand]
+            try:
+                model = fit_ols(train.select(cols))
+            except RankDeficiencyError:
+                continue
+            err = val.select(cols).x @ model.coefficients + model.intercept - val.y
+            mse = float(err @ err) / val.n_rows
+            if best_mse is None or mse < best_mse:
+                best_mse, best_name = mse, cand
+        if best_name is None or prev_mse <= 0.0:
+            break
+        if (prev_mse - best_mse) / prev_mse < min_rel_improvement:
+            break
+        selected.append(best_name)
+        remaining.remove(best_name)
+        prev_mse = best_mse
+        if prev_mse <= atol:
+            break
+    return selected
+
+
+@st.composite
+def _selection_problems(draw):
+    """(matrix, seed): noisy linear data on columns of varied scale and
+    offset, plus exact duplicates, columns constant everywhere or only on the
+    train rows of the seed's split, and near-ties (a column plus a 1e-4
+    relative perturbation)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 1000))
+    n, p = draw(st.integers(5, 60)), draw(st.integers(1, 6))
+    x = rng.normal(size=(n, p)) * rng.uniform(0.01, 10.0, size=p) + rng.uniform(-100, 100, size=p)
+    y = x @ rng.normal(size=p) + rng.normal(size=n) * rng.uniform(0.01, 3.0)
+    # the split's train rows, read off a row-number column
+    train, _ = train_test_split(FeatureMatrix(np.arange(n, dtype=np.float64)[:, None], ("row",), y),
+                                0.8, seed)
+    on_val = np.ones(n, dtype=bool)
+    on_val[train.x[:, 0].astype(int)] = False
+    columns = [x]
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "constant", "train_constant",
+                                               "near_tie"]), max_size=4)):
+        j = int(rng.integers(x.shape[1]))
+        if kind == "duplicate":
+            col = x[:, j]
+        elif kind == "constant":
+            col = np.full(n, float(rng.choice([0.0, 1.0, 30.27])))
+        elif kind == "train_constant":
+            col = np.where(on_val, rng.normal(size=n), 1.0)
+        else:
+            col = x[:, j] + 1e-4 * x[:, j].std() * rng.normal(size=n)
+        columns.append(col[:, None])
+    x = np.hstack(columns)
+    x = x[:, rng.permutation(x.shape[1])]
+    return _fm(x, y), seed
+
+
 class TestForwardSelect:
     def test_perfect_predictor_selected_first_and_stops(self):
         rng = np.random.default_rng(7)
@@ -222,6 +292,13 @@ class TestForwardSelect:
             cur = forward_select(m, max_features=k, min_rel_improvement=1e-9)
             assert cur[: len(prev)] == prev
             prev = cur
+
+    @settings(max_examples=200, deadline=None)
+    @given(_selection_problems(), st.integers(1, 8), st.sampled_from([0.0, 1e-6, 1e-3]))
+    def test_same_picks_as_refitting_each_candidate(self, problem, max_features, tol):
+        m, seed = problem
+        assert forward_select(m, max_features, tol, seed) == _greedy_by_refits(m, max_features, tol,
+                                                                               seed)
 
     def test_max_features_validation(self):
         with pytest.raises(ValueError):

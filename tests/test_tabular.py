@@ -22,7 +22,6 @@ from rentlab.tabular import (
     group_means,
     inner_join,
     read_csv,
-    schema_of,
     write_csv,
 )
 
@@ -281,7 +280,8 @@ def small_tables(draw):
 def test_csv_round_trip(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     write_csv(table, path)
-    back, report = read_csv(path, schema_of(table))
+    schema = Schema("derived", {n: c.kind for n, c in zip(table.names, table.cols)}, frozenset())
+    back, report = read_csv(path, schema)
     assert report.total_coerced == 0
     for col_in, col_out in zip(table.cols, back.cols):
         assert col_in.kind == col_out.kind
@@ -401,7 +401,7 @@ def test_full_width_listings_dump_loads_typed(tmp_path):
         writer.writerow(header)
         writer.writerow(row)
     table, report = read_csv(path, LISTINGS_SCHEMA)
-    assert table.n_cols == len(header) >= 70
+    assert len(table.names) == len(header) >= 70
     assert report.total_coerced == 0
     assert table.values("price") == (1234.0,)
     assert table.values("host_is_superhost") == (True,)
