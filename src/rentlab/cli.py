@@ -631,7 +631,7 @@ def stage_evaluate(
             }
         configs[fam] = ModelConfig(fam, hp, seed=_derived_seed(seed, FAMILIES.index(fam), 1))
 
-    # one report per listed family, a repeated one included
+    # one report per listed family, in the listed order (a repeat exits 2 at load)
     reports = compare_models(train, test, [configs[fam] for fam in models.families])
     write_table(reports_to_table(reports), os.path.join(out_dir, "eval_report.csv"))
     doc = {

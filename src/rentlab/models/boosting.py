@@ -4,7 +4,7 @@ learning rate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,13 +36,12 @@ def fit_gbm(m: FeatureMatrix, hp: HyperParams = HyperParams()) -> BoostedModel:
     y = np.asarray(m.y, dtype=np.float64)
     base = float(y.mean())
     pred = np.full(m.n_rows, base)
-    # every round grows a tree over the same rows, so x is coded and its
-    # root columns sorted once per fit
-    coded = _CodedMatrix.of(m).with_root_order()
+    # every round grows a tree over the same rows, so x is coded once per fit
+    coded = _CodedMatrix.of(m)
     trees: list[Tree] = []
     for _ in range(hp.n_rounds):
         residual = y - pred
-        tree = fit_tree(coded.with_target(residual), hp)
+        tree = fit_tree(replace(coded, y=residual), hp)
         trees.append(tree)
         pred += hp.learning_rate * tree.predict(m.x)
     return BoostedModel(base, trees, hp.learning_rate, feature_names=m.feature_names)

@@ -4,7 +4,7 @@ split, prediction = arithmetic mean of the trees."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class ForestModel:
     max_features: int
     seed: int
     feature_names: tuple[str, ...] = ()
-    bootstrap: bool = True
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -43,9 +42,10 @@ def fit_forest(
     m: FeatureMatrix,
     hp: HyperParams = HyperParams(),
     seed: int = 0,
-    bootstrap: bool = True,
 ) -> ForestModel:
-    """Fit hp.n_trees bagged trees; hp.max_features=0 means ceil(p/3)."""
+    """Fit hp.n_trees bagged trees; hp.max_features=0 means ceil(p/3). A
+    tree's bootstrap sample is each row's multiplicity among n draws, which
+    its split search takes as row weights."""
     p = m.n_features
     mf = hp.max_features or auto_max_features(p)
     if mf > p:
@@ -55,6 +55,6 @@ def fit_forest(
     trees = []
     for t in range(hp.n_trees):
         rng = _tree_rng(seed, t)
-        sample = coded.take(rng.integers(0, n, size=n)) if bootstrap else coded
-        trees.append(fit_tree(sample, hp, max_features=mf, rng=rng))
-    return ForestModel(trees, mf, seed, feature_names=m.feature_names, bootstrap=bootstrap)
+        weight = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+        trees.append(fit_tree(replace(coded, weight=weight), hp, max_features=mf, rng=rng))
+    return ForestModel(trees, mf, seed, feature_names=m.feature_names)

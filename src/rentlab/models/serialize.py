@@ -37,7 +37,6 @@ def model_to_doc(model) -> dict:
             "trees": [t.to_doc() for t in model.trees],
             "max_features": model.max_features,
             "seed": model.seed,
-            "bootstrap": model.bootstrap,
             "feature_names": list(model.feature_names),
         }
     if isinstance(model, BoostedModel):
@@ -72,7 +71,6 @@ def model_from_doc(doc: dict):
             doc["max_features"],
             doc["seed"],
             feature_names=tuple(doc.get("feature_names", ())),
-            bootstrap=doc.get("bootstrap", True),
         )
     if family == "gbm":
         return BoostedModel(

@@ -1,9 +1,10 @@
 """CART regression trees: greedy SSE-reduction splits at midpoints between
-sorted distinct values."""
+sorted distinct values, grown one level at a time from (node, bin)
+histograms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,10 +99,9 @@ def code_columns(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     ``values[j]`` holds column j's sorted distinct values, so that
     ``values[j][codes[j, i]] == x[i, j]``. Floats that compare ``==`` share a
     code (``-0.0`` and ``0.0`` too) and the codes keep the floats' order, so
-    a stable sort of a row of codes orders rows as a stable sort of the
-    column would. The dtype is the narrowest unsigned one that holds every
-    column's codes: uint8 up to 256 distinct values, where numpy's stable
-    argsort is a radix sort."""
+    a threshold between two codes splits the rows as one between the two
+    floats does. The dtype is the narrowest unsigned one that holds every
+    column's codes."""
     x = np.asarray(x, dtype=np.float64)
     values = tuple(_distinct(col) for col in x.T)
     width = max((v.size for v in values), default=1)
@@ -111,175 +111,337 @@ def code_columns(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return codes, values
 
 
-# A block of candidate features holds at most this many (feature, row) cells,
-# so each node's split search makes a few numpy calls per block instead of a
-# few per feature, and its temporaries stay near 128 KiB apiece. A node of
-# more rows than this scores one feature per block.
+# A level builds keys for at most this many (feature, row) cells at once,
+# or one feature's rows. A feature is histogrammed on a (node, bin) grid of
+# at most this many cells or the level's rows, else from its rows' sorted
+# keys; so a level's temporaries stay near the larger of 128 KiB and an
+# array over its rows apiece, however many nodes it holds.
 _BLOCK_CELLS = 1 << 14
-
-
-def _sort_block(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's stable order of a (f, n) block of codes, and where the
-    row's sorted codes change: ``cut[r, i]`` says sorted positions i and
-    i + 1 of row r differ."""
-    order = np.argsort(codes, axis=1, kind="stable")
-    codes = np.sort(codes, axis=1, kind="stable")
-    return order, codes[:, 1:] != codes[:, :-1]
-
-
-class _RootOrder:
-    """``_sort_block`` over every feature and all rows of a coded matrix:
-    what a root node's split search sorts. A fit that grows many trees over
-    the same rows (gbm) sorts them once; the orders take the narrowest
-    unsigned dtype that indexes the rows."""
-
-    def __init__(self, codes: np.ndarray):
-        p, n = codes.shape
-        self.order = np.empty((p, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-        self.cut = np.empty((p, max(n - 1, 0)), dtype=bool)
-        step = max(1, _BLOCK_CELLS // max(n, 1))
-        for start in range(0, p, step):
-            block = slice(start, start + step)
-            self.order[block], self.cut[block] = _sort_block(codes[block])
+# A level whose features all fit a grid keeps its histograms for its
+# children's sibling subtraction while they hold at most this many cells.
+_KEPT_CELLS = 1 << 17
+# Gains within this fraction of the node's SSE of its best gain count as
+# equal, so the sums' order of addition cannot pick the split.
+_TIE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class _CodedMatrix:
     """Training rows coded for split search (see ``code_columns``), with
-    their targets. ``fit_forest`` and ``fit_gbm`` code their matrix once and
-    hand every tree's rows and targets to ``fit_tree`` in this form; ``root``
-    caches the root node's sort when every tree starts from all the rows."""
+    their targets and, for a bootstrap sample, each row's multiplicity
+    (``weight``; None counts every row once). ``bins`` holds every column's
+    sorted distinct values one column after another, column j's from
+    ``offsets[j]``, so code c of column j is bin ``offsets[j] + c``.
+    ``fit_forest`` and ``fit_gbm`` code their matrix once and hand every
+    tree's targets and weights to ``fit_tree`` in this form."""
 
     codes: np.ndarray
-    values: tuple[np.ndarray, ...]
+    bins: np.ndarray
+    offsets: np.ndarray
     y: np.ndarray
-    root: _RootOrder | None = None
+    weight: np.ndarray | None = None
 
     @staticmethod
     def of(m: FeatureMatrix) -> "_CodedMatrix":
         codes, values = code_columns(m.x)
-        return _CodedMatrix(codes, values, np.asarray(m.y, dtype=np.float64))
+        offsets = np.zeros(len(values) + 1, dtype=np.intp)
+        np.cumsum([v.size for v in values], out=offsets[1:])
+        bins = np.concatenate(values) if values else np.empty(0)
+        return _CodedMatrix(codes, bins, offsets, np.asarray(m.y, dtype=np.float64))
 
     @property
     def n_rows(self) -> int:
         return self.codes.shape[1]
 
-    @property
-    def n_features(self) -> int:
-        return self.codes.shape[0]
 
-    def take(self, rows: np.ndarray) -> "_CodedMatrix":
-        """The given rows, repeats allowed, coded as before."""
-        return _CodedMatrix(self.codes[:, rows], self.values, self.y[rows])
-
-    def with_target(self, y: np.ndarray) -> "_CodedMatrix":
-        return replace(self, y=y)
-
-    def with_root_order(self) -> "_CodedMatrix":
-        return replace(self, root=_RootOrder(self.codes))
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Mark the first of each run of equal values in ``keys``."""
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
-def _best_split(coded, node_y, idx, features, root):
-    """Scan the candidate ``features`` (ascending) of the rows ``idx``, whose
-    targets are ``node_y``; return (gain, feature, threshold, left_rows,
-    right_rows) or None. Ties keep the lowest feature index, then the lowest
-    threshold. ``root`` is the matrix's ``_RootOrder`` when ``idx`` is all
-    of its rows in order, else None.
-
-    Each block of features is stably sorted by code and summed as one (f, n)
-    array; the gain is evaluated only where a row's sorted code changes. The
-    stable order of the codes is that of the floats, cumsum adds in sequence
-    along a row and the gain keeps the per-feature expression's operation
-    order, so every gain carries the same bits as a feature-at-a-time scan
-    of the floats. One argmax over the (feature, position) candidates, in
-    that order, keeps the tie order."""
-    n = idx.size
-    total_sum = node_y.sum()
-    total_sq = float(node_y @ node_y)
-    parent_sse = total_sq - total_sum * total_sum / n
-    step = max(1, _BLOCK_CELLS // n)
-
-    best = None
-    for start in range(0, features.size, step):
-        cols = features[start:start + step]
-        if root is not None:
-            order, cut = root.order[cols], root.cut[cols]
-        else:
-            order, cut = _sort_block(coded.codes[cols[:, None], idx])
-        fi, pos = np.divmod(np.flatnonzero(cut), n - 1)
-        if fi.size == 0:
-            continue
-        sy = node_y[order]
-        csum = np.cumsum(sy, axis=1)[fi, pos]
-        np.multiply(sy, sy, out=sy)
-        csq = np.cumsum(sy, axis=1, out=sy)[fi, pos]
-        k = pos + 1.0
-        # left_sse = csq - csum * csum / k
-        gains = np.multiply(csum, csum)
-        gains /= k
-        np.subtract(csq, gains, out=gains)
-        # right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - k)
-        sq = np.subtract(total_sum, csum, out=csum)
-        np.multiply(sq, sq, out=sq)
-        sq /= n - k
-        right = np.subtract(total_sq, csq, out=csq)
-        right -= sq
-        # gain = parent_sse - left_sse - right_sse
-        np.subtract(parent_sse, gains, out=gains)
-        gains -= right
-        # the first maximum is the lowest feature's lowest threshold; gains
-        # <= MIN_GAIN (a constant target, say) split nothing
-        i = int(gains.argmax())
-        gain = float(gains[i])
-        if gain <= MIN_GAIN or (best is not None and gain <= best[0]):
-            continue
-        f, p = int(fi[i]), int(pos[i])
-        feature = int(cols[f])
-        rows = idx[order[f]]
-        column, values = coded.codes[feature], coded.values[feature]
-        a, b = float(values[column[rows[p]]]), float(values[column[rows[p + 1]]])
-        thr = (a + b) / 2.0
-        if not (a <= thr < b):
-            thr = a
-        best = (gain, feature, thr, rows[: p + 1], rows[p + 1 :])
-    return best
+def _near_best(gain: np.ndarray, slot: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Mark each gain within ``tol[slot]`` of the largest gain of its slot;
+    ``slot`` is sorted."""
+    first = _firsts(slot)
+    starts = first.nonzero()[0]
+    best = np.maximum.reduceat(gain, starts)
+    return gain >= (best - tol[slot[starts]])[first.cumsum() - 1]
 
 
-def _grow(nodes, coded, idx, depth, max_depth, min_samples_split, max_features, rng):
-    """Append the subtree over rows `idx` to the node lists, in preorder."""
-    node_y = coded.y[idx]
-    n = idx.size
-    node = len(nodes["value"])
-    leaf = {"feature": -1, "threshold": 0.0, "left": node, "right": node,
-            "value": float(node_y.mean()), "n_samples": n, "gain": 0.0}
-    for f in _FIELDS:
-        nodes[f].append(leaf[f])
-    if (
-        depth >= max_depth
-        or n < min_samples_split
-        or n < 2
-        or float(node_y.min()) == float(node_y.max())
-    ):
-        return
+def _merge_near_best(picks, tol):
+    """Merge groups' (gain, slot, bin, next bin) thresholds in slot order,
+    dropping one short of its slot's best gain by more than ``tol`` or no
+    better than the one before it, which wins wherever it would."""
+    gain, s, at, above = (np.concatenate(part) for part in zip(*picks))
+    order = s.argsort(kind="stable")
+    near = order[_near_best(gain[order], s[order], tol)]
+    gain, s = gain[near], s[near]
+    rises = np.ones(s.size, dtype=bool)
+    rises[1:] = (s[1:] != s[:-1]) | (gain[1:] > gain[:-1])
+    near = near[rises]
+    return gain[rises], s[rises], at[near], above[near]
 
-    p = coded.n_features
-    if max_features is not None and max_features < p:
-        features = np.sort(rng.choice(p, size=max_features, replace=False))
+
+def _histogram(codes, offsets, j0, j1, rows, slot, weights, m) -> np.ndarray:
+    """Sum each of ``weights`` over the ``rows``, by their ``slot`` and
+    their bins of features j0 to j1: an array of shape (len(weights), m,
+    bins), one ``bincount`` per weight and key block."""
+    o0 = offsets[j0]
+    hist = np.empty((len(weights), m, offsets[j1] - o0))
+    step = max(1, _BLOCK_CELLS // rows.size)
+    for ja in range(j0, j1, step):
+        jb = min(ja + step, j1)
+        sub = hist[:, :, offsets[ja] - o0:offsets[jb] - o0]
+        width = sub.shape[2]
+        keys = np.add(codes[ja:jb].take(rows, 1), (offsets[ja:jb] - offsets[ja])[:, None],
+                      dtype=np.intp)
+        keys += slot * width
+        for q, w in enumerate(weights):
+            w = w[None].repeat(jb - ja, 0).ravel()
+            sub[q] = np.bincount(keys.ravel(), w, m * width).reshape(m, width)
+    return hist
+
+
+def _grid_cells(hist, o0):
+    """The slots, bins and sums of the occupied cells of (2, m, bins)
+    histograms from bin ``o0``, in slot then bin order."""
+    nb = hist.shape[2]
+    count, total = hist.reshape(2, -1)
+    flat = count.nonzero()[0]
+    return flat // nb, o0 + flat % nb, count[flat], total[flat]
+
+
+def _sorted_cells(codes, offsets, j0, j1, rows, slot, weights, m):
+    """``_grid_cells`` of the ``_histogram`` of features j0 to j1, from
+    the ``rows``' keys sorted: a cell's rows add in the same order."""
+    o0 = offsets[j0]
+    width = int(offsets[j1] - o0)
+    # a key holds its slot, then its bin in the group, in bit fields
+    wbits, rbits = (width - 1).bit_length(), (rows.size - 1).bit_length()
+    keys = codes[j0:j1].take(rows, 1).astype(np.int64)
+    keys += (offsets[j0:j1] - o0)[:, None]
+    keys += slot << wbits
+    if m << (wbits + rbits) <= 1 << 63:
+        # with its row in the low bits every key is distinct, so the
+        # unstable sort orders them as a stable one does
+        keys <<= rbits
+        keys |= np.arange(rows.size)
+        keys = np.sort(keys, axis=None)
+        row = keys & ((1 << rbits) - 1)
+        keys >>= rbits
     else:
-        features = np.arange(p)
+        keys = keys.ravel()
+        order = keys.argsort(kind="stable")
+        keys, row = keys[order], order % rows.size
+    first = _firsts(keys)
+    cell, index = keys[first], first.cumsum() - 1
+    return (cell >> wbits, o0 + (cell & ((1 << wbits) - 1)),
+            *(np.bincount(index, w[row], cell.size) for w in weights))
 
-    # the root's rows are all of the matrix's, in order
-    found = _best_split(coded, node_y, idx, features, coded.root if depth == 0 else None)
-    if found is None:
-        return
-    gain, feature, thr, left_rows, right_rows = found
-    nodes["feature"][node] = feature
-    nodes["threshold"][node] = thr
-    nodes["gain"][node] = gain
-    for side, rows in (("left", left_rows), ("right", right_rows)):
-        nodes[side][node] = len(nodes["value"])
-        _grow(nodes, coded, rows, depth + 1, max_depth,
-              min_samples_split, max_features, rng)
+
+def _candidates(s, at, count, total, bin_feature, totals, tol, allowed):
+    """Score the threshold after every occupied cell, given in slot then
+    bin order with its weight ``count`` and weighted target ``total`` (both
+    overwritten), from the nodes' (count, sum) ``totals``. Return the
+    (gain, slot, bin, next occupied bin) of those within ``tol`` of their
+    node's best gain here, or None when no gain exceeds MIN_GAIN."""
+    feature = bin_feature[at]
+    # the last cell of each (node, feature) segment
+    last = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=last[:-1])
+    last[:-1] |= feature[1:] != feature[:-1]
+    ends = last.nonzero()[0]
+    # less the node's totals at each segment's last cell, running sums end
+    # every segment at zero: the count exactly (a threshold leaves rows on
+    # its right where it is not 0), the sum to a rounding the next takes off
+    count[ends] -= totals[0, s[ends]]
+    total[ends] -= totals[1, s[ends]]
+    k = np.cumsum(count, out=count)
+    run = np.cumsum(total, out=total)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    run -= np.concatenate(([0.0], run[ends[:-1]])).repeat(ends + 1 - starts)
+    i = k.nonzero()[0]
+    if allowed is not None:
+        i = i[allowed[s[i], feature[i]]]
+    s, k, left = s[i], k[i], run[i]
+    # the SSE reduction n / (k (n - k)) * (left - k * mean)^2
+    n = totals[0, s]
+    gain = left - k * (totals[1] / totals[0])[s]
+    gain *= gain
+    gain *= n / (k * (n - k))
+    good = _near_best(gain, s, tol) & (gain > MIN_GAIN)
+    if not good.any():
+        return None
+    i = i[good]
+    return gain[good], s[good], at[i], at[i + 1]
+
+
+def _grow_levels(coded: _CodedMatrix, hp: HyperParams, max_features, rng) -> list[dict]:
+    """Grow the tree one level at a time; return each level's node
+    ``value`` and ``n_samples`` arrays, left to right, and for every level
+    but the last its splits: the nodes that split (``split``) with their
+    ``feature``, ``threshold`` and ``gain``. Split i's children are nodes
+    2i and 2i + 1 of the next level.
+
+    Each level sums its open nodes' row weights and weighted targets into
+    their occupied (node, bin) cells, from a grid or from sorted keys; of
+    two open siblings whose parent's grids were kept, only the smaller is
+    histogrammed, the larger being parent minus smaller. Running sums along
+    each (node, feature) segment score every open node's thresholds at
+    once; the first, by feature then threshold, within the tie tolerance
+    of the node's best gain wins."""
+    codes, offsets = coded.codes, coded.offsets
+    p, n = codes.shape
+    n_bins = int(offsets[-1])
+    widths = offsets[1:] - offsets[:-1]
+    bin_feature = np.arange(p, dtype=np.min_scalar_type(p)).repeat(widths)
+    weight = np.ones(n) if coded.weight is None else coded.weight
+    rows = weight.nonzero()[0]
+    # the sums run over the targets less their mean, so that their rounding
+    # follows the targets' spread, not their level
+    mean = float(weight[rows] @ coded.y[rows]) / float(weight[rows].sum())
+    y = coded.y - mean
+    node = np.zeros(rows.size, dtype=np.intp)
+    n_nodes, kept, parent = 1, None, None
+    levels = []
+    for depth in range(hp.max_depth + 1):
+        w, yr = weight[rows], y[rows]
+        wy = w * yr
+        count = np.bincount(node, w, n_nodes)
+        total = np.bincount(node, wy, n_nodes)
+        level = {"value": mean + total / count, "n_samples": count}
+        levels.append(level)
+        if depth == hp.max_depth:
+            break
+        # a node's targets vary when one differs from one of them
+        target = coded.y[rows]
+        one = np.empty(n_nodes)
+        one[node] = target
+        varied = np.bincount(node, target != one[node], n_nodes) > 0
+        is_open = varied & (count >= hp.min_samples_split)
+        slots = is_open.nonzero()[0]
+        m = slots.size
+        if m == 0:
+            break
+
+        # open nodes get slots 0..m-1 (their own numbers if all are open); rows of leaves drop out
+        slot_of, slot = slots, node
+        if m < n_nodes:
+            slot_of = is_open.cumsum() - 1
+            inside = is_open[node]
+            rows, w, yr, wy = rows[inside], w[inside], yr[inside], wy[inside]
+            slot = slot_of[node[inside]]
+        totals = np.array((count[slots], total[slots]))
+        sse = np.bincount(slot, wy * yr, m) - totals[1] * totals[1] / totals[0]
+        tol = _TIE * np.maximum(sse, 0.0)
+        allowed = None
+        if max_features is not None and max_features < p:
+            allowed = np.zeros((m, p), dtype=bool)
+            for s in range(m):
+                allowed[s, rng.choice(p, size=max_features, replace=False)] = True
+
+        derived = sibling = np.empty(0, dtype=np.intp)
+        hrows, hslot, hweights = rows, slot, (w, wy)
+        if kept is not None:
+            pair = (is_open[0::2] & is_open[1::2]).nonzero()[0]
+            larger = (count[2 * pair + 1] >= count[2 * pair]).astype(np.intp)
+            derived, sibling = slot_of[2 * pair + larger], slot_of[2 * pair + 1 - larger]
+            kept = kept[:, parent[pair]]
+            # the grids take the rows of the slots not derived from their
+            # parent's histograms
+            direct = np.ones(m, dtype=bool)
+            direct[derived] = False
+            direct = direct[slot]
+            hrows, hslot, hweights = rows[direct], slot[direct], (w[direct], wy[direct])
+        # a feature whose (node, bin) grid holds at most `cap` cells is
+        # histogrammed on it, a wider one from its rows' sorted keys
+        cap = max(_BLOCK_CELLS, rows.size)
+        dense = m * widths <= cap
+        ends = np.concatenate(((dense[1:] != dense[:-1]).nonzero()[0] + 1, [p]))
+        keep = depth + 1 < hp.max_depth and m * n_bins <= _KEPT_CELLS and dense.all()
+        new_kept = np.empty((2, m, n_bins)) if keep else None
+
+        picks = []
+        j1 = 0
+        while j1 < p:
+            j0, o0 = j1, offsets[j1]
+            end = ends[ends.searchsorted(j0, "right")]
+            if dense[j0]:
+                # a group of at most `cap` (node, bin) cells, or one feature
+                j1 = min(end, max(j0 + 1, int(offsets.searchsorted(o0 + cap // m, "right")) - 1))
+                hist = _histogram(codes, offsets, j0, j1, hrows, hslot, hweights, m)
+                if derived.size:
+                    hist[:, derived] = kept[:, :, o0:offsets[j1]] - hist[:, sibling]
+                if keep:
+                    new_kept[:, :, o0:offsets[j1]] = hist
+                cells = _grid_cells(hist, o0)
+            else:
+                j1 = min(end, j0 + max(1, _BLOCK_CELLS // rows.size))
+                cells = _sorted_cells(codes, offsets, j0, j1, rows, slot, (w, wy), m)
+            found = _candidates(*cells, bin_feature, totals, tol, allowed)
+            if found is not None:
+                picks.append(found)
+                if sum(part[0].size for part in picks) > _BLOCK_CELLS:
+                    picks = [_merge_near_best(picks, tol)]
+        if not picks:
+            break
+
+        # each slot's first threshold near its best (one group's are merged)
+        gain, s, at, above = picks[0] if len(picks) == 1 else _merge_near_best(picks, tol)
+        first = _firsts(s)
+        split_slot, gain, at, above = s[first], gain[first], at[first], above[first]
+        feature = bin_feature[at]
+        a, b = coded.bins[at], coded.bins[above]
+        with np.errstate(over="ignore"):
+            thr = (a + b) / 2.0
+        level.update(split=slots[split_slot], feature=feature, gain=gain,
+                     threshold=np.where((a <= thr) & (thr < b), thr, a))
+
+        # rows of a split node (its rank is its slot if all split) go to its children:
+        # right when their code passes the split's, its bin less its feature's offset
+        r = slot
+        if split_slot.size < m:
+            rank = np.full(m, -1)
+            rank[split_slot] = np.arange(split_slot.size)
+            r = rank[slot]
+            moving = r >= 0
+            rows, r = rows[moving], r[moving]
+        node = 2 * r + (codes[feature[r], rows] > (at - offsets[feature])[r])
+        n_nodes = 2 * split_slot.size
+        kept, parent = new_kept, split_slot
+    return levels
+
+
+def _preorder(levels: list[dict]) -> Tree:
+    """The tree of ``_grow_levels``'s levels with its nodes numbered in
+    preorder: a split's left child follows it, and its right child follows
+    the left child's subtree."""
+    size = [np.ones(level["value"].size, dtype=np.int64) for level in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        size[d][levels[d]["split"]] += size[d + 1][0::2] + size[d + 1][1::2]
+    index = [np.zeros(1, dtype=np.int64)]
+    for d in range(len(levels) - 1):
+        after = index[d][levels[d]["split"]] + 1
+        below = np.empty(2 * after.size, dtype=np.int64)
+        below[0::2] = after
+        below[1::2] = after + size[d + 1][0::2]
+        index.append(below)
+    n = int(size[0][0])
+    nodes = {"feature": np.full(n, -1), "threshold": np.zeros(n), "left": np.arange(n),
+             "right": np.arange(n), "value": np.empty(n), "n_samples": np.empty(n),
+             "gain": np.zeros(n)}
+    for d, level in enumerate(levels):
+        for f in ("value", "n_samples"):
+            nodes[f][index[d]] = level[f]
+        if d + 1 < len(levels):
+            at = index[d][level["split"]]
+            for f in ("feature", "threshold", "gain"):
+                nodes[f][at] = level[f]
+            nodes["left"][at] = index[d + 1][0::2]
+            nodes["right"][at] = index[d + 1][1::2]
+    return Tree(*(nodes[f] for f in _FIELDS))
 
 
 def fit_tree(
@@ -290,15 +452,13 @@ def fit_tree(
 ) -> Tree:
     """Grow a regression tree to ``hp.max_depth``, splitting only nodes of at
     least ``hp.min_samples_split`` rows; leaves predict the node mean. Each
-    split tries ``max_features`` features drawn from ``rng``, or all of them
-    when None; ``hp.max_features`` is the forest's, which resolves it. ``m``
-    may come coded already, as the forest and gbm pass it."""
+    split tries ``max_features`` features drawn from ``rng``, node by node in
+    level order, or all of them when None; ``hp.max_features`` is the
+    forest's, which resolves it. ``m`` may come coded already, as the forest
+    and gbm pass it."""
     if m.n_rows == 0:
         raise EmptyInputError("cannot fit a tree on an empty matrix")
     coded = m if isinstance(m, _CodedMatrix) else _CodedMatrix.of(m)
-    if rng is None:
+    if rng is None and max_features is not None:
         rng = np.random.default_rng(0)
-    nodes = {f: [] for f in _FIELDS}
-    _grow(nodes, coded, np.arange(coded.n_rows), 0, hp.max_depth, hp.min_samples_split,
-          max_features, rng)
-    return Tree(*(nodes[f] for f in _FIELDS))
+    return _preorder(_grow_levels(coded, hp, max_features, rng))

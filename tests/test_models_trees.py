@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -151,11 +152,16 @@ class TestFitForest:
         return _fm(x, y)
 
     def test_degenerate_forest_equals_single_tree(self):
+        # one tree over every feature is fit_tree on the bootstrap sample,
+        # which the forest draws as row multiplicities
         m = self._data()
         hp = HyperParams(n_trees=1, max_depth=4, max_features=m.n_features)
-        forest = fit_forest(m, hp, bootstrap=False)
-        tree = fit_tree(m, HyperParams(max_depth=4))
-        assert np.allclose(forest.predict(m.x), tree.predict(m.x))
+        forest = fit_forest(m, hp, seed=3)
+        draws = rentlab.models.forest._tree_rng(3, 0).integers(0, m.n_rows, size=m.n_rows)
+        sample = _sample(m, np.bincount(draws, minlength=m.n_rows))
+        tree = fit_tree(sample, HyperParams(max_depth=4))
+        _assert_same_trees(forest.trees, [tree], m.y)
+        assert np.allclose(forest.predict(m.x), tree.predict(m.x), rtol=0, atol=1e-12)
 
     def test_predictions_within_target_range(self):
         m = self._data()
@@ -236,98 +242,115 @@ _TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "
 
 
 def _reference_best_split(x, y, idx, features):
-    """Slow oracle: the feature-at-a-time scan the blocked split search
-    replaced. Returns (gain, feature, threshold, left_order, right_order),
-    the orders indexing into idx."""
+    """Slow oracle: a feature-at-a-time scan of the floats. Returns (gain,
+    feature, threshold, left_order, right_order), the orders indexing into
+    idx, for the first feature and threshold whose gain is within
+    1e-12 * parent_sse of the best, or None when no gain exceeds MIN_GAIN."""
     n = idx.size
-    node_y = y[idx]
+    node_y = y[idx] - y[idx].mean()
     total_sum = node_y.sum()
-    total_sq = float(node_y @ node_y)
-    parent_sse = total_sq - total_sum * total_sum / n
+    parent_sse = float(node_y @ node_y) - total_sum * total_sum / n
 
-    best = None
+    scans = []
     for j in features:
         xs = x[idx, j]
         order = np.argsort(xs, kind="stable")
         sx = xs[order]
-        if sx[0] == sx[-1]:
-            continue
         sy = node_y[order]
-        csum = np.cumsum(sy)[:-1]
-        csq = np.cumsum(sy * sy)[:-1]
         k = np.arange(1, n, dtype=np.float64)
-        left_sse = csq - csum * csum / k
-        right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - k)
-        gains = parent_sse - left_sse - right_sse
-        gains[sx[1:] == sx[:-1]] = -np.inf
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if gain <= rentlab.models.tree.MIN_GAIN:
-            continue
-        if best is None or gain > best[0]:
+        gains = n / (k * (n - k)) * (np.cumsum(sy)[:-1] - k * total_sum / n) ** 2
+        gains[(sx[1:] == sx[:-1]) | (gains <= rentlab.models.tree.MIN_GAIN)] = -np.inf
+        scans.append((j, gains, sx, order))
+    best = max((float(g.max()) for _, g, _, _ in scans if g.size), default=-np.inf)
+    if best == -np.inf:
+        return None
+    for j, gains, sx, order in scans:
+        near = np.flatnonzero(gains >= best - 1e-12 * parent_sse)
+        if near.size:
+            pos = int(near[0])
             a, b = float(sx[pos]), float(sx[pos + 1])
             thr = (a + b) / 2.0
             if not (a <= thr < b):
                 thr = a
-            best = (gain, j, thr, order[: pos + 1], order[pos + 1 :])
-    return best
-
-
-def _reference_grow(nodes, x, y, idx, depth, max_depth, min_samples_split, max_features, rng):
-    node_y = y[idx]
-    n = idx.size
-    node = len(nodes["value"])
-    leaf = {"feature": -1, "threshold": 0.0, "left": node, "right": node,
-            "value": float(node_y.mean()), "n_samples": n, "gain": 0.0}
-    for f in _TREE_FIELDS:
-        nodes[f].append(leaf[f])
-    if (depth >= max_depth or n < min_samples_split or n < 2
-            or float(node_y.min()) == float(node_y.max())):
-        return
-    p = x.shape[1]
-    if max_features is not None and max_features < p:
-        features = np.sort(rng.choice(p, size=max_features, replace=False))
-    else:
-        features = np.arange(p)
-    found = _reference_best_split(x, y, idx, features)
-    if found is None:
-        return
-    gain, feature, thr, left_order, right_order = found
-    nodes["feature"][node] = int(feature)
-    nodes["threshold"][node] = thr
-    nodes["gain"][node] = gain
-    for side, order in (("left", left_order), ("right", right_order)):
-        nodes[side][node] = len(nodes["value"])
-        _reference_grow(nodes, x, y, idx[order], depth + 1, max_depth,
-                        min_samples_split, max_features, rng)
+            return float(gains[pos]), j, thr, order[: pos + 1], order[pos + 1 :]
 
 
 def _reference_fit_tree(m, hp=HyperParams(), max_features=None, rng=None):
+    """Slow oracle: grow the tree node by node in level order, left to
+    right, drawing each splittable node's features in that order, then
+    number the nodes in preorder."""
     x = np.asarray(m.x, dtype=np.float64)
     y = np.asarray(m.y, dtype=np.float64)
     if rng is None:
         rng = np.random.default_rng(0)
-    nodes = {f: [] for f in _TREE_FIELDS}
-    _reference_grow(nodes, x, y, np.arange(m.n_rows), 0, hp.max_depth, hp.min_samples_split,
-                    max_features, rng)
-    return Tree(*(nodes[f] for f in _TREE_FIELDS))
+    p = x.shape[1]
+    nodes, queue = [], deque([(np.arange(m.n_rows), 0, None, None)])
+    while queue:
+        idx, depth, parent, side = queue.popleft()
+        node_y = y[idx]
+        node = {"feature": -1, "threshold": 0.0, "value": float(node_y.mean()),
+                "n_samples": idx.size, "gain": 0.0, "children": None}
+        if parent is not None:
+            nodes[parent]["children"][side] = len(nodes)
+        nodes.append(node)
+        if (depth >= hp.max_depth or idx.size < hp.min_samples_split
+                or float(node_y.min()) == float(node_y.max())):
+            continue
+        if max_features is not None and max_features < p:
+            features = np.sort(rng.choice(p, size=max_features, replace=False))
+        else:
+            features = np.arange(p)
+        found = _reference_best_split(x, y, idx, features)
+        if found is None:
+            continue
+        node["gain"], node["feature"], node["threshold"], left_order, right_order = found
+        node["children"] = [None, None]
+        queue.append((idx[left_order], depth + 1, len(nodes) - 1, 0))
+        queue.append((idx[right_order], depth + 1, len(nodes) - 1, 1))
+
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if nodes[i]["children"] is not None:
+            stack.extend(reversed(nodes[i]["children"]))
+    at = {i: k for k, i in enumerate(order)}
+    fields = {f: [nodes[i][f] for i in order]
+              for f in ("feature", "threshold", "value", "n_samples", "gain")}
+    fields["left"] = [at[nodes[i]["children"][0]] if nodes[i]["children"] else k
+                      for k, i in enumerate(order)]
+    fields["right"] = [at[nodes[i]["children"][1]] if nodes[i]["children"] else k
+                       for k, i in enumerate(order)]
+    return Tree(*(fields[f] for f in _TREE_FIELDS))
+
+
+def _sample(m, weight):
+    """The rows of m, each repeated as often as its weight says."""
+    return m if weight is None else m.take(np.repeat(np.arange(m.n_rows), weight.astype(np.int64)))
 
 
 def _reference_fit_coded(m, hp=HyperParams(), max_features=None, rng=None):
-    """The reference grower over the floats a _CodedMatrix codes: the forest
-    and gbm hand fit_tree their rows coded. The decoded floats equal the
-    originals (only 0.0 may come back for -0.0, which no split tells apart)."""
-    x = np.column_stack([v[c] for v, c in zip(m.values, m.codes)]) if m.n_features \
-        else np.empty((m.n_rows, 0))
-    return _reference_fit_tree(_fm(x, m.y), hp, max_features, rng)
+    """The reference grower over the floats a _CodedMatrix codes, each row
+    repeated by its weight: the forest and gbm hand fit_tree their rows
+    coded. The decoded floats equal the originals (only 0.0 may come back
+    for -0.0, which no split tells apart)."""
+    x = m.bins[m.offsets[:-1, None] + m.codes].T if m.codes.size else np.empty((m.n_rows, 0))
+    return _reference_fit_tree(_sample(_fm(x, m.y), m.weight), hp, max_features, rng)
 
 
-def _assert_same_trees(got, want):
+def _assert_same_trees(got, want, y):
+    """Equal structure and thresholds; values within 1e-12 of the targets'
+    largest magnitude and gains within 1e-12 of their sum of squares, since
+    histogram sums add in another order than the reference's scan."""
     assert len(got) == len(want)
+    y = np.asarray(y, dtype=np.float64)
+    scale = float(np.abs(y).max(initial=0.0))
     for a, b in zip(got, want):
-        for f in _TREE_FIELDS:
-            x, y = getattr(a, f), getattr(b, f)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f
+        for f in ("feature", "threshold", "left", "right", "n_samples"):
+            x, z = getattr(a, f), getattr(b, f)
+            assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), f
+        np.testing.assert_allclose(a.value, b.value, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(a.gain, b.gain, rtol=0, atol=1e-12 * float(y @ y))
 
 
 def _coarse(n, seed):
@@ -366,8 +389,8 @@ def _same_partition(seed, half=50):
 
 
 class TestBlockedSplitSearchMatchesReference:
-    """The blocked split search grows, bit for bit, the trees that the
-    feature-at-a-time scan grew, through fit_tree, fit_forest and fit_gbm."""
+    """Level-wise histogram growth grows the trees that the feature-at-a-time
+    scan grows node by node, through fit_tree, fit_forest and fit_gbm."""
 
     @pytest.fixture
     def reference(self, monkeypatch):
@@ -383,11 +406,11 @@ class TestBlockedSplitSearchMatchesReference:
     def _check_all(self, reference, m, hp, max_features=None):
         _assert_same_trees(
             [fit_tree(m, hp, max_features, rng=np.random.default_rng(4))],
-            [_reference_fit_tree(m, hp, max_features, rng=np.random.default_rng(4))],
+            [_reference_fit_tree(m, hp, max_features, rng=np.random.default_rng(4))], m.y,
         )
         _assert_same_trees(fit_forest(m, hp, seed=2).trees,
-                           reference(fit_forest, m, hp, seed=2).trees)
-        _assert_same_trees(fit_gbm(m, hp).trees, reference(fit_gbm, m, hp).trees)
+                           reference(fit_forest, m, hp, seed=2).trees, m.y)
+        _assert_same_trees(fit_gbm(m, hp).trees, reference(fit_gbm, m, hp).trees, m.y)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_continuous(self, reference, seed):
@@ -399,16 +422,16 @@ class TestBlockedSplitSearchMatchesReference:
         hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
         self._check_all(reference, _coarse(90, seed), hp)
 
-    @pytest.mark.parametrize("seed, relation", [(0, 1), (3, 0), (4, -1)])
-    def test_same_partition_gains_apart_in_the_last_bits(self, reference, seed, relation):
+    @pytest.mark.parametrize("seed, relation", [(1, 1), (0, 0), (2, -1)])
+    def test_same_partition_goes_to_feature_0(self, reference, seed, relation):
         m = _same_partition(seed)
         x, y, idx = m.x, m.y, np.arange(m.n_rows)
         g0 = _reference_best_split(x, y, idx, np.array([0]))[0]
         g1 = _reference_best_split(x, y, idx, np.array([1]))[0]
         # the fixture does what it says: nearly equal gains, ordered as named
         assert g0 == pytest.approx(g1, rel=1e-14) and np.sign(g0 - g1) == relation
-        tree = fit_tree(m, HyperParams(max_depth=6))
-        assert tree.feature[0] == (1 if relation < 0 else 0)
+        # gains that close are a tie, which the lower feature wins
+        assert fit_tree(m, HyperParams(max_depth=6)).feature[0] == 0
         self._check_all(reference, m, HyperParams(max_depth=6, n_trees=2, n_rounds=3))
 
     @pytest.mark.parametrize("max_features, min_samples_split", [(1, 2), (3, 5), (5, 12)])
@@ -425,23 +448,100 @@ class TestBlockedSplitSearchMatchesReference:
 
     @pytest.mark.parametrize("cells", [1, 90, 1 << 30])
     def test_block_cells_extremes(self, reference, monkeypatch, cells):
-        # 1: one feature per block; 90: the root's n rows, one feature per
-        # block there and several in smaller nodes; 2^30: one block per node
+        # 1: one feature per key block; 90: the root's n rows, one feature
+        # per block there and several deeper; in both, deeper levels sort
+        # the keys of features whose grid outgrows the rows. 2^30: one
+        # block per level, every feature on the grid
         monkeypatch.setattr(rentlab.models.tree, "_BLOCK_CELLS", cells)
+        sorted_calls = []
+        sorted_cells = rentlab.models.tree._sorted_cells
+        monkeypatch.setattr(rentlab.models.tree, "_sorted_cells",
+                            lambda *a: sorted_calls.append(a) or sorted_cells(*a))
         hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
         self._check_all(reference, _coarse(90, 5), hp)
         self._check_all(reference, _same_partition(0, half=45), hp)
+        assert bool(sorted_calls) == (cells < 1 << 30)
+
+    @pytest.mark.parametrize("cells", [0, 1 << 30])
+    def test_with_and_without_sibling_subtraction(self, reference, monkeypatch, cells):
+        # 0: no level keeps its histograms, so every child is histogrammed
+        # from its rows; 2^30: every level keeps them
+        monkeypatch.setattr(rentlab.models.tree, "_KEPT_CELLS", cells)
+        hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5, max_features=3)
+        self._check_all(reference, _coarse(90, 3), hp)
+        self._check_all(reference, _continuous(200, 5, 8), hp, max_features=3)
+
+    def test_sibling_subtraction_beside_sorted_keys(self, reference, monkeypatch):
+        # a level keeps its grids only when no feature needs sorted keys, so
+        # a child level whose features fit a grid again histograms them all
+        monkeypatch.setattr(rentlab.models.tree, "_KEPT_CELLS", 1 << 30)
+        monkeypatch.setattr(rentlab.models.tree, "_BLOCK_CELLS", 1)
+        hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
+        self._check_all(reference, _continuous(200, 5, 8), hp)
+        self._check_all(reference, _coarse(90, 3), hp)
 
 
-def _reference_forest(m, hp, seed, bootstrap=True):
+class TestLevelCells:
+    """The two ways a level finds its occupied (slot, bin) cells agree bit
+    for bit: both add a cell's rows in their order."""
+
+    def _level(self, seed, n=300, p=4, m=7):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 40, (n, p)) * rng.choice([0.5, 1.0, 3.0], p)
+        coded = rentlab.models.tree._CodedMatrix.of(_fm(x, np.zeros(n)))
+        rows = np.sort(rng.choice(n, size=n - 40, replace=False))
+        slot = rng.integers(0, m, rows.size)
+        w = rng.integers(1, 4, rows.size).astype(np.float64)
+        return coded, rows, slot, (w, w * rng.normal(size=rows.size)), m
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grid_and_sorted_keys_find_the_same_cells(self, seed):
+        coded, rows, slot, weights, m = self._level(seed)
+        tree = rentlab.models.tree
+        for j0, j1 in ((0, 1), (1, 3), (0, 4)):
+            hist = tree._histogram(coded.codes, coded.offsets, j0, j1, rows, slot, weights, m)
+            grid = tree._grid_cells(hist, coded.offsets[j0])
+            keys = tree._sorted_cells(coded.codes, coded.offsets, j0, j1, rows, slot, weights, m)
+            for a, b in zip(grid, keys):
+                assert np.array_equal(a, b)
+
+    def test_keys_too_wide_to_pack_sort_stably(self):
+        # with more slots than a key and its position fit in 63 bits, the
+        # keys are sorted stably instead of packed
+        coded, rows, slot, weights, m = self._level(3)
+        tree = rentlab.models.tree
+        packed = tree._sorted_cells(coded.codes, coded.offsets, 0, 4, rows, slot, weights, m)
+        stable = tree._sorted_cells(coded.codes, coded.offsets, 0, 4, rows, slot, weights, 1 << 62)
+        for a, b in zip(packed, stable):
+            assert np.array_equal(a, b)
+
+
+class TestMergeNearBest:
+    def _group(self, gains, bins):
+        """One group's thresholds, all in slot 0."""
+        bins = np.array(bins)
+        return np.array(gains), np.zeros(bins.size, dtype=np.intp), bins, bins + 1
+
+    def test_a_later_rise_outlives_the_first_near_tie(self):
+        # tolerance 1: after the second group slot 0 keeps thresholds 1
+        # (gain 10) and 2 (10.5); the third group's 11.2 puts threshold 1
+        # out of reach, so threshold 2 must still be there
+        merge, tol = rentlab.models.tree._merge_near_best, np.ones(1)
+        picks = merge([self._group([10.0, 10.5], [1, 2]), self._group([9.0], [5])], tol)
+        assert picks[2].tolist() == [1, 2]
+        picks = merge([picks, self._group([11.2], [7])], tol)
+        assert picks[2].tolist() == [2, 7]
+
+
+def _reference_forest(m, hp, seed):
     """fit_forest's loop over the float rows of each bootstrap sample, every
     tree grown by the reference scan."""
     mf = hp.max_features or auto_max_features(m.n_features)
     trees = []
     for t in range(hp.n_trees):
         rng = rentlab.models.forest._tree_rng(seed, t)
-        sample = m.take(rng.integers(0, m.n_rows, size=m.n_rows)) if bootstrap else m
-        trees.append(_reference_fit_tree(sample, hp, mf, rng))
+        weight = np.bincount(rng.integers(0, m.n_rows, size=m.n_rows), minlength=m.n_rows)
+        trees.append(_reference_fit_tree(_sample(m, weight), hp, mf, rng))
     return trees
 
 
@@ -483,30 +583,44 @@ def _edge_matrices(draw):
 
 
 class TestCodedTreesMatchReference:
-    """Trees grown from rank codes equal, byte for byte, the trees the
-    feature-at-a-time scan grows from the floats, through fit_tree,
-    fit_forest and fit_gbm."""
+    """Trees grown level-wise from rank codes match the trees the
+    feature-at-a-time scan grows from the floats (see _assert_same_trees),
+    through fit_tree, fit_forest and fit_gbm."""
 
     @settings(max_examples=80, deadline=None)
     @given(m=_edge_matrices(), max_depth=st.integers(0, 6), min_samples_split=st.integers(2, 5),
-           max_features=st.integers(0, 5), seed=st.integers(0, 3), bootstrap=st.booleans())
-    def test_fit_tree_forest_and_gbm(self, m, max_depth, min_samples_split, max_features,
-                                     seed, bootstrap):
+           max_features=st.integers(0, 5), seed=st.integers(0, 3))
+    def test_fit_tree_forest_and_gbm(self, m, max_depth, min_samples_split, max_features, seed):
         mf = min(max_features, m.n_features)
         hp = HyperParams(max_depth=max_depth, min_samples_split=min_samples_split, n_trees=2,
                          n_rounds=3, learning_rate=0.5, max_features=mf)
         _assert_same_trees([fit_tree(m, hp, mf or None, rng=np.random.default_rng(seed))],
-                           [_reference_fit_tree(m, hp, mf or None, rng=np.random.default_rng(seed))])
-        _assert_same_trees(fit_forest(m, hp, seed=seed, bootstrap=bootstrap).trees,
-                           _reference_forest(m, hp, seed, bootstrap))
-        _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp))
+                           [_reference_fit_tree(m, hp, mf or None, rng=np.random.default_rng(seed))],
+                           m.y)
+        _assert_same_trees(fit_forest(m, hp, seed=seed).trees, _reference_forest(m, hp, seed), m.y)
+        _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp), m.y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=_edge_matrices(), data=st.data(), max_depth=st.integers(1, 6))
+    def test_duplicate_column_is_never_split_on(self, m, data, max_depth):
+        # a copy of column j later in the matrix scores every threshold as
+        # column j does, so it always ties and column j wins
+        j = data.draw(st.integers(0, m.n_features - 1))
+        at = data.draw(st.integers(j + 1, m.n_features))
+        x = np.insert(m.x, at, m.x[:, j], axis=1)
+        dup = _fm(x, m.y)
+        hp = HyperParams(max_depth=max_depth, n_trees=2, n_rounds=3, learning_rate=0.5,
+                         max_features=dup.n_features)
+        trees = [fit_tree(dup, hp), *fit_forest(dup, hp, seed=1).trees, *fit_gbm(dup, hp).trees]
+        for tree in trees:
+            assert at not in tree.feature
 
     def test_uint16_codes_on_continuous_data(self):
         m = _continuous(400, 3, 9)
         assert code_columns(m.x)[0].dtype == np.uint16
         hp = HyperParams(max_depth=6, n_trees=2, n_rounds=3, max_features=2)
-        _assert_same_trees(fit_forest(m, hp, seed=5).trees, _reference_forest(m, hp, 5))
-        _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp))
+        _assert_same_trees(fit_forest(m, hp, seed=5).trees, _reference_forest(m, hp, 5), m.y)
+        _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp), m.y)
 
 
 class TestCodeColumns:
@@ -554,10 +668,13 @@ class TestCodeColumns:
 
 
 class TestSplitSearchMemory:
-    """A forest or gbm fit over a 20,000 x 60 matrix holds its codes and
-    their distinct values, one bootstrap sample or root order of the codes,
-    and split-search temporaries bounded by _BLOCK_CELLS: a copy of x per
-    tree, or a sort of all 60 columns at once, would not fit."""
+    """A forest or gbm fit over a 20,000 x 60 matrix of about 4,500
+    distinct values a column holds its codes, their distinct values and
+    each bin's feature, one weight vector and a level's row state, and
+    histogram temporaries bounded by the larger of _BLOCK_CELLS and the
+    rows, however deep the tree: a copy of x per tree, histograms of every
+    column at once, or a dense (node, bin) grid at a deep level, would not
+    fit."""
 
     @pytest.fixture(scope="class")
     def m(self):
@@ -573,25 +690,28 @@ class TestSplitSearchMemory:
         finally:
             tracemalloc.stop()
 
-    def _check(self, m, peak, code_copies, max_depth):
+    def _check(self, m, peak):
         codes, values = code_columns(m.x)
-        held = code_copies * codes.nbytes + sum(v.nbytes for v in values)
-        # each level down one path holds a node's rows, targets and children
-        rows = 4 * 8 * m.n_rows * (max_depth + 1)
-        # about a dozen 8-byte arrays per (feature, row) cell of a block
-        temporaries = 16 * 8 * max(rentlab.models.tree._BLOCK_CELLS, m.n_rows)
-        assert rows + temporaries < m.x.nbytes
-        assert peak < held + rows + temporaries
+        n_bins = sum(v.size for v in values)
+        held = codes.nbytes + 9 * n_bins
+        # the weights and, per level, the rows of its open nodes with their
+        # nodes, weights and targets: about sixteen 8-byte arrays over the rows
+        rows = 16 * 8 * m.n_rows
+        # one group's keys or (node, bin) grid, its occupied cells and their
+        # scores: about sixteen 8-byte arrays over the larger of a key block
+        # and the rows
+        cells = 16 * 8 * max(rentlab.models.tree._BLOCK_CELLS, m.n_rows)
+        # no level keeps its histograms: one node's exceed _KEPT_CELLS
+        assert n_bins > rentlab.models.tree._KEPT_CELLS
+        assert rows + cells < m.x.nbytes
+        assert peak < held + rows + cells
 
     def test_forest(self, m):
-        # the codes and one bootstrap sample of them
-        peak = self._peak(lambda: fit_forest(m, HyperParams(n_trees=3, max_depth=3), seed=0))
-        self._check(m, peak, code_copies=2, max_depth=3)
+        # at the default max_depth of 8
+        self._check(m, self._peak(lambda: fit_forest(m, HyperParams(n_trees=2), seed=0)))
 
     def test_gbm(self, m):
-        # the codes, the root orders (as wide) and their cut flags (half)
-        peak = self._peak(lambda: fit_gbm(m, HyperParams(n_rounds=2, max_depth=3)))
-        self._check(m, peak, code_copies=3.5, max_depth=3)
+        self._check(m, self._peak(lambda: fit_gbm(m, HyperParams(n_rounds=2))))
 
 
 class TestHyperParams:
@@ -684,6 +804,14 @@ class TestSerialization:
         x = rng.normal(size=(30, 2))
         m = _fm(x, rng.normal(size=30))
         self._round_trip(fit_forest(m, HyperParams(n_trees=4, max_depth=4), seed=9), x, tmp_path)
+
+    def test_forest_document_of_older_files_loads(self):
+        # forest documents once carried a "bootstrap" flag, always true
+        rng = np.random.default_rng(4)
+        m = _fm(rng.normal(size=(30, 2)), rng.normal(size=30))
+        doc = model_to_doc(fit_forest(m, HyperParams(n_trees=2, max_depth=2), seed=1))
+        assert "bootstrap" not in doc
+        assert model_to_doc(model_from_doc({**doc, "bootstrap": True})) == doc
 
     def test_gbm_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)

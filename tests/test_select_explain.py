@@ -48,14 +48,16 @@ class TestIncompleteBeta:
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.floats(min_value=0.01, max_value=500.0),
+        st.sampled_from([1, 2, 3, 6, 11, 40]),
         st.integers(min_value=3, max_value=500),
     )
-    def test_f_survival_matches_scipy(self, f_value, d2):
-        ours = f_survival(f_value, 1.0, float(d2))
-        oracle = float(scipy.stats.f.sf(f_value, 1, d2))
+    def test_f_survival_matches_scipy(self, f_value, d1, d2):
+        # d1 > 1 is the F-test of a group of d1 columns at once
+        ours = f_survival(f_value, float(d1), float(d2))
+        oracle = float(scipy.stats.f.sf(f_value, d1, d2))
         assert ours == pytest.approx(oracle, abs=1e-10)
 
 
