@@ -255,31 +255,23 @@ def gen_config_from_doc(doc: dict, seed: int | None = None) -> GenConfig:
 class Wrangle:
     multiplier: float = DEFAULT_IQR_MULTIPLIER
     knn_k: int = DEFAULT_KNN_K
-    gap_start: str | None = None
-    gap_end: str | None = None
+    gap_start: _dt.date | None = None
+    gap_end: _dt.date | None = None
 
     def __post_init__(self):
         if self.multiplier < 0:
             raise ValueError(f"multiplier must be >= 0, got {self.multiplier}")
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        self.gap  # raises unless both ends or neither are given, each a date
+        if (self.gap_start is None) != (self.gap_end is None):
+            missing = "gap_start" if self.gap_start is None else "gap_end"
+            raise ValueError(f"{missing} is missing: give both gap ends or neither")
+        self.gap  # raises when the gap ends before it starts
 
     @property
     def gap(self) -> GapSpec | None:
         """The calendar gap to backfill; None when neither end is given."""
-        if self.gap_start is None and self.gap_end is None:
-            return None
-        ends = []
-        for name in ("gap_start", "gap_end"):
-            text = getattr(self, name)
-            if text is None:
-                raise ValueError(f"{name} is missing: give both gap ends or neither")
-            try:
-                ends.append(_dt.date.fromisoformat(text))
-            except ValueError as exc:
-                raise ValueError(f"{name} is not an ISO date: {text!r} ({exc})") from None
-        return GapSpec(*ends)
+        return None if self.gap_start is None else GapSpec(self.gap_start, self.gap_end)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, SchemaError
-from .tabular import Column, Table, _parse_cell, shipped_file
+from .tabular import Column, Table, _parse_cell, shipped_file, write_columns
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -232,12 +232,11 @@ def one_hot(table: Table, col: str) -> Table:
 
 
 def standardize(m: FeatureMatrix) -> FeatureMatrix:
-    """Scale every column to zero mean, unit (population) std; zero-variance
+    """Scale every column to zero mean, unit (population) std; constant
     columns become all-zero."""
-    means = m.x.mean(axis=0)
-    stds = m.x.std(axis=0)
-    safe = np.where(stds == 0.0, 1.0, stds)
-    return FeatureMatrix((m.x - means) / safe, m.feature_names, m.y)
+    const = np.ptp(m.x, axis=0) == 0.0
+    z = (m.x - m.x.mean(axis=0)) / np.where(const, 1.0, m.x.std(axis=0))
+    return FeatureMatrix(np.where(const, 0.0, z), m.feature_names, m.y)
 
 
 ID_COLUMNS = frozenset({"id", "listing_id", "host_id", "reviewer_id", "scrape_id"})
@@ -286,39 +285,12 @@ def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> Featu
 TARGET_HEADER = "target"
 
 
-# matrix_to_csv formats this many rows at a time. _write_block holds a block
-# as one list of strings per column (8 bytes a cell) and frees it before the
-# next, so the writer stays well under 1 MB
-_CSV_BLOCK_ROWS = 512
-
-
-def _repr_cells(values: np.ndarray) -> list[str]:
-    """``repr(float(v))`` of each value, formatting each distinct value once.
-    Values are keyed on their float64 bit pattern, so -0.0 and 0.0 stay
-    distinct."""
-    values = np.asarray(values, dtype=np.float64)
-    bits = values.view(np.int64).tolist()
-    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
-    return [text[b] for b in bits]
-
-
-def _write_block(fh, x: np.ndarray, y: np.ndarray) -> None:
-    columns = [_repr_cells(col) for col in x.T]
-    columns.append(_repr_cells(y))
-    # a float repr holds no delimiter, quote or line break, so csv.writer
-    # would quote nothing: joining writes its bytes, 3x faster
-    fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
-
-
 def matrix_to_csv(m: FeatureMatrix, path) -> None:
-    """Serialize a FeatureMatrix: header = feature names, final col = target."""
+    """Serialize a FeatureMatrix: header = feature names, final col = target,
+    each cell the ``repr`` of its float64."""
     if TARGET_HEADER in m.feature_names:
         raise AssemblyError(f"feature named {TARGET_HEADER!r} collides with target column")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(m.feature_names) + [TARGET_HEADER])
-        for start in range(0, m.n_rows, _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            _write_block(fh, m.x[start:stop], m.y[start:stop])
+    write_columns(path, [*m.feature_names, TARGET_HEADER], [*m.x.T, m.y])
 
 
 def matrix_from_csv(path) -> FeatureMatrix:

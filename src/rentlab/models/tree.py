@@ -12,6 +12,8 @@ from ..errors import EmptyInputError
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
 
+# A split must cut its node's SSE by more than this fraction of it, so a
+# tree's shape does not depend on the target's units.
 MIN_GAIN = 1e-12
 _FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "gain")
 
@@ -241,12 +243,13 @@ def _sorted_cells(codes, offsets, j0, j1, rows, slot, weights, m):
             *(np.bincount(index, w[row], cell.size) for w in weights))
 
 
-def _candidates(s, at, count, total, bin_feature, totals, tol, allowed):
+def _candidates(s, at, count, total, bin_feature, totals, tol, floor, allowed):
     """Score the threshold after every occupied cell, given in slot then
     bin order with its weight ``count`` and weighted target ``total`` (both
     overwritten), from the nodes' (count, sum) ``totals``. Return the
     (gain, slot, bin, next occupied bin) of those within ``tol`` of their
-    node's best gain here, or None when no gain exceeds MIN_GAIN."""
+    node's best gain here and above its ``floor``, or None when there are
+    none."""
     feature = bin_feature[at]
     # the last cell of each (node, feature) segment
     last = np.ones(s.size, dtype=bool)
@@ -271,7 +274,7 @@ def _candidates(s, at, count, total, bin_feature, totals, tol, allowed):
     gain = left - k * (totals[1] / totals[0])[s]
     gain *= gain
     gain *= n / (k * (n - k))
-    good = _near_best(gain, s, tol) & (gain > MIN_GAIN)
+    good = _near_best(gain, s, tol) & (gain > floor[s])
     if not good.any():
         return None
     i = i[good]
@@ -334,8 +337,8 @@ def _grow_levels(coded: _CodedMatrix, hp: HyperParams, max_features, rng) -> lis
             rows, w, yr, wy = rows[inside], w[inside], yr[inside], wy[inside]
             slot = slot_of[node[inside]]
         totals = np.array((count[slots], total[slots]))
-        sse = np.bincount(slot, wy * yr, m) - totals[1] * totals[1] / totals[0]
-        tol = _TIE * np.maximum(sse, 0.0)
+        sse = np.maximum(np.bincount(slot, wy * yr, m) - totals[1] * totals[1] / totals[0], 0.0)
+        tol, floor = _TIE * sse, MIN_GAIN * sse
         allowed = None
         if max_features is not None and max_features < p:
             allowed = np.zeros((m, p), dtype=bool)
@@ -380,7 +383,7 @@ def _grow_levels(coded: _CodedMatrix, hp: HyperParams, max_features, rng) -> lis
             else:
                 j1 = min(end, j0 + max(1, _BLOCK_CELLS // rows.size))
                 cells = _sorted_cells(codes, offsets, j0, j1, rows, slot, (w, wy), m)
-            found = _candidates(*cells, bin_feature, totals, tol, allowed)
+            found = _candidates(*cells, bin_feature, totals, tol, floor, allowed)
             if found is not None:
                 picks.append(found)
                 if sum(part[0].size for part in picks) > _BLOCK_CELLS:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,17 +122,18 @@ def f_scores(m: FeatureMatrix) -> list[FeatureScore]:
     if n < 3:
         raise ValueError(f"f_scores needs n >= 3 rows, got {n}")
     y = m.y
-    sy = y.std()
-    if sy == 0.0:
+    if np.ptp(y) == 0.0:
         raise ValueError("target has zero variance")
+    sy = y.std()
     yc = y - y.mean()
     out = []
     for j, name in enumerate(m.feature_names):
         col = m.x[:, j]
-        sx = col.std()
-        if sx == 0.0:
+        # a constant column's std need not round to 0 (0.1 seven times: 1.4e-17)
+        if np.ptp(col) == 0.0:
             out.append(FeatureScore(name, 0.0, 1.0, "zero_variance"))
             continue
+        sx = col.std()
         r = float((col - col.mean()) @ yc) / (n * sx * sy)
         r2 = min(r * r, 1.0)
         if r2 >= 1.0 - 1e-15:
@@ -211,6 +213,8 @@ def forward_select(
 # leaf) cells, so the tree temporaries stay bounded whatever the background
 # size; a tree whose leaves alone exceed it takes one row per block.
 _LEAF_CELLS = 1 << 18
+# each tree's leaf boxes, from its first explained row until the tree is freed
+_BOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _leaf_boxes(tree: Tree):
@@ -249,7 +253,10 @@ def _tree_shapley(tree: Tree, inst: np.ndarray, bg: np.ndarray) -> np.ndarray:
     leaf iff S holds every path feature A that only x satisfies and none B
     that only z satisfies, so each j in A gains value*(|A|-1)!|B|!/(|A|+|B|)!
     and each j in B loses value*|A|!(|B|-1)!/(|A|+|B|)!; phi is the mean over z."""
-    feature, lo, hi = _leaf_boxes(tree)
+    boxes = _BOXES.get(tree)
+    if boxes is None:
+        boxes = _BOXES[tree] = _leaf_boxes(tree)
+    feature, lo, hi = boxes
     value = tree.value[tree.feature < 0]
     depth = tree.depth
     # (a-1)! b! / (a+b)! = 1 / (a * C(a+b, a)); the loss weight is its transpose

@@ -99,9 +99,6 @@ class GenConfig:
     seed: int = 0
     weekday_median: float = 155.0
     weekend_median: float = 180.0
-    q1: float = 100.0
-    q3_weekday: float = 260.0
-    q3_weekend: float = 290.0
     peak_months: tuple[int, ...] = (3, 10)
     peak_uplift: float = 0.15
     noise_std: float = 10.0
@@ -120,10 +117,10 @@ class GenConfig:
         start, end = self.date_range
         if start > end:
             raise ValueError(f"date_range start {start} after end {end}")
-        if not 0.0 < self.q1 <= self.weekday_median <= self.q3_weekday:
-            raise ValueError("weekday_median: need 0 < q1 <= weekday_median <= q3_weekday")
-        if not self.q1 <= self.weekend_median <= self.q3_weekend:
-            raise ValueError("weekend_median: need q1 <= weekend_median <= q3_weekend")
+        if not self.weekday_median > 0:
+            raise ValueError(f"weekday_median must be > 0, got {self.weekday_median}")
+        if not self.weekend_median > 0:
+            raise ValueError(f"weekend_median must be > 0, got {self.weekend_median}")
         if self.peak_uplift < 0:
             raise ValueError(f"peak_uplift must be >= 0, got {self.peak_uplift}")
         if self.noise_std < 0:

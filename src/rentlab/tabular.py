@@ -238,6 +238,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# write_columns formats this many rows at a time, holding a block as one list
+# of strings per column (8 bytes a cell) and freeing it before the next
 _CSV_BLOCK_ROWS = 512
 # csv.writer's default dialect quotes a field that holds any of these
 _QUOTED_CHARS = re.compile('[,"\r\n]')
@@ -262,22 +264,42 @@ def _format_cells(values: tuple) -> tuple[list[str], bool]:
     return cells, _QUOTED_CHARS.search("".join(text.values())) is not None
 
 
-def write_csv(table: Table, path) -> None:
-    """Write RFC-4180 CSV; missing cells become empty fields. Cells are
-    formatted a block of rows at a time, each distinct value once."""
+def _repr_cells(values) -> tuple[list[str], bool]:
+    """``repr`` of each value of a numeric array as a float64, formatting
+    each distinct value once, and False: a float's repr holds nothing
+    csv.writer quotes. Values are keyed on their bit pattern, so -0.0 and
+    0.0 stay distinct."""
+    values = values.astype("float64", copy=False)
+    bits = values.view("int64").tolist()
+    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
+    return [text[b] for b in bits], False
+
+
+def write_columns(path, names, columns) -> None:
+    """Write RFC-4180 CSV: the header, then the equally long columns a block
+    of rows at a time. A tuple column's cells are formatted as
+    ``_format_cell`` does (a missing cell is an empty field), a float64
+    array's as ``repr``; either way each distinct value once per block."""
+    n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.names)
-        for start in range(0, table.n_rows, _CSV_BLOCK_ROWS):
+        writer.writerow(names)
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
-            columns, quoted = zip(*(_format_cells(c.values[start:stop]) for c in table.cols))
-            rows = zip(*columns)
-            if len(columns) > 1 and not any(quoted):
+            cells, quoted = zip(*(_format_cells(c[start:stop]) if isinstance(c, tuple)
+                                  else _repr_cells(c[start:stop]) for c in columns))
+            rows = zip(*cells)
+            if len(cells) > 1 and not any(quoted):
                 # csv.writer would quote nothing (it quotes a lone empty
                 # field, hence two columns or more): joining writes its bytes
                 fh.writelines(",".join(row) + "\r\n" for row in rows)
             else:
                 writer.writerows(rows)
+
+
+def write_csv(table: Table, path) -> None:
+    """Write a table as RFC-4180 CSV; missing cells become empty fields."""
+    write_columns(path, table.names, [c.values for c in table.cols])
 
 
 def clean_currency(col: Column) -> Column:

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rentlab.sentiment import Lexicon, default_lexicon
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # criterion name -> (passed, detail); filled by the makereport hook for every
 # test carrying a @pytest.mark.criterion("...") marker.
@@ -10,6 +17,17 @@ ACCEPTANCE_DETAILS: dict[str, str] = {}
 
 def record_acceptance(criterion: str, detail: str) -> None:
     ACCEPTANCE_DETAILS[criterion] = detail
+
+
+def run_cli_with_blas_threads(threads: int, *argv: str) -> None:
+    """``rentlab *argv`` in a new process whose BLAS runs ``threads``
+    threads; OpenBLAS sizes its pool once, when numpy loads."""
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+    code = "import sys; from rentlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture(scope="session")

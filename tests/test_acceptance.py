@@ -13,9 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, run_cli_with_blas_threads
 from shapley_oracle import ValueFunction, sampled_shapley
-from rentlab.cli import main as cli_main
 from rentlab.cli import stage_featurize, stage_gen, stage_wrangle
 from rentlab.evaluation import (
     HyperParams,
@@ -464,7 +463,7 @@ def test_c7_noiseless_recovery(tmp_path):
 
 
 @pytest.mark.criterion("C8 full-run determinism and thread invariance")
-def test_c8_run_determinism(tmp_path, monkeypatch):
+def test_c8_run_determinism(tmp_path):
     config = {
         "version": 1,
         "seed": 99,
@@ -486,20 +485,19 @@ def test_c8_run_determinism(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
 
-    monkeypatch.setenv("RENTLAB_THREADS", "1")
-    assert cli_main(["run", "--config", str(cfg_path)]) == 0
-    monkeypatch.setenv("RENTLAB_THREADS", "8")
-    assert cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "b")]) == 0
+    # one and two BLAS threads, each run in its own process
+    run_cli_with_blas_threads(1, "run", "--config", str(cfg_path))
+    run_cli_with_blas_threads(2, "run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "b"))
 
-    compared = 0
-    for name in ("eval_report.csv", "eval_report.json", "shap_ranking.csv", "model.json", "features.csv"):
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
-        assert a == b, f"{name} differs between runs"
-        compared += 1
+        assert a == b, f"{name} differs between 1 and 2 BLAS threads"
     record_acceptance(
         "C8 full-run determinism and thread invariance",
-        f"{compared} artifacts byte-identical across runs and thread caps",
+        f"{len(names)} artifacts byte-identical at 1 and 2 BLAS threads",
     )
 
 

@@ -14,6 +14,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+from conftest import run_cli_with_blas_threads
 from rentlab.cli import (
     ConfigError,
     Eval,
@@ -245,14 +246,13 @@ class TestRunCommand:
         assert first == second
         assert first_shap == second_shap
 
-    def test_thread_env_does_not_change_outputs(self, tmp_path, monkeypatch):
+    def test_thread_env_does_not_change_outputs(self, tmp_path):
         cfg_path, _ = _write_config(tmp_path)
-        monkeypatch.setenv("RENTLAB_THREADS", "1")
-        main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "t1")])
-        monkeypatch.setenv("RENTLAB_THREADS", "4")
-        main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "t4")])
+        for threads in (1, 2):
+            run_cli_with_blas_threads(threads, "run", "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / f"t{threads}"))
         a = (tmp_path / "t1" / "eval_report.csv").read_bytes()
-        b = (tmp_path / "t4" / "eval_report.csv").read_bytes()
+        b = (tmp_path / "t2" / "eval_report.csv").read_bytes()
         assert a == b
 
     def test_missing_lexicon_in_config_exits_2(self, tmp_path, capsys):
@@ -737,6 +737,10 @@ class TestConfigKeys:
         ({"models": {"hyperparams": {"max_depht": 3}}}, "max_depht"),
         ({"models": {"grids": {"gbm": {"n_round": [5, 10]}}}}, "n_round"),
         ({"models": {"grids": {"gmb": {"n_rounds": [5, 10]}}}}, "gmb"),
+        # generator keys that only fed an ordering check are gone
+        ({"generator": {"q1": 100.0}}, "q1"),
+        ({"generator": {"q3_weekday": 260.0}}, "q3_weekday"),
+        ({"generator": {"q3_weekend": 290.0}}, "q3_weekend"),
     ])
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, overrides, name):
         cfg_path, out_dir = _write_config(tmp_path, overrides)
@@ -798,6 +802,8 @@ class TestConfigValues:
         ({"generator": {"true_coefficients": {"Pool": "15"}}}, "generator.true_coefficients.Pool"),
         ({"generator": {"seed": -1}}, "generator.seed"),
         ({"generator": {"max_reviews_per_listing": -1}}, "generator.max_reviews_per_listing"),
+        ({"generator": {"weekday_median": 0}}, "generator.weekday_median"),
+        ({"generator": {"weekend_median": -5.0}}, "generator.weekend_median"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, overrides, name):
         cfg_path, out_dir = _write_config(tmp_path, overrides)

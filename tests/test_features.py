@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rentlab import features
+from rentlab import tabular
 from rentlab.errors import AssemblyError, SchemaError
 from rentlab.features import (
     EARTH_RADIUS_KM,
@@ -272,6 +272,13 @@ class TestStandardize:
         m = standardize(_matrix())
         assert np.all(m.x[:, 1] == 0.0)
 
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_constant_column_with_inexact_mean_zeroed(self, value):
+        # the mean of seven copies of 0.1 is not 0.1, so its std is not 0
+        x = np.column_stack([np.full(7, value), np.arange(7.0)])
+        m = standardize(FeatureMatrix(x, ("const", "a"), np.arange(7.0)))
+        assert np.array_equal(m.x[:, 0], np.zeros(7))
+
 
 class TestAssembleMatrix:
     def test_shapes_and_order(self):
@@ -363,13 +370,13 @@ class TestMatrixToCsvMatchesPerCellWriter:
         m = FeatureMatrix(grid[:, :-1], tuple(f"f{j}" for j in range(n_cols)), grid[:, -1])
         out = tmp_path_factory.mktemp("csv")
         _per_cell_matrix_to_csv(m, out / "cell.csv")
-        with mock.patch.object(features, "_CSV_BLOCK_ROWS", block_rows):
+        with mock.patch.object(tabular, "_CSV_BLOCK_ROWS", block_rows):
             matrix_to_csv(m, out / "block.csv")
         assert (out / "block.csv").read_bytes() == (out / "cell.csv").read_bytes()
 
     def test_same_bytes_across_full_blocks(self, tmp_path):
         rng = np.random.default_rng(3)
-        n = 2 * features._CSV_BLOCK_ROWS + 7
+        n = 2 * tabular._CSV_BLOCK_ROWS + 7
         x = np.column_stack([rng.integers(0, 3, n).astype(float), rng.normal(size=n),
                              np.where(rng.random(n) < 0.5, 0.0, -0.0), np.full(n, 5e-324)])
         m = FeatureMatrix(x, ("a", "b", "c", "d"), rng.normal(100.0, 30.0, n))

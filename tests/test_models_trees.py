@@ -59,6 +59,20 @@ class TestFitTree:
         tree = fit_tree(m, HyperParams(max_depth=5))
         assert tree.feature[0] == -1
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e7])
+    def test_target_units_do_not_change_the_splits(self, scale):
+        # the split floor is relative to the node's SSE: an absolute one
+        # stopped the y * 1e-7 tree after its root
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(200, 3))
+        y = x[:, 0] + 0.5 * rng.normal(size=200)
+        hp = HyperParams(max_depth=3)
+        base = fit_tree(FeatureMatrix(x, ("a", "b", "c"), y), hp)
+        scaled = fit_tree(FeatureMatrix(x, ("a", "b", "c"), y * scale), hp)
+        assert int((base.feature >= 0).sum()) == 7
+        for f in ("feature", "threshold", "left", "right", "n_samples"):
+            assert np.array_equal(getattr(scaled, f), getattr(base, f)), f
+
     def test_empty_matrix_raises(self):
         m = FeatureMatrix(np.empty((0, 1)), ("a",), np.empty(0))
         with pytest.raises(EmptyInputError):
@@ -245,11 +259,12 @@ def _reference_best_split(x, y, idx, features):
     """Slow oracle: a feature-at-a-time scan of the floats. Returns (gain,
     feature, threshold, left_order, right_order), the orders indexing into
     idx, for the first feature and threshold whose gain is within
-    1e-12 * parent_sse of the best, or None when no gain exceeds MIN_GAIN."""
+    1e-12 * parent_sse of the best, or None when no gain exceeds MIN_GAIN *
+    parent_sse."""
     n = idx.size
     node_y = y[idx] - y[idx].mean()
     total_sum = node_y.sum()
-    parent_sse = float(node_y @ node_y) - total_sum * total_sum / n
+    parent_sse = max(float(node_y @ node_y) - total_sum * total_sum / n, 0.0)
 
     scans = []
     for j in features:
@@ -259,7 +274,7 @@ def _reference_best_split(x, y, idx, features):
         sy = node_y[order]
         k = np.arange(1, n, dtype=np.float64)
         gains = n / (k * (n - k)) * (np.cumsum(sy)[:-1] - k * total_sum / n) ** 2
-        gains[(sx[1:] == sx[:-1]) | (gains <= rentlab.models.tree.MIN_GAIN)] = -np.inf
+        gains[(sx[1:] == sx[:-1]) | (gains <= rentlab.models.tree.MIN_GAIN * parent_sse)] = -np.inf
         scans.append((j, gains, sx, order))
     best = max((float(g.max()) for _, g, _, _ in scans if g.size), default=-np.inf)
     if best == -np.inf:

@@ -81,6 +81,13 @@ class TestFScores:
         assert scores[0].score == 0.0
         assert scores[0].flag == "zero_variance"
 
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_constant_column_with_inexact_mean_flagged(self, value):
+        # seven copies of 0.1 have a std of 1.4e-17, not 0
+        x = np.column_stack([np.full(7, value), np.arange(7.0)])
+        scores = f_scores(_fm(x, [1.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0]))
+        assert (scores[0].score, scores[0].p_value, scores[0].flag) == (0.0, 1.0, "zero_variance")
+
     def test_twenty_row_matrix_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(20, 6))
@@ -101,6 +108,8 @@ class TestFScores:
     def test_constant_target_rejected(self):
         with pytest.raises(ValueError):
             f_scores(_fm([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
+        with pytest.raises(ValueError, match="target has zero variance"):
+            f_scores(_fm(np.arange(7.0), [0.1] * 7))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -179,9 +179,10 @@ class TestGenConfigValidation:
         with pytest.raises(ValueError):
             GenConfig(date_range=(dt.date(2023, 2, 1), dt.date(2023, 1, 1)))
 
-    def test_bad_quartiles(self):
-        with pytest.raises(ValueError):
-            GenConfig(q1=300.0)
+    @pytest.mark.parametrize("key", ["weekday_median", "weekend_median"])
+    def test_nonpositive_median_rejected(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be > 0"):
+            GenConfig(**{key: 0.0})
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
