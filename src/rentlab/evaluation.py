@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -226,18 +226,5 @@ def reports_to_table(reports: list[EvalReport]) -> Table:
 
 
 def reports_to_doc(reports: list[EvalReport]) -> list[dict]:
-    docs = []
-    for rep in reports:
-        doc = {
-            "model_name": rep.model_name,
-            "r_squared": rep.r_squared,
-            "mae": rep.mae,
-            "rmse": rep.rmse,
-            "config": rep.config.to_dict(),
-            "feature_set": list(rep.feature_set),
-        }
-        if rep.converged is not None:
-            doc["converged"] = rep.converged
-            doc["n_iter"] = rep.n_iter
-        docs.append(doc)
-    return docs
+    """Each report's fields, less those that are None."""
+    return [{k: v for k, v in asdict(rep).items() if v is not None} for rep in reports]

@@ -93,16 +93,28 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 
 
 def load_pois(path) -> PoiSet:
-    """Read a name,lat,lon CSV into a PoiSet."""
+    """Read a name,lat,lon CSV into a PoiSet, skipping blank lines. A short
+    row, or a coordinate that is not a number or out of range, raises
+    SchemaError naming the file, the line and the column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip().lower() for h in header[:3]] != ["name", "lat", "lon"]:
             raise SchemaError(f"{path}: POI file must have header name,lat,lon")
-        pois = tuple(
-            (row[0], GeoPoint(float(row[1]), float(row[2]))) for row in reader if row
-        )
-    return PoiSet(pois)
+        pois = []
+        for row in filter(None, reader):
+            where = f"{path}: line {reader.line_num}, column"
+            if len(row) < 3:
+                raise SchemaError(f"{where} {header[len(row)]!r}: the row has {len(row)} cells, "
+                                  f"the header {len(header)}")
+            coords = [_parse_cell(cell, "numeric")[0] for cell in row[1:3]]
+            for column, bound, cell, value in zip(header[1:], (90.0, 180.0), row[1:], coords):
+                if value is None or not -bound <= value <= bound:
+                    problem = (f"not a number: {cell!r}" if value is None
+                               else f"{value} is out of range [-{bound:g}, {bound:g}]")
+                    raise SchemaError(f"{where} {column!r}: {problem}")
+            pois.append((row[0], GeoPoint(*coords)))
+    return PoiSet(tuple(pois))
 
 
 def default_pois() -> PoiSet:

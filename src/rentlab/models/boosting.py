@@ -17,8 +17,8 @@ from .tree import Tree, _CodedMatrix, fit_tree
 @dataclass
 class BoostedModel:
     base: float
-    trees: list[Tree]
     learning_rate: float
+    trees: list[Tree]
     feature_names: tuple[str, ...] = ()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -44,4 +44,4 @@ def fit_gbm(m: FeatureMatrix, hp: HyperParams = HyperParams()) -> BoostedModel:
         tree = fit_tree(replace(coded, y=residual), hp)
         trees.append(tree)
         pred += hp.learning_rate * tree.predict(m.x)
-    return BoostedModel(base, trees, hp.learning_rate, feature_names=m.feature_names)
+    return BoostedModel(base, hp.learning_rate, trees, feature_names=m.feature_names)

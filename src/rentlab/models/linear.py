@@ -40,6 +40,11 @@ class LinearModel:
     n_iter: int = 0
     feature_names: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if self.feature_names and len(self.feature_names) != len(self.coefficients):
+            raise ValueError(f"model has {len(self.coefficients)} coefficients "
+                             f"but {len(self.feature_names)} feature names")
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != len(self.coefficients):

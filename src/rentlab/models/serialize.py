@@ -1,85 +1,79 @@
-"""Self-describing JSON serialization for fitted models.
-
-Python's json round-trips float reprs exactly, so deserialized models are
-prediction-identical bit for bit.
+"""Self-describing JSON serialization for fitted models: a model document is
+its family tag, then the model class's dataclass fields in order, arrays as
+lists and trees as documents of their own fields. Decoding takes each field's
+type from the class annotations and an absent field's default from the class;
+other keys are ignored. Python's json round-trips float reprs exactly, so
+deserialized models are prediction-identical bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
+from ..errors import SchemaError
 from .boosting import BoostedModel
 from .forest import ForestModel
 from .linear import LinearModel
 from .tree import Tree
 
+_FAMILIES = {"linear": LinearModel, "tree": Tree, "forest": ForestModel, "gbm": BoostedModel}
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
 
 def model_to_doc(model) -> dict:
-    if isinstance(model, LinearModel):
-        return {
-            "family": "linear",
-            "intercept": model.intercept,
-            "coefficients": [float(c) for c in model.coefficients],
-            "penalty": model.penalty,
-            "alpha": model.alpha,
-            "l1_ratio": model.l1_ratio,
-            "converged": model.converged,
-            "n_iter": model.n_iter,
-            "feature_names": list(model.feature_names),
-        }
-    if isinstance(model, Tree):
-        return {"family": "tree", **model.to_doc()}
-    if isinstance(model, ForestModel):
-        return {
-            "family": "forest",
-            "trees": [t.to_doc() for t in model.trees],
-            "max_features": model.max_features,
-            "seed": model.seed,
-            "feature_names": list(model.feature_names),
-        }
-    if isinstance(model, BoostedModel):
-        return {
-            "family": "gbm",
-            "base": model.base,
-            "learning_rate": model.learning_rate,
-            "trees": [t.to_doc() for t in model.trees],
-            "feature_names": list(model.feature_names),
-        }
+    for family, cls in _FAMILIES.items():
+        if isinstance(model, cls):
+            return {"family": family, **_encode(model)}
     raise TypeError(f"cannot serialize {type(model).__name__}")
+
+
+def _decode(kind, value, where: str):
+    """The value of a field annotated ``kind`` from its JSON form."""
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+    if is_dataclass(kind):
+        return _from_fields(kind, value, where)
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return [_decode(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return tuple(value) if typing.get_origin(kind) is tuple else value
+
+
+def _from_fields(cls, doc, where: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} is not a JSON object")
+    missing = [f.name for f in fields(cls)
+               if f.name not in doc and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        what = f"the fields {missing}"
+        if cls is Tree:  # trees were once stored as nested node objects
+            what = f"the flat fields {missing}; nested tree documents are not read, refit the model"
+        raise SchemaError(f"{where} lacks {what}")
+    types = _field_types(cls)
+    return cls(**{f.name: _decode(types[f.name], doc[f.name], f"{where} {f.name}")
+                  for f in fields(cls) if f.name in doc})
 
 
 def model_from_doc(doc: dict):
     family = doc.get("family")
-    if family == "linear":
-        return LinearModel(
-            doc["intercept"],
-            np.array(doc["coefficients"], dtype=np.float64),
-            penalty=doc.get("penalty", "none"),
-            alpha=doc.get("alpha", 0.0),
-            l1_ratio=doc.get("l1_ratio", 0.0),
-            converged=doc.get("converged", True),
-            n_iter=doc.get("n_iter", 0),
-            feature_names=tuple(doc.get("feature_names", ())),
-        )
-    if family == "tree":
-        return Tree.from_doc(doc)
-    if family == "forest":
-        return ForestModel(
-            [Tree.from_doc(t) for t in doc["trees"]],
-            doc["max_features"],
-            doc["seed"],
-            feature_names=tuple(doc.get("feature_names", ())),
-        )
-    if family == "gbm":
-        return BoostedModel(
-            doc["base"],
-            [Tree.from_doc(t) for t in doc["trees"]],
-            doc["learning_rate"],
-            feature_names=tuple(doc.get("feature_names", ())),
-        )
-    raise ValueError(f"unknown model family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown model family {family!r}")
+    return _from_fields(_FAMILIES[family], doc, f"{family} model document")
 
 
 def save_model(model, path) -> None:

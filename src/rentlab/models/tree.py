@@ -4,7 +4,7 @@ histograms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,32 +15,37 @@ from .hyperparams import HyperParams
 # A split must cut its node's SSE by more than this fraction of it, so a
 # tree's shape does not depend on the target's units.
 MIN_GAIN = 1e-12
-_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "gain")
 
 
+@dataclass(eq=False)
 class Tree:
     """A fitted tree as parallel node arrays in preorder; node 0 is the root.
 
     A split node has ``feature >= 0`` and sends ``x[feature] <= threshold``
     to ``left``; a leaf has ``feature == -1`` and is its own left and right
     child. Every node stores its training mean (``value``), row count and
-    SSE reduction (``gain``, 0 at leaves).
+    SSE reduction (``gain``, 0 at leaves). Trees compare and hash by
+    identity, so they can key weak caches.
     """
 
-    def __init__(self, feature, threshold, left, right, value, n_samples, gain):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.n_samples = np.asarray(n_samples, dtype=np.int64)
-        self.gain = np.asarray(gain, dtype=np.float64)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    gain: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = np.int64 if f.name in ("feature", "left", "right", "n_samples") else np.float64
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
         self._check()
         self.depth = self._depth()
 
     def _check(self) -> None:
         n = self.feature.size
-        if n == 0 or any(getattr(self, f).shape != (n,) for f in _FIELDS):
+        if n == 0 or any(getattr(self, f.name).shape != (n,) for f in fields(self)):
             raise ValueError("tree arrays must be non-empty, one-dimensional and of equal length")
         nodes = np.arange(n)
         split = self.feature >= 0
@@ -69,19 +74,6 @@ class Tree:
             node = np.where(x[rows, self.feature[node]] <= self.threshold[node],
                             self.left[node], self.right[node])
         return self.value[node]
-
-    def to_doc(self) -> dict:
-        return {f: getattr(self, f).tolist() for f in _FIELDS}
-
-    @staticmethod
-    def from_doc(doc: dict) -> "Tree":
-        missing = [f for f in _FIELDS if f not in doc]
-        if missing:
-            raise ValueError(
-                f"tree document lacks the flat fields {missing}; "
-                "nested tree documents are not read, refit the model"
-            )
-        return Tree(*(doc[f] for f in _FIELDS))
 
 
 def _distinct(col: np.ndarray) -> np.ndarray:
@@ -444,7 +436,7 @@ def _preorder(levels: list[dict]) -> Tree:
                 nodes[f][at] = level[f]
             nodes["left"][at] = index[d + 1][0::2]
             nodes["right"][at] = index[d + 1][1::2]
-    return Tree(*(nodes[f] for f in _FIELDS))
+    return Tree(**nodes)
 
 
 def fit_tree(

@@ -187,8 +187,9 @@ def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
 
     Columns named in the schema are parsed to their kind; unparseable cells
     become missing markers and are counted in the report. Header columns not
-    in the schema are kept as text and listed as untyped. A missing required
-    column is a SchemaError.
+    in the schema are kept as text and listed as untyped. Blank lines are
+    skipped. A missing required column, or a row with more or fewer cells
+    than the header, is a SchemaError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -196,7 +197,12 @@ def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: no header row") from None
-        rows = list(reader)
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise SchemaError(f"{path}: line {reader.line_num}: the row has {len(row)} cells, "
+                                  f"the header {len(header)}")
+            rows.append(row)
 
     missing_req = [c for c in schema.required if c not in header]
     if missing_req:
@@ -214,8 +220,7 @@ def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
         coerced = 0
         values = []
         for row in rows:
-            raw = row[j] if j < len(row) else ""
-            value, bad = _parse_cell(raw, parse_kind)
+            value, bad = _parse_cell(row[j], parse_kind)
             coerced += bad
             values.append(value)
         if coerced:

@@ -329,6 +329,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "eval_report.csv").is_file()
 
+    def test_run_on_ragged_input_csv_exits_1(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        main(["gen", "--seed", "21", "--listings", "6", "--start", "2023-01-01",
+              "--end", "2023-01-05", "--out-dir", str(data_dir)])
+        calendar = data_dir / "calendar.csv"
+        lines = calendar.read_text(encoding="utf-8").splitlines()
+        calendar.write_text("\n".join(lines + ["2,2023-01-02"]) + "\n", encoding="utf-8")
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        del doc["generator"]
+        doc["inputs"] = {k: str(data_dir / f"{k}.csv") for k in ("listings", "calendar", "reviews")}
+        doc["output_dir"] = str(tmp_path / "out")
+        cfg_path = tmp_path / "inputs.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"calendar.csv: line {len(lines) + 1}: the row has 2 cells" in err
+
     def test_run_with_missing_input_csv_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_CONFIG))
         del doc["generator"]

@@ -127,6 +127,17 @@ class TestPoiDistances:
         pois = load_pois(path)
         assert pois.pois == (("x", GeoPoint(30.5, -97.5)),)
 
+    @pytest.mark.parametrize("row, message", [
+        ("x,30.5", r"line 3, column 'lon': the row has 2 cells, the header 3"),
+        ("x,30.5,x", r"line 3, column 'lon': not a number: 'x'"),
+        ("x,95,-97.5", r"line 3, column 'lat': 95.0 is out of range \[-90, 90\]"),
+    ], ids=["short", "not_a_number", "latitude_out_of_range"])
+    def test_load_pois_bad_row_named(self, tmp_path, row, message):
+        path = tmp_path / "pois.csv"
+        path.write_text(f"name,lat,lon\ny,30.2,-97.7\n{row}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"pois\.csv: " + message):
+            load_pois(path)
+
 
 class TestAmenities:
     def _table(self, cells):

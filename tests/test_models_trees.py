@@ -11,9 +11,10 @@ import rentlab.models.boosting
 import rentlab.models.forest
 import rentlab.models.tree
 from rentlab.cli import main
-from rentlab.errors import EmptyInputError
+from rentlab.errors import EmptyInputError, SchemaError
 from rentlab.features import FeatureMatrix, matrix_to_csv
 from rentlab.models import (
+    FAMILIES,
     BoostedModel,
     HyperParams,
     Tree,
@@ -248,7 +249,7 @@ class TestFitGbm:
         assert model_to_doc(fit_gbm(m)) == model_to_doc(fit_family("gbm", m, HyperParams()))
 
     def test_base_only_prediction(self):
-        model = BoostedModel(10.0, [], 0.5)
+        model = BoostedModel(10.0, 0.5, [])
         assert predict(model, np.zeros((3, 0)))[0] == 10.0
 
 
@@ -875,6 +876,78 @@ class TestSerialization:
             model_from_doc(doc)
         with pytest.raises(ValueError, match="equal length"):
             Tree([0, -1], [0.5], [1, 1], [1, 1], [0.0, 0.0], [2, 1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_round_trips(self, family, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 3))
+        m = _fm(x, x @ [1.0, -2.0, 0.5] + rng.normal(size=40))
+        hp = HyperParams(alpha=0.05, l1_ratio=0.3, n_trees=3, n_rounds=4, max_depth=3)
+        model = fit_family(family, m, hp, seed=2)
+        self._round_trip(model, x, tmp_path)
+        doc = model_to_doc(load_model(tmp_path / "model.json"))
+        assert doc == json.loads((tmp_path / "model.json").read_text())
+        if family in ("lasso", "ridge", "elastic"):
+            assert (doc["penalty"], doc["alpha"], doc["l1_ratio"]) == (
+                model.penalty, 0.05, {"lasso": 1.0, "ridge": 0.0, "elastic": 0.3}[family])
+            assert doc["converged"] is True and doc["n_iter"] == model.n_iter >= 1
+
+    def test_document_keys_in_field_order(self):
+        # json.dump writes keys in insertion order, so this order is model.json's byte order
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(30, 2))
+        m = _fm(x, rng.normal(size=30))
+        hp = HyperParams(n_trees=2, n_rounds=2, max_depth=2)
+        arrays = ["feature", "threshold", "left", "right", "value", "n_samples", "gain"]
+        expected = {
+            "ols": ["family", "intercept", "coefficients", "penalty", "alpha", "l1_ratio",
+                    "converged", "n_iter", "feature_names"],
+            "forest": ["family", "trees", "max_features", "seed", "feature_names"],
+            "gbm": ["family", "base", "learning_rate", "trees", "feature_names"],
+        }
+        for family, keys in expected.items():
+            doc = model_to_doc(fit_family(family, m, hp))
+            assert list(doc) == keys
+            for tree in doc.get("trees", []):
+                assert list(tree) == arrays
+        assert list(model_to_doc(fit_tree(m, hp))) == ["family", *arrays]
+
+    def test_missing_field_named(self):
+        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 6.0])
+        doc = model_to_doc(fit_family("ols", m, HyperParams()))
+        del doc["intercept"], doc["coefficients"], doc["penalty"]
+        # a field with a default may be absent; one without may not
+        with pytest.raises(SchemaError, match=r"linear model document lacks the fields "
+                                              r"\['intercept', 'coefficients'\]"):
+            model_from_doc(doc)
+        gbm = model_to_doc(fit_gbm(m, HyperParams(n_rounds=1, max_depth=1)))
+        del gbm["learning_rate"]
+        with pytest.raises(SchemaError, match=r"gbm model document lacks the fields "
+                                              r"\['learning_rate'\]"):
+            model_from_doc(gbm)
+
+    def test_linear_coefficients_and_names_must_match(self):
+        m = _fm([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]], [1.0, 1.0, 5.0, 6.0])
+        doc = model_to_doc(fit_family("ols", m, HyperParams()))
+        doc["feature_names"] = ["x0"]
+        with pytest.raises(ValueError, match="2 coefficients but 1 feature names"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc.pop("intercept"), "lacks the fields ['intercept']"),
+        (lambda doc: doc["feature_names"].append("x1"), "1 coefficients but 2 feature names"),
+    ], ids=["missing_field", "length_mismatch"])
+    def test_cli_exits_1_on_malformed_linear_model_json(self, tmp_path, capsys, damage, message):
+        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 6.0])
+        matrix_to_csv(m, tmp_path / "features.csv")
+        doc = model_to_doc(fit_family("ols", m, HyperParams()))
+        damage(doc)
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        status = main(["explain", "--model", str(tmp_path / "model.json"),
+                       "--data", str(tmp_path / "features.csv"),
+                       "--out", str(tmp_path / "shap.csv")])
+        assert status == 1
+        assert message in capsys.readouterr().err
 
     def test_cli_exits_1_on_nested_model_json(self, tmp_path, capsys):
         m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])

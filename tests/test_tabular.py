@@ -102,6 +102,22 @@ class TestReadCsv:
         with pytest.raises(OSError):
             read_csv(tmp_path / "absent.csv", CALENDAR_SCHEMA)
 
+    @pytest.mark.parametrize("row, cells", [("2,2023-01-02", 2), ("2,2023-01-02,20,extra", 4)],
+                             ids=["short", "long"])
+    def test_ragged_row_rejected_by_line(self, tmp_path, row, cells):
+        path = _write(tmp_path, "cal.csv", f"listing_id,date,price\n1,2023-01-01,10\n{row}\n")
+        with pytest.raises(SchemaError, match=rf"cal\.csv: line 3: the row has {cells} cells, "
+                                              r"the header 3"):
+            read_csv(path, CALENDAR_SCHEMA)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = _write(tmp_path, "cal.csv",
+                      "listing_id,date,price\n1,2023-01-01,10\n\n2,2023-01-02,20\n\n")
+        table, report = read_csv(path, CALENDAR_SCHEMA)
+        assert table.values("listing_id") == (1, 2)
+        assert table.values("price") == (10.0, 20.0)
+        assert report.n_rows == 2 and report.coerced_missing == {}
+
     def test_load_never_invents_values(self, tmp_path):
         path = _write(
             tmp_path, "cal.csv",
