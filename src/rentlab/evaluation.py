@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .features import FeatureMatrix
-from .models import FAMILIES, HyperParams, fit_family, predict
+from .models import FAMILIES, FittedModel, HyperParams, fit_family, fit_folds, predict
 from .tabular import Table
 
 METRIC_ROWS = ("R-Squared", "Mean Absolute Error", "Root Mean Squared Error")
@@ -103,11 +103,8 @@ def _derived_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**31))
 
 
-def _score(
-    family: str, hp: HyperParams, seed: int, train: FeatureMatrix, test: FeatureMatrix
-) -> EvalReport:
-    """Fit one family on train and score its predictions on test."""
-    model = fit_family(family, train, hp, seed=seed)
+def _score(family: str, hp: HyperParams, model: FittedModel, test: FeatureMatrix) -> EvalReport:
+    """Score a fitted model's predictions on test."""
     yhat = predict(model, test)
     cd = family in CD_FAMILIES
     return EvalReport(
@@ -116,7 +113,7 @@ def _score(
         mae(test.y, yhat),
         rmse(test.y, yhat),
         hp,
-        train.feature_names,
+        test.feature_names,
         converged=model.converged if cd else None,
         n_iter=model.n_iter if cd else None,
     )
@@ -127,11 +124,10 @@ def cross_validate(
 ) -> EvalReport:
     """Mean validation R^2/MAE/RMSE over k seeded folds."""
     fold = kfold_plan(m.n_rows, k, seed)
-    folds = [
-        _score(family, hp, _derived_seed(seed, f),
-               m.take(np.flatnonzero(fold != f)), m.take(np.flatnonzero(fold == f)))
-        for f in range(k)
-    ]
+    models = fit_folds(family, m, hp, [np.flatnonzero(fold != f) for f in range(k)],
+                       [_derived_seed(seed, f) for f in range(k)])
+    folds = [_score(family, hp, model, m.take(np.flatnonzero(fold == f)))
+             for f, model in enumerate(models)]
     return EvalReport(
         family,
         float(np.mean([r.r_squared for r in folds])),
@@ -211,7 +207,8 @@ def compare_models(
     """Fit each configured family on train and score R^2/MAE/RMSE on test."""
     if m_train.feature_names != m_test.feature_names:
         raise ValueError("train and test feature sets differ")
-    return [_score(c.family, c.params, c.seed, m_train, m_test) for c in configs]
+    return [_score(c.family, c.params, fit_family(c.family, m_train, c.params, seed=c.seed), m_test)
+            for c in configs]
 
 
 def reports_to_table(reports: list[EvalReport]) -> Table:

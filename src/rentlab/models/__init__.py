@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..features import FeatureMatrix
-from .boosting import BoostedModel, fit_gbm
-from .forest import ForestModel, auto_max_features, fit_forest
+from .boosting import BoostedModel, fit_gbm, fit_gbms
+from .forest import ForestModel, auto_max_features, fit_forest, fit_forests
 from .hyperparams import HyperParams
 from .linear import LinearModel, elastic_net_objective, fit_elastic_net, fit_ols, soft_threshold
 from .serialize import load_model, model_from_doc, model_to_doc, save_model
@@ -33,6 +33,17 @@ def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0) ->
     if family == "gbm":
         return fit_gbm(m, hp)
     raise ValueError(f"unknown model family {family!r}; expected one of {FAMILIES}")
+
+
+def fit_folds(family: str, m: FeatureMatrix, hp: HyperParams, folds, seeds) -> list[FittedModel]:
+    """One model per fold, each as ``fit_family`` fits it with its seed on
+    ``m.take(rows)``, a fold being the ascending indices of its rows. The
+    forests and gbms of all folds grow their trees together."""
+    if family == "forest":
+        return fit_forests(m, hp, folds, seeds)
+    if family == "gbm":
+        return fit_gbms(m, hp, folds)
+    return [fit_family(family, m.take(rows), hp, seed) for rows, seed in zip(folds, seeds)]
 
 
 def predict(model: FittedModel, x) -> np.ndarray:
@@ -80,6 +91,7 @@ __all__ = [
     "elastic_net_objective",
     "fit_elastic_net",
     "fit_family",
+    "fit_folds",
     "fit_forest",
     "fit_gbm",
     "fit_ols",

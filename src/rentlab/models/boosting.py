@@ -4,14 +4,14 @@ learning rate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import Tree, _CodedMatrix, fit_tree
+from .tree import Tree, _CodedMatrix, grow_trees
 
 
 @dataclass
@@ -31,17 +31,27 @@ class BoostedModel:
 
 def fit_gbm(m: FeatureMatrix, hp: HyperParams = HyperParams()) -> BoostedModel:
     """Squared-loss boosting; the negative gradient is just the residual."""
-    if m.n_rows == 0:
+    (model,) = fit_gbms(m, hp, [np.arange(m.n_rows)])
+    return model
+
+
+def fit_gbms(m: FeatureMatrix, hp: HyperParams, folds) -> list[BoostedModel]:
+    """One model per fold, each as ``fit_gbm`` fits it on ``m.take(rows)``,
+    a fold being the ascending indices of its rows. Every round grows the
+    folds' trees together over one coding of ``m`` and updates each fold's
+    predictions from the leaves its rows reached."""
+    if any(rows.size == 0 for rows in folds):
         raise EmptyInputError("cannot fit on an empty matrix")
     y = np.asarray(m.y, dtype=np.float64)
-    base = float(y.mean())
-    pred = np.full(m.n_rows, base)
-    # every round grows a tree over the same rows, so x is coded once per fit
-    coded = _CodedMatrix.of(m)
-    trees: list[Tree] = []
+    base = [float(y[rows].mean()) for rows in folds]
+    pred = [np.full(rows.size, b) for rows, b in zip(folds, base)]
+    ones = [np.ones(rows.size) for rows in folds]
+    coded = _CodedMatrix.of(m.x)
+    trees: list[list[Tree]] = [[] for _ in folds]
     for _ in range(hp.n_rounds):
-        residual = y - pred
-        tree = fit_tree(replace(coded, y=residual), hp)
-        trees.append(tree)
-        pred += hp.learning_rate * tree.predict(m.x)
-    return BoostedModel(base, hp.learning_rate, trees, feature_names=m.feature_names)
+        residuals = [(rows, w, y[rows] - pf, None) for rows, w, pf in zip(folds, ones, pred)]
+        for f, (tree, fitted) in enumerate(grow_trees(coded, hp, residuals)):
+            trees[f].append(tree)
+            pred[f] += hp.learning_rate * fitted
+    return [BoostedModel(b, hp.learning_rate, t, feature_names=m.feature_names)
+            for b, t in zip(base, trees)]

@@ -4,13 +4,13 @@ split, prediction = arithmetic mean of the trees."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import Tree, _CodedMatrix, fit_tree
+from .tree import Tree, _CodedMatrix, grow_trees
 
 
 @dataclass
@@ -46,15 +46,30 @@ def fit_forest(
     """Fit hp.n_trees bagged trees; hp.max_features=0 means ceil(p/3). A
     tree's bootstrap sample is each row's multiplicity among n draws, which
     its split search takes as row weights."""
+    (forest,) = fit_forests(m, hp, [np.arange(m.n_rows)], [seed])
+    return forest
+
+
+def fit_forests(m: FeatureMatrix, hp: HyperParams, folds, seeds) -> list[ForestModel]:
+    """One forest per fold, each as ``fit_forest`` fits it with its seed on
+    ``m.take(rows)``, a fold being the ascending indices of its rows. The
+    folds' trees grow together over one coding of ``m``."""
     p = m.n_features
     mf = hp.max_features or auto_max_features(p)
     if mf > p:
         raise ValueError(f"max_features {mf} exceeds feature count {p}")
-    n = m.n_rows
-    coded = _CodedMatrix.of(m)
-    trees = []
-    for t in range(hp.n_trees):
-        rng = _tree_rng(seed, t)
-        weight = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-        trees.append(fit_tree(replace(coded, weight=weight), hp, max_features=mf, rng=rng))
-    return ForestModel(trees, mf, seed, feature_names=m.feature_names)
+    y = np.asarray(m.y, dtype=np.float64)
+
+    def bootstraps():
+        for rows, seed in zip(folds, seeds):
+            n = rows.size
+            for t in range(hp.n_trees):
+                rng = _tree_rng(seed, t)
+                weight = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+                drawn = weight.nonzero()[0]
+                yield rows[drawn], weight[drawn], y[rows[drawn]], rng
+
+    trees = [tree for tree, _ in grow_trees(_CodedMatrix.of(m.x), hp, bootstraps(), mf)]
+    return [ForestModel(trees[f * hp.n_trees:(f + 1) * hp.n_trees], mf, seed,
+                        feature_names=m.feature_names)
+            for f, seed in enumerate(seeds)]

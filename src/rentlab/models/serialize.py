@@ -70,15 +70,21 @@ def _from_fields(cls, doc, where: str):
 
 
 def model_from_doc(doc: dict):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a model document is a JSON object, not {type(doc).__name__}")
     family = doc.get("family")
+    if not isinstance(family, str):
+        raise SchemaError(f"a model document's family is a string, not {family!r}")
     if family not in _FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
     return _from_fields(_FAMILIES[family], doc, f"{family} model document")
 
 
 def save_model(model, path) -> None:
+    # json.dumps encodes in C where json.dump, writing as it goes, does not
+    text = json.dumps(model_to_doc(model))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_doc(model), fh)
+        fh.write(text)
 
 
 def load_model(path):

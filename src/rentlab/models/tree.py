@@ -112,40 +112,75 @@ def code_columns(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 # array over its rows apiece, however many nodes it holds.
 _BLOCK_CELLS = 1 << 14
 # A level whose features all fit a grid keeps its histograms for its
-# children's sibling subtraction while they hold at most this many cells.
+# children's sibling subtraction while they hold at most this many cells,
+# divided among the trees of its batch: small trees grown together gain
+# little from subtraction, and their grids would hold many nodes' bins.
 _KEPT_CELLS = 1 << 17
+# Trees grow together in batches of at most this many (tree, row) pairs, or
+# the matrix's rows: enough small trees to share each level's fixed cost,
+# few enough that a level's state and grids stay within a few MB.
+_BATCH_PAIRS = 1 << 13
 # Gains within this fraction of the node's SSE of its best gain count as
 # equal, so the sums' order of addition cannot pick the split.
 _TIE = 1e-12
 
 
+def _distinct_rows(codes: np.ndarray, widths) -> np.ndarray:
+    """Number the rows of a matrix by its distinct rows, in order of first
+    occurrence, from its (p, n) ``codes`` and each column's number of codes
+    (``widths``): equal rows, and only they, share a number."""
+    n = codes.shape[1]
+    key, span = np.zeros(n, dtype=np.int64), 1
+    for column, width in zip(codes, widths):
+        if span * width >= 1 << 62:
+            # rank the keys so far, which keeps the next product in range
+            ranked = np.sort(key)
+            key, span = np.searchsorted(ranked[_firsts(ranked)], key), n
+        key *= width
+        key += column
+        span *= width
+    order = key.argsort(kind="stable")
+    start = _firsts(key[order])
+    # each run of equal keys starts at its first row; number the runs in
+    # the order of their first rows
+    head = np.zeros(n, dtype=bool)
+    head[order[start]] = True
+    number = head.cumsum() - 1
+    ids = np.empty(n, dtype=np.intp)
+    ids[order] = number[order[start]][start.cumsum() - 1]
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class _CodedMatrix:
-    """Training rows coded for split search (see ``code_columns``), with
-    their targets and, for a bootstrap sample, each row's multiplicity
-    (``weight``; None counts every row once). ``bins`` holds every column's
-    sorted distinct values one column after another, column j's from
-    ``offsets[j]``, so code c of column j is bin ``offsets[j] + c``.
-    ``fit_forest`` and ``fit_gbm`` code their matrix once and hand every
-    tree's targets and weights to ``fit_tree`` in this form."""
+    """A matrix coded for split search (see ``code_columns``) by its
+    distinct rows: row i is distinct row ``distinct[i]``, whose codes are
+    ``codes[:, distinct[i]]``; distinct rows are numbered in order of first
+    occurrence, so a matrix without repeated rows keeps its codes as they
+    are. ``bins`` holds every column's sorted distinct values one column
+    after another, column j's from ``offsets[j]``, so code c of column j is
+    bin ``offsets[j] + c``. A fit codes its matrix once for all its trees."""
 
     codes: np.ndarray
+    distinct: np.ndarray
     bins: np.ndarray
     offsets: np.ndarray
-    y: np.ndarray
-    weight: np.ndarray | None = None
 
     @staticmethod
-    def of(m: FeatureMatrix) -> "_CodedMatrix":
-        codes, values = code_columns(m.x)
+    def of(x: np.ndarray) -> "_CodedMatrix":
+        codes, values = code_columns(x)
+        widths = [v.size for v in values]
+        distinct = _distinct_rows(codes, widths)
         offsets = np.zeros(len(values) + 1, dtype=np.intp)
-        np.cumsum([v.size for v in values], out=offsets[1:])
+        np.cumsum(widths, out=offsets[1:])
         bins = np.concatenate(values) if values else np.empty(0)
-        return _CodedMatrix(codes, bins, offsets, np.asarray(m.y, dtype=np.float64))
-
-    @property
-    def n_rows(self) -> int:
-        return self.codes.shape[1]
+        n_distinct = int(distinct.max(initial=-1)) + 1
+        if n_distinct < distinct.size:
+            # repeats of a row write the same codes
+            first = codes
+            codes = np.empty((first.shape[0], n_distinct), dtype=first.dtype)
+            codes[:, distinct] = first
+        return _CodedMatrix(codes, distinct, bins, offsets)
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:
@@ -273,120 +308,183 @@ def _candidates(s, at, count, total, bin_feature, totals, tol, floor, allowed):
     return gain[good], s[good], at[i], at[i + 1]
 
 
-def _grow_levels(coded: _CodedMatrix, hp: HyperParams, max_features, rng) -> list[dict]:
-    """Grow the tree one level at a time; return each level's node
-    ``value`` and ``n_samples`` arrays, left to right, and for every level
-    but the last its splits: the nodes that split (``split``) with their
-    ``feature``, ``threshold`` and ``gain``. Split i's children are nodes
-    2i and 2i + 1 of the next level.
+def _best_splits(coded, bin_feature, pairs, m, scores, subtract, keep):
+    """Each of a level's ``m`` open slots' first threshold near its best
+    gain, from its (tree, distinct row) ``pairs``: their distinct rows,
+    slots, weights and weighted targets. Returns the (slot, gain, bin, next
+    occupied bin) of the slots that split, and the level's (2, m, bins)
+    histograms when ``keep`` asks for them and every feature fits a grid;
+    or None when no slot splits. ``scores`` are ``_candidates``' node
+    totals, tie tolerances, gain floors and allowed features. ``subtract``,
+    when the parent level kept its histograms, holds the slots derived as
+    their parent less their sibling, those siblings and the parents'
+    histograms."""
+    codes, offsets = coded.codes, coded.offsets
+    p = codes.shape[0]
+    widths = offsets[1:] - offsets[:-1]
+    drows, slot, w, wy = pairs
+    hpairs = drows, slot, (w, wy)
+    if subtract is not None:
+        derived, sibling, parent = subtract
+        # the grids take the pairs of the slots not derived from their
+        # parent's histograms
+        direct = np.ones(m, dtype=bool)
+        direct[derived] = False
+        direct = direct[slot]
+        hpairs = drows[direct], slot[direct], (w[direct], wy[direct])
+    # a feature whose (node, bin) grid holds at most `cap` cells is
+    # histogrammed on it, a wider one from its pairs' sorted keys
+    cap = max(_BLOCK_CELLS, drows.size)
+    dense = m * widths <= cap
+    ends = np.concatenate(((dense[1:] != dense[:-1]).nonzero()[0] + 1, [p]))
+    kept = np.empty((2, m, int(offsets[-1]))) if keep and dense.all() else None
 
-    Each level sums its open nodes' row weights and weighted targets into
+    picks = []
+    j1 = 0
+    while j1 < p:
+        j0, o0 = j1, offsets[j1]
+        end = ends[ends.searchsorted(j0, "right")]
+        if dense[j0]:
+            # a group of at most `cap` (node, bin) cells, or one feature
+            j1 = min(end, max(j0 + 1, int(offsets.searchsorted(o0 + cap // m, "right")) - 1))
+            hist = _histogram(codes, offsets, j0, j1, *hpairs, m)
+            if subtract is not None:
+                hist[:, derived] = parent[:, :, o0:offsets[j1]] - hist[:, sibling]
+            if kept is not None:
+                kept[:, :, o0:offsets[j1]] = hist
+            cells = _grid_cells(hist, o0)
+        else:
+            j1 = min(end, j0 + max(1, _BLOCK_CELLS // drows.size))
+            cells = _sorted_cells(codes, offsets, j0, j1, drows, slot, (w, wy), m)
+        found = _candidates(*cells, bin_feature, *scores)
+        if found is not None:
+            picks.append(found)
+            if sum(part[0].size for part in picks) > _BLOCK_CELLS:
+                picks = [_merge_near_best(picks, scores[1])]
+    if not picks:
+        return None
+    # each slot's first threshold near its best (one group's are merged)
+    gain, s, at, above = picks[0] if len(picks) == 1 else _merge_near_best(picks, scores[1])
+    first = _firsts(s)
+    return s[first], gain[first], at[first], above[first], kept
+
+
+def _node_sums(raw, n_nodes, w, wy, wyy, target):
+    """Each node's sums of its (tree, row) pairs' weights, weighted targets
+    and weighted squared targets, added in row order, and whether its
+    targets vary; ``raw`` holds each pair's node, n_nodes for none."""
+    sums = [np.bincount(raw, v, n_nodes + 1)[:n_nodes] for v in (w, wy, wyy)]
+    # a node's targets vary when one differs from one of them
+    one = np.empty(n_nodes + 1)
+    one[raw] = target
+    return (*sums, np.bincount(raw, target != one[raw], n_nodes + 1)[:n_nodes] > 0)
+
+
+def _grow_levels(coded: _CodedMatrix, hp: HyperParams, batch, max_features):
+    """Grow a batch of trees together, one level at a time. ``batch`` holds
+    each tree's (rows, weights, targets, rng): its rows in ascending order,
+    their positive weights and their targets, and the generator of its
+    ``max_features`` draws. A level numbers its nodes tree after tree, left
+    to right; the first level holds the roots. Return each level's node
+    ``tree``, ``value`` and ``n_samples`` arrays and, for every level but
+    the last, its splits: the nodes that split (``split``) with their
+    ``feature``, ``threshold`` and ``gain``. Split i's children are nodes
+    2i and 2i + 1 of the next level. Also return the value of the leaf each
+    (tree, row) pair reaches, tree after tree.
+
+    A node's value, row count and SSE, and whether its targets vary, are
+    summed over its (tree, row) pairs in row order, as a tree grown alone
+    sums them. Its histograms read its (tree, distinct row) pairs instead,
+    each carrying its rows' summed weight and weighted target, since equal
+    rows go to the same child. Each level sums its open nodes' pairs into
     their occupied (node, bin) cells, from a grid or from sorted keys; of
     two open siblings whose parent's grids were kept, only the smaller is
     histogrammed, the larger being parent minus smaller. Running sums along
     each (node, feature) segment score every open node's thresholds at
-    once; the first, by feature then threshold, within the tie tolerance
-    of the node's best gain wins."""
+    once; the first, by feature then threshold, within the tie tolerance of
+    the node's best gain wins."""
     codes, offsets = coded.codes, coded.offsets
-    p, n = codes.shape
+    p, n_distinct = codes.shape
     n_bins = int(offsets[-1])
-    widths = offsets[1:] - offsets[:-1]
-    bin_feature = np.arange(p, dtype=np.min_scalar_type(p)).repeat(widths)
-    weight = np.ones(n) if coded.weight is None else coded.weight
-    rows = weight.nonzero()[0]
-    # the sums run over the targets less their mean, so that their rounding
-    # follows the targets' spread, not their level
-    mean = float(weight[rows] @ coded.y[rows]) / float(weight[rows].sum())
-    y = coded.y - mean
-    node = np.zeros(rows.size, dtype=np.intp)
-    n_nodes, kept, parent = 1, None, None
+    bin_feature = np.arange(p, dtype=np.min_scalar_type(p)).repeat(offsets[1:] - offsets[:-1])
+    n_trees = len(batch)
+    tree = np.arange(n_trees).repeat([len(spec[0]) for spec in batch])
+    # each (tree, row) pair's (tree, distinct row) pair, numbered tree after tree
+    key = coded.distinct[np.concatenate([spec[0] for spec in batch])]
+    key += tree * n_distinct
+    # a lone tree's weights and targets are used as given, not copied
+    w, target = (part[0] if n_trees == 1 else np.concatenate(part) for part in tuple(zip(*batch))[1:3])
+    # the sums run over the targets less their tree's mean, so that their
+    # rounding follows the targets' spread, not their level
+    mean = np.array([float(wt @ yt) / float(wt.sum()) for _, wt, yt, _ in batch])
+    yr = target - mean[tree]
+    wy = w * yr
+    wyy = wy * yr
+    # the level loop keeps only what it reads: here, none of the setup's
+    # arrays over the pairs but their sums
+    del tree, yr
+    dw = np.bincount(key, w, n_trees * n_distinct)
+    present = dw.nonzero()[0]
+    pair = np.empty(dw.size, dtype=np.intp)
+    pair[present] = np.arange(present.size)
+    pair = pair[key]
+    del key
+    # the distinct pairs of the open nodes: their nodes, distinct rows,
+    # weights, weighted targets and numbers
+    node, drows = np.divmod(present, n_distinct)
+    dw, dwy = dw[present], np.bincount(pair, wy, present.size)
+    pos = np.arange(present.size)
+    del present
+    # every distinct pair's node, n_nodes once it has left the open nodes,
+    # and the value of the last node it was in
+    where, fitted = np.empty(pos.size, dtype=np.intp), np.empty(pos.size)
+    node_tree = np.arange(n_trees)
+    n_nodes, kept, parent = n_trees, None, None
     levels = []
     for depth in range(hp.max_depth + 1):
-        w, yr = weight[rows], y[rows]
-        wy = w * yr
-        count = np.bincount(node, w, n_nodes)
-        total = np.bincount(node, wy, n_nodes)
-        level = {"value": mean + total / count, "n_samples": count}
+        where.fill(n_nodes)
+        where[pos] = node
+        count, total, squares, varied = _node_sums(where[pair], n_nodes, w, wy, wyy, target)
+        value = mean[node_tree] + total / count
+        level = {"tree": node_tree, "value": value, "n_samples": count}
         levels.append(level)
+        fitted[pos] = value[node]
         if depth == hp.max_depth:
             break
-        # a node's targets vary when one differs from one of them
-        target = coded.y[rows]
-        one = np.empty(n_nodes)
-        one[node] = target
-        varied = np.bincount(node, target != one[node], n_nodes) > 0
         is_open = varied & (count >= hp.min_samples_split)
         slots = is_open.nonzero()[0]
         m = slots.size
         if m == 0:
             break
 
-        # open nodes get slots 0..m-1 (their own numbers if all are open); rows of leaves drop out
-        slot_of, slot = slots, node
-        if m < n_nodes:
-            slot_of = is_open.cumsum() - 1
-            inside = is_open[node]
-            rows, w, yr, wy = rows[inside], w[inside], yr[inside], wy[inside]
-            slot = slot_of[node[inside]]
+        # open nodes get slots 0..m-1 and the rest slot m; pairs of leaves drop out
+        slot_of = np.full(n_nodes + 1, m)
+        slot_of[slots] = np.arange(m)
         totals = np.array((count[slots], total[slots]))
-        sse = np.maximum(np.bincount(slot, wy * yr, m) - totals[1] * totals[1] / totals[0], 0.0)
+        sse = np.maximum(squares[slots] - totals[1] * totals[1] / totals[0], 0.0)
         tol, floor = _TIE * sse, MIN_GAIN * sse
+        slot = slot_of[node]
+        if m < n_nodes:
+            inside = slot < m
+            pos, drows, dw, dwy, slot = pos[inside], drows[inside], dw[inside], dwy[inside], slot[inside]
         allowed = None
         if max_features is not None and max_features < p:
             allowed = np.zeros((m, p), dtype=bool)
-            for s in range(m):
-                allowed[s, rng.choice(p, size=max_features, replace=False)] = True
+            for s, t in enumerate(node_tree[slots]):
+                allowed[s, batch[t][3].choice(p, size=max_features, replace=False)] = True
 
-        derived = sibling = np.empty(0, dtype=np.intp)
-        hrows, hslot, hweights = rows, slot, (w, wy)
+        subtract = None
         if kept is not None:
-            pair = (is_open[0::2] & is_open[1::2]).nonzero()[0]
-            larger = (count[2 * pair + 1] >= count[2 * pair]).astype(np.intp)
-            derived, sibling = slot_of[2 * pair + larger], slot_of[2 * pair + 1 - larger]
-            kept = kept[:, parent[pair]]
-            # the grids take the rows of the slots not derived from their
-            # parent's histograms
-            direct = np.ones(m, dtype=bool)
-            direct[derived] = False
-            direct = direct[slot]
-            hrows, hslot, hweights = rows[direct], slot[direct], (w[direct], wy[direct])
-        # a feature whose (node, bin) grid holds at most `cap` cells is
-        # histogrammed on it, a wider one from its rows' sorted keys
-        cap = max(_BLOCK_CELLS, rows.size)
-        dense = m * widths <= cap
-        ends = np.concatenate(((dense[1:] != dense[:-1]).nonzero()[0] + 1, [p]))
-        keep = depth + 1 < hp.max_depth and m * n_bins <= _KEPT_CELLS and dense.all()
-        new_kept = np.empty((2, m, n_bins)) if keep else None
-
-        picks = []
-        j1 = 0
-        while j1 < p:
-            j0, o0 = j1, offsets[j1]
-            end = ends[ends.searchsorted(j0, "right")]
-            if dense[j0]:
-                # a group of at most `cap` (node, bin) cells, or one feature
-                j1 = min(end, max(j0 + 1, int(offsets.searchsorted(o0 + cap // m, "right")) - 1))
-                hist = _histogram(codes, offsets, j0, j1, hrows, hslot, hweights, m)
-                if derived.size:
-                    hist[:, derived] = kept[:, :, o0:offsets[j1]] - hist[:, sibling]
-                if keep:
-                    new_kept[:, :, o0:offsets[j1]] = hist
-                cells = _grid_cells(hist, o0)
-            else:
-                j1 = min(end, j0 + max(1, _BLOCK_CELLS // rows.size))
-                cells = _sorted_cells(codes, offsets, j0, j1, rows, slot, (w, wy), m)
-            found = _candidates(*cells, bin_feature, totals, tol, floor, allowed)
-            if found is not None:
-                picks.append(found)
-                if sum(part[0].size for part in picks) > _BLOCK_CELLS:
-                    picks = [_merge_near_best(picks, tol)]
-        if not picks:
+            twins = (is_open[0::2] & is_open[1::2]).nonzero()[0]
+            larger = (count[2 * twins + 1] >= count[2 * twins]).astype(np.intp)
+            subtract = (slot_of[2 * twins + larger], slot_of[2 * twins + 1 - larger],
+                        kept[:, parent[twins]])
+        keep = depth + 1 < hp.max_depth and m * n_bins * n_trees <= _KEPT_CELLS
+        found = _best_splits(coded, bin_feature, (drows, slot, dw, dwy), m,
+                             (totals, tol, floor, allowed), subtract, keep)
+        if found is None:
             break
-
-        # each slot's first threshold near its best (one group's are merged)
-        gain, s, at, above = picks[0] if len(picks) == 1 else _merge_near_best(picks, tol)
-        first = _firsts(s)
-        split_slot, gain, at, above = s[first], gain[first], at[first], above[first]
+        split_slot, gain, at, above, kept = found
         feature = bin_feature[at]
         a, b = coded.bins[at], coded.bins[above]
         with np.errstate(over="ignore"):
@@ -394,7 +492,7 @@ def _grow_levels(coded: _CodedMatrix, hp: HyperParams, max_features, rng) -> lis
         level.update(split=slots[split_slot], feature=feature, gain=gain,
                      threshold=np.where((a <= thr) & (thr < b), thr, a))
 
-        # rows of a split node (its rank is its slot if all split) go to its children:
+        # pairs of a split node (its rank is its slot if all split) go to its children:
         # right when their code passes the split's, its bin less its feature's offset
         r = slot
         if split_slot.size < m:
@@ -402,45 +500,79 @@ def _grow_levels(coded: _CodedMatrix, hp: HyperParams, max_features, rng) -> lis
             rank[split_slot] = np.arange(split_slot.size)
             r = rank[slot]
             moving = r >= 0
-            rows, r = rows[moving], r[moving]
-        node = 2 * r + (codes[feature[r], rows] > (at - offsets[feature])[r])
+            pos, drows, dw, dwy, r = pos[moving], drows[moving], dw[moving], dwy[moving], r[moving]
+        node = 2 * r + (codes[feature[r], drows] > (at - offsets[feature])[r])
+        node_tree = node_tree[slots[split_slot]].repeat(2)
         n_nodes = 2 * split_slot.size
-        kept, parent = new_kept, split_slot
-    return levels
+        parent = split_slot
+    return levels, fitted[pair]
 
 
-def _preorder(levels: list[dict]) -> Tree:
-    """The tree of ``_grow_levels``'s levels with its nodes numbered in
-    preorder: a split's left child follows it, and its right child follows
-    the left child's subtree."""
+def _preorder(levels: list[dict], n_trees: int) -> list[Tree]:
+    """The trees of ``_grow_levels``'s levels, each with its nodes numbered
+    in preorder: a split's left child follows it, and its right child
+    follows the left child's subtree."""
     size = [np.ones(level["value"].size, dtype=np.int64) for level in levels]
     for d in range(len(levels) - 2, -1, -1):
         size[d][levels[d]["split"]] += size[d + 1][0::2] + size[d + 1][1::2]
-    index = [np.zeros(1, dtype=np.int64)]
+    index = [np.zeros(n_trees, dtype=np.int64)]
     for d in range(len(levels) - 1):
         after = index[d][levels[d]["split"]] + 1
         below = np.empty(2 * after.size, dtype=np.int64)
         below[0::2] = after
         below[1::2] = after + size[d + 1][0::2]
         index.append(below)
-    n = int(size[0][0])
-    nodes = {"feature": np.full(n, -1), "threshold": np.zeros(n), "left": np.arange(n),
-             "right": np.arange(n), "value": np.empty(n), "n_samples": np.empty(n),
+    # the trees' nodes one tree after another; a node's children are
+    # numbered within its tree
+    start = np.zeros(n_trees + 1, dtype=np.int64)
+    np.cumsum(size[0], out=start[1:])
+    n = int(start[-1])
+    local = np.arange(n) - start[:-1].repeat(size[0])
+    nodes = {"feature": np.full(n, -1), "threshold": np.zeros(n), "left": local,
+             "right": local.copy(), "value": np.empty(n), "n_samples": np.empty(n, dtype=np.int64),
              "gain": np.zeros(n)}
     for d, level in enumerate(levels):
+        here = start[level["tree"]] + index[d]
         for f in ("value", "n_samples"):
-            nodes[f][index[d]] = level[f]
+            nodes[f][here] = level[f]
         if d + 1 < len(levels):
-            at = index[d][level["split"]]
+            at = here[level["split"]]
             for f in ("feature", "threshold", "gain"):
                 nodes[f][at] = level[f]
             nodes["left"][at] = index[d + 1][0::2]
             nodes["right"][at] = index[d + 1][1::2]
-    return Tree(**nodes)
+    return [Tree(**{f: a[start[t]:start[t + 1]] for f, a in nodes.items()}) for t in range(n_trees)]
+
+
+def _grow_batch(coded, hp, batch, max_features):
+    """The trees of ``_grow_levels`` with the values their rows fit."""
+    levels, fitted = _grow_levels(coded, hp, batch, max_features)
+    ends = np.cumsum([len(rows) for rows, *_ in batch])[:-1]
+    return zip(_preorder(levels, len(batch)), np.split(fitted, ends))
+
+
+def grow_trees(coded: _CodedMatrix, hp: HyperParams, trees, max_features: int | None = None):
+    """Grow each of ``trees``, given as its (rows, weights, targets, rng)
+    (see ``_grow_levels``), and yield it with the values its rows fit, in
+    order. Trees grow together in batches of at most the larger of
+    ``_BATCH_PAIRS`` and the matrix's rows (tree, row) pairs, a tree
+    counting its rows or, if more, the matrix's distinct rows."""
+    n_distinct = coded.codes.shape[1]
+    cap = max(_BATCH_PAIRS, coded.distinct.size)
+    batch, size = [], 0
+    for spec in trees:
+        cost = max(len(spec[0]), n_distinct)
+        if batch and size + cost > cap:
+            yield from _grow_batch(coded, hp, batch, max_features)
+            batch, size = [], 0
+        batch.append(spec)
+        size += cost
+    if batch:
+        yield from _grow_batch(coded, hp, batch, max_features)
 
 
 def fit_tree(
-    m: FeatureMatrix | _CodedMatrix,
+    m: FeatureMatrix,
     hp: HyperParams = HyperParams(),
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
@@ -449,11 +581,11 @@ def fit_tree(
     least ``hp.min_samples_split`` rows; leaves predict the node mean. Each
     split tries ``max_features`` features drawn from ``rng``, node by node in
     level order, or all of them when None; ``hp.max_features`` is the
-    forest's, which resolves it. ``m`` may come coded already, as the forest
-    and gbm pass it."""
+    forest's, which resolves it."""
     if m.n_rows == 0:
         raise EmptyInputError("cannot fit a tree on an empty matrix")
-    coded = m if isinstance(m, _CodedMatrix) else _CodedMatrix.of(m)
     if rng is None and max_features is not None:
         rng = np.random.default_rng(0)
-    return _preorder(_grow_levels(coded, hp, max_features, rng))
+    spec = (np.arange(m.n_rows), np.ones(m.n_rows), np.ascontiguousarray(m.y, dtype=np.float64), rng)
+    ((tree, _),) = grow_trees(_CodedMatrix.of(m.x), hp, [spec], max_features)
+    return tree

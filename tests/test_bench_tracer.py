@@ -70,11 +70,13 @@ def test_explain_predict_calls_are_counted(tmp_path, tracer, installed, p, rows)
 
 
 @pytest.mark.parametrize("family", ["gbm", "forest"])
-def test_ensembles_grow_every_tree_through_fit_tree(tmp_path, tracer, installed, family):
-    # models.fit_tree_calls counts the trees the forest and gbm grow through
-    # the fit_tree they bind; a fit path that skipped it would read 0
+def test_ensembles_are_timed_by_their_own_spans(tmp_path, tracer, installed, family):
+    # the forest and gbm grow their trees in batches, not through fit_tree,
+    # so models.fit_tree_calls counts lone trees only and an ensemble's tree
+    # time is in models.fit_forest_s or models.fit_gbm_s
     import rentlab.models.boosting
     import rentlab.models.forest
+    import rentlab.models.tree
 
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 5))
@@ -84,8 +86,9 @@ def test_ensembles_grow_every_tree_through_fit_tree(tmp_path, tracer, installed,
         rentlab.models.boosting.fit_gbm(m, hp)
     else:
         rentlab.models.forest.fit_forest(m, hp, seed=1)
+    rentlab.models.tree.fit_tree(m, hp)
 
     installed.dump(str(tmp_path / "spans.json"))
     metrics = tracer.layer_metrics(tracer.load_spans(str(tmp_path / "spans.json")))
-    assert metrics["models.fit_tree_calls"] == (hp.n_rounds if family == "gbm" else hp.n_trees)
+    assert metrics["models.fit_tree_calls"] == 1
     assert metrics[f"models.fit_{family}_s"] > 0

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rentlab.evaluation
 from rentlab.errors import UndefinedMetricError
 from rentlab.evaluation import (
     EvalReport,
+    _derived_seed,
     HyperParams,
     ModelConfig,
     compare_models,
@@ -22,6 +24,7 @@ from rentlab.evaluation import (
     train_test_split,
 )
 from rentlab.features import FeatureMatrix
+from rentlab.models import fit_family, predict
 
 
 def _fm(x, y, names=None):
@@ -248,6 +251,59 @@ class TestRandomSearch:
         rep = cross_validate(m, "ols", HyperParams(), k=3, seed=0)
         assert rep.model_name == "ols"
         assert rep.rmse >= rep.mae
+
+
+def _reference_cross_validate(m, family, hp, k=5, seed=0):
+    """cross_validate as a loop over the folds: fit_family on m.take of the
+    training rows, scored on m.take of the held-out rows."""
+    fold = kfold_plan(m.n_rows, k, seed)
+    scores = []
+    for f in range(k):
+        train, test = m.take(np.flatnonzero(fold != f)), m.take(np.flatnonzero(fold == f))
+        yhat = predict(fit_family(family, train, hp, seed=_derived_seed(seed, f)), test)
+        scores.append((r_squared(test.y, yhat), mae(test.y, yhat), rmse(test.y, yhat)))
+    r2, err, sq = (float(np.mean(s)) for s in zip(*scores))
+    return EvalReport(family, r2, err, sq, hp, m.feature_names)
+
+
+def _listing_days(n_listings=15, days=8, seed=0):
+    """Rows that repeat their listing's features on most days, as the
+    listing-day matrix does, with a price that moves from day to day."""
+    rng = np.random.default_rng(seed)
+    listing = rng.normal(size=(n_listings, 4)).round(1)
+    x = np.repeat(listing, days, axis=0)
+    x[:, 3] = np.tile(np.arange(days) % 2, n_listings)  # weekend flag
+    y = 100 + 20 * x[:, 0] - 5 * x[:, 1] * x[:, 2] + 8 * x[:, 3] + rng.normal(0, 3, x.shape[0])
+    return _fm(x, y)
+
+
+class TestTreeFoldsMatchPerFoldFits:
+    """The forest and gbm fit all folds over one coding of the matrix with
+    their trees grown together; their reports are the per-fold loop's bit
+    for bit."""
+
+    @pytest.mark.parametrize("family, hp", [
+        ("forest", HyperParams(n_trees=4, max_depth=4)),
+        ("forest", HyperParams(n_trees=3, max_depth=6, max_features=2, min_samples_split=4)),
+        ("gbm", HyperParams(n_rounds=5, max_depth=3, learning_rate=0.3)),
+        ("gbm", HyperParams(n_rounds=3, max_depth=2, min_samples_split=6)),
+    ])
+    @pytest.mark.parametrize("data", ["listing_days", "continuous"])
+    def test_cross_validate(self, family, hp, data):
+        m = _listing_days() if data == "listing_days" else _search_data(7)
+        for k, seed in ((3, 0), (5, 4)):
+            assert cross_validate(m, family, hp, k=k, seed=seed) == \
+                _reference_cross_validate(m, family, hp, k=k, seed=seed)
+
+    @pytest.mark.parametrize("family, grid", [
+        ("forest", {"n_trees": [2, 3], "max_depth": [2, 4]}),
+        ("gbm", {"n_rounds": [3, 6], "max_depth": [2, 3], "learning_rate": [0.3]}),
+    ])
+    def test_random_search(self, monkeypatch, family, grid):
+        m = _listing_days(seed=2)
+        got = random_search(m, family, grid, n_samples=3, k=4, seed=5)
+        monkeypatch.setattr(rentlab.evaluation, "cross_validate", _reference_cross_validate)
+        assert got == random_search(m, family, grid, n_samples=3, k=4, seed=5)
 
 
 class TestCompareModels:

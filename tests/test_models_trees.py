@@ -1,4 +1,6 @@
+import io
 import json
+import re
 import tracemalloc
 from collections import deque
 
@@ -7,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rentlab.models.boosting
 import rentlab.models.forest
 import rentlab.models.tree
 from rentlab.cli import main
 from rentlab.errors import EmptyInputError, SchemaError
+from rentlab.evaluation import cross_validate
 from rentlab.features import FeatureMatrix, matrix_to_csv
 from rentlab.models import (
     FAMILIES,
@@ -345,15 +347,6 @@ def _sample(m, weight):
     return m if weight is None else m.take(np.repeat(np.arange(m.n_rows), weight.astype(np.int64)))
 
 
-def _reference_fit_coded(m, hp=HyperParams(), max_features=None, rng=None):
-    """The reference grower over the floats a _CodedMatrix codes, each row
-    repeated by its weight: the forest and gbm hand fit_tree their rows
-    coded. The decoded floats equal the originals (only 0.0 may come back
-    for -0.0, which no split tells apart)."""
-    x = m.bins[m.offsets[:-1, None] + m.codes].T if m.codes.size else np.empty((m.n_rows, 0))
-    return _reference_fit_tree(_sample(_fm(x, m.y), m.weight), hp, max_features, rng)
-
-
 def _assert_same_trees(got, want, y):
     """Equal structure and thresholds; values within 1e-12 of the targets'
     largest magnitude and gains within 1e-12 of their sum of squares, since
@@ -406,40 +399,29 @@ def _same_partition(seed, half=50):
 
 class TestBlockedSplitSearchMatchesReference:
     """Level-wise histogram growth grows the trees that the feature-at-a-time
-    scan grows node by node, through fit_tree, fit_forest and fit_gbm."""
+    scan grows node by node, through fit_tree, fit_forest and fit_gbm; the
+    forest and gbm are compared with their loops over that scan."""
 
-    @pytest.fixture
-    def reference(self, monkeypatch):
-        """Runs a fit with the forest and gbm growing their trees through
-        the reference scan."""
-        def fit(fn, *args, **kwargs):
-            with monkeypatch.context() as mp:
-                mp.setattr(rentlab.models.forest, "fit_tree", _reference_fit_coded)
-                mp.setattr(rentlab.models.boosting, "fit_tree", _reference_fit_coded)
-                return fn(*args, **kwargs)
-        return fit
-
-    def _check_all(self, reference, m, hp, max_features=None):
+    def _check_all(self, m, hp, max_features=None):
         _assert_same_trees(
             [fit_tree(m, hp, max_features, rng=np.random.default_rng(4))],
             [_reference_fit_tree(m, hp, max_features, rng=np.random.default_rng(4))], m.y,
         )
-        _assert_same_trees(fit_forest(m, hp, seed=2).trees,
-                           reference(fit_forest, m, hp, seed=2).trees, m.y)
-        _assert_same_trees(fit_gbm(m, hp).trees, reference(fit_gbm, m, hp).trees, m.y)
+        _assert_same_trees(fit_forest(m, hp, seed=2).trees, _reference_forest(m, hp, 2), m.y)
+        _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp), m.y)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_continuous(self, reference, seed):
+    def test_random_continuous(self, seed):
         hp = HyperParams(max_depth=6, n_trees=3, n_rounds=4, learning_rate=0.3)
-        self._check_all(reference, _continuous(150, 7, seed), hp)
+        self._check_all(_continuous(150, 7, seed), hp)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_coarse_duplicates_and_constant_columns(self, reference, seed):
+    def test_coarse_duplicates_and_constant_columns(self, seed):
         hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
-        self._check_all(reference, _coarse(90, seed), hp)
+        self._check_all(_coarse(90, seed), hp)
 
     @pytest.mark.parametrize("seed, relation", [(1, 1), (0, 0), (2, -1)])
-    def test_same_partition_goes_to_feature_0(self, reference, seed, relation):
+    def test_same_partition_goes_to_feature_0(self, seed, relation):
         m = _same_partition(seed)
         x, y, idx = m.x, m.y, np.arange(m.n_rows)
         g0 = _reference_best_split(x, y, idx, np.array([0]))[0]
@@ -448,22 +430,22 @@ class TestBlockedSplitSearchMatchesReference:
         assert g0 == pytest.approx(g1, rel=1e-14) and np.sign(g0 - g1) == relation
         # gains that close are a tie, which the lower feature wins
         assert fit_tree(m, HyperParams(max_depth=6)).feature[0] == 0
-        self._check_all(reference, m, HyperParams(max_depth=6, n_trees=2, n_rounds=3))
+        self._check_all(m, HyperParams(max_depth=6, n_trees=2, n_rounds=3))
 
     @pytest.mark.parametrize("max_features, min_samples_split", [(1, 2), (3, 5), (5, 12)])
-    def test_feature_subsets_and_min_samples_split(self, reference, max_features, min_samples_split):
+    def test_feature_subsets_and_min_samples_split(self, max_features, min_samples_split):
         m = _continuous(120, 6, max_features)
         hp = HyperParams(max_depth=7, min_samples_split=min_samples_split, n_trees=3,
                          n_rounds=3, max_features=max_features)
-        self._check_all(reference, m, hp, max_features=max_features)
+        self._check_all(m, hp, max_features=max_features)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 40, 700, rentlab.models.tree._BLOCK_CELLS + 3])
-    def test_node_sizes_up_past_one_feature_per_block(self, reference, n):
+    def test_node_sizes_up_past_one_feature_per_block(self, n):
         m = _continuous(n, 4, n) if n > 3 else _fm(np.arange(n * 4.0).reshape(n, 4) % 3, np.arange(n))
-        self._check_all(reference, m, HyperParams(max_depth=3, n_trees=2, n_rounds=2))
+        self._check_all(m, HyperParams(max_depth=3, n_trees=2, n_rounds=2))
 
     @pytest.mark.parametrize("cells", [1, 90, 1 << 30])
-    def test_block_cells_extremes(self, reference, monkeypatch, cells):
+    def test_block_cells_extremes(self, monkeypatch, cells):
         # 1: one feature per key block; 90: the root's n rows, one feature
         # per block there and several deeper; in both, deeper levels sort
         # the keys of features whose grid outgrows the rows. 2^30: one
@@ -474,27 +456,27 @@ class TestBlockedSplitSearchMatchesReference:
         monkeypatch.setattr(rentlab.models.tree, "_sorted_cells",
                             lambda *a: sorted_calls.append(a) or sorted_cells(*a))
         hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
-        self._check_all(reference, _coarse(90, 5), hp)
-        self._check_all(reference, _same_partition(0, half=45), hp)
+        self._check_all(_coarse(90, 5), hp)
+        self._check_all(_same_partition(0, half=45), hp)
         assert bool(sorted_calls) == (cells < 1 << 30)
 
     @pytest.mark.parametrize("cells", [0, 1 << 30])
-    def test_with_and_without_sibling_subtraction(self, reference, monkeypatch, cells):
+    def test_with_and_without_sibling_subtraction(self, monkeypatch, cells):
         # 0: no level keeps its histograms, so every child is histogrammed
         # from its rows; 2^30: every level keeps them
         monkeypatch.setattr(rentlab.models.tree, "_KEPT_CELLS", cells)
         hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5, max_features=3)
-        self._check_all(reference, _coarse(90, 3), hp)
-        self._check_all(reference, _continuous(200, 5, 8), hp, max_features=3)
+        self._check_all(_coarse(90, 3), hp)
+        self._check_all(_continuous(200, 5, 8), hp, max_features=3)
 
-    def test_sibling_subtraction_beside_sorted_keys(self, reference, monkeypatch):
+    def test_sibling_subtraction_beside_sorted_keys(self, monkeypatch):
         # a level keeps its grids only when no feature needs sorted keys, so
         # a child level whose features fit a grid again histograms them all
         monkeypatch.setattr(rentlab.models.tree, "_KEPT_CELLS", 1 << 30)
         monkeypatch.setattr(rentlab.models.tree, "_BLOCK_CELLS", 1)
         hp = HyperParams(max_depth=8, n_trees=3, n_rounds=4, learning_rate=0.5)
-        self._check_all(reference, _continuous(200, 5, 8), hp)
-        self._check_all(reference, _coarse(90, 3), hp)
+        self._check_all(_continuous(200, 5, 8), hp)
+        self._check_all(_coarse(90, 3), hp)
 
 
 class TestLevelCells:
@@ -504,7 +486,8 @@ class TestLevelCells:
     def _level(self, seed, n=300, p=4, m=7):
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 40, (n, p)) * rng.choice([0.5, 1.0, 3.0], p)
-        coded = rentlab.models.tree._CodedMatrix.of(_fm(x, np.zeros(n)))
+        coded = rentlab.models.tree._CodedMatrix.of(x)
+        n = coded.codes.shape[1]  # the distinct rows
         rows = np.sort(rng.choice(n, size=n - 40, replace=False))
         slot = rng.integers(0, m, rows.size)
         w = rng.integers(1, 4, rows.size).astype(np.float64)
@@ -639,6 +622,110 @@ class TestCodedTreesMatchReference:
         _assert_same_trees(fit_gbm(m, hp).trees, _reference_gbm(m, hp), m.y)
 
 
+def _bootstrap(n, seed):
+    """The rows a bootstrap sample of n draws holds and their multiplicities."""
+    weight = np.bincount(np.random.default_rng(seed).integers(0, n, n), minlength=n)
+    rows = weight.nonzero()[0]
+    return rows, weight[rows].astype(np.float64)
+
+
+class TestBatchedTrees:
+    """Trees grown together in one batch over one coding of the matrix are
+    the trees each grows alone: equal in every array but ``gain``, whose
+    histograms read other (tree, distinct row) pairs, and in the values
+    their rows fit."""
+
+    def _specs(self, m, kind):
+        """Six trees' (rows, weights, targets, seed): the training rows of
+        three-fold cross-validation, bootstrap samples, or bootstrap samples
+        with residual-like targets."""
+        n, y = m.n_rows, m.y
+        specs = []
+        for t in range(6):
+            if kind == "folds":
+                rows = np.flatnonzero(np.arange(n) % 3 != t % 3)
+                w = np.ones(rows.size)
+            else:
+                rows, w = _bootstrap(n, t)
+            target = y[rows] if kind != "targets" else y[rows] - t * np.sin(m.x[rows, 0])
+            specs.append((rows, w, target, t))
+        return specs
+
+    def _grow(self, coded, hp, specs, max_features):
+        """Grow the specs' trees, each drawing from a generator of its seed."""
+        fresh = [(*spec[:3], np.random.default_rng(spec[3])) for spec in specs]
+        return list(rentlab.models.tree.grow_trees(coded, hp, fresh, max_features))
+
+    @pytest.mark.parametrize("kind", ["folds", "bootstrap", "targets"])
+    @pytest.mark.parametrize("data, max_features", [("coarse", None), ("coarse", 3),
+                                                    ("continuous", None), ("continuous", 2)])
+    def test_batch_matches_trees_grown_alone(self, monkeypatch, kind, data, max_features):
+        m = _coarse(90, 1) if data == "coarse" else _continuous(120, 5, 2)
+        hp = HyperParams(max_depth=6, min_samples_split=3)
+        tree = rentlab.models.tree
+        coded = tree._CodedMatrix.of(m.x)
+        specs = self._specs(m, kind)
+        batches = []
+        grow_levels = tree._grow_levels
+        monkeypatch.setattr(tree, "_grow_levels", lambda c, h, batch, mf: batches.append(len(batch))
+                            or grow_levels(c, h, batch, mf))
+        together = self._grow(coded, hp, specs, max_features)
+        alone = [self._grow(coded, hp, [spec], max_features)[0] for spec in specs]
+        assert batches == [6] + [1] * 6
+        for (got, got_fit), (want, want_fit), (rows, w, target, _) in zip(together, alone, specs):
+            for f in ("feature", "threshold", "left", "right", "value", "n_samples"):
+                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+            assert got_fit.tobytes() == want_fit.tobytes()
+            np.testing.assert_allclose(got.gain, want.gain, rtol=0,
+                                       atol=1e-12 * float(w @ (target * target)))
+            # the fitted values are the tree's predictions for its rows
+            assert got_fit.tobytes() == got.predict(m.x[rows]).tobytes()
+
+    @pytest.mark.parametrize("max_features", [None, 2])
+    def test_fold_trees_match_trees_of_the_fold_matrix(self, max_features):
+        # a fold's tree over the whole matrix's coding is the tree fit_tree
+        # grows on m.take(rows), as cross-validation once fit it
+        m = _coarse(90, 4)
+        hp = HyperParams(max_depth=5)
+        specs = self._specs(m, "folds")
+        grown = self._grow(rentlab.models.tree._CodedMatrix.of(m.x), hp, specs, max_features)
+        for (got, _), (rows, w, target, seed) in zip(grown, specs):
+            want = fit_tree(m.take(rows), hp, max_features, rng=np.random.default_rng(seed))
+            for f in ("feature", "threshold", "left", "right", "value", "n_samples"):
+                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+            np.testing.assert_allclose(got.gain, want.gain, rtol=0, atol=1e-12 * float(target @ target))
+
+    def test_batches_stay_under_the_pair_cap(self, monkeypatch):
+        # a tree counts the matrix's 60 distinct rows, so with room for 130
+        # six trees grow in three batches, each tree as it grows alone
+        m = _continuous(60, 3, 5)
+        tree = rentlab.models.tree
+        coded = tree._CodedMatrix.of(m.x)
+        specs = self._specs(m, "folds")
+        alone = [self._grow(coded, HyperParams(max_depth=4), [spec], None)[0][0] for spec in specs]
+        monkeypatch.setattr(tree, "_BATCH_PAIRS", 130)
+        batches = []
+        grow_levels = tree._grow_levels
+        monkeypatch.setattr(tree, "_grow_levels", lambda c, h, batch, mf: batches.append(len(batch))
+                            or grow_levels(c, h, batch, mf))
+        together = self._grow(coded, HyperParams(max_depth=4), specs, None)
+        assert batches == [2, 2, 2]
+        for (got, _), want in zip(together, alone):
+            for f in ("feature", "threshold", "left", "right", "value", "n_samples"):
+                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=_edge_matrices(), k=st.integers(2, 5), max_depth=st.integers(1, 6),
+           min_samples_split=st.integers(2, 8))
+    def test_repeated_rows_fit_as_their_weight(self, m, k, max_depth, min_samples_split):
+        hp = HyperParams(max_depth=max_depth, min_samples_split=min_samples_split)
+        repeated = m.take(np.repeat(np.arange(m.n_rows), k))
+        spec = (np.arange(m.n_rows), np.full(m.n_rows, float(k)), m.y, None)
+        ((weighted, _),) = rentlab.models.tree.grow_trees(
+            rentlab.models.tree._CodedMatrix.of(m.x), hp, [spec])
+        _assert_same_trees([weighted], [fit_tree(repeated, hp)], repeated.y)
+
+
 class TestCodeColumns:
     def _check_codes(self, x):
         codes, values = code_columns(x)
@@ -690,7 +777,7 @@ class TestSplitSearchMemory:
     histogram temporaries bounded by the larger of _BLOCK_CELLS and the
     rows, however deep the tree: a copy of x per tree, histograms of every
     column at once, or a dense (node, bin) grid at a deep level, would not
-    fit."""
+    fit. So does a cross-validated forest whose trees grow in batches."""
 
     @pytest.fixture(scope="class")
     def m(self):
@@ -728,6 +815,22 @@ class TestSplitSearchMemory:
 
     def test_gbm(self, m):
         self._check(m, self._peak(lambda: fit_gbm(m, HyperParams(n_rounds=2))))
+
+    def test_cross_validated_forest(self, monkeypatch):
+        # 20,000 rows repeating 5,000 distinct rows: a fold's bootstrap
+        # sample holds about 6,300 rows, so three trees share a batch, and
+        # the folds are weights over one coding, not copies of their rows
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(5_000, 60)).round(3)[rng.integers(0, 5_000, 20_000)]
+        m = _fm(x, x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(size=20_000))
+        batches = []
+        tree = rentlab.models.tree
+        grow_levels = tree._grow_levels
+        monkeypatch.setattr(tree, "_grow_levels", lambda c, h, batch, mf: batches.append(len(batch))
+                            or grow_levels(c, h, batch, mf))
+        hp = HyperParams(n_trees=3, max_depth=4)
+        self._check(m, self._peak(lambda: cross_validate(m, "forest", hp, k=2, seed=0)))
+        assert batches == [3, 3]
 
 
 class TestHyperParams:
@@ -846,6 +949,38 @@ class TestSerialization:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             model_from_doc({"family": "perceptron"})
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "a model document is a JSON object, not list"),
+        ("x", "a model document is a JSON object, not str"),
+        ({"family": []}, r"family is a string, not \[\]"),
+        ({"trees": []}, "family is a string, not None"),
+    ])
+    def test_document_not_an_object_or_family_not_a_string_named(self, tmp_path, capsys, doc,
+                                                                  message):
+        with pytest.raises(SchemaError, match=message):
+            model_from_doc(doc)
+        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
+        matrix_to_csv(m, tmp_path / "features.csv")
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        status = main(["explain", "--model", str(tmp_path / "model.json"),
+                       "--data", str(tmp_path / "features.csv"),
+                       "--out", str(tmp_path / "shap.csv")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and re.search(message, err)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_saved_bytes_are_json_dump_bytes(self, family, tmp_path):
+        # save_model encodes with json.dumps; json.dump writes the same text
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(40, 3))
+        m = _fm(x, x @ [1.0, -2.0, 0.5] + rng.normal(size=40))
+        model = fit_family(family, m, HyperParams(n_trees=3, n_rounds=4, max_depth=3), seed=1)
+        save_model(model, tmp_path / "model.json")
+        dumped = io.StringIO()
+        json.dump(model_to_doc(model), dumped)
+        assert (tmp_path / "model.json").read_bytes() == dumped.getvalue().encode("utf-8")
 
     def test_tree_document_is_flat_arrays(self):
         m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
