@@ -13,18 +13,17 @@ import sys
 
 from rentlab.evaluation import HyperParams, ModelConfig, compare_models, train_test_split
 from rentlab.features import (
-    assemble_matrix,
     binarize_amenities,
     default_pois,
     expand_date,
-    feature_columns,
+    join_matrix,
     one_hot,
     poi_distance_features,
     top_k_amenities,
 )
 from rentlab.select_explain import forward_select
 from rentlab.synthgen import GenConfig, generate
-from rentlab.tabular import Table, clean_currency, inner_join
+from rentlab.tabular import Table, clean_currency
 
 FAMILIES = ("lasso", "ridge", "elastic", "forest", "gbm")
 
@@ -50,8 +49,7 @@ def build_matrix(seed: int):
     lst, _ = poi_distance_features(listings, default_pois())
     lst = binarize_amenities(lst, top_k_amenities(lst, 15))
     lst = one_hot(lst, "room_type")
-    joined = inner_join(cal, lst, "listing_id", "id")
-    return assemble_matrix(joined, "price", feature_columns(joined, "price"))
+    return join_matrix(cal, lst, "listing_id", "id", "price")
 
 
 def print_table(title: str, reports) -> None:

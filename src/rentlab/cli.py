@@ -43,11 +43,10 @@ from .evaluation import (
 )
 from .features import (
     FeatureMatrix,
-    assemble_matrix,
     binarize_amenities,
     default_pois,
     expand_date,
-    feature_columns,
+    join_matrix,
     load_pois,
     matrix_from_csv,
     matrix_to_csv,
@@ -534,10 +533,9 @@ def stage_featurize(
 
     calendar = expand_date(calendar, "date")
     # a listings dump's own price would join as price_r: the target renamed
-    joined = inner_join(calendar, listings.without_columns(["price"]), "listing_id", "id")
-    if joined.n_rows == 0:
+    matrix = join_matrix(calendar, listings.without_columns(["price"]), "listing_id", "id", "price")
+    if matrix.n_rows == 0:
         raise PipelineError("featurize: join of calendar and listings is empty")
-    matrix = assemble_matrix(joined, "price", feature_columns(joined, "price"))
     if opts.standardize:
         matrix = standardize(matrix)
     write_matrix(matrix, out_path)

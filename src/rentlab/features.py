@@ -7,11 +7,21 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import AssemblyError, SchemaError
-from .tabular import Column, Table, _parse_cell, shipped_file, write_columns
+from .tabular import (
+    Column,
+    Table,
+    _gather,
+    _parse_cell,
+    join_columns,
+    join_rows,
+    shipped_file,
+    write_columns,
+)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -292,6 +302,52 @@ def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> Featu
     # only the same layout gives bit-identical models either way.
     data = np.column_stack(arrays)
     return FeatureMatrix(data[:, :-1], tuple(feature_cols), data[:, -1])
+
+
+def join_matrix(left: Table, right: Table, left_on: str, right_on: str, target: str) -> FeatureMatrix:
+    """``assemble_matrix(joined, target, feature_columns(joined, target))``
+    of ``joined = inner_join(left, right, left_on, right_on)``, bit for bit
+    and with the same errors, without building ``joined``.
+
+    The join gives its (left, right) row indices once. A joined column holds
+    the values of its side's rows that the join uses, so a column is a
+    feature if those rows' values pass ``feature_columns``' test: about a
+    hundred listings, not a row per listing-day. The chosen columns become
+    float blocks over their side's rows, one per run of adjacent matrix
+    columns from one side, which the matrix gathers by the join's indices."""
+    rows = join_rows(left.values(left_on), right.values(right_on))
+    columns = join_columns(left, right, right_on)
+    # each side's rows that the join uses, once each
+    used = [_gather(np.flatnonzero(np.bincount(r, minlength=t.n_rows)))
+            for r, t in zip(rows, (left, right))]
+    features = [
+        name
+        for name, (side, col) in columns.items()
+        if name != target and name not in ID_COLUMNS
+        and col.kind in ("numeric", "integer", "boolean")
+        and None not in (values := used[side](col.values))
+        and len(set(values)) > 1
+    ]
+    if target not in columns:
+        raise SchemaError(f"no column named {target!r}")
+    side, col = columns[target]
+    if col.kind not in ("numeric", "integer", "boolean"):
+        raise AssemblyError(f"column {target!r} has kind {col.kind}, need numeric")
+    if None in col.values:
+        missing = np.flatnonzero(np.array([v is None for v in col.values])[rows[side]]).tolist()
+        if missing:
+            head = ", ".join(map(str, missing[:5]))
+            raise AssemblyError(f"missing cells in: {target} (rows {head}{'...' if len(missing) > 5 else ''})")
+    data = np.empty((rows[0].size, len(features) + 1))
+    at = 0
+    # each run of adjacent matrix columns from one side: a float block
+    # over the side's rows, gathered by the join's indices
+    for side, run in groupby(features + [target], key=lambda name: columns[name][0]):
+        block = np.array([columns[name][1].values for name in run], dtype=np.float64)
+        data[:, at:at + len(block)] = block.T[rows[side]]
+        at += len(block)
+    # assemble_matrix's layout: x and y are views of one block, target last
+    return FeatureMatrix(data[:, :-1], tuple(features), data[:, -1])
 
 
 TARGET_HEADER = "target"

@@ -129,11 +129,35 @@ def _shipped_map(name: str) -> dict[str, str]:
         return _load_tsv_map(path)
 
 
+def _trie_pattern(words) -> str:
+    """A regex for the longest-first alternation of ``words`` as a character
+    trie: each character is tried once per position, not once per word. A
+    word that is a prefix of others ends before an optional group of their
+    suffixes, which is greedy, so the longer words are tried first and the
+    shorter one when they fail. A node's branches start with different
+    characters, so at most one of them matches, even ignoring case, as long
+    as no two words differ in case only."""
+    trie: dict = {}
+    for word in words:
+        node = trie
+        for ch in word:
+            node = node.setdefault(ch, {})
+        node[""] = {}
+
+    def alternation(node: dict) -> str:
+        branches = [re.escape(ch) + alternation(child) for ch, child in node.items() if ch]
+        if not branches:
+            return ""
+        body = branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
+        return f"(?:{body})?" if "" in node else body
+
+    return alternation(trie)
+
+
 @functools.cache
 def _contraction_pattern() -> re.Pattern:
-    """Longest-first alternation of the shipped contractions, built once."""
-    by_length = sorted(_shipped_map("contractions.tsv"), key=len, reverse=True)
-    return re.compile(r"\b(" + "|".join(re.escape(c) for c in by_length) + r")\b", re.IGNORECASE)
+    """The shipped contractions as whole words, longest first, built once."""
+    return re.compile(r"\b(" + _trie_pattern(_shipped_map("contractions.tsv")) + r")\b", re.IGNORECASE)
 
 
 def _match_case(replacement: str, original: str) -> str:

@@ -11,8 +11,13 @@ import csv
 import datetime as _dt
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, compress, count, repeat
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -42,7 +47,7 @@ class Column:
 
     @property
     def n_missing(self) -> int:
-        return sum(1 for v in self.values if v is None)
+        return self.values.count(None)
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,11 @@ class Table:
 
     def take(self, indices) -> "Table":
         """Row subset/reorder by integer indices."""
-        idx = list(indices)
-        cols = tuple(
-            Column(c.kind, tuple(c.values[i] for i in idx)) for c in self.cols
-        )
-        return Table(self.names, cols)
+        take = _gather(indices)
+        return Table(self.names, tuple(Column(c.kind, take(c.values)) for c in self.cols))
 
     def filter(self, mask) -> "Table":
-        return self.take([i for i, keep in enumerate(mask) if keep])
+        return self.take(compress(count(), mask))
 
     @staticmethod
     def from_dict(data: dict[str, tuple[str, list]]) -> "Table":
@@ -148,6 +150,15 @@ class LoadReport:
         return sum(self.coerced_missing.values())
 
 
+def _gather(indices):
+    """A function giving the tuple of a sequence's items at ``indices``, in
+    order (an ``itemgetter``, which returns a lone item bare)."""
+    idx = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda values: tuple(values[i] for i in idx)
+
+
 def _parse_cell(raw: str, kind: str):
     """Parse one CSV cell; return (value_or_None, was_coerced). A numeric or
     currency cell that parses to nan or +-inf is coerced to missing."""
@@ -182,6 +193,19 @@ def _storage_kind(parse_kind: str) -> str:
     return "numeric" if parse_kind == "currency" else parse_kind
 
 
+def _parse_column(cells: tuple[str, ...], kind: str) -> tuple[tuple, int]:
+    """``_parse_cell`` of every cell of a column, each distinct cell parsed
+    once: the values and how many cells were coerced to missing."""
+    if kind == "text":
+        return tuple(c or None for c in cells), 0
+    distinct = list(dict.fromkeys(cells))
+    parsed = [_parse_cell(c, kind) for c in distinct]
+    bad = [c for c, (_, coerced) in zip(distinct, parsed) if coerced]
+    values = dict(zip(distinct, (v for v, _ in parsed)))
+    coerced = sum(map(Counter(cells).__getitem__, bad)) if bad else 0
+    return tuple(map(values.__getitem__, cells)), coerced
+
+
 def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
     """Load a headered CSV into a typed Table.
 
@@ -209,26 +233,19 @@ def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
         raise SchemaError(f"{path}: missing required column(s) {sorted(missing_req)}")
 
     report = LoadReport(path=str(path), n_rows=len(rows))
-    names: list[str] = []
     cols: list[Column] = []
     untyped: list[str] = []
-    for j, name in enumerate(header):
+    for name, cells in zip(header, zip(*rows) if rows else repeat(())):
         parse_kind = schema.fields.get(name)
         if parse_kind is None:
             parse_kind = "text"
             untyped.append(name)
-        coerced = 0
-        values = []
-        for row in rows:
-            value, bad = _parse_cell(row[j], parse_kind)
-            coerced += bad
-            values.append(value)
+        values, coerced = _parse_column(cells, parse_kind)
         if coerced:
             report.coerced_missing[name] = coerced
-        names.append(name)
-        cols.append(Column(_storage_kind(parse_kind), tuple(values)))
+        cols.append(Column(_storage_kind(parse_kind), values))
     report.untyped_columns = tuple(untyped)
-    return Table(tuple(names), tuple(cols)), report
+    return Table(tuple(header), tuple(cols)), report
 
 
 def _format_cell(value) -> str:
@@ -262,42 +279,54 @@ def _format_cells(values: tuple) -> tuple[list[str], bool]:
     # a float's repr is its _format_cell
     fmt = repr if kinds == {float} else _format_cell
     text = dict(zip(distinct, map(fmt, [v for _, v in distinct])))
-    cells = [text[key] for key in keys]
+    cells = list(map(text.__getitem__, keys))
     if any(issubclass(kind, float) and (kind, 0.0) in text for kind in kinds):
         cells = [_format_cell(v) if isinstance(v, float) and v == 0.0 else cell
                  for v, cell in zip(values, cells)]
     return cells, _QUOTED_CHARS.search("".join(text.values())) is not None
 
 
-def _repr_cells(values) -> tuple[list[str], bool]:
-    """``repr`` of each value of a numeric array as a float64, formatting
-    each distinct value once, and False: a float's repr holds nothing
-    csv.writer quotes. Values are keyed on their bit pattern, so -0.0 and
-    0.0 stay distinct."""
-    values = values.astype("float64", copy=False)
-    bits = values.view("int64").tolist()
-    text = {b: repr(v) for b, v in dict(zip(bits, values.tolist())).items()}
-    return [text[b] for b in bits], False
+def _repr_cells(block: np.ndarray) -> np.ndarray:
+    """``repr`` of each cell of a 2-d block as a float64, as an object array
+    of its shape: one sort of the cells' bit patterns, one ``repr`` per
+    distinct pattern and one take. Keyed on the bit pattern, -0.0 and 0.0
+    stay distinct. (``np.unique`` would do the sort, but its first call
+    imports ``numpy.ma``, about 1 MB.)"""
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    first = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[distinct.searchsorted(bits)]
 
 
 def write_columns(path, names, columns) -> None:
     """Write RFC-4180 CSV: the header, then the equally long columns a block
     of rows at a time. A tuple column's cells are formatted as
     ``_format_cell`` does (a missing cell is an empty field), a float64
-    array's as ``repr``; either way each distinct value once per block."""
+    array's as ``repr``; either way each distinct value once per block,
+    the arrays' together."""
     n_rows = len(columns[0]) if columns else 0
+    arrays = [j for j, c in enumerate(columns) if not isinstance(c, tuple)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            cells, quoted = zip(*(_format_cells(c[start:stop]) if isinstance(c, tuple)
-                                  else _repr_cells(c[start:stop]) for c in columns))
-            rows = zip(*cells)
-            if len(cells) > 1 and not any(quoted):
+            block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
+            if len(arrays) == len(columns):
+                # a float's repr holds nothing csv.writer quotes
+                rows, quoted = _repr_cells(np.column_stack(block)).tolist(), False
+            else:
+                floats = iter(_repr_cells(np.column_stack([block[j] for j in arrays])).T.tolist()
+                              if arrays else ())
+                cells, quoted = zip(*(_format_cells(c) if isinstance(c, tuple) else (next(floats), False)
+                                      for c in block))
+                rows, quoted = zip(*cells), any(quoted)
+            if len(columns) > 1 and not quoted:
                 # csv.writer would quote nothing (it quotes a lone empty
                 # field, hence two columns or more): joining writes its bytes
-                fh.writelines(",".join(row) + "\r\n" for row in rows)
+                fh.write("".join([",".join(row) + "\r\n" for row in rows]))
             else:
                 writer.writerows(rows)
 
@@ -346,15 +375,36 @@ def shipped_file(name: str):
 
 def drop_duplicates(table: Table, keys: list[str]) -> Table:
     """Keep the first row for each key tuple; row order is stable."""
-    key_cols = [table.column(k) for k in keys]
-    seen = set()
-    keep = []
-    for i in range(table.n_rows):
-        key = tuple(c.values[i] for c in key_cols)
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return table.take(keep)
+    cols = [table.values(k) for k in keys]
+    rows = list(zip(*cols)) if cols else [()] * table.n_rows
+    # built from the last row back, each key ends up with its first row
+    first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
+    return table.take(sorted(first.values()))
+
+
+def join_rows(left_keys, right_keys) -> tuple[np.ndarray, np.ndarray]:
+    """The (left, right) row indices of an inner join on two key columns:
+    left rows in order, each with its matches in right row order. A missing
+    key never matches."""
+    index: dict = {}
+    for j, key in enumerate(right_keys):
+        if key is not None:
+            index.setdefault(key, []).append(j)
+    matches = list(map(index.get, left_keys, repeat(())))
+    left = np.arange(len(matches)).repeat(list(map(len, matches)))
+    right = np.fromiter(chain.from_iterable(matches), dtype=np.intp, count=left.size)
+    return left, right
+
+
+def join_columns(left: Table, right: Table, right_on: str) -> dict[str, tuple[int, Column]]:
+    """``inner_join``'s columns in order, by name, each with its side (0 for
+    left, 1 for right) and its column there. Right-side columns keep their
+    names except the join key; collisions get a "_r" suffix."""
+    out = {name: (0, col) for name, col in zip(left.names, left.cols)}
+    for name, col in zip(right.names, right.cols):
+        if name != right_on:
+            out[name if name not in out else f"{name}_r"] = (1, col)
+    return out
 
 
 def inner_join(left: Table, right: Table, left_on: str, right_on: str) -> Table:
@@ -363,28 +413,11 @@ def inner_join(left: Table, right: Table, left_on: str, right_on: str) -> Table:
     Right-side columns keep their names except the join key; collisions get a
     "_r" suffix. Rows with a missing key never match.
     """
-    right_key = right.column(right_on)
-    index: dict = {}
-    for j, key in enumerate(right_key.values):
-        if key is not None:
-            index.setdefault(key, []).append(j)
-
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i, key in enumerate(left.column(left_on).values):
-        for j in index.get(key, ()):
-            left_rows.append(i)
-            right_rows.append(j)
-
-    data: dict[str, tuple[str, list]] = {}
-    for name, col in zip(left.names, left.cols):
-        data[name] = (col.kind, [col.values[i] for i in left_rows])
-    for name, col in zip(right.names, right.cols):
-        if name == right_on:
-            continue
-        out_name = name if name not in data else f"{name}_r"
-        data[out_name] = (col.kind, [col.values[j] for j in right_rows])
-    return Table.from_dict(data)
+    right_keys = right.values(right_on)
+    takes = [_gather(rows) for rows in join_rows(left.values(left_on), right_keys)]
+    columns = join_columns(left, right, right_on)
+    return Table(tuple(columns),
+                 tuple(Column(col.kind, takes[side](col.values)) for side, col in columns.values()))
 
 
 def _airbnb_listings_fields() -> dict[str, str]:

@@ -19,7 +19,9 @@ from rentlab.features import (
     binarize_amenities,
     default_pois,
     expand_date,
+    feature_columns,
     haversine_km,
+    join_matrix,
     load_pois,
     matrix_from_csv,
     matrix_to_csv,
@@ -31,7 +33,7 @@ from rentlab.features import (
     top_k_amenities,
 )
 from rentlab.models import fit_ols
-from rentlab.tabular import Table
+from rentlab.tabular import Column, Table, inner_join
 
 geo_points = st.builds(
     GeoPoint,
@@ -399,3 +401,123 @@ class TestMatrixToCsvMatchesPerCellWriter:
         m = FeatureMatrix(np.array([[0.0], [-0.0], [0.0]]), ("a",), np.array([-0.0, 0.0, -0.0]))
         matrix_to_csv(m, tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_bytes() == b"a,target\r\n0.0,-0.0\r\n-0.0,0.0\r\n0.0,-0.0\r\n"
+
+
+# join_matrix against the joined table it no longer builds
+
+
+def _joined_matrix(left, right, left_on, right_on, target):
+    joined = inner_join(left, right, left_on, right_on)
+    return assemble_matrix(joined, target, feature_columns(joined, target))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (AssemblyError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(*args):
+    got, want = _outcome(join_matrix, *args), _outcome(_joined_matrix, *args)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert got.feature_names == want.feature_names
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    # x and y are views of one C-ordered block, the target its last column
+    for m in (got, want):
+        assert m.x.base is m.y.base and m.x.base.flags.c_contiguous
+        assert m.x.base.shape == (m.n_rows, m.n_features + 1)
+
+
+def _calendar(listing_id, price, **columns):
+    return Table.from_dict({"listing_id": ("integer", listing_id), "price": ("numeric", price),
+                            **columns})
+
+
+class TestJoinMatrix:
+    def test_missing_only_off_the_join_constant_after_it_and_a_collision(self):
+        calendar = _calendar([1, 1, 2, 2, 9], [100.0, 110.0, 90.0, 95.0, 80.0],
+                             day=("integer", [0, 1, 0, 1, 2]), x=("numeric", [1.0, 2.0, 3.0, 4.0, 5.0]))
+        listings = Table.from_dict({
+            "id": ("integer", [1, 2, 3]),
+            # missing only on listing 3, which has no calendar rows
+            "rating": ("numeric", [4.5, 4.0, None]),
+            # constant over the joined rows, not over the listings
+            "beds": ("integer", [2, 2, 5]),
+            "x": ("numeric", [7.0, 8.0, 9.0]),
+            "listing_id": ("integer", [10, 20, 30]),
+            "host_id": ("integer", [5, 6, 7]),
+            "room": ("text", ["a", "b", "c"]),
+        })
+        m = join_matrix(calendar, listings, "listing_id", "id", "price")
+        assert m.feature_names == ("day", "x", "rating", "x_r", "listing_id_r")
+        assert m.y.tolist() == [100.0, 110.0, 90.0, 95.0]
+        assert m.x[:, 2].tolist() == [4.5, 4.5, 4.0, 4.0]
+        _assert_same_outcome(calendar, listings, "listing_id", "id", "price")
+
+    def test_errors_match(self):
+        calendar = _calendar([1, 2, 2, 1, 2, 2, 2], [1.0, None, 2.0, None, None, None, None],
+                             note=("text", ["a"] * 7))
+        listings = Table.from_dict({"id": ("integer", [2, 1]), "beds": ("integer", [1, 2])})
+        for target in ("price", "note", "nope"):
+            with pytest.raises((AssemblyError, SchemaError)):
+                join_matrix(calendar, listings, "listing_id", "id", target)
+            _assert_same_outcome(calendar, listings, "listing_id", "id", target)
+
+    def test_empty_join(self):
+        calendar = _calendar([1, 2], [1.0, 2.0])
+        listings = Table.from_dict({"id": ("integer", [3]), "beds": ("integer", [1])})
+        m = join_matrix(calendar, listings, "listing_id", "id", "price")
+        assert m.x.shape == (0, 0) and m.y.shape == (0,)
+        _assert_same_outcome(calendar, listings, "listing_id", "id", "price")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_joined_table(self, data):
+        def column(kind, values, n):
+            return kind, data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+        keys = [None, 1, 2, 3]
+        n, k = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 4))
+        prices = [100.0, 0.5, -0.0, None] if data.draw(st.booleans()) else [100.0, 0.5, 2.0 ** 60]
+        calendar = _calendar(column("integer", keys, n)[1], column("numeric", prices, n)[1],
+                             day=column("integer", [0, 1, 2 ** 60 + 1, 2 ** 60], n),
+                             x=column("numeric", [1.0, -0.0, 0.0, None], n),
+                             flag=column("boolean", [True, False, None], n),
+                             x_r=column("numeric", [1.5, 2.5], n),
+                             note=column("text", ["a", None], n))
+        listings = Table.from_dict({
+            "id": column("integer", keys, k),
+            "x": column("numeric", [3.0, 1.0, 0.0, -0.0, None], k),
+            "listing_id": column("integer", [7, 8], k),
+            "beds": column("integer", [1, 2, True], k),
+            "host_id": column("integer", [4, 5], k),
+            "rating": column("numeric", [4.0, 4.5, None], k),
+            "room": column("text", ["a", "b", None], k),
+        })
+        _assert_same_outcome(calendar, listings, "listing_id", "id", "price")
+
+
+def test_stage_featurize_matrix_matches_the_joined_table(tmp_path, monkeypatch):
+    import rentlab.cli as cli
+    from rentlab.synthgen import GenConfig, generate
+
+    listings, calendar, _ = generate(GenConfig(n_listings=12, date_range=(dt.date(2023, 1, 1),
+                                                                          dt.date(2023, 1, 20)),
+                                               seed=5, missing_fraction=0.1))
+    calendar = calendar.with_column("price", tabular.clean_currency(calendar.column("price")))
+    calendar = calendar.filter([v is not None for v in calendar.values("price")])
+    # a listing without calendar rows, missing a rating that every other listing has
+    listings = listings.with_column("review_scores_rating", Column(
+        "numeric", (None,) + tuple(v or 4.0 for v in listings.values("review_scores_rating")[1:])))
+    calendar = calendar.filter([v != listings.values("id")[0] for v in calendar.values("listing_id")])
+    calls = []
+    monkeypatch.setattr(cli, "join_matrix", lambda *args: calls.append(args) or join_matrix(*args))
+    matrix = cli.stage_featurize(listings, calendar, str(tmp_path / "features.csv"))
+    (args,) = calls
+    assert "review_scores_rating" in matrix.feature_names
+    want = _joined_matrix(*args)
+    assert matrix.feature_names == want.feature_names
+    assert matrix.x.tobytes() == want.x.tobytes() and matrix.y.tobytes() == want.y.tobytes()

@@ -531,6 +531,17 @@ class TestMergeNearBest:
         picks = merge([picks, self._group([11.2], [7])], tol)
         assert picks[2].tolist() == [2, 7]
 
+    def test_a_threshold_tying_the_one_before_it_is_dropped(self):
+        # two groups' best thresholds tie exactly: the earlier one (by
+        # feature, then threshold) wins wherever the later would, so only
+        # it is kept, and a tie in a later merge is dropped too
+        merge, tol = rentlab.models.tree._merge_near_best, np.ones(1)
+        picks = merge([self._group([10.0], [1]), self._group([10.0], [5])], tol)
+        assert picks[2].tolist() == [1]
+        assert picks[0].tolist() == [10.0] and picks[3].tolist() == [2]
+        picks = merge([picks, self._group([10.0, 10.5], [7, 8])], tol)
+        assert picks[2].tolist() == [1, 8]
+
 
 def _reference_forest(m, hp, seed):
     """fit_forest's loop over the float rows of each bootstrap sample, every

@@ -95,9 +95,50 @@ class TestCleanText:
         escaped = []
         real_escape = re.escape
         monkeypatch.setattr(re, "escape", lambda text: escaped.append(text) or real_escape(text))
-        outputs = {clean_text("Can't wait, it's great") for _ in range(20)}
+        assert clean_text("Can't wait, it's great") == "Cannot wait, it is great"
+        built = len(escaped)
+        outputs = {clean_text("Can't wait, it's great") for _ in range(19)}
         assert outputs == {"Cannot wait, it is great"}
-        assert len(escaped) == len(sentiment._shipped_map("contractions.tsv"))
+        assert built > 0 and len(escaped) == built
+
+
+def _flat_contraction_pattern():
+    """The contraction pattern the trie replaced: one alternative per
+    contraction, longest first, each tried at every word boundary."""
+    by_length = sorted(sentiment._shipped_map("contractions.tsv"), key=len, reverse=True)
+    return re.compile(r"\b(" + "|".join(re.escape(c) for c in by_length) + r")\b", re.IGNORECASE)
+
+
+_CONTRACTIONS = sorted(sentiment._shipped_map("contractions.tsv"))
+# contractions that another one extends (can't, can't've), where the
+# longest-first order decides the match
+_NESTED = sorted({c for a in _CONTRACTIONS for b in _CONTRACTIONS if a != b and b.startswith(a)
+                  for c in (a, b)})
+# whole contractions, their prefixes and suffixes in any case, and the
+# characters around a word boundary, so that a longer contraction starts
+# where a shorter one ends (can't've, can't'v, can'tve, he'sx)
+_FRAGMENTS = st.one_of(
+    st.sampled_from(_CONTRACTIONS),
+    st.sampled_from(_NESTED),
+    st.tuples(st.sampled_from(_CONTRACTIONS), st.integers(1, 8)).map(lambda cw: cw[0][:cw[1]]),
+    st.tuples(st.sampled_from(_CONTRACTIONS), st.integers(1, 8)).map(lambda cw: cw[0][cw[1]:]),
+    st.sampled_from([" ", "'", "’", "'ve", "'s", "ve", "x", "_", "9", "-", "\u00e9", "\u0130", "K"]),
+    st.text(max_size=2),
+)
+
+
+class TestContractionTrie:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_FRAGMENTS, st.booleans()), max_size=10))
+    def test_matches_the_flat_alternation(self, parts):
+        text = "".join(f.upper() if upper else f for f, upper in parts)
+        mark = lambda m: f"<{m.group(0)}>"
+        assert sentiment._contraction_pattern().sub(mark, text) == _flat_contraction_pattern().sub(mark, text)
+
+    def test_prefers_the_longest_contraction_that_ends_a_word(self):
+        mark = lambda m: f"<{m.group(0)}>"
+        text = "can't've can't'ves Can't've? it'sx it's"
+        assert sentiment._contraction_pattern().sub(mark, text) == "<can't've> <can't>'ves <Can't've>? it'sx <it's>"
 
 
 class TestShippedTextTables:

@@ -444,3 +444,182 @@ def test_generated_csvs_load_clean_through_builtin_schemas(tmp_path):
         loaded, report = read_csv(path, schema)
         assert loaded.n_rows == table.n_rows
         assert report.total_coerced == 0
+
+
+# Column-at-a-time paths against the per-cell loops they replaced.
+
+_ORACLE_CELLS = ["", " 7 ", "7", "-3", "nan", "-inf", "1e400", "$1,250.00", "1_000", "2.5",
+                 "TRUE", "no", "t", "0", "2023-02-30", " 2023-01-05", "2023-01-05", "abc", " "]
+
+
+def _reference_read_csv(path, schema):
+    """read_csv as one _parse_cell per cell, row after row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    report = tabular.LoadReport(path=str(path), n_rows=len(rows))
+    cols, untyped = [], []
+    for j, name in enumerate(header):
+        kind = schema.fields.get(name)
+        if kind is None:
+            kind = "text"
+            untyped.append(name)
+        parsed = [tabular._parse_cell(row[j], kind) for row in rows]
+        coerced = sum(bad for _, bad in parsed)
+        if coerced:
+            report.coerced_missing[name] = coerced
+        cols.append(Column(tabular._storage_kind(kind), tuple(v for v, _ in parsed)))
+    report.untyped_columns = tuple(untyped)
+    return Table(tuple(header), tuple(cols)), report
+
+
+def _typed(values):
+    # the value, its type and its repr: 1 == 1.0 == True, 0.0 == -0.0
+    return [(type(v), repr(v)) for v in values]
+
+
+_PARSE_KINDS = ["integer", "numeric", "currency", "boolean", "date", "text", None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.lists(st.sampled_from(_PARSE_KINDS), min_size=1, max_size=5), st.data())
+def test_read_csv_matches_per_cell_parse(tmp_path_factory, n_rows, kinds, data):
+    cells = st.sampled_from(_ORACLE_CELLS) | st.text(alphabet="0123456789.-$,e tTnaf", max_size=6)
+    rows = [[data.draw(cells) for _ in kinds] for _ in range(n_rows)]
+    path = tmp_path_factory.mktemp("read") / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{j}" for j in range(len(kinds))])
+        # a row of empty cells only would be a blank line, which both skip
+        writer.writerows(row for row in rows if any(row))
+    schema = Schema("s", {f"c{j}": k for j, k in enumerate(kinds) if k}, frozenset())
+    table, report = read_csv(path, schema)
+    ref_table, ref_report = _reference_read_csv(path, schema)
+    assert table.names == ref_table.names
+    for col, ref in zip(table.cols, ref_table.cols):
+        assert col.kind == ref.kind
+        assert _typed(col.values) == _typed(ref.values)
+    assert report == ref_report
+
+
+def test_read_csv_counts_each_coerced_cell(tmp_path):
+    kinds = {"i": "integer", "n": "numeric", "c": "currency", "b": "boolean", "d": "date"}
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(kinds))
+        writer.writerows([cell] * len(kinds) for cell in _ORACLE_CELLS if cell)
+    table, report = read_csv(path, Schema("s", kinds, frozenset()))
+    ref_table, ref_report = _reference_read_csv(path, Schema("s", kinds, frozenset()))
+    assert report == ref_report and report.coerced_missing["n"] == 12
+    assert _typed(table.values("c")) == _typed(ref_table.values("c"))
+    assert table.values("i")[:2] == (7, 7) and table.values("c")[6] == 1250.0
+    assert table.values("d")[-5:] == (None, dt.date(2023, 1, 5), dt.date(2023, 1, 5), None, None)
+
+
+def _reference_write_columns(path, names, columns):
+    """write_columns as csv.writer rows of _format_cell (tuples) or repr
+    (float64 arrays), one cell at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for i in range(len(columns[0]) if columns else 0):
+            writer.writerow([_format_cell(c[i]) if isinstance(c, tuple) else repr(float(c[i]))
+                             for c in columns])
+
+
+_WRITER_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.5, 123456789.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.lists(st.booleans(), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 512]), st.data())
+def test_write_columns_matches_per_cell_writer(tmp_path_factory, n_rows, is_array, block_rows, data):
+    floats = st.sampled_from(_WRITER_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    texts = st.none() | st.sampled_from(["", "a,b", 'q"', "x"]) | st.integers(-5, 5) | floats
+    columns = [np.array(data.draw(st.lists(floats, min_size=n_rows, max_size=n_rows)))
+               if array else tuple(data.draw(st.lists(texts, min_size=n_rows, max_size=n_rows)))
+               for array in is_array]
+    names = [f"c{j}" for j in range(len(columns))]
+    folder = tmp_path_factory.mktemp("cols")
+    with mock.patch.object(tabular, "_CSV_BLOCK_ROWS", block_rows):
+        tabular.write_columns(folder / "blocked.csv", names, columns)
+    _reference_write_columns(folder / "cell.csv", names, columns)
+    assert (folder / "blocked.csv").read_bytes() == (folder / "cell.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [1, tabular._CSV_BLOCK_ROWS + 1])
+def test_write_columns_edge_floats_in_full_blocks(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    picks = np.array(_WRITER_FLOATS)[rng.integers(0, len(_WRITER_FLOATS), (n_rows, 3))]
+    columns = [*picks.T, tuple(rng.choice([None, 1, -0.0, "x"], n_rows).tolist()), picks[:, 0] * -1]
+    names = ["a", "b", "c", "t", "d"]
+    for subset in ([0, 1, 2], [0, 3, 4], [3, 4], [4]):
+        tabular.write_columns(tmp_path / "blocked.csv", [names[j] for j in subset], [columns[j] for j in subset])
+        _reference_write_columns(tmp_path / "cell.csv", [names[j] for j in subset], [columns[j] for j in subset])
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+def _reference_take(table, indices):
+    return Table(table.names, tuple(Column(c.kind, tuple(c.values[i] for i in indices))
+                                    for c in table.cols))
+
+
+def _reference_drop_duplicates(table, keys):
+    key_cols = [table.column(k) for k in keys]
+    seen, keep = set(), []
+    for i in range(table.n_rows):
+        key = tuple(c.values[i] for c in key_cols)
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return _reference_take(table, keep)
+
+
+def _reference_inner_join(left, right, left_on, right_on):
+    index = {}
+    for j, key in enumerate(right.column(right_on).values):
+        if key is not None:
+            index.setdefault(key, []).append(j)
+    left_rows, right_rows = [], []
+    for i, key in enumerate(left.column(left_on).values):
+        for j in index.get(key, ()):
+            left_rows.append(i)
+            right_rows.append(j)
+    data = {}
+    for name, col in zip(left.names, left.cols):
+        data[name] = (col.kind, [col.values[i] for i in left_rows])
+    for name, col in zip(right.names, right.cols):
+        if name == right_on:
+            continue
+        data[name if name not in data else f"{name}_r"] = (col.kind, [col.values[j] for j in right_rows])
+    return Table.from_dict(data)
+
+
+_KEYS = st.none() | st.integers(0, 3)
+
+
+@st.composite
+def keyed_tables(draw, names):
+    n = draw(st.integers(0, 6))
+    return Table.from_dict({name: ("integer", draw(st.lists(_KEYS, min_size=n, max_size=n)))
+                            for name in names})
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_tables(["k", "a", "x"]), st.data())
+def test_take_and_drop_duplicates_match_their_loops(table, data):
+    for indices in ([], [0], [0, 0], list(range(table.n_rows))[::-1], [-1]):
+        indices = [i for i in indices if -table.n_rows <= i < table.n_rows]
+        assert table.take(indices) == _reference_take(table, indices)
+        assert table.take(np.array(indices, dtype=np.intp)) == _reference_take(table, indices)
+    keys = data.draw(st.lists(st.sampled_from(["k", "a", "x"]), max_size=3, unique=True))
+    assert drop_duplicates(table, keys) == _reference_drop_duplicates(table, keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_tables(["k", "x", "x_r"]), keyed_tables(["k", "id", "x", "y"]))
+def test_inner_join_matches_its_loop(left, right):
+    for right_on in ("k", "id"):
+        assert inner_join(left, right, "k", right_on) == _reference_inner_join(left, right, "k", right_on)
