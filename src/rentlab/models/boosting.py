@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import EmptyInputError
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import Tree, _CodedMatrix, grow_trees
+from .tree import Tree, _CodedMatrix, check_split_features, grow_trees
 
 
 @dataclass
@@ -20,6 +20,7 @@ class BoostedModel:
     learning_rate: float
     trees: list[Tree]
     feature_names: tuple[str, ...] = ()
+    __post_init__ = check_split_features
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

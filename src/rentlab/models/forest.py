@@ -10,7 +10,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from .hyperparams import HyperParams
-from .tree import Tree, _CodedMatrix, grow_trees
+from .tree import Tree, _CodedMatrix, check_split_features, grow_trees
 
 
 @dataclass
@@ -19,6 +19,7 @@ class ForestModel:
     max_features: int
     seed: int
     feature_names: tuple[str, ...] = ()
+    __post_init__ = check_split_features
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -4,7 +4,7 @@ histograms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,50 +19,53 @@ MIN_GAIN = 1e-12
 
 @dataclass(eq=False)
 class Tree:
-    """A fitted tree as parallel node arrays in preorder; node 0 is the root.
+    """A fitted tree as three node arrays in preorder; node 0 is the root.
 
     A split node has ``feature >= 0`` and sends ``x[feature] <= threshold``
-    to ``left``; a leaf has ``feature == -1`` and is its own left and right
-    child. Every node stores its training mean (``value``), row count and
-    SSE reduction (``gain``, 0 at leaves). Trees compare and hash by
-    identity, so they can key weak caches.
+    to its left child, the next node; its right child follows the left
+    child's subtree. A leaf has ``feature == -1``. Every node stores its
+    training mean (``value``). ``left``, ``right`` (a leaf's are itself) and
+    ``depth`` are derived. Trees compare and hash by identity, for weak caches.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
-    n_samples: np.ndarray
-    gain: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            dtype = np.int64 if f.name in ("feature", "left", "right", "n_samples") else np.float64
-            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
-        self._check()
-        self.depth = self._depth()
+        feature = np.asarray(self.feature)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to integers they differ from
+            self.feature = feature.astype(np.int64, copy=False)
+        bad = (self.feature != feature) | (self.feature < -1)
+        if bad.any():
+            raise ValueError(f"tree feature holds column indices and -1, not {feature[bad][0].item()!r}")
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        if self.feature.ndim != 1 or not self.feature.shape == self.threshold.shape == self.value.shape:
+            raise ValueError("tree arrays must be one-dimensional and of equal length")
+        self.left, self.right, self.depth = self._shape()
 
-    def _check(self) -> None:
+    def _shape(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Each node's children and the tree's depth. With +1 at a split and
+        -1 at a leaf, the marks are a full binary tree in preorder exactly
+        when their prefix sums s stay >= 0 before the last node and end at
+        -1. A split i's subtree then ends at the first j > i with s[j] =
+        s[i] - 2, a leaf's at itself, and a node's depth counts the nodes
+        before it whose subtrees have not ended."""
         n = self.feature.size
-        if n == 0 or any(getattr(self, f.name).shape != (n,) for f in fields(self)):
-            raise ValueError("tree arrays must be non-empty, one-dimensional and of equal length")
-        nodes = np.arange(n)
         split = self.feature >= 0
-        leaf_ok = (self.feature == -1) & (self.left == nodes) & (self.right == nodes)
-        # children come after their parent in preorder, so routing ends
-        split_ok = split & (self.left > nodes) & (self.right > nodes) & (self.left < n) & (self.right < n)
-        if not np.all(leaf_ok | split_ok):
-            raise ValueError("tree arrays are not a preorder binary tree")
-
-    def _depth(self) -> int:
-        depth, frontier = 0, np.zeros(1, dtype=np.int64)
-        while True:
-            frontier = frontier[self.feature[frontier] >= 0]
-            if frontier.size == 0:
-                return depth
-            frontier = np.concatenate((self.left[frontier], self.right[frontier]))
-            depth += 1
+        s = np.cumsum(np.where(split, 1, -1))
+        # s first takes its least value at the last node, and that is -1
+        if n == 0 or s.argmin() != n - 1 or s[-1] != -1:
+            raise ValueError("tree feature's split/leaf marks are not a binary tree in preorder")
+        nodes = np.arange(n)
+        # key s * n + i orders the nodes by s, then by index; i is key mod n
+        key = s * n + nodes
+        ordered = np.sort(key)
+        end = ordered[ordered.searchsorted(key - 2 * n * split)] % n
+        right = np.where(split, np.append(end[1:], 0) + 1, nodes)
+        depth = nodes - np.sort(end).searchsorted(nodes)
+        return nodes + split, right, int(depth.max())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -74,6 +77,14 @@ class Tree:
             node = np.where(x[rows, self.feature[node]] <= self.threshold[node],
                             self.left[node], self.right[node])
         return self.value[node]
+
+
+def check_split_features(model) -> None:
+    """Fail by name when one of ``model.trees`` splits past ``model.feature_names``."""
+    names = model.feature_names
+    top = max((int(t.feature.max()) for t in model.trees), default=-1)
+    if names and top >= len(names):
+        raise ValueError(f"a tree's feature holds column {top}, but the model has {len(names)} feature_names")
 
 
 def _distinct(col: np.ndarray) -> np.ndarray:
@@ -311,7 +322,7 @@ def _candidates(s, at, count, total, bin_feature, totals, tol, floor, allowed):
 def _best_splits(coded, bin_feature, pairs, m, scores, subtract, keep):
     """Each of a level's ``m`` open slots' first threshold near its best
     gain, from its (tree, distinct row) ``pairs``: their distinct rows,
-    slots, weights and weighted targets. Returns the (slot, gain, bin, next
+    slots, weights and weighted targets. Returns the (slot, bin, next
     occupied bin) of the slots that split, and the level's (2, m, bins)
     histograms when ``keep`` asks for them and every feature fits a grid;
     or None when no slot splits. ``scores`` are ``_candidates``' node
@@ -364,9 +375,9 @@ def _best_splits(coded, bin_feature, pairs, m, scores, subtract, keep):
     if not picks:
         return None
     # each slot's first threshold near its best (one group's are merged)
-    gain, s, at, above = picks[0] if len(picks) == 1 else _merge_near_best(picks, scores[1])
+    _, s, at, above = picks[0] if len(picks) == 1 else _merge_near_best(picks, scores[1])
     first = _firsts(s)
-    return s[first], gain[first], at[first], above[first], kept
+    return s[first], at[first], above[first], kept
 
 
 def _node_sums(raw, n_nodes, w, wy, wyy, target):
@@ -386,11 +397,11 @@ def _grow_levels(coded: _CodedMatrix, hp: HyperParams, batch, max_features):
     their positive weights and their targets, and the generator of its
     ``max_features`` draws. A level numbers its nodes tree after tree, left
     to right; the first level holds the roots. Return each level's node
-    ``tree``, ``value`` and ``n_samples`` arrays and, for every level but
-    the last, its splits: the nodes that split (``split``) with their
-    ``feature``, ``threshold`` and ``gain``. Split i's children are nodes
-    2i and 2i + 1 of the next level. Also return the value of the leaf each
-    (tree, row) pair reaches, tree after tree.
+    ``value`` array and, for every level but the last, its splits: the
+    nodes that split (``split``) with their ``feature`` and ``threshold``.
+    Split i's children are nodes 2i and 2i + 1 of the next level. Also
+    return the value of the leaf each (tree, row) pair reaches, tree after
+    tree.
 
     A node's value, row count and SSE, and whether its targets vary, are
     summed over its (tree, row) pairs in row order, as a tree grown alone
@@ -446,8 +457,7 @@ def _grow_levels(coded: _CodedMatrix, hp: HyperParams, batch, max_features):
         where[pos] = node
         count, total, squares, varied = _node_sums(where[pair], n_nodes, w, wy, wyy, target)
         value = mean[node_tree] + total / count
-        level = {"tree": node_tree, "value": value, "n_samples": count}
-        levels.append(level)
+        levels.append({"value": value})
         fitted[pos] = value[node]
         if depth == hp.max_depth:
             break
@@ -484,13 +494,13 @@ def _grow_levels(coded: _CodedMatrix, hp: HyperParams, batch, max_features):
                              (totals, tol, floor, allowed), subtract, keep)
         if found is None:
             break
-        split_slot, gain, at, above, kept = found
+        split_slot, at, above, kept = found
         feature = bin_feature[at]
         a, b = coded.bins[at], coded.bins[above]
         with np.errstate(over="ignore"):
             thr = (a + b) / 2.0
-        level.update(split=slots[split_slot], feature=feature, gain=gain,
-                     threshold=np.where((a <= thr) & (thr < b), thr, a))
+        levels[-1].update(split=slots[split_slot], feature=feature,
+                          threshold=np.where((a <= thr) & (thr < b), thr, a))
 
         # pairs of a split node (its rank is its slot if all split) go to its children:
         # right when their code passes the split's, its bin less its feature's offset
@@ -515,32 +525,19 @@ def _preorder(levels: list[dict], n_trees: int) -> list[Tree]:
     size = [np.ones(level["value"].size, dtype=np.int64) for level in levels]
     for d in range(len(levels) - 2, -1, -1):
         size[d][levels[d]["split"]] += size[d + 1][0::2] + size[d + 1][1::2]
-    index = [np.zeros(n_trees, dtype=np.int64)]
-    for d in range(len(levels) - 1):
-        after = index[d][levels[d]["split"]] + 1
-        below = np.empty(2 * after.size, dtype=np.int64)
-        below[0::2] = after
-        below[1::2] = after + size[d + 1][0::2]
-        index.append(below)
-    # the trees' nodes one tree after another; a node's children are
-    # numbered within its tree
+    # the trees' nodes one tree after another; `here` places a level's nodes
     start = np.zeros(n_trees + 1, dtype=np.int64)
     np.cumsum(size[0], out=start[1:])
-    n = int(start[-1])
-    local = np.arange(n) - start[:-1].repeat(size[0])
-    nodes = {"feature": np.full(n, -1), "threshold": np.zeros(n), "left": local,
-             "right": local.copy(), "value": np.empty(n), "n_samples": np.empty(n, dtype=np.int64),
-             "gain": np.zeros(n)}
+    n, here = int(start[-1]), start[:-1]
+    nodes = {"feature": np.full(n, -1), "threshold": np.zeros(n), "value": np.empty(n)}
     for d, level in enumerate(levels):
-        here = start[level["tree"]] + index[d]
-        for f in ("value", "n_samples"):
-            nodes[f][here] = level[f]
+        nodes["value"][here] = level["value"]
         if d + 1 < len(levels):
             at = here[level["split"]]
-            for f in ("feature", "threshold", "gain"):
+            for f in ("feature", "threshold"):
                 nodes[f][at] = level[f]
-            nodes["left"][at] = index[d + 1][0::2]
-            nodes["right"][at] = index[d + 1][1::2]
+            # split i's children are nodes 2i and 2i + 1 of the next level
+            here = np.column_stack((at + 1, at + 1 + size[d + 1][0::2])).ravel()
     return [Tree(**{f: a[start[t]:start[t + 1]] for f, a in nodes.items()}) for t in range(n_trees)]
 
 

@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestFitTree:
         base = fit_tree(FeatureMatrix(x, ("a", "b", "c"), y), hp)
         scaled = fit_tree(FeatureMatrix(x, ("a", "b", "c"), y * scale), hp)
         assert int((base.feature >= 0).sum()) == 7
-        for f in ("feature", "threshold", "left", "right", "n_samples"):
+        for f in ("feature", "threshold"):
             assert np.array_equal(getattr(scaled, f), getattr(base, f)), f
 
     def test_empty_matrix_raises(self):
@@ -117,13 +118,70 @@ class TestFitTree:
         # a left child directly follows its parent; children come later
         assert np.array_equal(tree.left[split], nodes[split] + 1)
         assert np.all(tree.right[split] > tree.left[split])
-        assert np.array_equal(
-            tree.n_samples[split], tree.n_samples[tree.left[split]] + tree.n_samples[tree.right[split]]
-        )
-        assert np.all(tree.gain[split] > 0) and np.all(tree.gain[~split] == 0)
         assert np.array_equal(tree.left[~split], nodes[~split])
         assert np.array_equal(tree.right[~split], nodes[~split])
-        assert tree.n_samples[0] == m.n_rows and tree.depth == 4
+        assert tree.depth == 4
+
+
+def _shapes():
+    """Full binary tree shapes: None is a leaf and a pair a split."""
+    return st.recursive(st.none(), lambda sub: st.tuples(sub, sub), max_leaves=40)
+
+
+def _reference_children(shape):
+    """Slow oracle: number a shape's nodes in preorder by a recursive walk.
+    Returns each node's feature (its depth at a split, -1 at a leaf), left
+    and right child (a leaf's are itself) and the tree's depth."""
+    feature, left, right = [], [], []
+
+    def walk(node, depth):
+        i = len(feature)
+        feature.append(-1 if node is None else depth)
+        left.append(i)
+        right.append(i)
+        if node is None:
+            return depth
+        left[i] = len(feature)
+        deepest = walk(node[0], depth + 1)
+        right[i] = len(feature)
+        return max(deepest, walk(node[1], depth + 1))
+
+    depth = walk(shape, 0)
+    return feature, left, right, depth
+
+
+class TestDerivedChildren:
+    """A tree stores only its preorder split/leaf marks; its children and
+    depth are derived from them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=_shapes())
+    def test_children_and_depth_match_a_recursive_walk(self, shape):
+        feature, left, right, depth = _reference_children(shape)
+        n = len(feature)
+        tree = Tree(feature, np.zeros(n), np.arange(n, dtype=np.float64))
+        assert tree.left.tolist() == left
+        assert tree.right.tolist() == right
+        assert tree.depth == depth
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=_shapes(), data=st.data())
+    def test_corrupted_marks_rejected(self, shape, data):
+        feature = _reference_children(shape)[0]
+        n = len(feature)
+        flipped = list(feature)
+        i = data.draw(st.integers(0, n - 1), label="flipped")
+        flipped[i] = 0 if feature[i] < 0 else -1
+        truncated = feature[:data.draw(st.integers(1, n), label="cut") - 1]
+        appended = feature + [data.draw(st.sampled_from([-1, 0]), label="appended")]
+        corrupted = [flipped, truncated, appended, []]
+        if n > 1:
+            # the last leaf moved to the front: the marks still sum to -1,
+            # but the tree ends at its first node
+            corrupted.append([-1] + feature[:-1])
+        for marks in corrupted:
+            with pytest.raises(ValueError, match="preorder"):
+                Tree(marks, np.zeros(len(marks)), np.zeros(len(marks)))
 
 
 def _walk(tree, row):
@@ -255,9 +313,6 @@ class TestFitGbm:
         assert predict(model, np.zeros((3, 0)))[0] == 10.0
 
 
-_TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "n_samples", "gain")
-
-
 def _reference_best_split(x, y, idx, features):
     """Slow oracle: a feature-at-a-time scan of the floats. Returns (gain,
     feature, threshold, left_order, right_order), the orders indexing into
@@ -306,8 +361,7 @@ def _reference_fit_tree(m, hp=HyperParams(), max_features=None, rng=None):
     while queue:
         idx, depth, parent, side = queue.popleft()
         node_y = y[idx]
-        node = {"feature": -1, "threshold": 0.0, "value": float(node_y.mean()),
-                "n_samples": idx.size, "gain": 0.0, "children": None}
+        node = {"feature": -1, "threshold": 0.0, "value": float(node_y.mean()), "children": None}
         if parent is not None:
             nodes[parent]["children"][side] = len(nodes)
         nodes.append(node)
@@ -321,7 +375,7 @@ def _reference_fit_tree(m, hp=HyperParams(), max_features=None, rng=None):
         found = _reference_best_split(x, y, idx, features)
         if found is None:
             continue
-        node["gain"], node["feature"], node["threshold"], left_order, right_order = found
+        _, node["feature"], node["threshold"], left_order, right_order = found
         node["children"] = [None, None]
         queue.append((idx[left_order], depth + 1, len(nodes) - 1, 0))
         queue.append((idx[right_order], depth + 1, len(nodes) - 1, 1))
@@ -332,14 +386,7 @@ def _reference_fit_tree(m, hp=HyperParams(), max_features=None, rng=None):
         order.append(i)
         if nodes[i]["children"] is not None:
             stack.extend(reversed(nodes[i]["children"]))
-    at = {i: k for k, i in enumerate(order)}
-    fields = {f: [nodes[i][f] for i in order]
-              for f in ("feature", "threshold", "value", "n_samples", "gain")}
-    fields["left"] = [at[nodes[i]["children"][0]] if nodes[i]["children"] else k
-                      for k, i in enumerate(order)]
-    fields["right"] = [at[nodes[i]["children"][1]] if nodes[i]["children"] else k
-                       for k, i in enumerate(order)]
-    return Tree(*(fields[f] for f in _TREE_FIELDS))
+    return Tree(**{f.name: [nodes[i][f.name] for i in order] for f in fields(Tree)})
 
 
 def _sample(m, weight):
@@ -349,17 +396,15 @@ def _sample(m, weight):
 
 def _assert_same_trees(got, want, y):
     """Equal structure and thresholds; values within 1e-12 of the targets'
-    largest magnitude and gains within 1e-12 of their sum of squares, since
-    histogram sums add in another order than the reference's scan."""
+    largest magnitude, since histogram sums add in another order than the
+    reference's scan."""
     assert len(got) == len(want)
-    y = np.asarray(y, dtype=np.float64)
-    scale = float(np.abs(y).max(initial=0.0))
+    scale = float(np.abs(np.asarray(y, dtype=np.float64)).max(initial=0.0))
     for a, b in zip(got, want):
-        for f in ("feature", "threshold", "left", "right", "n_samples"):
+        for f in ("feature", "threshold"):
             x, z = getattr(a, f), getattr(b, f)
             assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), f
         np.testing.assert_allclose(a.value, b.value, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(a.gain, b.gain, rtol=0, atol=1e-12 * float(y @ y))
 
 
 def _coarse(n, seed):
@@ -642,8 +687,7 @@ def _bootstrap(n, seed):
 
 class TestBatchedTrees:
     """Trees grown together in one batch over one coding of the matrix are
-    the trees each grows alone: equal in every array but ``gain``, whose
-    histograms read other (tree, distinct row) pairs, and in the values
+    the trees each grows alone: equal in every array and in the values
     their rows fit."""
 
     def _specs(self, m, kind):
@@ -683,12 +727,10 @@ class TestBatchedTrees:
         together = self._grow(coded, hp, specs, max_features)
         alone = [self._grow(coded, hp, [spec], max_features)[0] for spec in specs]
         assert batches == [6] + [1] * 6
-        for (got, got_fit), (want, want_fit), (rows, w, target, _) in zip(together, alone, specs):
-            for f in ("feature", "threshold", "left", "right", "value", "n_samples"):
-                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+        for (got, got_fit), (want, want_fit), (rows, *_) in zip(together, alone, specs):
+            for f in fields(Tree):
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
             assert got_fit.tobytes() == want_fit.tobytes()
-            np.testing.assert_allclose(got.gain, want.gain, rtol=0,
-                                       atol=1e-12 * float(w @ (target * target)))
             # the fitted values are the tree's predictions for its rows
             assert got_fit.tobytes() == got.predict(m.x[rows]).tobytes()
 
@@ -700,11 +742,10 @@ class TestBatchedTrees:
         hp = HyperParams(max_depth=5)
         specs = self._specs(m, "folds")
         grown = self._grow(rentlab.models.tree._CodedMatrix.of(m.x), hp, specs, max_features)
-        for (got, _), (rows, w, target, seed) in zip(grown, specs):
+        for (got, _), (rows, _, _, seed) in zip(grown, specs):
             want = fit_tree(m.take(rows), hp, max_features, rng=np.random.default_rng(seed))
-            for f in ("feature", "threshold", "left", "right", "value", "n_samples"):
-                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
-            np.testing.assert_allclose(got.gain, want.gain, rtol=0, atol=1e-12 * float(target @ target))
+            for f in fields(Tree):
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
 
     def test_batches_stay_under_the_pair_cap(self, monkeypatch):
         # a tree counts the matrix's 60 distinct rows, so with room for 130
@@ -722,8 +763,8 @@ class TestBatchedTrees:
         together = self._grow(coded, HyperParams(max_depth=4), specs, None)
         assert batches == [2, 2, 2]
         for (got, _), want in zip(together, alone):
-            for f in ("feature", "threshold", "left", "right", "value", "n_samples"):
-                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+            for f in fields(Tree):
+                assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
 
     @settings(max_examples=60, deadline=None)
     @given(m=_edge_matrices(), k=st.integers(2, 5), max_depth=st.integers(1, 6),
@@ -906,6 +947,16 @@ class TestPredictColumns:
             predict(model, m.x[:, :2])
 
 
+def _seven_lists(doc, tree, n_rows):
+    """A tree document in the layout that also stored each node's left and
+    right child, row count and gain, in their old key order. The row counts
+    and gains are stand-ins of the old types, since nothing reads them."""
+    split = tree.feature >= 0
+    return {"feature": doc["feature"], "threshold": doc["threshold"],
+            "left": tree.left.tolist(), "right": tree.right.tolist(), "value": doc["value"],
+            "n_samples": [n_rows] * split.size, "gain": np.where(split, 1.0, 0.0).tolist()}
+
+
 class TestSerialization:
     def _round_trip(self, model, x, tmp_path):
         path = tmp_path / "model.json"
@@ -1000,12 +1051,36 @@ class TestSerialization:
             "family": "tree",
             "feature": [0, -1, -1],
             "threshold": [1.5, 0.0, 0.0],
-            "left": [1, 1, 2],
-            "right": [2, 1, 2],
             "value": [3.0, 1.0, 5.0],
-            "n_samples": [4, 2, 2],
-            "gain": [16.0, 0.0, 0.0],
         }
+
+    @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
+    def test_seven_list_documents_load_and_rewrite_as_three(self, family, tmp_path):
+        # documents written when every tree also stored left, right,
+        # n_samples and gain load to the same trees, and save without them
+        if family == "tree":
+            m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
+            model = fit_tree(m, HyperParams(max_depth=2))
+            old = {"family": "tree", "feature": [0, -1, -1], "threshold": [1.5, 0.0, 0.0],
+                   "left": [1, 1, 2], "right": [2, 1, 2], "value": [3.0, 1.0, 5.0],
+                   "n_samples": [4, 2, 2], "gain": [16.0, 0.0, 0.0]}
+        else:
+            rng = np.random.default_rng(8)
+            x = rng.normal(size=(40, 3))
+            m = _fm(x, x @ [1.0, -2.0, 0.5] + rng.normal(size=40))
+            model = fit_family(family, m, HyperParams(n_trees=3, n_rounds=4, max_depth=3), seed=1)
+            old = model_to_doc(model)
+            old["trees"] = [_seven_lists(doc, tree, m.n_rows) for doc, tree in zip(old["trees"], model.trees)]
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        loaded = load_model(tmp_path / "old.json")
+        assert predict(loaded, m.x).tobytes() == predict(model, m.x).tobytes()
+        save_model(loaded, tmp_path / "new.json")
+        dropped = ("left", "right", "n_samples", "gain")
+        for tree in old.get("trees", [old]):
+            for key in dropped:
+                del tree[key]
+        assert (tmp_path / "new.json").read_bytes() == json.dumps(old).encode("utf-8")
+        assert json.loads((tmp_path / "new.json").read_text()) == model_to_doc(model)
 
     def test_nested_tree_document_rejected_by_name(self):
         nested = {"kind": "leaf", "value": 2.0, "n": 3}
@@ -1015,13 +1090,41 @@ class TestSerialization:
             model_from_doc({"family": "tree", "root": nested})
 
     def test_malformed_tree_arrays_rejected(self):
-        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
-        doc = model_to_doc(fit_tree(m, HyperParams(max_depth=2)))
-        doc["left"][0] = 0  # a split that points back at itself would never end
-        with pytest.raises(ValueError, match="preorder"):
-            model_from_doc(doc)
         with pytest.raises(ValueError, match="equal length"):
-            Tree([0, -1], [0.5], [1, 1], [1, 1], [0.0, 0.0], [2, 1], [0.0, 0.0])
+            Tree([0, -1, -1], [0.5], [0.0, 1.0, 2.0])
+
+    def test_fractional_feature_rejected_by_name(self):
+        # it once loaded as a split on feature 0
+        doc = {"family": "tree", "feature": [0.7, -1, -1], "threshold": [0.5, 0.0, 0.0],
+               "value": [1.0, 0.0, 2.0]}
+        with pytest.raises(ValueError, match="tree feature .* not 0.7"):
+            model_from_doc(doc)
+
+    def test_feature_below_minus_one_rejected_by_name(self):
+        doc = {"family": "tree", "feature": [0, -2, -1], "threshold": [0.5, 0.0, 0.0],
+               "value": [1.0, 0.0, 2.0]}
+        with pytest.raises(ValueError, match="tree feature .* not -2"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("family", ["forest", "gbm"])
+    def test_feature_past_the_feature_names_rejected_by_name(self, family, tmp_path, capsys):
+        # it once loaded, then failed in predict with a bare IndexError
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(40, 3))
+        m = _fm(x, x @ [1.0, -2.0, 0.5] + rng.normal(size=40))
+        doc = model_to_doc(fit_family(family, m, HyperParams(n_trees=2, n_rounds=2, max_depth=2)))
+        assert doc["trees"][1]["feature"][0] >= 0
+        doc["trees"][1]["feature"][0] = 3
+        with pytest.raises(ValueError, match="tree's feature holds column 3, but the model has 3 "
+                                             "feature_names"):
+            model_from_doc(doc)
+        matrix_to_csv(m, tmp_path / "features.csv")
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        status = main(["explain", "--model", str(tmp_path / "model.json"),
+                       "--data", str(tmp_path / "features.csv"),
+                       "--out", str(tmp_path / "shap.csv")])
+        assert status == 1
+        assert "feature_names" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_round_trips(self, family, tmp_path):
@@ -1044,7 +1147,7 @@ class TestSerialization:
         x = rng.normal(size=(30, 2))
         m = _fm(x, rng.normal(size=30))
         hp = HyperParams(n_trees=2, n_rounds=2, max_depth=2)
-        arrays = ["feature", "threshold", "left", "right", "value", "n_samples", "gain"]
+        arrays = [f.name for f in fields(Tree)]
         expected = {
             "ols": ["family", "intercept", "coefficients", "penalty", "alpha", "l1_ratio",
                     "converged", "n_iter", "feature_names"],
