@@ -59,6 +59,9 @@ def predict(model: FittedModel, x) -> np.ndarray:
     n = len(model.coefficients) if isinstance(model, LinearModel) else len(names)
     if n and data.shape[1] != n:
         raise ValueError(f"model expects {n} features, got {data.shape[1]}")
+    if isinstance(model, Tree) and data.shape[1] <= model.feature.max():
+        # a lone tree has no feature_names; it reads up to its largest split feature
+        raise ValueError(f"model expects at least {model.feature.max() + 1} features, got {data.shape[1]}")
     return model.predict(data)
 
 

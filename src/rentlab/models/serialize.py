@@ -45,7 +45,15 @@ def model_to_doc(model) -> dict:
 def _decode(kind, value, where: str):
     """The value of a field annotated ``kind`` from its JSON form."""
     if kind is np.ndarray:
-        return np.asarray(value, dtype=np.float64)
+        try:
+            array = np.asarray(value)
+            numeric = array.dtype.kind in "iuf"
+        except ValueError:  # ragged nesting
+            numeric = False
+        # a null or a numeric string would otherwise load as nan or as its number
+        if not numeric:
+            raise SchemaError(f"{where} is not an array of numbers: {value!r:.80}")
+        return array.astype(np.float64)
     if is_dataclass(kind):
         return _from_fields(kind, value, where)
     if typing.get_origin(kind) is list:

@@ -288,6 +288,9 @@ def shapley_values(model: FittedModel, instance, background) -> ShapExplanation:
         raise ValueError("background must be non-empty")
     if bg.shape[1] != inst.shape[0]:
         raise ValueError(f"instance has {inst.shape[0]} features, background {bg.shape[1]}")
+    # predict checks the model's input width
+    base = float(predict(model, bg).mean())
+    prediction = float(predict(model, inst.reshape(1, -1))[0])
     if isinstance(model, LinearModel):
         values = model.coefficients * (inst - bg.mean(axis=0))
     elif isinstance(model, Tree):
@@ -298,8 +301,6 @@ def shapley_values(model: FittedModel, instance, background) -> ShapExplanation:
         values = sum(model.learning_rate * _tree_shapley(t, inst, bg) for t in model.trees)
     else:
         raise TypeError(f"no Shapley values for a {type(model).__name__}")
-    base = float(predict(model, bg).mean())
-    prediction = float(predict(model, inst.reshape(1, -1))[0])
     return ShapExplanation(base, values, prediction)
 
 

@@ -13,6 +13,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .report import StageReport
 from .tabular import Column, Table, group_means, shipped_file
@@ -280,45 +281,28 @@ def score_reviews(reviews: Table, lex: Lexicon, report: StageReport | None = Non
 
     Rows failing the English heuristic are dropped (and counted in the
     report). Empty or missing comments get missing sentiment cells so the
-    host-average fill can overwrite them.
+    host-average fill can overwrite them. Each distinct comment is cleaned
+    once, and each distinct cleaned text filtered and scored once.
     """
     comments = reviews.values("comments")
-    keep: list[int] = []
-    dropped = 0
-    cleaned: list[str | None] = []
-    for i, comment in enumerate(comments):
-        text = clean_text(comment) if comment is not None else ""
-        if text and not looks_english(text):
-            dropped += 1
-            continue
-        keep.append(i)
-        cleaned.append(text if text else None)
-
+    cleaned = {c: clean_text(c) if c is not None else "" for c in dict.fromkeys(comments)}
+    texts = list(map(cleaned.__getitem__, comments))
+    # each kept cleaned text's five cells; a text failing looks_english has none
+    cells = {}
+    for text in dict.fromkeys(texts):
+        if not text:
+            cells[text] = (None,) * 5
+        elif looks_english(text):
+            s = score(text, lex)
+            cells[text] = (s.pos, s.neg, s.neu, s.compound, classify(s))
+    keep = list(compress(count(), map(cells.__contains__, texts)))
+    columns = list(zip(*[cells[t] for t in texts if t in cells])) or [()] * 5
     out = reviews.take(keep)
-    pos, neg, neu, compound, label = [], [], [], [], []
-    scored = 0
-    for text in cleaned:
-        if text is None:
-            pos.append(None)
-            neg.append(None)
-            neu.append(None)
-            compound.append(None)
-            label.append(None)
-            continue
-        s = score(text, lex)
-        pos.append(s.pos)
-        neg.append(s.neg)
-        neu.append(s.neu)
-        compound.append(s.compound)
-        label.append(classify(s))
-        scored += 1
-    out = out.with_column("pos", Column("numeric", tuple(pos)))
-    out = out.with_column("neg", Column("numeric", tuple(neg)))
-    out = out.with_column("neu", Column("numeric", tuple(neu)))
-    out = out.with_column("compound", Column("numeric", tuple(compound)))
-    out = out.with_column("label", Column("text", tuple(label)))
+    for name, values in zip(("pos", "neg", "neu", "compound", "label"), columns):
+        out = out.with_column(name, Column("text" if name == "label" else "numeric", values))
     if report is not None:
-        report.add("score_reviews", "comments", scored, f"dropped_non_english={dropped}")
+        report.add("score_reviews", "comments", len(keep) - texts.count(""),
+                   f"dropped_non_english={len(texts) - len(keep)}")
     return out
 
 

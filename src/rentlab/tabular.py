@@ -267,9 +267,9 @@ _CSV_BLOCK_ROWS = 512
 _QUOTED_CHARS = re.compile('[,"\r\n]')
 
 
-def _format_cells(values: tuple) -> tuple[list[str], bool]:
-    """``_format_cell`` of each value, formatting each distinct value once,
-    and whether any cell holds a character that csv.writer quotes.
+def _format_cells(values: tuple) -> list[str]:
+    """``_format_cell`` of each value as csv.writer writes it, quoted where
+    it must be, formatting and quoting each distinct value once.
 
     Values are keyed with their type, since 1 == 1.0 == True. The two float
     zeros are equal but format apart, so a zero is formatted by itself."""
@@ -279,11 +279,15 @@ def _format_cells(values: tuple) -> tuple[list[str], bool]:
     # a float's repr is its _format_cell
     fmt = repr if kinds == {float} else _format_cell
     text = dict(zip(distinct, map(fmt, [v for _, v in distinct])))
+    if _QUOTED_CHARS.search("".join(text.values())):
+        # as csv.writer quotes a field: in '"', with an inner '"' doubled
+        text = {key: '"' + cell.replace('"', '""') + '"' if _QUOTED_CHARS.search(cell) else cell
+                for key, cell in text.items()}
     cells = list(map(text.__getitem__, keys))
     if any(issubclass(kind, float) and (kind, 0.0) in text for kind in kinds):
         cells = [_format_cell(v) if isinstance(v, float) and v == 0.0 else cell
                  for v, cell in zip(values, cells)]
-    return cells, _QUOTED_CHARS.search("".join(text.values())) is not None
+    return cells
 
 
 def _repr_cells(block: np.ndarray) -> np.ndarray:
@@ -306,29 +310,25 @@ def write_columns(path, names, columns) -> None:
     of rows at a time. A tuple column's cells are formatted as
     ``_format_cell`` does (a missing cell is an empty field), a float64
     array's as ``repr``; either way each distinct value once per block,
-    the arrays' together."""
+    the arrays' together. Cells are quoted as csv.writer quotes them."""
     n_rows = len(columns[0]) if columns else 0
     arrays = [j for j, c in enumerate(columns) if not isinstance(c, tuple)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
+        csv.writer(fh).writerow(names)
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
             if len(arrays) == len(columns):
                 # a float's repr holds nothing csv.writer quotes
-                rows, quoted = _repr_cells(np.column_stack(block)).tolist(), False
+                rows = _repr_cells(np.column_stack(block)).tolist()
             else:
                 floats = iter(_repr_cells(np.column_stack([block[j] for j in arrays])).T.tolist()
                               if arrays else ())
-                cells, quoted = zip(*(_format_cells(c) if isinstance(c, tuple) else (next(floats), False)
-                                      for c in block))
-                rows, quoted = zip(*cells), any(quoted)
-            if len(columns) > 1 and not quoted:
-                # csv.writer would quote nothing (it quotes a lone empty
-                # field, hence two columns or more): joining writes its bytes
-                fh.write("".join([",".join(row) + "\r\n" for row in rows]))
-            else:
-                writer.writerows(rows)
+                cells = [_format_cells(c) if isinstance(c, tuple) else next(floats) for c in block]
+                if len(cells) == 1:
+                    # csv.writer quotes a row's lone empty field
+                    cells = [[cell or '""' for cell in cells[0]]]
+                rows = zip(*cells)
+            fh.write("".join([",".join(row) + "\r\n" for row in rows]))
 
 
 def write_csv(table: Table, path) -> None:

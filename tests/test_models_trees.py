@@ -1100,6 +1100,56 @@ class TestSerialization:
         with pytest.raises(ValueError, match="tree feature .* not 0.7"):
             model_from_doc(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"family": "tree", "feature": ["a", -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]},
+         "tree model document feature is not an array of numbers"),
+        ({"family": "tree", "feature": [0, -1, -1], "threshold": [0.5, {}, 0.0], "value": [1.0, 0.0, 2.0]},
+         "tree model document threshold is not an array of numbers"),
+        ({"family": "gbm", "base": 1.0, "learning_rate": 0.1,
+          "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, "b", 2.0]}]},
+         r"gbm model document trees\[0\] value is not an array of numbers"),
+        # these once loaded: a null as nan, a numeric string as its number
+        ({"family": "tree", "feature": ["0", -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]},
+         "tree model document feature is not an array of numbers"),
+        ({"family": "linear", "intercept": 1.0, "coefficients": [None], "feature_names": ["x0"]},
+         "linear model document coefficients is not an array of numbers"),
+        ({"family": "tree", "feature": [0, -1, -1], "threshold": [[0.5], 0.0, 0.0], "value": [1.0, 0.0, 2.0]},
+         "tree model document threshold is not an array of numbers"),
+    ])
+    def test_non_numeric_array_entry_named(self, tmp_path, capsys, doc, message):
+        # a string or an object once failed as a bare "could not convert string to float"
+        with pytest.raises(SchemaError, match=message):
+            model_from_doc(doc)
+        m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])
+        matrix_to_csv(m, tmp_path / "features.csv")
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        status = main(["explain", "--model", str(tmp_path / "model.json"),
+                       "--data", str(tmp_path / "features.csv"),
+                       "--out", str(tmp_path / "shap.csv")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and re.search(message, err)
+
+    def test_lone_tree_input_width_checked(self, tmp_path, capsys):
+        # a lone tree has no feature_names; splitting on column 5 of a
+        # two-column matrix once failed with a bare IndexError
+        doc = {"family": "tree", "feature": [5, -1, -1], "threshold": [0.5, 0.0, 0.0],
+               "value": [1.0, 0.0, 2.0]}
+        model = model_from_doc(doc)
+        with pytest.raises(ValueError, match="model expects at least 6 features, got 2"):
+            predict(model, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="model expects at least 6 features, got 5"):
+            predict(model, np.zeros((3, 5)))
+        assert predict(model, np.ones((2, 6))).tolist() == [2.0, 2.0]
+        m = _fm([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]], [1.0, 1.0, 5.0, 5.0])
+        matrix_to_csv(m, tmp_path / "features.csv")
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        status = main(["explain", "--model", str(tmp_path / "model.json"),
+                       "--data", str(tmp_path / "features.csv"),
+                       "--out", str(tmp_path / "shap.csv")])
+        assert status == 1
+        assert "model expects at least 6 features, got 2" in capsys.readouterr().err
+
     def test_feature_below_minus_one_rejected_by_name(self):
         doc = {"family": "tree", "feature": [0, -2, -1], "threshold": [0.5, 0.0, 0.0],
                "value": [1.0, 0.0, 2.0]}

@@ -22,7 +22,7 @@ from rentlab.sentiment import (
     score,
     score_reviews,
 )
-from rentlab.tabular import Table
+from rentlab.tabular import Column, Table
 
 
 def compound_of(total: float) -> float:
@@ -325,6 +325,72 @@ class TestScoreReviews:
     def test_row_count_never_grows(self, lexicon):
         out = score_reviews(_reviews(["a", "b", "c"]), lexicon)
         assert out.n_rows <= 3
+
+
+def _reference_score_reviews(reviews, lex, report=None):
+    """score_reviews as one clean_text, looks_english and score per row."""
+    comments = reviews.values("comments")
+    keep, cleaned, dropped = [], [], 0
+    for i, comment in enumerate(comments):
+        text = clean_text(comment) if comment is not None else ""
+        if text and not looks_english(text):
+            dropped += 1
+            continue
+        keep.append(i)
+        cleaned.append(text if text else None)
+    out = reviews.take(keep)
+    columns = {"pos": [], "neg": [], "neu": [], "compound": [], "label": []}
+    scored = 0
+    for text in cleaned:
+        if text is None:
+            for values in columns.values():
+                values.append(None)
+            continue
+        s = score(text, lex)
+        for name, value in zip(columns, (s.pos, s.neg, s.neu, s.compound, classify(s))):
+            columns[name].append(value)
+        scored += 1
+    for name, values in columns.items():
+        out = out.with_column(name, Column("text" if name == "label" else "numeric", tuple(values)))
+    if report is not None:
+        report.add("score_reviews", "comments", scored, f"dropped_non_english={dropped}")
+    return out
+
+
+# Two raw texts that clean to the same text, so one cleaned text has two raw forms.
+_SAME_CLEANED = ["Nice   place,, really clean", "www.example.com Nice place, really <b>clean</b>"]
+_REVIEW_POOL = [
+    None, "", "   ",
+    "la casa estaba muy bonita cerca del centro excelente anfitrion gracias",
+    "Great stay \U0001F600 would return",
+    "It wasn't bad, we can't complain",
+    "The host was AMAZING and the view was GREAT",
+    "Loved it!!!",
+    *_SAME_CLEANED,
+]
+
+
+def _typed(values):
+    # the value, its type and its repr: 1 == 1.0 == True, 0.0 == -0.0
+    return [(type(v), repr(v)) for v in values]
+
+
+def test_pool_texts_clean_alike():
+    assert clean_text(_SAME_CLEANED[0]) == clean_text(_SAME_CLEANED[1]) == "Nice place, really clean"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_REVIEW_POOL), max_size=30))
+def test_score_reviews_matches_per_row_scoring(lexicon, comments):
+    reviews = _reviews(comments, hosts=[i % 3 for i in range(len(comments))])
+    report, ref_report = StageReport(), StageReport()
+    out = score_reviews(reviews, lexicon, report=report)
+    ref = _reference_score_reviews(reviews, lexicon, report=ref_report)
+    assert out.names == ref.names
+    for col, ref_col in zip(out.cols, ref.cols):
+        assert col.kind == ref_col.kind
+        assert _typed(col.values) == _typed(ref_col.values)
+    assert report.entries == ref_report.entries
 
 
 class TestFillMissingSentiment:

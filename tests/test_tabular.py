@@ -561,6 +561,20 @@ def test_write_columns_edge_floats_in_full_blocks(tmp_path, n_rows):
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block_rows", [1, 512])
+def test_write_columns_quoted_and_empty_cells(tmp_path, block_rows):
+    # a quoted cell is quoted once, and a one-column row's lone empty field is written ""
+    texts = ("a,b", 'q"', "x\r\ny", "", None, "plain", "a,b", "")
+    tables = {"one": [texts], "two": [texts, texts[::-1]], "mixed": [texts, np.arange(8.0)]}
+    for name, columns in tables.items():
+        names = [f"c{j}" for j in range(len(columns))]
+        with mock.patch.object(tabular, "_CSV_BLOCK_ROWS", block_rows):
+            tabular.write_columns(tmp_path / f"{name}.csv", names, columns)
+        _reference_write_columns(tmp_path / "cell.csv", names, columns)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+    assert (tmp_path / "one.csv").read_bytes() == b'c0\r\n"a,b"\r\n"q"""\r\n"x\r\ny"\r\n""\r\n""\r\nplain\r\n"a,b"\r\n""\r\n'
+
+
 def _reference_take(table, indices):
     return Table(table.names, tuple(Column(c.kind, tuple(c.values[i] for i in indices))
                                     for c in table.cols))
