@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -53,7 +54,12 @@ def _decode(kind, value, where: str):
         # a null or a numeric string would otherwise load as nan or as its number
         if not numeric:
             raise SchemaError(f"{where} is not an array of numbers: {value!r:.80}")
+        if not np.isfinite(array).all():  # json reads NaN and Infinity
+            raise SchemaError(f"{where} holds a NaN or an infinity: {value!r:.80}")
         return array.astype(np.float64)
+    # json reads NaN and Infinity as floats; a bool is neither an int nor a float here
+    if kind in (float, int) and type(value) is not int and not (type(value) is float and math.isfinite(value)):
+        raise SchemaError(f"{where} is not a finite number: {value!r:.80}")
     if is_dataclass(kind):
         return _from_fields(kind, value, where)
     if typing.get_origin(kind) is list:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain, compress, count, repeat
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -248,82 +248,72 @@ def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
     return Table(tuple(header), tuple(cols)), report
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # exact round-trip; normalizes float subclasses
-    if isinstance(value, _dt.date):
-        return value.isoformat()
-    return str(value)
-
-
 # write_columns formats this many rows at a time, holding a block as one list
 # of strings per column (8 bytes a cell) and freeing it before the next
 _CSV_BLOCK_ROWS = 512
 # csv.writer's default dialect quotes a field that holds any of these
 _QUOTED_CHARS = re.compile('[,"\r\n]')
+# how write_columns formats a present cell of each kind but numeric
+_FORMATS = {"integer": str, "text": str, "date": methodcaller("isoformat"),
+            "boolean": lambda v: "true" if v else "false"}
 
 
-def _format_cells(values: tuple) -> list[str]:
-    """``_format_cell`` of each value as csv.writer writes it, quoted where
-    it must be, formatting and quoting each distinct value once.
-
-    Values are keyed with their type, since 1 == 1.0 == True. The two float
-    zeros are equal but format apart, so a zero is formatted by itself."""
-    kinds = set(map(type, values))
-    keys = list(zip(map(type, values), values))
-    distinct = list(dict.fromkeys(keys))
-    # a float's repr is its _format_cell
-    fmt = repr if kinds == {float} else _format_cell
-    text = dict(zip(distinct, map(fmt, [v for _, v in distinct])))
+def _distinct_cells(values: tuple, fmt) -> list[str]:
+    """``fmt`` of each value, an empty field for a missing one, quoted as
+    csv.writer quotes it: each distinct value formatted and quoted once."""
+    text = {v: "" if v is None else fmt(v) for v in dict.fromkeys(values)}
     if _QUOTED_CHARS.search("".join(text.values())):
         # as csv.writer quotes a field: in '"', with an inner '"' doubled
-        text = {key: '"' + cell.replace('"', '""') + '"' if _QUOTED_CHARS.search(cell) else cell
-                for key, cell in text.items()}
-    cells = list(map(text.__getitem__, keys))
-    if any(issubclass(kind, float) and (kind, 0.0) in text for kind in kinds):
-        cells = [_format_cell(v) if isinstance(v, float) and v == 0.0 else cell
-                 for v, cell in zip(values, cells)]
-    return cells
+        text = {v: '"' + cell.replace('"', '""') + '"' if _QUOTED_CHARS.search(cell) else cell
+                for v, cell in text.items()}
+    return list(map(text.__getitem__, values))
 
 
 def _repr_cells(block: np.ndarray) -> np.ndarray:
-    """``repr`` of each cell of a 2-d block as a float64, as an object array
-    of its shape: one sort of the cells' bit patterns, one ``repr`` per
-    distinct pattern and one take. Keyed on the bit pattern, -0.0 and 0.0
-    stay distinct. (``np.unique`` would do the sort, but its first call
-    imports ``numpy.ma``, about 1 MB.)"""
+    """``repr`` of each cell of a 2-d block as a float64, and an empty field
+    for a NaN, as an object array of its shape: one sort of the cells' bit
+    patterns, one ``repr`` per distinct pattern and one take. Keyed on the
+    bit pattern, -0.0 and 0.0 stay distinct. (``np.unique`` would do the
+    sort, but its first call imports ``numpy.ma``, about 1 MB.)"""
     bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
     distinct = np.sort(bits, axis=None)
     first = np.ones(distinct.size, dtype=bool)
     np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
     distinct = distinct[first]
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    text = np.array([repr(v) if v == v else "" for v in distinct.view(np.float64).tolist()],
+                    dtype=object)
     return text[distinct.searchsorted(bits)]
+
+
+def _floats(name: str, col) -> np.ndarray:
+    """A numeric column as a float64 array, a missing cell as NaN."""
+    try:
+        return np.asarray(col.values if isinstance(col, Column) else col, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchemaError(f"numeric column {name!r} holds a cell that is not a number") from None
 
 
 def write_columns(path, names, columns) -> None:
     """Write RFC-4180 CSV: the header, then the equally long columns a block
-    of rows at a time. A tuple column's cells are formatted as
-    ``_format_cell`` does (a missing cell is an empty field), a float64
-    array's as ``repr``; either way each distinct value once per block,
-    the arrays' together. Cells are quoted as csv.writer quotes them."""
+    of rows at a time. A column is a Column or a float64 array, formatted by
+    kind: the floats (numeric Columns and arrays) together by ``_repr_cells``,
+    others by ``_distinct_cells``. Cells are quoted as csv.writer quotes them."""
     n_rows = len(columns[0]) if columns else 0
-    arrays = [j for j, c in enumerate(columns) if not isinstance(c, tuple)]
+    kinds = [c.kind if isinstance(c, Column) else "numeric" for c in columns]
+    floats = [_floats(name, c) for name, c, kind in zip(names, columns, kinds) if kind == "numeric"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(names)
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
-            if len(arrays) == len(columns):
+            stop = start + _CSV_BLOCK_ROWS
+            text = _repr_cells(np.array([f[start:stop] for f in floats])) if floats else None
+            if len(floats) == len(columns) > 1:
                 # a float's repr holds nothing csv.writer quotes
-                rows = _repr_cells(np.column_stack(block)).tolist()
+                rows = text.T.tolist()
             else:
-                floats = iter(_repr_cells(np.column_stack([block[j] for j in arrays])).T.tolist()
-                              if arrays else ())
-                cells = [_format_cells(c) if isinstance(c, tuple) else next(floats) for c in block]
+                float_cells = iter(text.tolist() if floats else ())
+                cells = [next(float_cells) if kind == "numeric"
+                         else _distinct_cells(c.values[start:stop], _FORMATS[kind])
+                         for c, kind in zip(columns, kinds)]
                 if len(cells) == 1:
                     # csv.writer quotes a row's lone empty field
                     cells = [[cell or '""' for cell in cells[0]]]
@@ -333,7 +323,7 @@ def write_columns(path, names, columns) -> None:
 
 def write_csv(table: Table, path) -> None:
     """Write a table as RFC-4180 CSV; missing cells become empty fields."""
-    write_columns(path, table.names, [c.values for c in table.cols])
+    write_columns(path, table.names, table.cols)
 
 
 def clean_currency(col: Column) -> Column:

@@ -94,6 +94,8 @@ def remove_outliers(
     column = table.column(col)
     if column.kind not in ("numeric", "integer"):
         raise TypeError(f"remove_outliers needs a numeric column, {col!r} is {column.kind}")
+    if column.n_missing == len(column):
+        raise EmptyInputError(f"remove_outliers: {col!r} has no non-missing value")
     fences = iqr_fences(column.values, multiplier)
     mask = [v is None or fences.contains(v) for v in column.values]
     out = table.filter(mask)
@@ -140,6 +142,8 @@ def impute_global_median(
     tcol = table.column(target)
     if tcol.kind not in ("numeric", "integer"):
         raise SchemaError(f"impute target {target!r} must be numeric, is {tcol.kind}")
+    if tcol.n_missing == len(tcol):
+        raise EmptyInputError(f"impute_global_median: {target!r} has no non-missing value")
     med = quantile(tcol.values, 0.5)
     filled = sum(1 for v in tcol.values if v is None)
     out = tuple(float(v) if v is not None else med for v in tcol.values)

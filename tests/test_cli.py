@@ -35,7 +35,7 @@ from rentlab.evaluation import _derived_seed
 from rentlab.features import matrix_from_csv
 from rentlab.models import FAMILIES, load_model
 from rentlab.synthgen import GenConfig
-from rentlab.tabular import LISTINGS_SCHEMA, Column, read_csv, write_csv
+from rentlab.tabular import CALENDAR_SCHEMA, LISTINGS_SCHEMA, Column, read_csv, write_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -483,6 +483,28 @@ class TestListingPrice:
                      "--out", str(tmp_path / "features.csv")]) == 0
         names = matrix_from_csv(str(tmp_path / "features.csv")).feature_names
         assert [n for n in names if "price" in n] == []
+
+
+class TestWrangleAllMissing:
+    # each once failed as "EmptyInputError: quantile of all-missing input"
+    @pytest.mark.parametrize("table, column, step", [
+        ("calendar", "price", "remove_outliers"),
+        ("listings", "review_scores_rating", "impute_global_median"),
+    ])
+    def test_all_missing_column_exits_1_naming_column_and_step(self, tmp_path, capsys, table,
+                                                                column, step):
+        assert main(["gen", "--seed", "1", "--listings", "6", "--start", "2023-01-01",
+                     "--end", "2023-01-03", "--out-dir", str(tmp_path)]) == 0
+        schema = {"calendar": CALENDAR_SCHEMA, "listings": LISTINGS_SCHEMA}[table]
+        path = tmp_path / f"{table}.csv"
+        loaded, _ = read_csv(path, schema)
+        empty = Column(loaded.column(column).kind, (None,) * loaded.n_rows)
+        write_csv(loaded.with_column(column, empty), path)
+        assert main(["wrangle", "--listings", str(tmp_path / "listings.csv"),
+                     "--calendar", str(tmp_path / "calendar.csv"),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{step}: {column!r} has no non-missing value" in err
 
 
 class TestFeatureMatrixErrors:

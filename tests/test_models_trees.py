@@ -1115,9 +1115,23 @@ class TestSerialization:
          "linear model document coefficients is not an array of numbers"),
         ({"family": "tree", "feature": [0, -1, -1], "threshold": [[0.5], 0.0, 0.0], "value": [1.0, 0.0, 2.0]},
          "tree model document threshold is not an array of numbers"),
+        # json reads NaN and Infinity: these once loaded and wrote x0,inf or x0,nan to the ranking
+        ({"family": "linear", "intercept": float("nan"), "coefficients": [float("inf")],
+          "feature_names": ["x0"]}, "linear model document intercept is not a finite number: nan"),
+        ({"family": "linear", "intercept": 1.0, "coefficients": [float("inf")], "feature_names": ["x0"]},
+         "linear model document coefficients holds a NaN or an infinity"),
+        ({"family": "gbm", "base": 1.0, "learning_rate": float("nan"), "feature_names": ["x0"],
+          "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]}]},
+         "gbm model document learning_rate is not a finite number: nan"),
+        ({"family": "linear", "intercept": "abc", "coefficients": [1.0], "feature_names": ["x0"]},
+         "linear model document intercept is not a finite number: 'abc'"),
+        ({"family": "forest", "max_features": 1, "seed": True, "feature_names": ["x0"],
+          "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]}]},
+         "forest model document seed is not a finite number: True"),
     ])
     def test_non_numeric_array_entry_named(self, tmp_path, capsys, doc, message):
-        # a string or an object once failed as a bare "could not convert string to float"
+        # a string or an object once failed as a bare "could not convert string to
+        # float", and a string intercept as a bare UFuncTypeError
         with pytest.raises(SchemaError, match=message):
             model_from_doc(doc)
         m = _fm([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 5.0, 5.0])

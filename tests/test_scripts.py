@@ -1,7 +1,9 @@
 """The scripts under scripts/ import rentlab's public API; running a small
 part of each keeps an API change from breaking them unnoticed."""
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,3 +23,30 @@ def test_selection_experiment_builds_its_matrix():
     assert matrix.n_rows == 68 * 74  # every listing on every day of its date range
     assert "dist_" in " ".join(matrix.feature_names) and "Wifi" in matrix.feature_names
     assert np.isfinite(matrix.x).all() and np.isfinite(matrix.y).all()
+
+
+def test_artifact_digests_lists_every_file_of_every_run(tmp_path, monkeypatch, capsys):
+    script = _load("artifact_digests")
+    generator = {"n_listings": 6, "date_range": ["2023-01-01", "2023-01-12"]}
+    tiny = {**script.workloads.WORKLOADS["demo"], "generator": generator}
+    example = json.loads((SCRIPTS.parent / "examples" / "demo.json").read_text(encoding="utf-8"))
+    (tmp_path / "small.json").write_text(json.dumps({**example, "generator": generator}), encoding="utf-8")
+    monkeypatch.setattr(script.workloads, "WORKLOADS", {"tiny": tiny})
+    monkeypatch.setattr(script, "SEEDS", (3,))
+    monkeypatch.setattr(script, "EXAMPLES", (tmp_path / "small.json",))
+    listings = {}
+    for run in ("a", "b"):
+        assert script.main([str(tmp_path / run)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listings[run] = lines
+        files = sorted(p for p in (tmp_path / run).rglob("*") if p.is_file())
+        assert [line.split("  ")[1] for line in lines] == [p.relative_to(tmp_path / run).as_posix()
+                                                            for p in files]
+        assert [line.split("  ")[0] for line in lines] == [hashlib.sha256(p.read_bytes()).hexdigest()
+                                                            for p in files]
+    names = [line.split("  ")[1] for line in listings["a"]]
+    for name in ("tiny-3/inputs/calendar.csv", "tiny-3/out/features.csv", "examples-small/listings.csv",
+                 "examples-small/model.json"):
+        assert name in names
+    assert listings["a"] == listings["b"]
+    assert script.main([str(tmp_path / "a")]) == 2  # an OUT_DIR that is not empty

@@ -16,7 +16,6 @@ from rentlab.tabular import (
     Column,
     Schema,
     Table,
-    _format_cell,
     clean_currency,
     drop_duplicates,
     group_means,
@@ -310,13 +309,30 @@ def test_csv_round_trip(tmp_path_factory, table):
                 assert a == b
 
 
-def _reference_write_csv(table, path):
-    """write_csv as one _format_cell per cell and one csv.writer row per row."""
+def _kind_cell(kind, value):
+    """One cell as its column's kind formats it: a missing cell (or a NaN
+    float) as an empty field, a float as its repr."""
+    if value is None:
+        return ""
+    if kind == "numeric":
+        return repr(float(value)) if value == value else ""
+    if kind == "boolean":
+        return "true" if value else "false"
+    if kind == "date":
+        return value.isoformat()
+    return str(value)
+
+
+def _reference_write_columns(path, names, columns):
+    """write_columns as one csv.writer row per row, each cell formatted by
+    its column's kind (a float64 array's is numeric)."""
+    kinds = [c.kind if isinstance(c, Column) else "numeric" for c in columns]
+    values = [c.values if isinstance(c, Column) else c.tolist() for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.names)
-        for i in range(table.n_rows):
-            writer.writerow([_format_cell(c.values[i]) for c in table.cols])
+        writer.writerow(names)
+        for i in range(len(values[0]) if columns else 0):
+            writer.writerow([_kind_cell(kind, v[i]) for kind, v in zip(kinds, values)])
 
 
 _CELL_VALUES = {
@@ -324,8 +340,6 @@ _CELL_VALUES = {
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
     ),
-    # equal under ==, apart once written; drawn without a pool, so they meet
-    "mixed": st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, np.float64(-0.0), np.float64(0.0)]),
     "text": st.one_of(
         st.text(alphabet=st.sampled_from('ab ,"\r\n;\'\t'), max_size=5),
         st.text(max_size=5).filter(lambda t: "\x00" not in t),
@@ -343,11 +357,9 @@ def csv_tables(draw):
     for i in range(draw(st.integers(min_value=1, max_value=4))):
         kind = draw(st.sampled_from(sorted(_CELL_VALUES)))
         cells = st.one_of(st.none(), _CELL_VALUES[kind])
-        if kind != "mixed":
-            # a few distinct values each, so that blocks repeat them
-            cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=4)))
-        values = draw(st.lists(cells, min_size=n, max_size=n))
-        columns[f"c{i}"] = ("numeric" if kind == "mixed" else kind, values)
+        # a few distinct values each, so that blocks repeat them
+        cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=4)))
+        columns[f"c{i}"] = (kind, draw(st.lists(cells, min_size=n, max_size=n)))
     return Table.from_dict(columns)
 
 
@@ -357,7 +369,7 @@ def test_write_csv_matches_per_cell_writer(tmp_path_factory, table, block_rows):
     folder = tmp_path_factory.mktemp("csv")
     with mock.patch.object(tabular, "_CSV_BLOCK_ROWS", block_rows):
         write_csv(table, folder / "blocked.csv")
-    _reference_write_csv(table, folder / "per_cell.csv")
+    _reference_write_columns(folder / "per_cell.csv", table.names, table.cols)
     assert (folder / "blocked.csv").read_bytes() == (folder / "per_cell.csv").read_bytes()
 
 
@@ -518,29 +530,21 @@ def test_read_csv_counts_each_coerced_cell(tmp_path):
     assert table.values("d")[-5:] == (None, dt.date(2023, 1, 5), dt.date(2023, 1, 5), None, None)
 
 
-def _reference_write_columns(path, names, columns):
-    """write_columns as csv.writer rows of _format_cell (tuples) or repr
-    (float64 arrays), one cell at a time."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(len(columns[0]) if columns else 0):
-            writer.writerow([_format_cell(c[i]) if isinstance(c, tuple) else repr(float(c[i]))
-                             for c in columns])
-
-
 _WRITER_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.5, 123456789.0]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 9), st.lists(st.booleans(), min_size=1, max_size=4),
+@given(st.integers(0, 9), st.lists(st.sampled_from(["array", *sorted(_CELL_VALUES)]), min_size=1, max_size=4),
        st.sampled_from([1, 2, 512]), st.data())
-def test_write_columns_matches_per_cell_writer(tmp_path_factory, n_rows, is_array, block_rows, data):
-    floats = st.sampled_from(_WRITER_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
-    texts = st.none() | st.sampled_from(["", "a,b", 'q"', "x"]) | st.integers(-5, 5) | floats
+def test_write_columns_matches_per_cell_writer(tmp_path_factory, n_rows, kinds, block_rows, data):
+    # any NaN, of either sign or payload, is written as an empty field
+    floats = st.sampled_from(_WRITER_FLOATS) | st.floats()
+    cells = {**_CELL_VALUES, "numeric": floats, "text": st.sampled_from(["", "a,b", 'q"', "x"])}
     columns = [np.array(data.draw(st.lists(floats, min_size=n_rows, max_size=n_rows)))
-               if array else tuple(data.draw(st.lists(texts, min_size=n_rows, max_size=n_rows)))
-               for array in is_array]
+               if kind == "array"
+               else Column(kind, tuple(data.draw(st.lists(st.none() | cells[kind], min_size=n_rows,
+                                                          max_size=n_rows))))
+               for kind in kinds]
     names = [f"c{j}" for j in range(len(columns))]
     folder = tmp_path_factory.mktemp("cols")
     with mock.patch.object(tabular, "_CSV_BLOCK_ROWS", block_rows):
@@ -553,9 +557,10 @@ def test_write_columns_matches_per_cell_writer(tmp_path_factory, n_rows, is_arra
 def test_write_columns_edge_floats_in_full_blocks(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     picks = np.array(_WRITER_FLOATS)[rng.integers(0, len(_WRITER_FLOATS), (n_rows, 3))]
-    columns = [*picks.T, tuple(rng.choice([None, 1, -0.0, "x"], n_rows).tolist()), picks[:, 0] * -1]
-    names = ["a", "b", "c", "t", "d"]
-    for subset in ([0, 1, 2], [0, 3, 4], [3, 4], [4]):
+    columns = [*picks.T, Column("numeric", tuple(rng.choice([None, 1.0, -0.0, 5e-324], n_rows).tolist())),
+               picks[:, 0] * -1, Column("text", tuple(rng.choice([None, "", "x", "a,b"], n_rows).tolist()))]
+    names = ["a", "b", "c", "n", "d", "t"]
+    for subset in ([0, 1, 2], [0, 3, 4], [3, 4], [4], [3], [5, 3, 0], [5]):
         tabular.write_columns(tmp_path / "blocked.csv", [names[j] for j in subset], [columns[j] for j in subset])
         _reference_write_columns(tmp_path / "cell.csv", [names[j] for j in subset], [columns[j] for j in subset])
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
@@ -564,8 +569,10 @@ def test_write_columns_edge_floats_in_full_blocks(tmp_path, n_rows):
 @pytest.mark.parametrize("block_rows", [1, 512])
 def test_write_columns_quoted_and_empty_cells(tmp_path, block_rows):
     # a quoted cell is quoted once, and a one-column row's lone empty field is written ""
-    texts = ("a,b", 'q"', "x\r\ny", "", None, "plain", "a,b", "")
-    tables = {"one": [texts], "two": [texts, texts[::-1]], "mixed": [texts, np.arange(8.0)]}
+    texts = Column("text", ("a,b", 'q"', "x\r\ny", "", None, "plain", "a,b", ""))
+    floats = Column("numeric", (None, 1.0, float("nan"), -0.0))
+    tables = {"one": [texts], "two": [texts, Column("text", texts.values[::-1])],
+              "mixed": [texts, np.arange(8.0)], "floats": [floats]}
     for name, columns in tables.items():
         names = [f"c{j}" for j in range(len(columns))]
         with mock.patch.object(tabular, "_CSV_BLOCK_ROWS", block_rows):
@@ -573,6 +580,13 @@ def test_write_columns_quoted_and_empty_cells(tmp_path, block_rows):
         _reference_write_columns(tmp_path / "cell.csv", names, columns)
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
     assert (tmp_path / "one.csv").read_bytes() == b'c0\r\n"a,b"\r\n"q"""\r\n"x\r\ny"\r\n""\r\n""\r\nplain\r\n"a,b"\r\n""\r\n'
+    assert (tmp_path / "floats.csv").read_bytes() == b'c0\r\n""\r\n1.0\r\n""\r\n-0.0\r\n'
+
+
+def test_write_columns_names_a_numeric_column_holding_text(tmp_path):
+    table = Table.from_dict({"ok": ("numeric", [1.0, None]), "price": ("numeric", [2.0, "abc"])})
+    with pytest.raises(SchemaError, match="numeric column 'price'"):
+        write_csv(table, tmp_path / "t.csv")
 
 
 def _reference_take(table, indices):
