@@ -445,7 +445,7 @@ def stage_wrangle(
         tuple(keep), tuple(calendar.column(c) for c in keep)
     )
     n_before = calendar.n_rows
-    priced = calendar.filter([v is not None for v in calendar.values("price")])
+    priced = calendar.filter(~calendar.column("price").missing)
     report.add("drop_missing_rows", "price", n_before - priced.n_rows)
     calendar = remove_outliers(priced, "price", opts.multiplier, report=report)
     if opts.gap is not None:
@@ -494,7 +494,7 @@ def stage_sentiment(
 
 
 def _one_hot_with_reference(table: Table, col: str) -> Table:
-    categories = sorted({v for v in table.values(col) if v is not None})
+    categories = sorted(set(table.cells(col)) - {None})
     encoded = one_hot(table, col)
     if len(categories) > 1:
         encoded = encoded.without_columns([f"{col}_{categories[0]}"])
@@ -515,8 +515,7 @@ def stage_featurize(
 
     listings, bad_rows = poi_distance_features(listings, pois)
     if bad_rows:
-        bad = set(bad_rows)
-        listings = listings.take([i for i in range(listings.n_rows) if i not in bad])
+        listings = listings.take(np.delete(np.arange(listings.n_rows), bad_rows))
     top = top_k_amenities(listings, opts.amenity_k)
     if top:
         listings = binarize_amenities(listings, top)
@@ -524,11 +523,11 @@ def stage_featurize(
         if col in listings:
             listings = _one_hot_with_reference(listings, col)
     if scored is not None:  # a listing without scored reviews takes the mean of all
-        means, overall = group_means(scored.values("listing_id"), scored.values("compound"))
+        means, overall = group_means(scored.cells("listing_id"), scored.column("compound"))
         fallback = 0.0 if overall is None else overall
         listings = listings.with_column(
             "listing_sentiment",
-            Column("numeric", tuple(means.get(lid, fallback) for lid in listings.values("id"))),
+            Column.of("numeric", [means.get(lid, fallback) for lid in listings.cells("id")]),
         )
 
     calendar = expand_date(calendar, "date")

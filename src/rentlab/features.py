@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from .errors import AssemblyError, SchemaError
 from .tabular import (
     Column,
     Table,
-    _gather,
     _parse_cell,
     join_columns,
     join_rows,
@@ -144,19 +144,15 @@ def poi_distance_features(
     Rows with missing coordinates get missing distances; their indices are
     returned so callers can report them.
     """
-    lats = table.values(lat)
-    lons = table.values(lon)
-    bad_rows = [i for i in range(table.n_rows) if lats[i] is None or lons[i] is None]
+    lat_col, lon_col = table.column(lat), table.column(lon)
+    bad = lat_col.missing | lon_col.missing
+    here = [None if b else GeoPoint(la, lo)
+            for b, la, lo in zip(bad.tolist(), lat_col.values.tolist(), lon_col.values.tolist())]
     out = table
     for name, point in pois.pois:
-        values = []
-        for i in range(table.n_rows):
-            if lats[i] is None or lons[i] is None:
-                values.append(None)
-            else:
-                values.append(haversine_km(GeoPoint(lats[i], lons[i]), point))
-        out = out.with_column(f"dist_{name}_km", Column("numeric", tuple(values)))
-    return out, bad_rows
+        values = [math.nan if p is None else haversine_km(p, point) for p in here]
+        out = out.with_column(f"dist_{name}_km", Column("numeric", np.array(values), bad))
+    return out, np.flatnonzero(bad).tolist()
 
 
 def parse_amenities(cell: str | None) -> list[str]:
@@ -186,7 +182,7 @@ def top_k_amenities(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     counts: dict[str, int] = {}
-    for cell in table.values(col):
+    for cell in table.cells(col):
         for a in parse_amenities(cell):
             counts[a] = counts.get(a, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -201,16 +197,12 @@ def binarize_amenities(
     """Add one 0/1 column per amenity plus amenity_count (full list length)."""
     if not amenities:
         raise ValueError("amenity list must be non-empty")
-    lists = [parse_amenities(cell) for cell in table.values(col)]
+    lists = [parse_amenities(cell) for cell in table.cells(col)]
     parsed = [set(items) for items in lists]
-    lengths = [len(items) for items in lists]
     out = table
     for a in amenities:
-        out = out.with_column(
-            a, Column("integer", tuple(1 if a in s else 0 for s in parsed))
-        )
-    out = out.with_column("amenity_count", Column("integer", tuple(lengths)))
-    return out
+        out = out.with_column(a, Column.of("integer", np.array([a in s for s in parsed])))
+    return out.with_column("amenity_count", Column.of("integer", np.array(list(map(len, lists)))))
 
 
 def expand_date(table: Table, date_col: str = "date") -> Table:
@@ -218,19 +210,13 @@ def expand_date(table: Table, date_col: str = "date") -> Table:
     dates = table.column(date_col)
     if dates.kind != "date":
         raise SchemaError(f"expand_date needs a date column, {date_col!r} is {dates.kind}")
-    years, months, dows = [], [], []
-    for d in dates.values:
-        if d is None:
-            years.append(None)
-            months.append(None)
-            dows.append(None)
-        else:
-            years.append(d.year)
-            months.append(d.month)
-            dows.append(d.weekday())
-    out = table.with_column("year", Column("integer", tuple(years)))
-    out = out.with_column("month", Column("integer", tuple(months)))
-    out = out.with_column("day_of_week", Column("integer", tuple(dows)))
+    present = dates.values[~dates.missing].tolist()
+    out = table
+    for name, part in (("year", attrgetter("year")), ("month", attrgetter("month")),
+                       ("day_of_week", methodcaller("weekday"))):
+        values = np.zeros(len(dates), dtype=np.int64)
+        values[~dates.missing] = list(map(part, present))
+        out = out.with_column(name, Column("integer", values, dates.missing))
     return out
 
 
@@ -243,13 +229,9 @@ def one_hot(table: Table, col: str) -> Table:
     source = table.column(col)
     if source.kind != "text":
         raise SchemaError(f"one_hot needs a text column, {col!r} is {source.kind}")
-    categories = sorted({v for v in source.values if v is not None})
     out = table.without_columns([col])
-    for cat in categories:
-        out = out.with_column(
-            f"{col}_{cat}",
-            Column("integer", tuple(1 if v == cat else 0 for v in source.values)),
-        )
+    for cat in sorted(set(source.cells()) - {None}):
+        out = out.with_column(f"{col}_{cat}", Column.of("integer", source.values == cat))
     return out
 
 
@@ -264,20 +246,6 @@ def standardize(m: FeatureMatrix) -> FeatureMatrix:
 ID_COLUMNS = frozenset({"id", "listing_id", "host_id", "reviewer_id", "scrape_id"})
 
 
-def feature_columns(table: Table, target: str) -> list[str]:
-    """The columns of table that can be features: numeric, integer or
-    boolean, neither the target nor an id, with no missing cell and at least
-    two distinct values (a constant column collides with the intercept)."""
-    return [
-        name
-        for name, col in zip(table.names, table.cols)
-        if name != target and name not in ID_COLUMNS
-        and col.kind in ("numeric", "integer", "boolean")
-        and col.n_missing == 0
-        and len(set(col.values)) > 1
-    ]
-
-
 def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> FeatureMatrix:
     """Stack the named columns into a float design matrix, target last-checked.
 
@@ -289,12 +257,12 @@ def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> Featu
         col = table.column(name)
         if col.kind not in ("numeric", "integer", "boolean"):
             raise AssemblyError(f"column {name!r} has kind {col.kind}, need numeric")
-        rows = [i for i, v in enumerate(col.values) if v is None]
+        rows = np.flatnonzero(col.missing).tolist()
         if rows:
             head = ", ".join(map(str, rows[:5]))
             offending.append(f"{name} (rows {head}{'...' if len(rows) > 5 else ''})")
             continue
-        arrays.append(np.array([float(v) for v in col.values], dtype=np.float64))
+        arrays.append(col.values.astype(np.float64))
     if offending:
         raise AssemblyError("missing cells in: " + "; ".join(offending))
     # x and y are views of one block, target last, the layout matrix_from_csv
@@ -305,39 +273,40 @@ def assemble_matrix(table: Table, target: str, feature_cols: list[str]) -> Featu
 
 
 def join_matrix(left: Table, right: Table, left_on: str, right_on: str, target: str) -> FeatureMatrix:
-    """``assemble_matrix(joined, target, feature_columns(joined, target))``
-    of ``joined = inner_join(left, right, left_on, right_on)``, bit for bit
-    and with the same errors, without building ``joined``.
+    """The design matrix of ``joined = inner_join(left, right, left_on,
+    right_on)`` without building ``joined``: the target, and as features
+    every other numeric, integer or boolean column that is not an id, has no
+    missing cell and has at least two distinct values (a constant column
+    collides with the intercept). ``assemble_matrix`` of ``joined`` and those
+    features gives the same matrix bit for bit, and the same errors.
 
     The join gives its (left, right) row indices once. A joined column holds
     the values of its side's rows that the join uses, so a column is a
-    feature if those rows' values pass ``feature_columns``' test: about a
-    hundred listings, not a row per listing-day. The chosen columns become
-    float blocks over their side's rows, one per run of adjacent matrix
-    columns from one side, which the matrix gathers by the join's indices."""
-    rows = join_rows(left.values(left_on), right.values(right_on))
+    feature if those rows pass the test: about a hundred listings, not a row
+    per listing-day. The chosen columns become float blocks over their
+    side's rows, one per run of adjacent matrix columns from one side, which
+    the matrix gathers by the join's indices."""
+    rows = join_rows(left.cells(left_on), right.cells(right_on))
     columns = join_columns(left, right, right_on)
     # each side's rows that the join uses, once each
-    used = [_gather(np.flatnonzero(np.bincount(r, minlength=t.n_rows)))
-            for r, t in zip(rows, (left, right))]
+    used = [np.flatnonzero(np.bincount(r, minlength=t.n_rows)) for r, t in zip(rows, (left, right))]
     features = [
         name
         for name, (side, col) in columns.items()
         if name != target and name not in ID_COLUMNS
         and col.kind in ("numeric", "integer", "boolean")
-        and None not in (values := used[side](col.values))
-        and len(set(values)) > 1
+        and not col.missing[used[side]].any()
+        and ((values := col.values[used[side]])[1:] != values[:1]).any()
     ]
     if target not in columns:
         raise SchemaError(f"no column named {target!r}")
     side, col = columns[target]
     if col.kind not in ("numeric", "integer", "boolean"):
         raise AssemblyError(f"column {target!r} has kind {col.kind}, need numeric")
-    if None in col.values:
-        missing = np.flatnonzero(np.array([v is None for v in col.values])[rows[side]]).tolist()
-        if missing:
-            head = ", ".join(map(str, missing[:5]))
-            raise AssemblyError(f"missing cells in: {target} (rows {head}{'...' if len(missing) > 5 else ''})")
+    missing = np.flatnonzero(col.missing[rows[side]]).tolist()
+    if missing:
+        head = ", ".join(map(str, missing[:5]))
+        raise AssemblyError(f"missing cells in: {target} (rows {head}{'...' if len(missing) > 5 else ''})")
     data = np.empty((rows[0].size, len(features) + 1))
     at = 0
     # each run of adjacent matrix columns from one side: a float block

@@ -60,12 +60,17 @@ def _decode(kind, value, where: str):
     # json reads NaN and Infinity as floats; a bool is neither an int nor a float here
     if kind in (float, int) and type(value) is not int and not (type(value) is float and math.isfinite(value)):
         raise SchemaError(f"{where} is not a finite number: {value!r:.80}")
+    if kind in (str, bool) and type(value) is not kind:
+        raise SchemaError(f"{where} is not a JSON {'string' if kind is str else 'bool'}: {value!r:.80}")
     if is_dataclass(kind):
         return _from_fields(kind, value, where)
-    if typing.get_origin(kind) is list:
-        (item,) = typing.get_args(kind)
-        return [_decode(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
-    return tuple(value) if typing.get_origin(kind) is tuple else value
+    origin = typing.get_origin(kind)
+    if origin in (list, tuple):  # list[T] or tuple[T, ...]
+        if type(value) is not list:
+            raise SchemaError(f"{where} is not a JSON list: {value!r:.80}")
+        items = [_decode(typing.get_args(kind)[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return tuple(items) if origin is tuple else items
+    return value
 
 
 def _from_fields(cls, doc, where: str):

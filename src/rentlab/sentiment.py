@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from itertools import compress, count
 
+import numpy as np
+
 from .report import StageReport
 from .tabular import Column, Table, group_means, shipped_file
 
@@ -284,7 +286,7 @@ def score_reviews(reviews: Table, lex: Lexicon, report: StageReport | None = Non
     host-average fill can overwrite them. Each distinct comment is cleaned
     once, and each distinct cleaned text filtered and scored once.
     """
-    comments = reviews.values("comments")
+    comments = reviews.cells("comments")
     cleaned = {c: clean_text(c) if c is not None else "" for c in dict.fromkeys(comments)}
     texts = list(map(cleaned.__getitem__, comments))
     # each kept cleaned text's five cells; a text failing looks_english has none
@@ -299,7 +301,7 @@ def score_reviews(reviews: Table, lex: Lexicon, report: StageReport | None = Non
     columns = list(zip(*[cells[t] for t in texts if t in cells])) or [()] * 5
     out = reviews.take(keep)
     for name, values in zip(("pos", "neg", "neu", "compound", "label"), columns):
-        out = out.with_column(name, Column("text" if name == "label" else "numeric", values))
+        out = out.with_column(name, Column.of("text" if name == "label" else "numeric", values))
     if report is not None:
         report.add("score_reviews", "comments", len(keep) - texts.count(""),
                    f"dropped_non_english={len(texts) - len(keep)}")
@@ -313,26 +315,20 @@ def fill_missing_sentiment(
 ) -> Table:
     """Replace missing compounds with the host's mean compound (global mean
     when the host has no scored reviews) and rebuild labels for filled rows."""
-    compounds = table.values("compound")
-    hosts = table.values(host_col)
+    compounds = table.column("compound")
+    hosts = table.cells(host_col)
     host_means, overall = group_means(hosts, compounds)
     global_mean = 0.0 if overall is None else overall
 
-    labels = list(table.values("label")) if "label" in table else [None] * table.n_rows
-    filled = 0
-    new_compound = []
-    for i, (h, c) in enumerate(zip(hosts, compounds)):
-        if c is not None:
-            new_compound.append(c)
-            continue
-        value = host_means.get(h, global_mean)
-        value = max(-1.0, min(1.0, value))
-        new_compound.append(value)
-        labels[i] = classify_compound(value)
-        filled += 1
-    out = table.with_column("compound", Column("numeric", tuple(new_compound)))
+    rows = np.flatnonzero(compounds.missing).tolist()
+    fills = [max(-1.0, min(1.0, host_means.get(hosts[i], global_mean))) for i in rows]
+    values = compounds.values.copy()
+    values[rows] = fills
+    out = table.with_column("compound", Column.of("numeric", values))
     if "label" in table:
-        out = out.with_column("label", Column("text", tuple(labels)))
+        labels = table.column("label").values.copy()
+        labels[rows] = list(map(classify_compound, fills))
+        out = out.with_column("label", Column.of("text", labels))
     if report is not None:
-        report.add("fill_missing_sentiment", "compound", filled, f"global_mean={global_mean!r}")
+        report.add("fill_missing_sentiment", "compound", len(rows), f"global_mean={global_mean!r}")
     return out

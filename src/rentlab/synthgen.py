@@ -229,8 +229,8 @@ def _generate_listings(cfg: GenConfig) -> Table:
         )
     ]
 
-    rating_cells = [float(v) for v in rating]
-    location_cells = [float(v) for v in location_score]
+    rating_cells = rating.tolist()
+    location_cells = location_score.tolist()
     if cfg.missing_fraction > 0.0:
         n_miss = int(round(cfg.missing_fraction * n))
         for i in rng.choice(n, size=min(n_miss, n), replace=False):
@@ -239,26 +239,26 @@ def _generate_listings(cfg: GenConfig) -> Table:
             location_cells[i] = None
 
     listing_rows = {
-        "id": ("integer", [1000 + i for i in range(n)]),
-        "host_id": ("integer", [int(h) for h in host_ids]),
+        "id": ("integer", np.arange(1000, 1000 + n)),
+        "host_id": ("integer", host_ids),
         "host_since": ("date", host_since),
-        "host_is_superhost": ("boolean", [bool(v) for v in superhost]),
-        "neighbourhood_cleansed": ("text", [f"787{int(v):02d}" for v in rng.integers(1, 60, size=n)]),
-        "latitude": ("numeric", [float(v) for v in lat]),
-        "longitude": ("numeric", [float(v) for v in lon]),
+        "host_is_superhost": ("boolean", superhost),
+        "neighbourhood_cleansed": ("text", [f"787{v:02d}" for v in rng.integers(1, 60, size=n).tolist()]),
+        "latitude": ("numeric", lat),
+        "longitude": ("numeric", lon),
         "property_type": ("text", [PROPERTY_TYPES[i] for i in property_types]),
         "room_type": ("text", [ROOM_TYPES[i] for i in room_types]),
-        "accommodates": ("integer", [int(v) for v in accommodates]),
-        "bedrooms": ("integer", [int(v) for v in bedrooms]),
-        "beds": ("integer", [int(v) for v in beds]),
+        "accommodates": ("integer", accommodates),
+        "bedrooms": ("integer", bedrooms),
+        "beds": ("integer", beds),
         "amenities": ("text", amenities),
-        "availability_30": ("integer", [int(v) for v in avail_30]),
-        "availability_365": ("integer", [int(v) for v in avail_365]),
-        "number_of_reviews": ("integer", [int(v) for v in n_reviews]),
+        "availability_30": ("integer", avail_30),
+        "availability_365": ("integer", avail_365),
+        "number_of_reviews": ("integer", n_reviews),
         "review_scores_rating": ("numeric", rating_cells),
         "review_scores_location": ("numeric", location_cells),
-        "instant_bookable": ("boolean", [bool(v) for v in instant]),
-        "reviews_per_month": ("numeric", [float(v) for v in reviews_pm]),
+        "instant_bookable": ("boolean", instant),
+        "reviews_per_month": ("numeric", reviews_pm),
     }
     return Table.from_dict(listing_rows)
 
@@ -296,19 +296,9 @@ def _generate_calendar(cfg: GenConfig, listings: Table) -> Table:
     n_rows = cfg.n_listings * rows_per
 
     base_by_date = [dow_month_base(cfg, d.weekday(), d.month) for d in dates]
-    prices = np.empty(n_rows)
-    listing_ids: list[int] = []
-    date_cells: list[_dt.date] = []
-    pos = 0
-    for i in range(cfg.n_listings):
-        listing = listings.row(i)
-        lid = listing["id"]
-        term = listing_price_term(cfg, listing)
-        for d, base in zip(dates, base_by_date):
-            prices[pos] = base + term
-            listing_ids.append(lid)
-            date_cells.append(d)
-            pos += 1
+    # a row per listing and date, listing by listing
+    terms = [listing_price_term(cfg, listing) for listing in listings.rows()]
+    prices = np.add.outer(terms, base_by_date).ravel()
     if cfg.noise_std > 0.0:
         prices = prices + rng.normal(0.0, cfg.noise_std, size=n_rows)
     prices = np.maximum(prices, 1.0)
@@ -327,11 +317,11 @@ def _generate_calendar(cfg: GenConfig, listings: Table) -> Table:
 
     return Table.from_dict(
         {
-            "listing_id": ("integer", listing_ids),
-            "date": ("date", date_cells),
-            "available": ("boolean", [bool(v) for v in available]),
+            "listing_id": ("integer", listings.column("id").values.repeat(rows_per)),
+            "date": ("date", dates * cfg.n_listings),
+            "available": ("boolean", available),
             "price": ("text", cells),
-            "minimum_nights": ("integer", [int(v) for v in min_nights]),
+            "minimum_nights": ("integer", min_nights),
         }
     )
 
@@ -342,8 +332,7 @@ def _generate_reviews(cfg: GenConfig, listings: Table) -> Table:
     span = (end - start).days + 1
     listing_ids, review_ids, dates, reviewer_ids, names, comments = [], [], [], [], [], []
     next_id = 10000
-    for i in range(cfg.n_listings):
-        lid = listings.values("id")[i]
+    for lid in listings.cells("id"):
         n_reviews = int(rng.integers(0, cfg.max_reviews_per_listing + 1))
         for _ in range(n_reviews):
             positive = rng.random() < cfg.positive_review_rate

@@ -1,7 +1,7 @@
 """Column-typed tabular container, CSV ingestion, and value cleaning.
 
-Tables are immutable: every operation returns a new table. A cell is either a
-typed value or ``None`` (the explicit missing marker); nothing is silently
+Tables are immutable: every operation returns a new table. A column is one
+array of typed values and one mask of its missing cells; nothing is silently
 coerced. CSV ingestion is schema-driven and reports what it could not parse.
 """
 
@@ -11,11 +11,10 @@ import csv
 import datetime as _dt
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, compress, count, repeat
-from operator import itemgetter, methodcaller
+from itertools import chain, compress, repeat
+from operator import methodcaller
 
 import numpy as np
 
@@ -30,24 +29,71 @@ PARSE_KINDS = KINDS + ("currency",)
 _TRUE_TOKENS = {"t", "true", "1", "yes"}
 _FALSE_TOKENS = {"f", "false", "0", "no"}
 
+# each kind's array dtype, and what a missing cell of the kind holds
+_DTYPES = {"numeric": np.float64, "integer": np.int64, "boolean": np.bool_, "text": object, "date": object}
+_MASKED = {"numeric": math.nan, "integer": 0, "boolean": False, "text": None, "date": None}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Column:
-    """A single typed column; ``values[i] is None`` marks a missing cell."""
+    """A single typed column: ``values``, an array of the kind's dtype, and
+    ``missing``, a bool array marking the missing cells (Arrow's validity
+    bitmap, inverted), which hold NaN, 0, False or None."""
 
     kind: str
-    values: tuple
+    values: np.ndarray
+    missing: np.ndarray
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SchemaError(f"unknown column kind {self.kind!r}")
 
+    @staticmethod
+    def of(kind: str, cells, name: str = "") -> "Column":
+        """A column of Python cells, None marking a missing one, or of an
+        array, which has no missing cell. A cell that does not convert to
+        the kind is a SchemaError naming the column; so is an integer or
+        boolean cell that would not be stored as itself (1.5 as 1, "no" as
+        True), or an array that does not cast to the kind without loss."""
+        array = isinstance(cells, np.ndarray) and cells.dtype != object
+        if array:
+            missing = np.zeros(len(cells), dtype=bool)
+        else:
+            cells = list(cells)
+            missing = np.array([c is None for c in cells], dtype=bool)
+            if missing.any():
+                cells = [_MASKED.get(kind) if c is None else c for c in cells]
+        try:
+            values = np.array(cells, dtype=_DTYPES.get(kind))
+            exact = kind not in ("integer", "boolean") or (
+                np.can_cast(cells.dtype, values.dtype) if array else values.tolist() == cells)
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            label = f"{kind} column {name!r}" if name else f"{kind} column"
+            raise SchemaError(f"{label} holds a cell that is not {kind}")
+        return Column(kind, values, missing)
+
     def __len__(self) -> int:
         return len(self.values)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Column) and self.kind == other.kind and self.cells() == other.cells()
+
     @property
     def n_missing(self) -> int:
-        return self.values.count(None)
+        return int(self.missing.sum())
+
+    def cells(self, rows: slice = slice(None)) -> list:
+        """The Python cells of ``rows``, None for a missing one: what
+        ``Column.of`` takes."""
+        cells = self.values[rows].tolist()
+        for i in np.flatnonzero(self.missing[rows]).tolist():
+            cells[i] = None
+        return cells
+
+    def take(self, indices) -> "Column":
+        return Column(self.kind, self.values[indices], self.missing[indices])
 
 
 @dataclass(frozen=True)
@@ -80,11 +126,12 @@ class Table:
         except ValueError:
             raise SchemaError(f"no column named {name!r}") from None
 
-    def values(self, name: str) -> tuple:
-        return self.column(name).values
+    def cells(self, name: str) -> list:
+        return self.column(name).cells()
 
-    def row(self, i: int) -> dict:
-        return {n: c.values[i] for n, c in zip(self.names, self.cols)}
+    def rows(self) -> list[dict]:
+        """Each row as a dict of its Python cells, None for a missing one."""
+        return [dict(zip(self.names, cells)) for cells in zip(*(c.cells() for c in self.cols))]
 
     def with_column(self, name: str, col: Column) -> "Table":
         """Append a column, or replace it if the name already exists."""
@@ -105,18 +152,16 @@ class Table:
 
     def take(self, indices) -> "Table":
         """Row subset/reorder by integer indices."""
-        take = _gather(indices)
-        return Table(self.names, tuple(Column(c.kind, take(c.values)) for c in self.cols))
+        idx = np.asarray(indices, dtype=np.intp)
+        return Table(self.names, tuple(c.take(idx) for c in self.cols))
 
     def filter(self, mask) -> "Table":
-        return self.take(compress(count(), mask))
+        return self.take(np.flatnonzero(mask))
 
     @staticmethod
     def from_dict(data: dict[str, tuple[str, list]]) -> "Table":
-        """Build from ``{name: (kind, values)}`` preserving insertion order."""
-        names = tuple(data.keys())
-        cols = tuple(Column(k, tuple(v)) for k, v in data.values())
-        return Table(names, cols)
+        """Build from ``{name: (kind, cells)}`` preserving insertion order."""
+        return Table(tuple(data), tuple(Column.of(k, v, n) for n, (k, v) in data.items()))
 
 
 @dataclass(frozen=True)
@@ -150,25 +195,18 @@ class LoadReport:
         return sum(self.coerced_missing.values())
 
 
-def _gather(indices):
-    """A function giving the tuple of a sequence's items at ``indices``, in
-    order (an ``itemgetter``, which returns a lone item bare)."""
-    idx = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda values: tuple(values[i] for i in idx)
-
-
 def _parse_cell(raw: str, kind: str):
     """Parse one CSV cell; return (value_or_None, was_coerced). A numeric or
-    currency cell that parses to nan or +-inf is coerced to missing."""
+    currency cell that parses to nan or +-inf, and an integer cell outside
+    int64, is coerced to missing."""
     if raw == "":
         return None, False
     try:
         if kind == "text":
             return raw, False
         if kind == "integer":
-            return int(raw), False
+            value = int(raw)
+            return (value, False) if -2**63 <= value < 2**63 else (None, True)
         if kind in ("numeric", "currency"):
             text = raw.replace("$", "").replace(",", "") if kind == "currency" else raw
             value = float(text)
@@ -193,17 +231,20 @@ def _storage_kind(parse_kind: str) -> str:
     return "numeric" if parse_kind == "currency" else parse_kind
 
 
-def _parse_column(cells: tuple[str, ...], kind: str) -> tuple[tuple, int]:
+def _parse_column(cells, kind: str) -> tuple[Column, int]:
     """``_parse_cell`` of every cell of a column, each distinct cell parsed
-    once: the values and how many cells were coerced to missing."""
-    if kind == "text":
-        return tuple(c or None for c in cells), 0
-    distinct = list(dict.fromkeys(cells))
-    parsed = [_parse_cell(c, kind) for c in distinct]
-    bad = [c for c, (_, coerced) in zip(distinct, parsed) if coerced]
-    values = dict(zip(distinct, (v for v, _ in parsed)))
-    coerced = sum(map(Counter(cells).__getitem__, bad)) if bad else 0
-    return tuple(map(values.__getitem__, cells)), coerced
+    once: the column and how many cells were coerced to missing."""
+    # each distinct cell's row in values and coerced; two lists, not one of
+    # (value, coerced) pairs, whose tuples would be most of the parse's memory
+    index = dict.fromkeys(cells)
+    values, coerced = [], []
+    for i, cell in enumerate(index):
+        index[cell] = i
+        value, bad = _parse_cell(cell, kind)
+        values.append(value)
+        coerced.append(bad)
+    rows = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return Column.of(_storage_kind(kind), values).take(rows), int(np.array(coerced, dtype=bool)[rows].sum())
 
 
 def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
@@ -240,10 +281,10 @@ def read_csv(path, schema: Schema) -> tuple[Table, LoadReport]:
         if parse_kind is None:
             parse_kind = "text"
             untyped.append(name)
-        values, coerced = _parse_column(cells, parse_kind)
+        col, coerced = _parse_column(cells, parse_kind)
         if coerced:
             report.coerced_missing[name] = coerced
-        cols.append(Column(_storage_kind(parse_kind), values))
+        cols.append(col)
     report.untyped_columns = tuple(untyped)
     return Table(tuple(header), tuple(cols)), report
 
@@ -258,7 +299,7 @@ _FORMATS = {"integer": str, "text": str, "date": methodcaller("isoformat"),
             "boolean": lambda v: "true" if v else "false"}
 
 
-def _distinct_cells(values: tuple, fmt) -> list[str]:
+def _distinct_cells(values: list, fmt) -> list[str]:
     """``fmt`` of each value, an empty field for a missing one, quoted as
     csv.writer quotes it: each distinct value formatted and quoted once."""
     text = {v: "" if v is None else fmt(v) for v in dict.fromkeys(values)}
@@ -285,14 +326,6 @@ def _repr_cells(block: np.ndarray) -> np.ndarray:
     return text[distinct.searchsorted(bits)]
 
 
-def _floats(name: str, col) -> np.ndarray:
-    """A numeric column as a float64 array, a missing cell as NaN."""
-    try:
-        return np.asarray(col.values if isinstance(col, Column) else col, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise SchemaError(f"numeric column {name!r} holds a cell that is not a number") from None
-
-
 def write_columns(path, names, columns) -> None:
     """Write RFC-4180 CSV: the header, then the equally long columns a block
     of rows at a time. A column is a Column or a float64 array, formatted by
@@ -300,7 +333,8 @@ def write_columns(path, names, columns) -> None:
     others by ``_distinct_cells``. Cells are quoted as csv.writer quotes them."""
     n_rows = len(columns[0]) if columns else 0
     kinds = [c.kind if isinstance(c, Column) else "numeric" for c in columns]
-    floats = [_floats(name, c) for name, c, kind in zip(names, columns, kinds) if kind == "numeric"]
+    # a missing numeric cell holds NaN, which _repr_cells writes empty
+    floats = [getattr(c, "values", c) for c, kind in zip(columns, kinds) if kind == "numeric"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(names)
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
@@ -312,7 +346,7 @@ def write_columns(path, names, columns) -> None:
             else:
                 float_cells = iter(text.tolist() if floats else ())
                 cells = [next(float_cells) if kind == "numeric"
-                         else _distinct_cells(c.values[start:stop], _FORMATS[kind])
+                         else _distinct_cells(c.cells(slice(start, stop)), _FORMATS[kind])
                          for c, kind in zip(columns, kinds)]
                 if len(cells) == 1:
                     # csv.writer quotes a row's lone empty field
@@ -331,25 +365,21 @@ def clean_currency(col: Column) -> Column:
     are stripped, and unparseable, empty or non-finite text becomes missing."""
     if col.kind != "text":
         raise SchemaError(f"clean_currency expects a text column, got {col.kind}")
-    return Column(
-        "numeric", tuple(None if v is None else _parse_cell(v, "currency")[0] for v in col.values)
-    )
+    return _parse_column([v or "" for v in col.values.tolist()], "currency")[0]
 
 
-def group_means(keys, values) -> tuple[dict, float | None]:
-    """Mean of values per key, and the mean of every non-missing value (None
-    when there is none).
+def group_means(keys, values: Column) -> tuple[dict, float | None]:
+    """Mean of a numeric or integer column's values per key (a Python cell),
+    and the mean of every non-missing value (None when there is none).
 
-    A row with a missing value is skipped; a row with a missing key counts
-    only toward the overall mean. Values are added in row order with ``+``
-    from 0.0, so a mean is reproducible to the last bit.
+    A row with a missing value is skipped; a row with a missing key (None)
+    counts only toward the overall mean. Values are added in row order with
+    ``+`` from 0.0, so a mean is reproducible to the last bit.
     """
     sums: dict = {}
     counts: dict = {}
     total, n = 0.0, 0
-    for key, v in zip(keys, values):
-        if v is None:
-            continue
+    for key, v in compress(zip(keys, values.values.tolist()), (~values.missing).tolist()):
         total += v
         n += 1
         if key is not None:
@@ -365,7 +395,7 @@ def shipped_file(name: str):
 
 def drop_duplicates(table: Table, keys: list[str]) -> Table:
     """Keep the first row for each key tuple; row order is stable."""
-    cols = [table.values(k) for k in keys]
+    cols = [table.cells(k) for k in keys]
     rows = list(zip(*cols)) if cols else [()] * table.n_rows
     # built from the last row back, each key ends up with its first row
     first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
@@ -403,11 +433,9 @@ def inner_join(left: Table, right: Table, left_on: str, right_on: str) -> Table:
     Right-side columns keep their names except the join key; collisions get a
     "_r" suffix. Rows with a missing key never match.
     """
-    right_keys = right.values(right_on)
-    takes = [_gather(rows) for rows in join_rows(left.values(left_on), right_keys)]
+    rows = join_rows(left.cells(left_on), right.cells(right_on))
     columns = join_columns(left, right, right_on)
-    return Table(tuple(columns),
-                 tuple(Column(col.kind, takes[side](col.values)) for side, col in columns.values()))
+    return Table(tuple(columns), tuple(col.take(rows[side]) for side, col in columns.values()))
 
 
 def _airbnb_listings_fields() -> dict[str, str]:

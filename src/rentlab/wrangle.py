@@ -9,6 +9,9 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import EmptyInputError, SchemaError
 from .features import haversine_km, GeoPoint
@@ -30,8 +33,9 @@ class Fences:
     q3: float
     multiplier: float
 
-    def contains(self, v: float) -> bool:
-        return self.lower <= v <= self.upper
+    def contains(self, v):
+        """Whether v, a number or an array, is within the fences."""
+        return (self.lower <= v) & (v <= self.upper)
 
 
 @dataclass(frozen=True)
@@ -50,18 +54,19 @@ class GapSpec:
         return [self.start + _dt.timedelta(days=i) for i in range(n)]
 
 
-def quantile(values, q: float) -> float:
-    """Linear-interpolation quantile at position (n-1)*q, missing excluded.
+def quantile(column: Column, q: float) -> float:
+    """Linear-interpolation quantile at position (n-1)*q of a numeric or
+    integer column, missing excluded.
 
     A non-finite value (nan, +-inf) raises ValueError naming it.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0,1], got {q}")
-    xs = [v for v in values if v is not None]
+    # stable, as list.sort is, so that of 0.0 and -0.0 the first stays first
+    xs = np.sort(column.values[~column.missing], kind="stable").tolist()
     for v in xs:
         if not math.isfinite(v):
             raise ValueError(f"quantile of non-finite input value {v!r}")
-    xs.sort()
     if not xs:
         raise EmptyInputError("quantile of all-missing input")
     pos = (len(xs) - 1) * q
@@ -71,12 +76,12 @@ def quantile(values, q: float) -> float:
     return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
-def iqr_fences(values, multiplier: float = DEFAULT_IQR_MULTIPLIER) -> Fences:
+def iqr_fences(column: Column, multiplier: float = DEFAULT_IQR_MULTIPLIER) -> Fences:
     """Fences from the 25th/75th percentiles of the non-missing values."""
     if multiplier < 0:
         raise ValueError(f"multiplier must be >= 0, got {multiplier}")
-    q1 = quantile(values, 0.25)
-    q3 = quantile(values, 0.75)
+    q1 = quantile(column, 0.25)
+    q3 = quantile(column, 0.75)
     iqr = q3 - q1
     return Fences(q1 - multiplier * iqr, q3 + multiplier * iqr, q1, q3, multiplier)
 
@@ -96,9 +101,8 @@ def remove_outliers(
         raise TypeError(f"remove_outliers needs a numeric column, {col!r} is {column.kind}")
     if column.n_missing == len(column):
         raise EmptyInputError(f"remove_outliers: {col!r} has no non-missing value")
-    fences = iqr_fences(column.values, multiplier)
-    mask = [v is None or fences.contains(v) for v in column.values]
-    out = table.filter(mask)
+    fences = iqr_fences(column, multiplier)
+    out = table.filter(column.missing | fences.contains(column.values))
     if report is not None:
         report.add("remove_outliers", col, table.n_rows - out.n_rows,
                    f"lower={fences.lower!r};upper={fences.upper!r}")
@@ -119,18 +123,15 @@ def impute_group_mean(
     gcol = table.column(group)
     if tcol.kind not in ("numeric", "integer"):
         raise SchemaError(f"impute target {target!r} must be numeric, is {tcol.kind}")
-    means, _ = group_means(gcol.values, tcol.values)
-    filled = 0
-    out = []
-    for g, v in zip(gcol.values, tcol.values):
-        if v is None and g in means:
-            out.append(means[g])
-            filled += 1
-        else:
-            out.append(float(v) if v is not None else None)
+    groups = gcol.cells()
+    means, _ = group_means(groups, tcol)
+    # each row's group mean, NaN for a group without one
+    group_mean = np.fromiter(map(means.get, groups, repeat(math.nan)), dtype=np.float64, count=len(groups))
+    filled = tcol.missing & ~np.isnan(group_mean)
+    out = Column("numeric", np.where(tcol.missing, group_mean, tcol.values), tcol.missing & ~filled)
     if report is not None:
-        report.add("impute_group_mean", target, filled, f"group={group}")
-    return table.with_column(target, Column("numeric", tuple(out)))
+        report.add("impute_group_mean", target, int(filled.sum()), f"group={group}")
+    return table.with_column(target, out)
 
 
 def impute_global_median(
@@ -144,12 +145,11 @@ def impute_global_median(
         raise SchemaError(f"impute target {target!r} must be numeric, is {tcol.kind}")
     if tcol.n_missing == len(tcol):
         raise EmptyInputError(f"impute_global_median: {target!r} has no non-missing value")
-    med = quantile(tcol.values, 0.5)
-    filled = sum(1 for v in tcol.values if v is None)
-    out = tuple(float(v) if v is not None else med for v in tcol.values)
+    med = quantile(tcol, 0.5)
+    out = Column.of("numeric", np.where(tcol.missing, med, tcol.values))
     if report is not None:
-        report.add("impute_global_median", target, filled, f"median={med!r}")
-    return table.with_column(target, Column("numeric", tuple(out)))
+        report.add("impute_global_median", target, tcol.n_missing, f"median={med!r}")
+    return table.with_column(target, out)
 
 
 def knn_impute_geo(
@@ -170,25 +170,19 @@ def knn_impute_geo(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    tcol = table.column(target)
-    lats = table.values(lat)
-    lons = table.values(lon)
-    donors = [
-        (i, lats[i], lons[i], tcol.values[i])
-        for i in range(table.n_rows)
-        if tcol.values[i] is not None and lats[i] is not None and lons[i] is not None
-    ]
-    missing_rows = [i for i, v in enumerate(tcol.values) if v is None]
+    tcol, lat_col, lon_col = (table.column(name) for name in (target, lat, lon))
+    located = ~(lat_col.missing | lon_col.missing)
+    lats, lons, values = (c.values.tolist() for c in (lat_col, lon_col, tcol))
+    donors = [(i, lats[i], lons[i], values[i]) for i in np.flatnonzero(located & ~tcol.missing).tolist()]
+    missing_rows = np.flatnonzero(tcol.missing).tolist()
     if missing_rows and not donors:
         raise EmptyInputError(f"knn_impute_geo: no donors with non-missing {target!r}")
 
-    out = [float(v) if v is not None else None for v in tcol.values]
+    out = np.where(tcol.missing, math.nan, tcol.values)
     short = 0
     far = 0
     max_used_km = 0.0
-    for i in missing_rows:
-        if lats[i] is None or lons[i] is None:
-            continue
+    for i in np.flatnonzero(tcol.missing & located).tolist():
         here = GeoPoint(lats[i], lons[i])
         ranked = sorted(
             ((haversine_km(here, GeoPoint(dlat, dlon)), j, val) for j, dlat, dlon, val in donors),
@@ -209,7 +203,7 @@ def knn_impute_geo(
         if far:
             flags.append(f"beyond_{warn_radius_km}km={far}")
         report.add("knn_impute_geo", target, len(missing_rows), ";".join(flags))
-    return table.with_column(target, Column("numeric", tuple(out)))
+    return table.with_column(target, Column("numeric", out, tcol.missing & ~located))
 
 
 def fill_calendar_gap(
@@ -227,9 +221,8 @@ def fill_calendar_gap(
         raise EmptyInputError("fill_calendar_gap on an empty calendar")
     if calendar.column("price").kind not in ("numeric", "integer"):
         raise SchemaError("fill_calendar_gap needs a numeric price column; clean currency first")
-    ids = calendar.values("listing_id")
-    dates = calendar.values("date")
-    prices = calendar.values("price")
+    ids, dates = calendar.cells("listing_id"), calendar.cells("date")
+    prices = calendar.column("price")
 
     dated = [lid is not None and d is not None for lid, d in zip(ids, dates)]
     existing = {(lid, d) for lid, d, ok in zip(ids, dates, dated) if ok}
@@ -238,7 +231,7 @@ def fill_calendar_gap(
     )
     listing_mean, _ = group_means((lid if ok else None for lid, ok in zip(ids, dated)), prices)
 
-    new_rows: list[tuple] = []
+    new: dict[str, list] = {"listing_id": [], "date": [], "price": []}
     fallback = 0
     for lid in sorted(listing_mean):
         for d in gap.dates():
@@ -248,40 +241,25 @@ def fill_calendar_gap(
             if price is None:
                 price = listing_mean[lid]
                 fallback += 1
-            new_rows.append((lid, d, price))
+            for name, cell in zip(new, (lid, d, price)):
+                new[name].append(cell)
 
-    id_out = list(ids) + [r[0] for r in new_rows]
-    date_out = list(dates) + [r[1] for r in new_rows]
-    price_out = [float(p) if p is not None else None for p in prices]
-    price_out += [r[2] for r in new_rows]
-
-    data: dict[str, tuple[str, list]] = {}
-    for name, col in zip(calendar.names, calendar.cols):
-        if name == "listing_id":
-            data[name] = (col.kind, id_out)
-        elif name == "date":
-            data[name] = (col.kind, date_out)
-        elif name == "price":
-            data[name] = ("numeric", price_out)
-        else:
-            data[name] = (col.kind, list(col.values) + [None] * len(new_rows))
-    merged = Table.from_dict(data)
-
+    n_new = len(new["date"])
+    merged = Table.from_dict({
+        name: ("numeric" if name == "price" else col.kind, col.cells() + new.get(name, [None] * n_new))
+        for name, col in zip(calendar.names, calendar.cols)
+    })
+    ids, dates = ids + new["listing_id"], dates + new["date"]
     order = sorted(
         range(merged.n_rows),
-        key=lambda i: (
-            merged.values("listing_id")[i] is None,
-            merged.values("listing_id")[i] or 0,
-            merged.values("date")[i] is None,
-            merged.values("date")[i] or _dt.date.min,
-        ),
+        key=lambda i: (ids[i] is None, ids[i] or 0, dates[i] is None, dates[i] or _dt.date.min),
     )
     out = merged.take(order)
     if report is not None:
         report.add(
             "fill_calendar_gap",
             "price",
-            len(new_rows),
+            n_new,
             f"gap={gap.start.isoformat()}..{gap.end.isoformat()};overall_mean_fallbacks={fallback}",
         )
     return out

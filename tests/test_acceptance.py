@@ -182,14 +182,14 @@ def test_c3_iqr_pipeline():
     assert planted
 
     cal = calendar.with_column("price", clean_currency(calendar.column("price")))
-    cal = cal.with_column("row", Column("integer", tuple(range(cal.n_rows))))
+    cal = cal.with_column("row", Column.of("integer", np.arange(cal.n_rows)))
     filtered = remove_outliers(cal, "price", 0.5)
 
-    survivors = set(filtered.values("row"))
+    survivors = set(filtered.cells("row"))
     assert survivors.isdisjoint(planted), "a planted outlier survived the fences"
 
-    fences = iqr_fences(cal.values("price"), 0.5)
-    for v in filtered.values("price"):
+    fences = iqr_fences(cal.column("price"), 0.5)
+    for v in filtered.cells("price"):
         if v is not None:
             assert fences.lower <= v <= fences.upper
 
@@ -200,7 +200,7 @@ def test_c3_iqr_pipeline():
         n = int(rng.integers(1, 60))
         values = rng.uniform(0.0, 500.0, size=n)
         q = float(rng.uniform(0.0, 1.0))
-        ours = quantile(values.tolist(), q)
+        ours = quantile(Column.of("numeric", values), q)
         oracle = float(np.percentile(values, q * 100.0))
         worst = max(worst, abs(ours - oracle))
     assert worst <= 1e-12
@@ -289,7 +289,7 @@ def test_c4_sentiment(lexicon):
     _, _, reviews = generate(cfg)
     positives = set(POSITIVE_TEMPLATES)
     total, correct = 0, 0
-    for comment in reviews.values("comments"):
+    for comment in reviews.cells("comments"):
         expected = 1 if comment in positives else -1
         compound = score(clean_text(comment), lexicon).compound
         got = 1 if compound > 0.05 else (-1 if compound < -0.05 else 0)

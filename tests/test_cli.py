@@ -473,7 +473,7 @@ class TestListingPrice:
         assert main(["gen", "--seed", "1", "--listings", "10", "--start", "2023-01-01",
                      "--end", "2023-01-10", "--out-dir", str(tmp_path)]) == 0
         listings, _ = read_csv(tmp_path / "listings.csv", LISTINGS_SCHEMA)
-        price = Column("text", tuple(f"${100 + 7 * i}.00" for i in range(listings.n_rows)))
+        price = Column.of("text", tuple(f"${100 + 7 * i}.00" for i in range(listings.n_rows)))
         write_csv(listings.with_column("price", price), tmp_path / "listings.csv")
         assert main(["wrangle", "--listings", str(tmp_path / "listings.csv"),
                      "--calendar", str(tmp_path / "calendar.csv"),
@@ -498,7 +498,7 @@ class TestWrangleAllMissing:
         schema = {"calendar": CALENDAR_SCHEMA, "listings": LISTINGS_SCHEMA}[table]
         path = tmp_path / f"{table}.csv"
         loaded, _ = read_csv(path, schema)
-        empty = Column(loaded.column(column).kind, (None,) * loaded.n_rows)
+        empty = Column.of(loaded.column(column).kind, (None,) * loaded.n_rows)
         write_csv(loaded.with_column(column, empty), path)
         assert main(["wrangle", "--listings", str(tmp_path / "listings.csv"),
                      "--calendar", str(tmp_path / "calendar.csv"),

@@ -320,11 +320,11 @@ class TestCompareModels:
         reports = compare_models(train, test, configs)
         table = reports_to_table(reports)
         assert table.names == ("Metric", "lasso", "forest")
-        assert table.values("Metric") == (
+        assert table.cells("Metric") == [
             "R-Squared",
             "Mean Absolute Error",
             "Root Mean Squared Error",
-        )
+        ]
 
     def test_deterministic_run_twice(self):
         train, test = self._split()

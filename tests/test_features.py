@@ -12,6 +12,7 @@ from rentlab import tabular
 from rentlab.errors import AssemblyError, SchemaError
 from rentlab.features import (
     EARTH_RADIUS_KM,
+    ID_COLUMNS,
     FeatureMatrix,
     GeoPoint,
     PoiSet,
@@ -19,7 +20,6 @@ from rentlab.features import (
     binarize_amenities,
     default_pois,
     expand_date,
-    feature_columns,
     haversine_km,
     join_matrix,
     load_pois,
@@ -96,16 +96,16 @@ class TestPoiDistances:
     def test_listing_at_poi_gets_zero(self):
         pois = PoiSet((("spot", GeoPoint(30.27, -97.74)),))
         out, _ = poi_distance_features(_listing_table(), pois)
-        assert out.values("dist_spot_km")[0] == 0.0
+        assert out.cells("dist_spot_km")[0] == 0.0
 
     def test_values_match_pairwise_haversine(self):
         pois = PoiSet((("a", GeoPoint(30.26, -97.75)), ("b", GeoPoint(30.40, -97.60))))
         table = _listing_table()
         out, _ = poi_distance_features(table, pois)
         for i in range(table.n_rows):
-            here = GeoPoint(table.values("latitude")[i], table.values("longitude")[i])
+            here = GeoPoint(table.cells("latitude")[i], table.cells("longitude")[i])
             for name, point in pois.pois:
-                assert out.values(f"dist_{name}_km")[i] == haversine_km(here, point)
+                assert out.cells(f"dist_{name}_km")[i] == haversine_km(here, point)
 
     def test_missing_coordinates_reported(self):
         table = Table.from_dict(
@@ -117,7 +117,7 @@ class TestPoiDistances:
         pois = PoiSet((("a", GeoPoint(30.26, -97.75)),))
         out, bad = poi_distance_features(table, pois)
         assert bad == [1]
-        assert out.values("dist_a_km")[1] is None
+        assert out.cells("dist_a_km")[1] is None
 
     def test_poi_names_unique(self):
         with pytest.raises(ValueError):
@@ -170,15 +170,15 @@ class TestAmenities:
     def test_binarize_with_count(self):
         t = self._table(["wifi;tv", ""])
         out = binarize_amenities(t, ["wifi", "pool"])
-        assert out.values("wifi") == (1, 0)
-        assert out.values("pool") == (0, 0)
-        assert out.values("amenity_count") == (2, 0)
+        assert out.cells("wifi") == [1, 0]
+        assert out.cells("pool") == [0, 0]
+        assert out.cells("amenity_count") == [2, 0]
 
     def test_every_listing_every_amenity(self):
         t = self._table(["wifi;tv", "tv;wifi"])
         out = binarize_amenities(t, ["wifi", "tv"])
-        assert out.values("wifi") == (1, 1)
-        assert out.values("tv") == (1, 1)
+        assert out.cells("wifi") == [1, 1]
+        assert out.cells("tv") == [1, 1]
 
     def test_empty_amenity_list_rejected(self):
         with pytest.raises(ValueError):
@@ -192,9 +192,9 @@ class TestAmenities:
         out = binarize_amenities(t, ["wifi", "tv"])
         for i, raw in enumerate(cells):
             parsed = parse_amenities(raw)
-            assert out.values("amenity_count")[i] == len(parsed)
-            assert out.values("wifi")[i] == (1 if "wifi" in parsed else 0)
-            assert out.values("wifi")[i] in (0, 1)
+            assert out.cells("amenity_count")[i] == len(parsed)
+            assert out.cells("wifi")[i] == (1 if "wifi" in parsed else 0)
+            assert out.cells("wifi")[i] in (0, 1)
 
 
 def _zeller_day_of_week(d: dt.date) -> int:
@@ -216,20 +216,20 @@ class TestExpandDate:
 
     def test_paper_table_row(self):
         out = expand_date(self._table([dt.date(2022, 6, 9)]))
-        assert out.values("month") == (6,)
-        assert out.values("year") == (2022,)
-        assert out.values("day_of_week") == (3,)  # Thursday
+        assert out.cells("month") == [6]
+        assert out.cells("year") == [2022]
+        assert out.cells("day_of_week") == [3]  # Thursday
 
     def test_leap_day(self):
         out = expand_date(self._table([dt.date(2024, 2, 29)]))
-        assert out.values("month") == (2,)
-        assert out.values("year") == (2024,)
+        assert out.cells("month") == [2]
+        assert out.cells("year") == [2024]
 
     def test_missing_date_missing_expansions(self):
         out = expand_date(self._table([None]))
-        assert out.values("year") == (None,)
-        assert out.values("month") == (None,)
-        assert out.values("day_of_week") == (None,)
+        assert out.cells("year") == [None]
+        assert out.cells("month") == [None]
+        assert out.cells("day_of_week") == [None]
 
     def test_needs_date_column(self):
         t = Table.from_dict({"date": ("text", ["2022-06-09"])})
@@ -240,7 +240,7 @@ class TestExpandDate:
     @given(st.dates(min_value=dt.date(1900, 1, 1), max_value=dt.date(2100, 12, 31)))
     def test_day_of_week_matches_zeller(self, d):
         out = expand_date(self._table([d]))
-        assert out.values("day_of_week")[0] == _zeller_day_of_week(d)
+        assert out.cells("day_of_week")[0] == _zeller_day_of_week(d)
 
 
 class TestOneHot:
@@ -249,12 +249,12 @@ class TestOneHot:
         out = one_hot(t, "room_type")
         assert "room_type" not in out.names
         for i in range(4):
-            assert sum(out.values(f"room_type_{c}")[i] for c in "ABC") == 1
+            assert sum(out.cells(f"room_type_{c}")[i] for c in "ABC") == 1
 
     def test_single_category_all_ones(self):
         t = Table.from_dict({"x": ("text", ["only", "only"])})
         out = one_hot(t, "x")
-        assert out.values("x_only") == (1, 1)
+        assert out.cells("x_only") == [1, 1]
 
     def test_table5_style_names(self):
         t = Table.from_dict(
@@ -267,7 +267,7 @@ class TestOneHot:
     def test_missing_cell_all_zeros(self):
         t = Table.from_dict({"x": ("text", ["a", None])})
         out = one_hot(t, "x")
-        assert out.values("x_a") == (1, 0)
+        assert out.cells("x_a") == [1, 0]
 
 
 def _matrix():
@@ -406,6 +406,20 @@ class TestMatrixToCsvMatchesPerCellWriter:
 # join_matrix against the joined table it no longer builds
 
 
+def feature_columns(table, target):
+    """The columns of table that can be features: numeric, integer or
+    boolean, neither the target nor an id, with no missing cell and at least
+    two distinct values (a constant column collides with the intercept)."""
+    return [
+        name
+        for name, col in zip(table.names, table.cols)
+        if name != target and name not in ID_COLUMNS
+        and col.kind in ("numeric", "integer", "boolean")
+        and col.n_missing == 0
+        and len(set(col.cells())) > 1
+    ]
+
+
 def _joined_matrix(left, right, left_on, right_on, target):
     joined = inner_join(left, right, left_on, right_on)
     return assemble_matrix(joined, target, feature_columns(joined, target))
@@ -508,11 +522,11 @@ def test_stage_featurize_matrix_matches_the_joined_table(tmp_path, monkeypatch):
                                                                           dt.date(2023, 1, 20)),
                                                seed=5, missing_fraction=0.1))
     calendar = calendar.with_column("price", tabular.clean_currency(calendar.column("price")))
-    calendar = calendar.filter([v is not None for v in calendar.values("price")])
+    calendar = calendar.filter([v is not None for v in calendar.cells("price")])
     # a listing without calendar rows, missing a rating that every other listing has
-    listings = listings.with_column("review_scores_rating", Column(
-        "numeric", (None,) + tuple(v or 4.0 for v in listings.values("review_scores_rating")[1:])))
-    calendar = calendar.filter([v != listings.values("id")[0] for v in calendar.values("listing_id")])
+    listings = listings.with_column("review_scores_rating", Column.of(
+        "numeric", (None,) + tuple(v or 4.0 for v in listings.cells("review_scores_rating")[1:])))
+    calendar = calendar.filter([v != listings.cells("id")[0] for v in calendar.cells("listing_id")])
     calls = []
     monkeypatch.setattr(cli, "join_matrix", lambda *args: calls.append(args) or join_matrix(*args))
     matrix = cli.stage_featurize(listings, calendar, str(tmp_path / "features.csv"))

@@ -1128,6 +1128,17 @@ class TestSerialization:
         ({"family": "forest", "max_features": 1, "seed": True, "feature_names": ["x0"],
           "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]}]},
          "forest model document seed is not a finite number: True"),
+        # these once loaded: a string as the feature names, a string as converged
+        ({"family": "linear", "intercept": 1.0, "coefficients": [1.0], "feature_names": "a"},
+         "linear model document feature_names is not a JSON list: 'a'"),
+        ({"family": "linear", "intercept": 1.0, "coefficients": [1.0], "feature_names": [0]},
+         r"linear model document feature_names\[0\] is not a JSON string: 0"),
+        ({"family": "linear", "intercept": 1.0, "coefficients": [1.0, 2.0], "feature_names": "ab",
+          "converged": "no"}, "linear model document converged is not a JSON bool: 'no'"),
+        ({"family": "linear", "intercept": 1.0, "coefficients": [1.0], "penalty": 1},
+         "linear model document penalty is not a JSON string: 1"),
+        ({"family": "gbm", "base": 1.0, "learning_rate": 0.1, "trees": {"feature": [-1]}},
+         "gbm model document trees is not a JSON list"),
     ])
     def test_non_numeric_array_entry_named(self, tmp_path, capsys, doc, message):
         # a string or an object once failed as a bare "could not convert string to

@@ -1,6 +1,7 @@
 """The scripts under scripts/ import rentlab's public API; running a small
 part of each keeps an API change from breaking them unnoticed."""
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -37,7 +38,8 @@ def test_artifact_digests_lists_every_file_of_every_run(tmp_path, monkeypatch, c
     listings = {}
     for run in ("a", "b"):
         assert script.main([str(tmp_path / run)]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        *lines, damaged = capsys.readouterr().out.splitlines()
+        assert damaged == "exit 0  tiny-3-damaged"
         listings[run] = lines
         files = sorted(p for p in (tmp_path / run).rglob("*") if p.is_file())
         assert [line.split("  ")[1] for line in lines] == [p.relative_to(tmp_path / run).as_posix()
@@ -46,7 +48,17 @@ def test_artifact_digests_lists_every_file_of_every_run(tmp_path, monkeypatch, c
                                                             for p in files]
     names = [line.split("  ")[1] for line in listings["a"]]
     for name in ("tiny-3/inputs/calendar.csv", "tiny-3/out/features.csv", "examples-small/listings.csv",
-                 "examples-small/model.json"):
+                 "examples-small/model.json", "tiny-3-damaged/out/features.csv"):
         assert name in names
+    # the damaged case: the same inputs, with cells blank or garbled in every column, and a gap
+    changed = []
+    for table in ("listings", "calendar", "reviews"):
+        clean, damaged = ([*csv.reader((tmp_path / "a" / run / "inputs" / f"{table}.csv").read_text(
+                          encoding="utf-8").splitlines())] for run in ("tiny-3", "tiny-3-damaged"))
+        assert clean[0] == damaged[0] and len(clean) == len(damaged)
+        changed += [b for ra, rb in zip(clean, damaged) for a, b in zip(ra, rb) if a != b]
+    assert changed and set(changed) <= set(script.DAMAGED_CELLS)
+    report = (tmp_path / "a" / "tiny-3-damaged" / "out" / "wrangle_report.csv").read_text(encoding="utf-8")
+    assert "fill_calendar_gap,price," in report
     assert listings["a"] == listings["b"]
     assert script.main([str(tmp_path / "a")]) == 2  # an OUT_DIR that is not empty

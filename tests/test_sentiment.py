@@ -298,8 +298,8 @@ def _reviews(comments, hosts=None):
 class TestScoreReviews:
     def test_positive_review_labeled(self, lexicon):
         out = score_reviews(_reviews(["great location, highly recommend"]), lexicon)
-        assert out.values("compound")[0] > 0.05
-        assert out.values("label")[0] == "positive"
+        assert out.cells("compound")[0] > 0.05
+        assert out.cells("label")[0] == "positive"
 
     def test_five_columns_appended(self, lexicon):
         out = score_reviews(_reviews(["nice place"]), lexicon)
@@ -319,8 +319,8 @@ class TestScoreReviews:
 
     def test_empty_comment_has_missing_sentiment(self, lexicon):
         out = score_reviews(_reviews(["", "great spot"]), lexicon)
-        assert out.values("compound")[0] is None
-        assert out.values("compound")[1] is not None
+        assert out.cells("compound")[0] is None
+        assert out.cells("compound")[1] is not None
 
     def test_row_count_never_grows(self, lexicon):
         out = score_reviews(_reviews(["a", "b", "c"]), lexicon)
@@ -329,7 +329,7 @@ class TestScoreReviews:
 
 def _reference_score_reviews(reviews, lex, report=None):
     """score_reviews as one clean_text, looks_english and score per row."""
-    comments = reviews.values("comments")
+    comments = reviews.cells("comments")
     keep, cleaned, dropped = [], [], 0
     for i, comment in enumerate(comments):
         text = clean_text(comment) if comment is not None else ""
@@ -351,7 +351,7 @@ def _reference_score_reviews(reviews, lex, report=None):
             columns[name].append(value)
         scored += 1
     for name, values in columns.items():
-        out = out.with_column(name, Column("text" if name == "label" else "numeric", tuple(values)))
+        out = out.with_column(name, Column.of("text" if name == "label" else "numeric", tuple(values)))
     if report is not None:
         report.add("score_reviews", "comments", scored, f"dropped_non_english={dropped}")
     return out
@@ -406,18 +406,18 @@ class TestFillMissingSentiment:
     def test_host_mean(self):
         t = self._scored([1, 1, 1], [0.2, 0.4, None])
         out = fill_missing_sentiment(t)
-        assert out.values("compound")[2] == pytest.approx(0.3, abs=1e-12)
-        assert out.values("label")[2] == "positive"
+        assert out.cells("compound")[2] == pytest.approx(0.3, abs=1e-12)
+        assert out.cells("label")[2] == "positive"
 
     def test_no_missing_identity(self):
         t = self._scored([1, 2], [0.1, -0.1])
         out = fill_missing_sentiment(t)
-        assert out.values("compound") == (0.1, -0.1)
+        assert out.cells("compound") == [0.1, -0.1]
 
     def test_unscored_host_gets_global_mean(self):
         t = self._scored([1, 1, 2], [0.2, 0.4, None])
         out = fill_missing_sentiment(t)
-        assert out.values("compound")[2] == pytest.approx(0.3, abs=1e-12)
+        assert out.cells("compound")[2] == pytest.approx(0.3, abs=1e-12)
 
 
 class TestLanguageHeuristic:

@@ -14,7 +14,7 @@ from rentlab.synthgen import (
     planted_missing_indices,
     planted_outlier_indices,
 )
-from rentlab.tabular import clean_currency, write_csv
+from rentlab.tabular import Column, clean_currency, write_csv
 from rentlab.wrangle import iqr_fences
 
 
@@ -63,7 +63,7 @@ class TestGenerate:
 
     def test_listing_ids_positive_and_unique(self):
         listings, _, _ = generate(_small_cfg())
-        ids = listings.values("id")
+        ids = listings.cells("id")
         assert all(i > 0 for i in ids)
         assert len(set(ids)) == len(ids)
 
@@ -71,11 +71,10 @@ class TestGenerate:
         cfg = _small_cfg(noise_std=0.0)
         listings, calendar, _ = generate(cfg)
         prices = clean_currency(calendar.column("price"))
-        by_id = {listings.values("id")[i]: listings.row(i) for i in range(listings.n_rows)}
+        by_id = {row["id"]: row for row in listings.rows()}
+        ids, dates = calendar.cells("listing_id"), calendar.cells("date")
         for row in range(0, calendar.n_rows, 7):
-            lid = calendar.values("listing_id")[row]
-            date = calendar.values("date")[row]
-            expected = ground_truth(cfg, by_id[lid], date)
+            expected = ground_truth(cfg, by_id[ids[row]], dates[row])
             assert prices.values[row] == pytest.approx(expected, abs=1e-9)
 
     def test_weekend_median_exceeds_weekday(self):
@@ -83,7 +82,7 @@ class TestGenerate:
         _, calendar, _ = generate(cfg)
         prices = clean_currency(calendar.column("price"))
         weekday, weekend = [], []
-        for d, p in zip(calendar.values("date"), prices.values):
+        for d, p in zip(calendar.cells("date"), prices.cells()):
             if p is None:
                 continue
             (weekend if d.weekday() in (4, 5) else weekday).append(p)
@@ -94,7 +93,7 @@ class TestGroundTruth:
     def test_same_dow_month_same_price(self):
         cfg = _small_cfg()
         listings, _, _ = generate(cfg)
-        listing = listings.row(0)
+        listing = listings.rows()[0]
         a = ground_truth(cfg, listing, dt.date(2023, 1, 3))
         b = ground_truth(cfg, listing, dt.date(2023, 1, 10))  # same weekday, month
         assert a == b
@@ -102,7 +101,7 @@ class TestGroundTruth:
     def test_peak_month_exceeds_off_month(self):
         cfg = _small_cfg(peak_uplift=0.2)
         listings, _, _ = generate(cfg)
-        listing = listings.row(0)
+        listing = listings.rows()[0]
         march = ground_truth(cfg, listing, dt.date(2023, 3, 7))
         february = ground_truth(cfg, listing, dt.date(2023, 2, 7))  # same weekday
         assert march > february
@@ -110,7 +109,7 @@ class TestGroundTruth:
     def test_zero_uplift_flat_across_months(self):
         cfg = _small_cfg(peak_uplift=0.0)
         listings, _, _ = generate(cfg)
-        listing = listings.row(0)
+        listing = listings.rows()[0]
         assert ground_truth(cfg, listing, dt.date(2023, 3, 7)) == ground_truth(
             cfg, listing, dt.date(2023, 2, 7)
         )
@@ -126,11 +125,11 @@ class TestPlantedOutliers:
     def test_planted_outliers_outside_clean_fences(self):
         cfg = _small_cfg(n_listings=50, outlier_fraction=0.02, noise_std=8.0)
         _, calendar, _ = generate(cfg)
-        prices = clean_currency(calendar.column("price")).values
+        prices = clean_currency(calendar.column("price")).cells()
         outliers = set(planted_outlier_indices(cfg).tolist())
         assert outliers
         clean = [p for i, p in enumerate(prices) if p is not None and i not in outliers]
-        fences = iqr_fences(clean, 0.5)
+        fences = iqr_fences(Column.of("numeric", clean), 0.5)
         for i in outliers:
             assert prices[i] is not None
             assert not fences.contains(prices[i])
@@ -144,8 +143,9 @@ class TestPlantedOutliers:
     def test_planted_missing_cells_are_missing(self):
         cfg = _small_cfg(missing_fraction=0.05)
         _, calendar, _ = generate(cfg)
+        prices = calendar.cells("price")
         for i in planted_missing_indices(cfg):
-            assert calendar.values("price")[int(i)] is None
+            assert prices[int(i)] is None
 
     def test_no_planting_by_default(self):
         cfg = _small_cfg()
@@ -170,7 +170,7 @@ class TestReviewTemplates:
         _, _, reviews = generate(_small_cfg(n_listings=30))
         pools = set(POSITIVE_TEMPLATES) | set(NEGATIVE_TEMPLATES)
         assert reviews.n_rows > 0
-        for comment in reviews.values("comments"):
+        for comment in reviews.cells("comments"):
             assert comment in pools
 
 

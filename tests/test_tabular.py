@@ -39,7 +39,7 @@ class TestReadCsv:
         )
         table, report = read_csv(path, CALENDAR_SCHEMA)
         assert table.n_rows == 1
-        row = table.row(0)
+        row = table.rows()[0]
         assert row["listing_id"] == 5456
         assert row["date"] == dt.date(2022, 6, 9)
         assert row["price"] == 95.0
@@ -57,7 +57,7 @@ class TestReadCsv:
             "listing_id,date,price\n1,2022-06-09,abc\n",
         )
         table, report = read_csv(path, CALENDAR_SCHEMA)
-        assert table.values("price") == (None,)
+        assert table.cells("price") == [None]
         assert report.coerced_missing == {"price": 1}
         assert report.total_coerced == 1
 
@@ -68,12 +68,22 @@ class TestReadCsv:
             "1,2022-06-11,$1e309\n1,2022-06-12,-Infinity\n1,2022-06-13,95\n",
         )
         table, report = read_csv(path, CALENDAR_SCHEMA)
-        assert table.values("price") == (None, None, None, None, 95.0)
+        assert table.cells("price") == [None, None, None, None, 95.0]
         assert report.coerced_missing == {"price": 4}
         numeric = Schema("t", {"x": "numeric"}, frozenset())
         table, report = read_csv(_write(tmp_path, "x.csv", "x\nNaN\n1e999\n2.5\n"), numeric)
-        assert table.values("x") == (None, None, 2.5)
+        assert table.cells("x") == [None, None, 2.5]
         assert report.coerced_missing == {"x": 2}
+
+    def test_integer_outside_int64_counted(self, tmp_path):
+        path = _write(
+            tmp_path, "cal.csv",
+            "listing_id,date,price\n99999999999999999999,2022-06-09,1\n"
+            "-9223372036854775808,2022-06-10,2\n9223372036854775808,2022-06-11,3\n",
+        )
+        table, report = read_csv(path, CALENDAR_SCHEMA)
+        assert table.cells("listing_id") == [None, -2**63, None]
+        assert report.coerced_missing == {"listing_id": 2}
 
     def test_currency_formatted_price(self, tmp_path):
         path = _write(
@@ -81,7 +91,7 @@ class TestReadCsv:
             'listing_id,date,price\n1,2022-06-09,"$1,250.00"\n',
         )
         table, _ = read_csv(path, CALENDAR_SCHEMA)
-        assert table.values("price") == (1250.0,)
+        assert table.cells("price") == [1250.0]
 
     def test_missing_required_column(self, tmp_path):
         path = _write(tmp_path, "cal.csv", "listing_id,date\n1,2022-06-09\n")
@@ -94,7 +104,7 @@ class TestReadCsv:
             "listing_id,date,price,mystery\n1,2022-06-09,10,zz\n",
         )
         table, report = read_csv(path, CALENDAR_SCHEMA)
-        assert table.values("mystery") == ("zz",)
+        assert table.cells("mystery") == ["zz"]
         assert report.untyped_columns == ("mystery",)
 
     def test_unreadable_file(self, tmp_path):
@@ -113,8 +123,8 @@ class TestReadCsv:
         path = _write(tmp_path, "cal.csv",
                       "listing_id,date,price\n1,2023-01-01,10\n\n2,2023-01-02,20\n\n")
         table, report = read_csv(path, CALENDAR_SCHEMA)
-        assert table.values("listing_id") == (1, 2)
-        assert table.values("price") == (10.0, 20.0)
+        assert table.cells("listing_id") == [1, 2]
+        assert table.cells("price") == [10.0, 20.0]
         assert report.n_rows == 2 and report.coerced_missing == {}
 
     def test_load_never_invents_values(self, tmp_path):
@@ -125,30 +135,30 @@ class TestReadCsv:
         table, _ = read_csv(path, CALENDAR_SCHEMA)
         cells_in = 6
         non_missing_out = sum(
-            1 for col in table.cols for v in col.values if v is not None
+            1 for col in table.cols for v in col.cells() if v is not None
         )
         assert non_missing_out <= cells_in
 
 
 class TestCleanCurrency:
     def test_currency_string(self):
-        col = Column("text", ("$1,250.00",))
-        assert clean_currency(col).values == (1250.0,)
+        col = Column.of("text", ("$1,250.00",))
+        assert clean_currency(col).cells() == [1250.0]
 
     def test_bare_number(self):
-        assert clean_currency(Column("text", ("95",))).values == (95.0,)
+        assert clean_currency(Column.of("text", ("95",))).cells() == [95.0]
 
     def test_empty_and_garbage_degrade_to_missing(self):
-        col = Column("text", ("", "abc", None))
-        assert clean_currency(col).values == (None, None, None)
+        col = Column.of("text", ("", "abc", None))
+        assert clean_currency(col).cells() == [None, None, None]
 
     def test_non_finite_text_degrades_to_missing(self):
-        col = Column("text", ("nan", "inf", "-Infinity", "$1e309", "$5"))
-        assert clean_currency(col).values == (None, None, None, None, 5.0)
+        col = Column.of("text", ("nan", "inf", "-Infinity", "$1e309", "$5"))
+        assert clean_currency(col).cells() == [None, None, None, None, 5.0]
 
     def test_requires_text_column(self):
         with pytest.raises(SchemaError):
-            clean_currency(Column("numeric", (1.0,)))
+            clean_currency(Column.of("numeric", (1.0,)))
 
 
 class TestDropDuplicates:
@@ -176,7 +186,7 @@ class TestDropDuplicates:
         t = self._table([1, 2, 1], ["a", "b", "a"], [5.0, 6.0, 7.0])
         out = drop_duplicates(t, ["listing_id", "date"])
         assert out.n_rows == 2
-        assert out.values("price") == (5.0, 6.0)
+        assert out.cells("price") == [5.0, 6.0]
 
     def test_unknown_key_column(self):
         t = self._table([1], ["a"], [5.0])
@@ -193,15 +203,15 @@ class TestDropDuplicates:
 class TestTableInvariants:
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
-            Table(("a", "a"), (Column("numeric", (1.0,)), Column("numeric", (2.0,))))
+            Table(("a", "a"), (Column.of("numeric", (1.0,)), Column.of("numeric", (2.0,))))
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(SchemaError):
-            Table(("a", "b"), (Column("numeric", (1.0,)), Column("numeric", (1.0, 2.0))))
+            Table(("a", "b"), (Column.of("numeric", (1.0,)), Column.of("numeric", (1.0, 2.0))))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
-            Column("complex", (1.0,))
+            Column.of("complex", (1.0,))
 
 
 def _row_order_means(keys, values):
@@ -229,24 +239,24 @@ class TestGroupMeans:
         # (math.fsum would give 4.0); missing keys and values are skipped
         keys = ["a", "b", None, "a", "b", "a", None, "a", "b", "c", "b", "b"]
         values = [1e16, 1e16, 7.0, 1.0, 1.0, -1e16, None, 3.0, -1e16, None, 3.0, None]
-        means, overall = group_means(keys, values)
+        means, overall = group_means(keys, Column.of("numeric", values))
         assert means == {"a": 0.75, "b": 0.75}
         assert list(means) == ["a", "b"]  # first-seen order
         assert _bits(means, overall) == _bits(*_row_order_means(keys, values))
 
     def test_keyless_rows_count_only_overall(self):
-        assert group_means([None, 1], [2.0, 4.0]) == ({1: 4.0}, 3.0)
+        assert group_means([None, 1], Column.of("numeric", [2.0, 4.0])) == ({1: 4.0}, 3.0)
 
     def test_no_value_gives_no_means(self):
-        assert group_means([1, None], [None, None]) == ({}, None)
-        assert group_means([], []) == ({}, None)
+        assert group_means([1, None], Column.of("numeric", [None, None])) == ({}, None)
+        assert group_means([], Column.of("numeric", [])) == ({}, None)
 
     def test_integer_values_average_as_floats(self):
-        means, overall = group_means([1, 1, 2], [1, 2, 4])
+        means, overall = group_means([1, 1, 2], Column.of("integer", [1, 2, 4]))
         assert means == {1: 1.5, 2: 4.0} and overall == 7 / 3
 
     def test_tuple_keys(self):
-        means, _ = group_means([(1, 0), (1, 0), (1, 6)], [2.0, 4.0, 5.0])
+        means, _ = group_means([(1, 0), (1, 0), (1, 6)], Column.of("numeric", [2.0, 4.0, 5.0]))
         assert means == {(1, 0): 3.0, (1, 6): 5.0}
 
     @settings(max_examples=100, deadline=None)
@@ -258,7 +268,7 @@ class TestGroupMeans:
     def test_matches_the_row_order_loop_bit_for_bit(self, rows):
         keys = [k for k, _ in rows]
         values = [v for _, v in rows]
-        assert _bits(*group_means(keys, values)) == _bits(*_row_order_means(keys, values))
+        assert _bits(*group_means(keys, Column.of("numeric", values))) == _bits(*_row_order_means(keys, values))
 
 
 @st.composite
@@ -300,7 +310,7 @@ def test_csv_round_trip(tmp_path_factory, table):
     assert report.total_coerced == 0
     for col_in, col_out in zip(table.cols, back.cols):
         assert col_in.kind == col_out.kind
-        for a, b in zip(col_in.values, col_out.values):
+        for a, b in zip(col_in.cells(), col_out.cells()):
             if isinstance(a, float) and a is not None and b is not None:
                 assert b == pytest.approx(a, abs=1e-12)
             elif isinstance(a, str) and a == "":
@@ -327,7 +337,7 @@ def _reference_write_columns(path, names, columns):
     """write_columns as one csv.writer row per row, each cell formatted by
     its column's kind (a float64 array's is numeric)."""
     kinds = [c.kind if isinstance(c, Column) else "numeric" for c in columns]
-    values = [c.values if isinstance(c, Column) else c.tolist() for c in columns]
+    values = [c.cells() if isinstance(c, Column) else c.tolist() for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
@@ -382,15 +392,15 @@ def test_inner_join_basic():
     )
     joined = inner_join(cal, listings, "listing_id", "id")
     assert joined.n_rows == 3  # listing 3 has no match
-    assert joined.values("bedrooms") == (2, 3, 2)
+    assert joined.cells("bedrooms") == [2, 3, 2]
 
 
 def test_inner_join_collision_suffix():
     left = Table.from_dict({"k": ("integer", [1]), "x": ("numeric", [1.0])})
     right = Table.from_dict({"k": ("integer", [1]), "x": ("numeric", [2.0])})
     joined = inner_join(left, right, "k", "k")
-    assert joined.values("x") == (1.0,)
-    assert joined.values("x_r") == (2.0,)
+    assert joined.cells("x") == [1.0]
+    assert joined.cells("x_r") == [2.0]
 
 
 def test_builtin_schemas_expose_dataset_columns():
@@ -431,8 +441,8 @@ def test_full_width_listings_dump_loads_typed(tmp_path):
     table, report = read_csv(path, LISTINGS_SCHEMA)
     assert len(table.names) == len(header) >= 70
     assert report.total_coerced == 0
-    assert table.values("price") == (1234.0,)
-    assert table.values("host_is_superhost") == (True,)
+    assert table.cells("price") == [1234.0]
+    assert table.cells("host_is_superhost") == [True]
 
 
 def test_generated_csvs_load_clean_through_builtin_schemas(tmp_path):
@@ -481,7 +491,7 @@ def _reference_read_csv(path, schema):
         coerced = sum(bad for _, bad in parsed)
         if coerced:
             report.coerced_missing[name] = coerced
-        cols.append(Column(tabular._storage_kind(kind), tuple(v for v, _ in parsed)))
+        cols.append(Column.of(tabular._storage_kind(kind), [v for v, _ in parsed]))
     report.untyped_columns = tuple(untyped)
     return Table(tuple(header), tuple(cols)), report
 
@@ -511,7 +521,7 @@ def test_read_csv_matches_per_cell_parse(tmp_path_factory, n_rows, kinds, data):
     assert table.names == ref_table.names
     for col, ref in zip(table.cols, ref_table.cols):
         assert col.kind == ref.kind
-        assert _typed(col.values) == _typed(ref.values)
+        assert _typed(col.cells()) == _typed(ref.cells())
     assert report == ref_report
 
 
@@ -525,9 +535,9 @@ def test_read_csv_counts_each_coerced_cell(tmp_path):
     table, report = read_csv(path, Schema("s", kinds, frozenset()))
     ref_table, ref_report = _reference_read_csv(path, Schema("s", kinds, frozenset()))
     assert report == ref_report and report.coerced_missing["n"] == 12
-    assert _typed(table.values("c")) == _typed(ref_table.values("c"))
-    assert table.values("i")[:2] == (7, 7) and table.values("c")[6] == 1250.0
-    assert table.values("d")[-5:] == (None, dt.date(2023, 1, 5), dt.date(2023, 1, 5), None, None)
+    assert _typed(table.cells("c")) == _typed(ref_table.cells("c"))
+    assert table.cells("i")[:2] == [7, 7] and table.cells("c")[6] == 1250.0
+    assert table.cells("d")[-5:] == [None, dt.date(2023, 1, 5), dt.date(2023, 1, 5), None, None]
 
 
 _WRITER_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1 / 3, 2.5, 123456789.0]
@@ -542,7 +552,7 @@ def test_write_columns_matches_per_cell_writer(tmp_path_factory, n_rows, kinds, 
     cells = {**_CELL_VALUES, "numeric": floats, "text": st.sampled_from(["", "a,b", 'q"', "x"])}
     columns = [np.array(data.draw(st.lists(floats, min_size=n_rows, max_size=n_rows)))
                if kind == "array"
-               else Column(kind, tuple(data.draw(st.lists(st.none() | cells[kind], min_size=n_rows,
+               else Column.of(kind, tuple(data.draw(st.lists(st.none() | cells[kind], min_size=n_rows,
                                                           max_size=n_rows))))
                for kind in kinds]
     names = [f"c{j}" for j in range(len(columns))]
@@ -557,8 +567,8 @@ def test_write_columns_matches_per_cell_writer(tmp_path_factory, n_rows, kinds, 
 def test_write_columns_edge_floats_in_full_blocks(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     picks = np.array(_WRITER_FLOATS)[rng.integers(0, len(_WRITER_FLOATS), (n_rows, 3))]
-    columns = [*picks.T, Column("numeric", tuple(rng.choice([None, 1.0, -0.0, 5e-324], n_rows).tolist())),
-               picks[:, 0] * -1, Column("text", tuple(rng.choice([None, "", "x", "a,b"], n_rows).tolist()))]
+    columns = [*picks.T, Column.of("numeric", tuple(rng.choice([None, 1.0, -0.0, 5e-324], n_rows).tolist())),
+               picks[:, 0] * -1, Column.of("text", tuple(rng.choice([None, "", "x", "a,b"], n_rows).tolist()))]
     names = ["a", "b", "c", "n", "d", "t"]
     for subset in ([0, 1, 2], [0, 3, 4], [3, 4], [4], [3], [5, 3, 0], [5]):
         tabular.write_columns(tmp_path / "blocked.csv", [names[j] for j in subset], [columns[j] for j in subset])
@@ -569,9 +579,9 @@ def test_write_columns_edge_floats_in_full_blocks(tmp_path, n_rows):
 @pytest.mark.parametrize("block_rows", [1, 512])
 def test_write_columns_quoted_and_empty_cells(tmp_path, block_rows):
     # a quoted cell is quoted once, and a one-column row's lone empty field is written ""
-    texts = Column("text", ("a,b", 'q"', "x\r\ny", "", None, "plain", "a,b", ""))
-    floats = Column("numeric", (None, 1.0, float("nan"), -0.0))
-    tables = {"one": [texts], "two": [texts, Column("text", texts.values[::-1])],
+    texts = Column.of("text", ("a,b", 'q"', "x\r\ny", "", None, "plain", "a,b", ""))
+    floats = Column.of("numeric", (None, 1.0, float("nan"), -0.0))
+    tables = {"one": [texts], "two": [texts, Column.of("text", texts.values[::-1])],
               "mixed": [texts, np.arange(8.0)], "floats": [floats]}
     for name, columns in tables.items():
         names = [f"c{j}" for j in range(len(columns))]
@@ -583,14 +593,31 @@ def test_write_columns_quoted_and_empty_cells(tmp_path, block_rows):
     assert (tmp_path / "floats.csv").read_bytes() == b'c0\r\n""\r\n1.0\r\n""\r\n-0.0\r\n'
 
 
-def test_write_columns_names_a_numeric_column_holding_text(tmp_path):
-    table = Table.from_dict({"ok": ("numeric", [1.0, None]), "price": ("numeric", [2.0, "abc"])})
+def test_write_columns_names_a_numeric_column_holding_text():
+    # a numeric Column cannot hold text, so the table fails where it is built
     with pytest.raises(SchemaError, match="numeric column 'price'"):
-        write_csv(table, tmp_path / "t.csv")
+        Table.from_dict({"ok": ("numeric", [1.0, None]), "price": ("numeric", [2.0, "abc"])})
+
+
+@pytest.mark.parametrize("kind, cells", [
+    ("integer", [1, 1.5]), ("integer", ["1"]), ("integer", [2**63]),
+    ("integer", np.array([1.5])), ("boolean", [True, "no"]), ("boolean", [2]),
+    ("boolean", np.array([0, 1])),
+])
+def test_an_integer_or_boolean_cell_not_stored_as_itself_is_named(kind, cells):
+    with pytest.raises(SchemaError, match=f"{kind} column 'c' holds a cell that is not {kind}"):
+        Table.from_dict({"c": (kind, cells)})
+
+
+def test_integer_and_boolean_cells_equal_to_their_stored_value_are_kept():
+    # an int equal to the cell is stored: True and 1.0 as 1, 0 as False
+    assert Column.of("integer", [True, 1.0, None, 7]).cells() == [1, 1, None, 7]
+    assert Column.of("integer", np.array([True, False])).cells() == [1, 0]
+    assert Column.of("boolean", [1, 0.0, None]).cells() == [True, False, None]
 
 
 def _reference_take(table, indices):
-    return Table(table.names, tuple(Column(c.kind, tuple(c.values[i] for i in indices))
+    return Table(table.names, tuple(Column.of(c.kind, [c.cells()[i] for i in indices])
                                     for c in table.cols))
 
 
@@ -598,7 +625,7 @@ def _reference_drop_duplicates(table, keys):
     key_cols = [table.column(k) for k in keys]
     seen, keep = set(), []
     for i in range(table.n_rows):
-        key = tuple(c.values[i] for c in key_cols)
+        key = tuple(c.cells()[i] for c in key_cols)
         if key not in seen:
             seen.add(key)
             keep.append(i)
@@ -607,21 +634,21 @@ def _reference_drop_duplicates(table, keys):
 
 def _reference_inner_join(left, right, left_on, right_on):
     index = {}
-    for j, key in enumerate(right.column(right_on).values):
+    for j, key in enumerate(right.cells(right_on)):
         if key is not None:
             index.setdefault(key, []).append(j)
     left_rows, right_rows = [], []
-    for i, key in enumerate(left.column(left_on).values):
+    for i, key in enumerate(left.cells(left_on)):
         for j in index.get(key, ()):
             left_rows.append(i)
             right_rows.append(j)
     data = {}
     for name, col in zip(left.names, left.cols):
-        data[name] = (col.kind, [col.values[i] for i in left_rows])
+        data[name] = (col.kind, [col.cells()[i] for i in left_rows])
     for name, col in zip(right.names, right.cols):
         if name == right_on:
             continue
-        data[name if name not in data else f"{name}_r"] = (col.kind, [col.values[j] for j in right_rows])
+        data[name if name not in data else f"{name}_r"] = (col.kind, [col.cells()[j] for j in right_rows])
     return Table.from_dict(data)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rentlab.errors import EmptyInputError
 from rentlab.report import StageReport
-from rentlab.tabular import Table
+from rentlab.tabular import Column, Table
 from rentlab.wrangle import (
     GapSpec,
     fill_calendar_gap,
@@ -20,32 +20,36 @@ from rentlab.wrangle import (
 )
 
 
+def _numeric(values):
+    return Column.of("numeric", values)
+
+
 class TestQuantile:
     def test_q25_of_five_values(self):
-        assert quantile([1, 2, 3, 4, 100], 0.25) == 2.0
+        assert quantile(_numeric([1, 2, 3, 4, 100]), 0.25) == 2.0
 
     def test_q75_of_five_values(self):
-        assert quantile([1, 2, 3, 4, 100], 0.75) == 4.0
+        assert quantile(_numeric([1, 2, 3, 4, 100]), 0.75) == 4.0
 
     def test_single_value(self):
         for q in (0.0, 0.25, 0.5, 1.0):
-            assert quantile([7], q) == 7.0
+            assert quantile(_numeric([7]), q) == 7.0
 
     def test_missing_excluded(self):
-        assert quantile([None, 1, None, 3], 0.5) == 2.0
+        assert quantile(_numeric([None, 1, None, 3]), 0.5) == 2.0
 
     def test_all_missing_raises(self):
         with pytest.raises(EmptyInputError):
-            quantile([None, None], 0.5)
+            quantile(_numeric([None, None]), 0.5)
 
     def test_bad_q(self):
         with pytest.raises(ValueError):
-            quantile([1.0], 1.5)
+            quantile(_numeric([1.0]), 1.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_input_raises_naming_it(self, bad):
         with pytest.raises(ValueError, match=f"non-finite input value {bad!r}"):
-            quantile([1.0, None, bad, 3.0], 0.5)
+            quantile(_numeric([1.0, None, bad, 3.0]), 0.5)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -57,7 +61,7 @@ class TestQuantile:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_matches_numpy_linear_interpolation(self, values, q):
-        ours = quantile(values, q)
+        ours = quantile(_numeric(values), q)
         oracle = float(np.percentile(np.array(values), q * 100.0))
         assert ours == pytest.approx(oracle, abs=1e-9 * (1 + abs(oracle)))
 
@@ -71,33 +75,33 @@ class TestQuantile:
     )
     def test_median_equals_middle_order_statistic(self, values):
         middle = sorted(values)[len(values) // 2]
-        assert quantile(values, 0.5) == middle
+        assert quantile(_numeric(values), 0.5) == middle
 
 
 class TestIqrFences:
     def test_spec_example(self):
-        fences = iqr_fences([1, 2, 3, 4, 100], 0.5)
+        fences = iqr_fences(_numeric([1, 2, 3, 4, 100]), 0.5)
         assert fences.q1 == 2.0
         assert fences.q3 == 4.0
         assert fences.lower == 1.0
         assert fences.upper == 5.0
 
     def test_constant_column(self):
-        fences = iqr_fences([5, 5, 5], 0.5)
+        fences = iqr_fences(_numeric([5, 5, 5]), 0.5)
         assert fences.lower == fences.upper == 5.0
 
     def test_zero_multiplier(self):
-        fences = iqr_fences([1, 2, 3, 4, 100], 0.0)
+        fences = iqr_fences(_numeric([1, 2, 3, 4, 100]), 0.0)
         assert fences.lower == fences.q1
         assert fences.upper == fences.q3
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
-            iqr_fences([1, 2, 3], -0.1)
+            iqr_fences(_numeric([1, 2, 3]), -0.1)
 
     def test_non_finite_input_raises(self):
         with pytest.raises(ValueError, match="non-finite input value nan"):
-            iqr_fences([1.0, 2.0, float("nan"), 4.0], 0.5)
+            iqr_fences(_numeric([1.0, 2.0, float("nan"), 4.0]), 0.5)
 
 
 def _price_table(values):
@@ -107,7 +111,7 @@ def _price_table(values):
 class TestRemoveOutliers:
     def test_spec_example_removes_100(self):
         out = remove_outliers(_price_table([1, 2, 3, 4, 100]), "price", 0.5)
-        assert out.values("price") == (1.0, 2.0, 3.0, 4.0)
+        assert out.cells("price") == [1.0, 2.0, 3.0, 4.0]
 
     def test_all_inside_is_identity(self):
         t = _price_table([10, 11, 12, 13])
@@ -115,8 +119,8 @@ class TestRemoveOutliers:
 
     def test_missing_rows_retained(self):
         out = remove_outliers(_price_table([1, 2, None, 3, 4, 100]), "price", 0.5)
-        assert None in out.values("price")
-        assert 100.0 not in out.values("price")
+        assert None in out.cells("price")
+        assert 100.0 not in out.cells("price")
 
     def test_non_numeric_column_rejected(self):
         t = Table.from_dict({"price": ("text", ["a"])})
@@ -126,7 +130,7 @@ class TestRemoveOutliers:
     def test_idempotent_at_fixed_fences(self):
         # fences computed once on the original data, applied twice
         values = [1.0, 2.0, 3.0, 4.0, 100.0, -50.0]
-        fences = iqr_fences(values, 0.5)
+        fences = iqr_fences(_numeric(values), 0.5)
         once = [v for v in values if fences.contains(v)]
         twice = [v for v in once if fences.contains(v)]
         assert once == twice
@@ -141,17 +145,17 @@ class TestRemoveOutliers:
         st.floats(min_value=0.0, max_value=3.0),
     )
     def test_retained_values_inside_fences(self, values, multiplier):
-        fences = iqr_fences(values, multiplier)
+        fences = iqr_fences(_numeric(values), multiplier)
         out = remove_outliers(_price_table(values), "price", multiplier)
-        for v in out.values("price"):
+        for v in out.cells("price"):
             assert fences.lower <= v <= fences.upper
 
     def test_post_filter_spread_shrinks(self):
         # boxplot-narrowing property: post-filter max is bounded by the fence
         values = [10.0, 12.0, 14.0, 16.0, 18.0, 500.0, -400.0]
-        fences = iqr_fences(values, 0.5)
+        fences = iqr_fences(_numeric(values), 0.5)
         out = remove_outliers(_price_table(values), "price", 0.5)
-        kept = out.values("price")
+        kept = out.cells("price")
         assert max(kept) <= fences.upper
         assert min(kept) >= fences.lower
         assert max(kept) - min(kept) < max(values) - min(values)
@@ -166,38 +170,38 @@ class TestImputeGroupMean:
     def test_mean_of_two_values(self):
         t = self._table([1, 1, 1], [4.0, 5.0, None])
         out = impute_group_mean(t, "score", "host_id")
-        assert out.values("score") == (4.0, 5.0, 4.5)
+        assert out.cells("score") == [4.0, 5.0, 4.5]
 
     def test_group_entirely_missing_stays_missing(self):
         t = self._table([1, 1], [None, None])
         out = impute_group_mean(t, "score", "host_id")
-        assert out.values("score") == (None, None)
+        assert out.cells("score") == [None, None]
 
     def test_singleton_donor(self):
         t = self._table([2, 2], [4.8, None])
         out = impute_group_mean(t, "score", "host_id")
-        assert out.values("score") == (4.8, 4.8)
+        assert out.cells("score") == [4.8, 4.8]
 
     def test_non_missing_cells_untouched(self):
         t = self._table([1, 2, 1], [4.0, 3.0, None])
         out = impute_group_mean(t, "score", "host_id")
-        assert out.values("score")[:2] == (4.0, 3.0)
+        assert out.cells("score")[:2] == [4.0, 3.0]
 
 
 class TestImputeGlobalMedian:
     def test_median_fill(self):
         t = _price_table([1.0, None, 3.0])
         out = impute_global_median(t, "price")
-        assert out.values("price") == (1.0, 2.0, 3.0)
+        assert out.cells("price") == [1.0, 2.0, 3.0]
 
     def test_no_missing_identity_values(self):
         t = _price_table([1.0, 3.0])
         out = impute_global_median(t, "price")
-        assert out.values("price") == (1.0, 3.0)
+        assert out.cells("price") == [1.0, 3.0]
 
     def test_singleton_median(self):
         out = impute_global_median(_price_table([5.0, None]), "price")
-        assert out.values("price") == (5.0, 5.0)
+        assert out.cells("price") == [5.0, 5.0]
 
     def test_all_missing_raises(self):
         with pytest.raises(EmptyInputError):
@@ -233,12 +237,12 @@ class TestKnnImputeGeo:
     def test_all_donors_same_score(self):
         t = self._table([0.0, 0.1, 0.2], [0.0, 0.0, 0.0], [5.0, 5.0, None])
         out = knn_impute_geo(t, "score", k=2)
-        assert out.values("score")[2] == 5.0
+        assert out.cells("score")[2] == 5.0
 
     def test_k1_nearest_donor(self):
         t = self._table([0.0, 1.0, 0.01], [0.0, 0.0, 0.0], [4.7, 1.0, None])
         out = knn_impute_geo(t, "score", k=1)
-        assert out.values("score")[2] == 4.7
+        assert out.cells("score")[2] == 4.7
 
     def test_k10_matches_bruteforce_sort(self):
         rng = np.random.default_rng(42)
@@ -256,7 +260,7 @@ class TestKnnImputeGeo:
             for i in range(12)
         )
         expected = sum(s for _, s in dists[:10]) / 10
-        assert out.values("score")[12] == pytest.approx(expected, abs=1e-12)
+        assert out.cells("score")[12] == pytest.approx(expected, abs=1e-12)
 
     def test_fewer_donors_than_k_flagged(self):
         report = StageReport()
@@ -293,9 +297,9 @@ class TestFillCalendarGap:
         cal = _calendar([(1, d, 100.0) for d in mondays])
         gap = GapSpec(dt.date(2023, 1, 16), dt.date(2023, 1, 16))  # a Monday
         out = fill_calendar_gap(cal, gap)
-        added = [r for r in range(out.n_rows) if out.values("date")[r] == gap.start]
+        added = [r for r in range(out.n_rows) if out.cells("date")[r] == gap.start]
         assert len(added) == 1
-        assert out.values("price")[added[0]] == 100.0
+        assert out.cells("price")[added[0]] == 100.0
 
     def test_one_day_gap_one_row_per_listing(self):
         cal = _calendar(
@@ -311,8 +315,8 @@ class TestFillCalendarGap:
         )
         gap = GapSpec(dt.date(2023, 1, 23), dt.date(2023, 1, 23))  # Monday
         out = fill_calendar_gap(cal, gap)
-        new_row = [i for i in range(out.n_rows) if out.values("date")[i] == gap.start]
-        assert out.values("price")[new_row[0]] == 100.0
+        new_row = [i for i in range(out.n_rows) if out.cells("date")[i] == gap.start]
+        assert out.cells("price")[new_row[0]] == 100.0
 
     def test_fallback_to_overall_mean(self):
         # history only on Mondays; gap date is a Tuesday
@@ -321,8 +325,8 @@ class TestFillCalendarGap:
         )
         gap = GapSpec(dt.date(2023, 1, 24), dt.date(2023, 1, 24))
         out = fill_calendar_gap(cal, gap)
-        new_row = [i for i in range(out.n_rows) if out.values("date")[i] == gap.start]
-        assert out.values("price")[new_row[0]] == 100.0
+        new_row = [i for i in range(out.n_rows) if out.cells("date")[i] == gap.start]
+        assert out.cells("price")[new_row[0]] == 100.0
 
     def test_row_count_and_uniqueness(self):
         listings = [1, 2, 3]
@@ -335,7 +339,7 @@ class TestFillCalendarGap:
         gap = GapSpec(dt.date(2023, 2, 1), dt.date(2023, 2, 7))
         out = fill_calendar_gap(cal, gap)
         assert out.n_rows == cal.n_rows + len(listings) * 7
-        keys = list(zip(out.values("listing_id"), out.values("date")))
+        keys = list(zip(out.cells("listing_id"), out.cells("date")))
         assert len(keys) == len(set(keys))
 
     def test_sorted_by_listing_then_date(self):
@@ -344,7 +348,7 @@ class TestFillCalendarGap:
         )
         gap = GapSpec(dt.date(2023, 1, 10), dt.date(2023, 1, 11))
         out = fill_calendar_gap(cal, gap)
-        keys = list(zip(out.values("listing_id"), out.values("date")))
+        keys = list(zip(out.cells("listing_id"), out.cells("date")))
         assert keys == sorted(keys)
 
     def test_empty_calendar_raises(self):
@@ -375,5 +379,5 @@ def test_report_accumulates_rows_affected():
     remove_outliers(_price_table([1, 2, 3, 4, 100]), "price", 0.5, report=report)
     impute_global_median(_price_table([1.0, None]), "price", report=report)
     table = report.to_table()
-    assert table.values("operation") == ("remove_outliers", "impute_global_median")
-    assert table.values("rows_affected") == (1, 1)
+    assert table.cells("operation") == ["remove_outliers", "impute_global_median"]
+    assert table.cells("rows_affected") == [1, 1]
