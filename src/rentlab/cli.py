@@ -23,14 +23,12 @@ import json
 import os
 import sys
 import tempfile
-import types
-from dataclasses import dataclass, field, is_dataclass, replace
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .errors import PipelineError
+from .errors import PipelineError, SchemaError
 from .evaluation import (
     EvalReport,
     ModelConfig,
@@ -55,6 +53,7 @@ from .features import (
     standardize,
     top_k_amenities,
 )
+from .jsonfields import at_least, check_keys, decode
 from .models import FAMILIES, FittedModel, HyperParams, check_columns, fit_family, load_model, save_model
 from .report import StageReport
 from .select_explain import (
@@ -161,69 +160,25 @@ def _require_file(path: str, what: str) -> str:
 # pipeline configuration
 
 
-def _check_keys(doc, allowed, where: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {unknown}")
-    return doc
-
-
-def _value(tp, value, where: str):
-    """value checked against the annotation tp; None only for an optional
-    field. A float field takes a JSON int as a float, no field a bool but bool,
-    a date field an ISO date string."""
-    if isinstance(tp, types.UnionType):  # X | None
-        if value is None:
-            return None
-        tp = next(t for t in get_args(tp) if t is not type(None))
-    if value is None:
-        raise ConfigError(f"{where} is missing")
-    if is_dataclass(tp):
-        return _section(tp, value, where)
-    if get_origin(tp) is tuple:  # tuple[X, ...] or a fixed tuple[X, Y]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        args = get_args(tp)
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{where} must be a list of {len(args)}, got {value!r}")
-        return tuple(_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
-    if get_origin(tp) is dict:  # dict[str, X]
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {value!r}")
-        return {k: _value(get_args(tp)[1], v, f"{where}.{k}") for k, v in value.items()}
-    if tp is _dt.date and isinstance(value, str):
-        try:
-            return _dt.date.fromisoformat(value)
-        except ValueError as exc:
-            raise ConfigError(f"{where} is not an ISO date: {value!r} ({exc})") from None
-    if type(value) is not tp and not (tp is float and type(value) is int):
-        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    return float(value) if tp is float else value
+def _section(tp, value, where: str):
+    """value loaded as annotation tp, by the field rules of ``jsonfields``
+    with unknown keys rejected; a failure is a ConfigError whose message
+    starts with the path of the key (``wrangle.knn_k``)."""
+    try:
+        return decode(tp, value, where)
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _file(tp, value, where: str) -> str | None:
     """A path field: None, or a string naming an existing file."""
-    return None if value is None else _require_file(_value(str, value, where), where)
+    return None if value is None else _require_file(decode(str, value, where), where)
 
 
-def _section(cls, doc, where: str):
-    """Load dataclass cls from a JSON object whose keys are fields of cls, each value
-    typed as its field (or read by the field's "load" metadata). A failure is a
-    ConfigError naming where.key; a ValueError from cls must start with the key."""
-    fields = cls.__dataclass_fields__
-    hints = get_type_hints(cls)
-    values = {
-        key: fields[key].metadata.get("load", _value)(hints[key], value, f"{where}.{key}")
-        for key, value in _check_keys(doc, fields, where).items()
-    }
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.{exc}") from exc
+def _inputs(tp, doc, where: str) -> dict[str, str]:
+    """inputs: the path of each input CSV by its name, every one given."""
+    check_keys(doc, INPUT_NAMES, where)
+    return {name: decode(str, doc.get(name), f"{where}.{name}") for name in INPUT_NAMES}
 
 
 def _grids(tp, doc, where: str) -> dict | None:
@@ -231,13 +186,13 @@ def _grids(tp, doc, where: str) -> dict | None:
     if doc is None:
         return None
     grids = {}
-    for fam, grid in _check_keys(doc, FAMILIES, where).items():
+    for fam, grid in check_keys(doc, FAMILIES, where).items():
         at = f"{where}.{fam}"
         grids[fam] = {}
-        for name, values in _check_keys(grid, HyperParams.__dataclass_fields__, at).items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"{at}.{name} must be a non-empty list, got {values!r}")
-            grids[fam][name] = [getattr(_section(HyperParams, {name: v}, at), name) for v in values]
+        for name, values in check_keys(grid, HyperParams.__dataclass_fields__, at).items():
+            if type(values) is not list or not values:
+                raise SchemaError(f"{at}.{name} must be a non-empty list, got {values!r}")
+            grids[fam][name] = [getattr(decode(HyperParams, {name: v}, at), name) for v in values]
     return grids
 
 
@@ -258,10 +213,7 @@ class Wrangle:
     gap_end: _dt.date | None = None
 
     def __post_init__(self):
-        if self.multiplier < 0:
-            raise ValueError(f"multiplier must be >= 0, got {self.multiplier}")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        at_least(self, multiplier=0, knn_k=1)
         if (self.gap_start is None) != (self.gap_end is None):
             missing = "gap_start" if self.gap_start is None else "gap_end"
             raise ValueError(f"{missing} is missing: give both gap ends or neither")
@@ -280,8 +232,7 @@ class Features:
     standardize: bool = False
 
     def __post_init__(self):
-        if self.amenity_k < 1:
-            raise ValueError(f"amenity_k must be >= 1, got {self.amenity_k}")
+        at_least(self, amenity_k=1)
 
 
 @dataclass(frozen=True)
@@ -299,10 +250,7 @@ class Selection:
     def __post_init__(self):
         if self.mode not in ("none", "kbest", "forward"):
             raise ValueError(f"mode: unknown selection mode {self.mode!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_features < 1:
-            raise ValueError(f"max_features must be >= 1, got {self.max_features}")
+        at_least(self, k=1, max_features=1)
 
 
 @dataclass(frozen=True)
@@ -328,10 +276,7 @@ class Eval:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.cv_k < 2:
-            raise ValueError(f"cv_k must be >= 2, got {self.cv_k}")
-        if self.search_samples < 0:
-            raise ValueError(f"search_samples must be >= 0, got {self.search_samples}")
+        at_least(self, cv_k=2, search_samples=0)
 
 
 @dataclass(frozen=True)
@@ -343,12 +288,7 @@ class Explain:
     rows: int = 25  # 0: every row
 
     def __post_init__(self):
-        if self.top < 1:
-            raise ValueError(f"top must be >= 1, got {self.top}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.rows < 0:
-            raise ValueError(f"rows must be >= 0, got {self.rows}")
+        at_least(self, top=1, budget=1, rows=0)
 
 
 @dataclass
@@ -359,7 +299,7 @@ class PipelineConfig:
     seed: int
     output_dir: str = "rentlab_out"
     generator: GenConfig | None = None
-    inputs: dict[str, str] = field(default_factory=dict)
+    inputs: dict[str, str] = field(default_factory=dict, metadata={"load": _inputs})
     wrangle: Wrangle = Wrangle()
     features: Features = Features()
     sentiment: Sentiment = Sentiment()
@@ -374,21 +314,18 @@ class PipelineConfig:
 
     @staticmethod
     def from_doc(doc: dict) -> "PipelineConfig":
-        _check_keys(doc, ("version", *PipelineConfig.__dataclass_fields__), "config")
-        if _value(int, doc.get("version", 1), "version") != 1:
+        """The config in doc: its fields, "version" and "generator"."""
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        if _section(int, doc.get("version", 1), "version") != 1:
             raise ConfigError(f"unsupported config version {doc['version']!r}")
         if "seed" not in doc:
             raise ConfigError("config field 'seed' is mandatory")
         if "generator" not in doc and "inputs" not in doc:
             raise ConfigError("config needs either 'generator' or 'inputs'")
-        given = {
-            name: _value(tp, doc[name], name) for name, tp in get_type_hints(PipelineConfig).items()
-            if name in doc and (is_dataclass(tp) or tp in (int, str))  # sections, seed, output_dir
-        }
-        if "inputs" in doc:
-            inputs = _check_keys(doc["inputs"], INPUT_NAMES, "inputs")
-            given["inputs"] = {k: _value(str, inputs.get(k), f"inputs.{k}") for k in INPUT_NAMES}
-        cfg = PipelineConfig(**given)  # checks seed before the generator inherits it
+        # seed is checked before the generator inherits it
+        fields = {k: v for k, v in doc.items() if k not in ("version", "generator")}
+        cfg = _section(PipelineConfig, fields, "")
         if "generator" in doc:  # the generator wins over inputs
             cfg.generator = gen_config_from_doc(doc["generator"], seed=cfg.seed)
         return cfg
@@ -750,7 +687,7 @@ def _cmd_gen(args) -> int:
         doc = {k: v for k, v in vars(args).items()
                if k in GenConfig.__dataclass_fields__ and v is not None}
         if args.start or args.end:
-            start, end = GenConfig.date_range
+            start, end = (day.isoformat() for day in GenConfig.date_range)
             doc["date_range"] = [args.start or start, args.end or end]
     paths = stage_gen(gen_config_from_doc(doc, seed=args.seed), args.out_dir)
     for name, path in paths.items():

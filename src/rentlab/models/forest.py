@@ -19,7 +19,11 @@ class ForestModel:
     max_features: int
     seed: int
     feature_names: tuple[str, ...] = ()
-    __post_init__ = check_split_features
+
+    def __post_init__(self):
+        if not self.trees:  # predict would divide by zero
+            raise ValueError("trees is empty: a forest averages one or more trees")
+        check_split_features(self)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -42,7 +42,7 @@ class LinearModel:
 
     def __post_init__(self):
         if self.feature_names and len(self.feature_names) != len(self.coefficients):
-            raise ValueError(f"model has {len(self.coefficients)} coefficients "
+            raise ValueError(f"feature_names: the model has {len(self.coefficients)} coefficients "
                              f"but {len(self.feature_names)} feature names")
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -38,11 +38,11 @@ class Tree:
             self.feature = feature.astype(np.int64, copy=False)
         bad = (self.feature != feature) | (self.feature < -1)
         if bad.any():
-            raise ValueError(f"tree feature holds column indices and -1, not {feature[bad][0].item()!r}")
+            raise ValueError(f"feature holds column indices and -1, not {feature[bad][0].item()!r}")
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
         self.value = np.asarray(self.value, dtype=np.float64)
         if self.feature.ndim != 1 or not self.feature.shape == self.threshold.shape == self.value.shape:
-            raise ValueError("tree arrays must be one-dimensional and of equal length")
+            raise ValueError("feature, threshold and value must be 1-d and of equal length")
         self.left, self.right, self.depth = self._shape()
 
     def _shape(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -57,7 +57,7 @@ class Tree:
         s = np.cumsum(np.where(split, 1, -1))
         # s first takes its least value at the last node, and that is -1
         if n == 0 or s.argmin() != n - 1 or s[-1] != -1:
-            raise ValueError("tree feature's split/leaf marks are not a binary tree in preorder")
+            raise ValueError("feature's split/leaf marks are not a binary tree in preorder")
         nodes = np.arange(n)
         # key s * n + i orders the nodes by s, then by index; i is key mod n
         key = s * n + nodes
@@ -84,7 +84,7 @@ def check_split_features(model) -> None:
     names = model.feature_names
     top = max((int(t.feature.max()) for t in model.trees), default=-1)
     if names and top >= len(names):
-        raise ValueError(f"a tree's feature holds column {top}, but the model has {len(names)} feature_names")
+        raise ValueError(f"feature_names has {len(names)} names, but a tree splits on column {top}")
 
 
 def _distinct(col: np.ndarray) -> np.ndarray:

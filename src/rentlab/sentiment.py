@@ -17,6 +17,7 @@ from itertools import compress, count
 
 import numpy as np
 
+from .errors import SchemaError
 from .report import StageReport
 from .tabular import Column, Table, group_means, shipped_file
 
@@ -102,23 +103,33 @@ class SentimentScore:
             raise ValueError(f"compound out of range: {self.compound}")
 
 
-def _load_tsv_map(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _tsv_lines(path):
+    """(line number, key, tab, value) of each line of a key<TAB>value file
+    that has a key and is not a '#' comment; tab is "" on a line without one."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("\t")
-            if key:
-                out[key] = value
-    return out
+        for number, line in enumerate(fh, 1):
+            key, tab, value = line.rstrip("\n").partition("\t")
+            if key and not key.startswith("#"):
+                yield number, key, tab, value
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read a word<TAB>valence file ('#' comments allowed)."""
-    raw = _load_tsv_map(path)
-    return Lexicon({w.lower(): float(v) for w, v in raw.items()})
+    """Read a word<TAB>valence file ('#' comments allowed). A line without a
+    tab, or a valence that is not a finite number, raises SchemaError naming
+    the file, the line and the word."""
+    entries = {}
+    for number, word, tab, valence in _tsv_lines(path):
+        where = f"{path}: line {number}, word {word!r}"
+        if not tab:
+            raise SchemaError(f"{where}: no tab between the word and its valence")
+        try:
+            value = float(valence)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise SchemaError(f"{where}: the valence {valence!r} is not a finite number")
+        entries[word.lower()] = value
+    return Lexicon(entries)
 
 
 def default_lexicon() -> Lexicon:
@@ -129,7 +140,7 @@ def default_lexicon() -> Lexicon:
 @functools.cache
 def _shipped_map(name: str) -> dict[str, str]:
     with shipped_file(name) as path:
-        return _load_tsv_map(path)
+        return {key: value for _, key, _, value in _tsv_lines(path)}
 
 
 def _trie_pattern(words) -> str:

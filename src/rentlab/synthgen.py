@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import GeoPoint, haversine_km, parse_amenities
+from .jsonfields import at_least
 from .tabular import Table
 
 AUSTIN_CENTER = (30.2672, -97.7431)
@@ -110,10 +111,7 @@ class GenConfig:
     max_reviews_per_listing: int = 6
 
     def __post_init__(self):
-        if self.n_listings < 1:
-            raise ValueError(f"n_listings must be >= 1, got {self.n_listings}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        at_least(self, n_listings=1, seed=0, peak_uplift=0, noise_std=0, max_reviews_per_listing=0)
         start, end = self.date_range
         if start > end:
             raise ValueError(f"date_range start {start} after end {end}")
@@ -121,20 +119,12 @@ class GenConfig:
             raise ValueError(f"weekday_median must be > 0, got {self.weekday_median}")
         if not self.weekend_median > 0:
             raise ValueError(f"weekend_median must be > 0, got {self.weekend_median}")
-        if self.peak_uplift < 0:
-            raise ValueError(f"peak_uplift must be >= 0, got {self.peak_uplift}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if not 0.0 <= self.outlier_fraction < 0.3:
             raise ValueError("outlier_fraction must be in [0, 0.3)")
         if not 0.0 <= self.missing_fraction < 0.5:
             raise ValueError("missing_fraction must be in [0, 0.5)")
         if not 0.0 <= self.positive_review_rate <= 1.0:
             raise ValueError("positive_review_rate must be in [0, 1]")
-        if self.max_reviews_per_listing < 0:
-            raise ValueError(
-                f"max_reviews_per_listing must be >= 0, got {self.max_reviews_per_listing}"
-            )
 
     @property
     def n_days(self) -> int:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli_with_blas_threads
+from rentlab import __version__
 from rentlab.cli import (
     ConfigError,
     Eval,
@@ -168,6 +169,17 @@ class TestSentimentCommand:
         )
         assert status == 2
         assert "no/such/lex.tsv" in capsys.readouterr().err
+
+    def test_malformed_lexicon_exits_1_naming_the_line(self, tmp_path, capsys):
+        main(["gen", "--seed", "5", "--listings", "5", "--start", "2023-01-01",
+              "--end", "2023-01-03", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        (tmp_path / "lex.tsv").write_text("great\t3.1\nawful\tabc\n", encoding="utf-8")
+        status = main(["sentiment", str(tmp_path / "reviews.csv"), "--lexicon",
+                       str(tmp_path / "lex.tsv"), "--out", str(tmp_path / "scored.csv")])
+        assert status == 1
+        assert "lex.tsv: line 2, word 'awful': the valence 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "scored.csv").exists()
 
 
 class TestRunCommand:
@@ -718,7 +730,7 @@ class TestTrainSelectExplain:
         params.write_text(json.dumps({"max_depth": "3"}), encoding="utf-8")
         assert main(["train", "--features", str(features_csv), "--family", "gbm",
                      "--params", str(params), "--out", str(tmp_path / "model.json")]) == 2
-        assert "params.max_depth must be int" in capsys.readouterr().err
+        assert "params.max_depth is not a JSON int: '3'" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
     def test_params_with_unknown_key_exits_2(self, tmp_path, features_csv, capsys):
@@ -753,16 +765,28 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, name", [
-        (["select", "--features", "f.csv", "--k", "0"], "selection.k"),
+    @pytest.mark.parametrize("argv, message", [
+        (["select", "--features", "f.csv", "--k", "0"], "selection.k must be >= "),
         (["select", "--features", "f.csv", "--mode", "forward", "--max-features", "0"],
-         "selection.max_features"),
+         "selection.max_features must be >= "),
         (["wrangle", "--listings", "l.csv", "--calendar", "c.csv", "--multiplier", "-1"],
-         "wrangle.multiplier"),
+         "wrangle.multiplier must be >= "),
+        # argparse reads nan and inf as floats; these once ran and exited 0
+        (["gen", "--noise-std", "nan"], "generator.noise_std is not a finite number: nan"),
+        (["wrangle", "--listings", "l.csv", "--calendar", "c.csv", "--multiplier", "inf"],
+         "wrangle.multiplier is not a finite number: inf"),
     ])
-    def test_out_of_range_flag_exits_2_naming_it(self, argv, name, capsys):
+    def test_out_of_range_flag_exits_2_naming_it(self, argv, message, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.chdir(tmp_path)  # gen and wrangle write to the working directory
         assert main(argv) == 2
-        assert f"config error: {name} must be >= " in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_python_dash_m_runs_the_cli(self):
+        done = subprocess.run([sys.executable, "-m", "rentlab", "--version"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert (done.returncode, done.stdout) == (0, f"rentlab {__version__}\n")
 
     def test_missing_features_file_exits_2(self, capsys):
         assert main(["train", "--features", "nope.csv", "--family", "ols"]) == 2
@@ -827,6 +851,16 @@ class TestConfigValues:
         ({"features": {"amenity_k": 0}}, "features.amenity_k"),
         ({"wrangle": {"knn_k": 0}}, "wrangle.knn_k"),
         ({"wrangle": {"multiplier": -1.0}}, "wrangle.multiplier"),
+        # json reads NaN and Infinity: these once ran, fitting intercepts only, dropping
+        # the noise or failing later as an empty join
+        ({"wrangle": {"multiplier": float("nan")}}, "wrangle.multiplier"),
+        ({"models": {"hyperparams": {"alpha": float("nan")}}}, "models.hyperparams.alpha"),
+        ({"generator": {"noise_std": float("nan")}}, "generator.noise_std"),
+        ({"selection": {"min_rel_improvement": float("nan")}}, "selection.min_rel_improvement"),
+        ({"generator": {"true_coefficients": {"Pool": float("inf")}}},
+         "generator.true_coefficients.Pool"),
+        ({"models": {"grids": {"gbm": {"learning_rate": [0.1, float("inf")]}}}},
+         "models.grids.gbm.learning_rate"),
         ({"selection": {"mode": "kbest", "k": 0}}, "selection.k"),
         ({"selection": {"mode": "forward", "max_features": 0}}, "selection.max_features"),
         ({"explain": {"top": 0}}, "explain.top"),

@@ -287,6 +287,8 @@ class TestFitGbm:
         m = self._data()
         model = fit_gbm(m, HyperParams(n_rounds=0))
         assert np.allclose(model.predict(m.x), m.y.mean())
+        # unlike a forest without trees, a gbm without trees loads
+        assert model_to_doc(model_from_doc(model_to_doc(model))) == model_to_doc(model)
 
     def test_training_rmse_non_increasing(self):
         m = self._data()
@@ -1013,10 +1015,10 @@ class TestSerialization:
             model_from_doc({"family": "perceptron"})
 
     @pytest.mark.parametrize("doc, message", [
-        ([], "a model document is a JSON object, not list"),
-        ("x", "a model document is a JSON object, not str"),
-        ({"family": []}, r"family is a string, not \[\]"),
-        ({"trees": []}, "family is a string, not None"),
+        ([], r"model document is not a JSON object: \[\]"),
+        ("x", "model document is not a JSON object: 'x'"),
+        ({"family": []}, r"model document\.family is not a JSON string: \[\]"),
+        ({"trees": []}, r"model document\.family is not a JSON string: None"),
     ])
     def test_document_not_an_object_or_family_not_a_string_named(self, tmp_path, capsys, doc,
                                                                   message):
@@ -1084,9 +1086,11 @@ class TestSerialization:
 
     def test_nested_tree_document_rejected_by_name(self):
         nested = {"kind": "leaf", "value": 2.0, "n": 3}
-        with pytest.raises(ValueError, match="flat fields"):
+        with pytest.raises(ValueError, match=r"gbm model document\.trees\[0\] lacks the fields "
+                                             r"\['feature', 'threshold'\]"):
             model_from_doc({"family": "gbm", "base": 1.0, "learning_rate": 0.1, "trees": [nested]})
-        with pytest.raises(ValueError, match="flat fields"):
+        with pytest.raises(ValueError, match=r"tree model document lacks the fields "
+                                             r"\['feature', 'threshold', 'value'\]"):
             model_from_doc({"family": "tree", "root": nested})
 
     def test_malformed_tree_arrays_rejected(self):
@@ -1097,48 +1101,57 @@ class TestSerialization:
         # it once loaded as a split on feature 0
         doc = {"family": "tree", "feature": [0.7, -1, -1], "threshold": [0.5, 0.0, 0.0],
                "value": [1.0, 0.0, 2.0]}
-        with pytest.raises(ValueError, match="tree feature .* not 0.7"):
+        with pytest.raises(ValueError, match=r"tree model document\.feature holds .* not 0\.7"):
             model_from_doc(doc)
 
     @pytest.mark.parametrize("doc, message", [
         ({"family": "tree", "feature": ["a", -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]},
-         "tree model document feature is not an array of numbers"),
+         "tree model document.feature is not a list of finite numbers"),
         ({"family": "tree", "feature": [0, -1, -1], "threshold": [0.5, {}, 0.0], "value": [1.0, 0.0, 2.0]},
-         "tree model document threshold is not an array of numbers"),
+         "tree model document.threshold is not a list of finite numbers"),
         ({"family": "gbm", "base": 1.0, "learning_rate": 0.1,
           "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, "b", 2.0]}]},
-         r"gbm model document trees\[0\] value is not an array of numbers"),
+         r"gbm model document.trees\[0\].value is not a list of finite numbers"),
         # these once loaded: a null as nan, a numeric string as its number
         ({"family": "tree", "feature": ["0", -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]},
-         "tree model document feature is not an array of numbers"),
+         "tree model document.feature is not a list of finite numbers"),
         ({"family": "linear", "intercept": 1.0, "coefficients": [None], "feature_names": ["x0"]},
-         "linear model document coefficients is not an array of numbers"),
+         "linear model document.coefficients is not a list of finite numbers"),
         ({"family": "tree", "feature": [0, -1, -1], "threshold": [[0.5], 0.0, 0.0], "value": [1.0, 0.0, 2.0]},
-         "tree model document threshold is not an array of numbers"),
+         "tree model document.threshold is not a list of finite numbers"),
         # json reads NaN and Infinity: these once loaded and wrote x0,inf or x0,nan to the ranking
         ({"family": "linear", "intercept": float("nan"), "coefficients": [float("inf")],
-          "feature_names": ["x0"]}, "linear model document intercept is not a finite number: nan"),
+          "feature_names": ["x0"]}, "linear model document.intercept is not a finite number: nan"),
         ({"family": "linear", "intercept": 1.0, "coefficients": [float("inf")], "feature_names": ["x0"]},
-         "linear model document coefficients holds a NaN or an infinity"),
+         "linear model document.coefficients is not a list of finite numbers: \\[inf\\]"),
         ({"family": "gbm", "base": 1.0, "learning_rate": float("nan"), "feature_names": ["x0"],
           "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]}]},
-         "gbm model document learning_rate is not a finite number: nan"),
+         "gbm model document.learning_rate is not a finite number: nan"),
         ({"family": "linear", "intercept": "abc", "coefficients": [1.0], "feature_names": ["x0"]},
-         "linear model document intercept is not a finite number: 'abc'"),
+         "linear model document.intercept is not a finite number: 'abc'"),
         ({"family": "forest", "max_features": 1, "seed": True, "feature_names": ["x0"],
           "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]}]},
-         "forest model document seed is not a finite number: True"),
+         "forest model document.seed is not a JSON int: True"),
         # these once loaded: a string as the feature names, a string as converged
         ({"family": "linear", "intercept": 1.0, "coefficients": [1.0], "feature_names": "a"},
-         "linear model document feature_names is not a JSON list: 'a'"),
+         "linear model document.feature_names is not a JSON list: 'a'"),
         ({"family": "linear", "intercept": 1.0, "coefficients": [1.0], "feature_names": [0]},
-         r"linear model document feature_names\[0\] is not a JSON string: 0"),
+         r"linear model document.feature_names\[0\] is not a JSON string: 0"),
         ({"family": "linear", "intercept": 1.0, "coefficients": [1.0, 2.0], "feature_names": "ab",
-          "converged": "no"}, "linear model document converged is not a JSON bool: 'no'"),
+          "converged": "no"}, "linear model document.converged is not a JSON bool: 'no'"),
         ({"family": "linear", "intercept": 1.0, "coefficients": [1.0], "penalty": 1},
-         "linear model document penalty is not a JSON string: 1"),
+         "linear model document.penalty is not a JSON string: 1"),
         ({"family": "gbm", "base": 1.0, "learning_rate": 0.1, "trees": {"feature": [-1]}},
-         "gbm model document trees is not a JSON list"),
+         "gbm model document.trees is not a JSON list"),
+        # these once loaded into int fields; a forest without trees failed in predict
+        # with a bare ZeroDivisionError
+        ({"family": "linear", "intercept": 1.0, "coefficients": [1.0], "n_iter": 2.5},
+         "linear model document.n_iter is not a JSON int: 2.5"),
+        ({"family": "forest", "max_features": 1, "seed": 1e300, "feature_names": ["x0"],
+          "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "value": [1.0, 0.0, 2.0]}]},
+         "forest model document.seed is not a JSON int: 1e\\+300"),
+        ({"family": "forest", "trees": [], "max_features": 1, "seed": 0, "feature_names": ["a", "b"]},
+         "forest model document.trees is empty"),
     ])
     def test_non_numeric_array_entry_named(self, tmp_path, capsys, doc, message):
         # a string or an object once failed as a bare "could not convert string to
@@ -1178,7 +1191,7 @@ class TestSerialization:
     def test_feature_below_minus_one_rejected_by_name(self):
         doc = {"family": "tree", "feature": [0, -2, -1], "threshold": [0.5, 0.0, 0.0],
                "value": [1.0, 0.0, 2.0]}
-        with pytest.raises(ValueError, match="tree feature .* not -2"):
+        with pytest.raises(ValueError, match=r"tree model document\.feature holds .* not -2"):
             model_from_doc(doc)
 
     @pytest.mark.parametrize("family", ["forest", "gbm"])
@@ -1190,8 +1203,8 @@ class TestSerialization:
         doc = model_to_doc(fit_family(family, m, HyperParams(n_trees=2, n_rounds=2, max_depth=2)))
         assert doc["trees"][1]["feature"][0] >= 0
         doc["trees"][1]["feature"][0] = 3
-        with pytest.raises(ValueError, match="tree's feature holds column 3, but the model has 3 "
-                                             "feature_names"):
+        with pytest.raises(ValueError, match=rf"{family} model document\.feature_names has 3 names, "
+                                             "but a tree splits on column 3"):
             model_from_doc(doc)
         matrix_to_csv(m, tmp_path / "features.csv")
         (tmp_path / "model.json").write_text(json.dumps(doc))
@@ -1284,5 +1297,5 @@ class TestSerialization:
                        "--data", str(tmp_path / "features.csv"),
                        "--out", str(tmp_path / "shap.csv")])
         assert status == 1
-        assert "flat fields" in capsys.readouterr().err
+        assert "forest model document.trees[0] lacks the fields" in capsys.readouterr().err
         assert not (tmp_path / "shap.csv").exists()

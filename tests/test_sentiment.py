@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rentlab import sentiment
+from rentlab.errors import SchemaError
 from rentlab.report import StageReport
 from rentlab.sentiment import (
     COMPOUND_ALPHA,
@@ -18,6 +19,7 @@ from rentlab.sentiment import (
     clean_text,
     fill_missing_sentiment,
     lexicon_lookup,
+    load_lexicon,
     looks_english,
     score,
     score_reviews,
@@ -62,6 +64,18 @@ class TestLexiconFixtures:
     def test_finite_valence_enforced(self):
         with pytest.raises(ValueError):
             Lexicon({"bad": math.inf})
+
+    @pytest.mark.parametrize("line, message", [
+        # these once failed as a bare "could not convert string to float"
+        ("awful\tabc", r"line 3, word 'awful': the valence 'abc' is not a finite number"),
+        ("good", r"line 3, word 'good': no tab between the word and its valence"),
+        ("awful\tnan", r"line 3, word 'awful': the valence 'nan' is not a finite number"),
+    ], ids=["not_a_number", "no_tab", "nan"])
+    def test_load_lexicon_bad_line_named(self, tmp_path, line, message):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"# word<TAB>valence\ngreat\t3.1\n{line}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"lex\.tsv: " + message):
+            load_lexicon(path)
 
 
 class TestCleanText:
