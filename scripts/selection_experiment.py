@@ -67,19 +67,18 @@ def print_table(title: str, reports) -> None:
 
 def main(seed: int) -> int:
     m = build_matrix(seed)
-    train, test = train_test_split(m, 0.8, seed=1)
+    train_rows, test_rows = train_test_split(m.n_rows, 0.8, seed=1)
     linear_hp = HyperParams(alpha=0.001)
     forest_hp = HyperParams(n_trees=20, max_depth=10)
     gbm_hp = HyperParams(n_rounds=60, learning_rate=0.1, max_depth=3)
     per_family = {"forest": forest_hp, "gbm": gbm_hp}
     configs = [ModelConfig(f, per_family.get(f, linear_hp), seed=3) for f in FAMILIES]
 
-    full = compare_models(train, test, configs)
+    full = compare_models(m, train_rows, test_rows, configs)
     print_table(f"All {m.n_features} features", full)
 
     chosen = forward_select(m, max_features=20, min_rel_improvement=1e-3, seed=seed)
-    train_sel, test_sel = train.select(chosen), test.select(chosen)
-    selected = compare_models(train_sel, test_sel, configs)
+    selected = compare_models(m.select(chosen), train_rows, test_rows, configs)
     print_table(f"Forward-selected {len(chosen)} features", selected)
     return 0
 

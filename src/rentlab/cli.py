@@ -311,6 +311,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.output_dir:
+            raise ConfigError("output_dir is empty: name the directory for the artifacts")
 
     @staticmethod
     def from_doc(doc: dict) -> "PipelineConfig":
@@ -537,15 +539,18 @@ def stage_evaluate(
     hyperparameters (searched when opts.search_samples > 0); write the eval
     report and return it with each family's config for its final fit."""
     os.makedirs(out_dir, exist_ok=True)
-    train, test = train_test_split(matrix, opts.train_fraction, seed)
+    train_rows, test_rows = train_test_split(matrix.n_rows, opts.train_fraction, seed)
     grids = models.grids if models.grids is not None else default_grids()
 
     search_meta: dict[str, dict] = {}
     configs: dict[str, ModelConfig] = {}
+    train = None  # a copy of the train rows, for the searches only
     for fam in models.families:
         hp = models.hyperparams
         grid = grids.get(fam)
         if opts.search_samples > 0 and grid:
+            if train is None:
+                train = matrix.take(train_rows)
             hp, cv_score, trials = random_search(
                 train, fam, grid, n_samples=opts.search_samples, k=opts.cv_k,
                 seed=_derived_seed(seed, FAMILIES.index(fam)),
@@ -557,14 +562,16 @@ def stage_evaluate(
             }
         configs[fam] = ModelConfig(fam, hp, seed=_derived_seed(seed, FAMILIES.index(fam), 1))
 
+    del train
     # one report per listed family, in the listed order (a repeat exits 2 at load)
-    reports = compare_models(train, test, [configs[fam] for fam in models.families])
+    reports = compare_models(matrix, train_rows, test_rows,
+                             [configs[fam] for fam in models.families])
     write_table(reports_to_table(reports), os.path.join(out_dir, "eval_report.csv"))
     doc = {
         "reports": reports_to_doc(reports),
         "search": search_meta,
-        "train_rows": train.n_rows,
-        "test_rows": test.n_rows,
+        "train_rows": len(train_rows),
+        "test_rows": len(test_rows),
     }
     write_json_doc(doc, os.path.join(out_dir, "eval_report.json"))
     return reports, configs

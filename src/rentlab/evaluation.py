@@ -70,18 +70,18 @@ class EvalReport:
 
 
 def train_test_split(
-    m: FeatureMatrix, train_fraction: float = 0.8, seed: int = 0
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Uniform shuffle by seed; first round(n*fraction) rows train."""
+    n: int, train_fraction: float = 0.8, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The train and test rows of n: a uniform shuffle by seed, whose first
+    round(n*fraction) rows train."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0,1), got {train_fraction}")
-    n = m.n_rows
     if n < 2:
         raise ValueError(f"need at least 2 rows to split, got {n}")
     n_train = int(round(n * train_fraction))
     n_train = min(max(n_train, 1), n - 1)
     perm = np.random.default_rng(seed).permutation(n)
-    return m.take(perm[:n_train]), m.take(perm[n_train:])
+    return perm[:n_train], perm[n_train:]
 
 
 def kfold_plan(n: int, k: int, seed: int = 0) -> np.ndarray:
@@ -202,13 +202,13 @@ class ModelConfig:
 
 
 def compare_models(
-    m_train: FeatureMatrix, m_test: FeatureMatrix, configs: list[ModelConfig]
+    m: FeatureMatrix, train_rows, test_rows, configs: list[ModelConfig]
 ) -> list[EvalReport]:
-    """Fit each configured family on train and score R^2/MAE/RMSE on test."""
-    if m_train.feature_names != m_test.feature_names:
-        raise ValueError("train and test feature sets differ")
-    return [_score(c.family, c.params, fit_family(c.family, m_train, c.params, seed=c.seed), m_test)
-            for c in configs]
+    """Fit each configured family on the train rows of m and score
+    R^2/MAE/RMSE on its test rows."""
+    models = [fit_family(c.family, m, c.params, seed=c.seed, rows=train_rows) for c in configs]
+    test = m.take(test_rows)  # after the fits, which need no copy of the train rows
+    return [_score(c.family, c.params, model, test) for c, model in zip(configs, models)]
 
 
 def reports_to_table(reports: list[EvalReport]) -> Table:

@@ -7,7 +7,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter, methodcaller
 
 import numpy as np
@@ -239,8 +238,15 @@ def standardize(m: FeatureMatrix) -> FeatureMatrix:
     """Scale every column to zero mean, unit (population) std; constant
     columns become all-zero."""
     const = np.ptp(m.x, axis=0) == 0.0
-    z = (m.x - m.x.mean(axis=0)) / np.where(const, 1.0, m.x.std(axis=0))
-    return FeatureMatrix(np.where(const, 0.0, z), m.feature_names, m.y)
+    std = m.x.std(axis=0)
+    # assemble_matrix's layout: x and y are views of one block, target last
+    data = np.empty((m.n_rows, m.n_features + 1))
+    x = data[:, :-1]
+    np.subtract(m.x, m.x.mean(axis=0), out=x)
+    x /= np.where(const, 1.0, std)
+    x[:, const] = 0.0
+    data[:, -1] = m.y
+    return FeatureMatrix(x, m.feature_names, data[:, -1])
 
 
 ID_COLUMNS = frozenset({"id", "listing_id", "host_id", "reviewer_id", "scrape_id"})
@@ -283,9 +289,8 @@ def join_matrix(left: Table, right: Table, left_on: str, right_on: str, target: 
     The join gives its (left, right) row indices once. A joined column holds
     the values of its side's rows that the join uses, so a column is a
     feature if those rows pass the test: about a hundred listings, not a row
-    per listing-day. The chosen columns become float blocks over their
-    side's rows, one per run of adjacent matrix columns from one side, which
-    the matrix gathers by the join's indices."""
+    per listing-day. Each chosen column is gathered by its side's join
+    indices straight into its column of the matrix."""
     rows = join_rows(left.cells(left_on), right.cells(right_on))
     columns = join_columns(left, right, right_on)
     # each side's rows that the join uses, once each
@@ -308,13 +313,9 @@ def join_matrix(left: Table, right: Table, left_on: str, right_on: str, target: 
         head = ", ".join(map(str, missing[:5]))
         raise AssemblyError(f"missing cells in: {target} (rows {head}{'...' if len(missing) > 5 else ''})")
     data = np.empty((rows[0].size, len(features) + 1))
-    at = 0
-    # each run of adjacent matrix columns from one side: a float block
-    # over the side's rows, gathered by the join's indices
-    for side, run in groupby(features + [target], key=lambda name: columns[name][0]):
-        block = np.array([columns[name][1].values for name in run], dtype=np.float64)
-        data[:, at:at + len(block)] = block.T[rows[side]]
-        at += len(block)
+    for j, name in enumerate(features + [target]):
+        side, col = columns[name]
+        data[:, j] = col.values[rows[side]]
     # assemble_matrix's layout: x and y are views of one block, target last
     return FeatureMatrix(data[:, :-1], tuple(features), data[:, -1])
 

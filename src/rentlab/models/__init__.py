@@ -18,16 +18,21 @@ FAMILIES = ("ols", "lasso", "ridge", "elastic", "forest", "gbm")
 FittedModel = LinearModel | Tree | ForestModel | BoostedModel
 
 
-def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0) -> FittedModel:
-    """Fit one of the named model families with the given hyperparameters."""
+def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0,
+               rows=None) -> FittedModel:
+    """Fit one of the named model families with the given hyperparameters on
+    rows of m (all when None). The linear families read the rows in place;
+    the tree families fit on ``m.take(rows)``."""
     if family == "ols":
-        return fit_ols(m)
+        return fit_ols(m, rows)
     if family == "lasso":
-        return fit_elastic_net(m, alpha=hp.alpha, l1_ratio=1.0)
+        return fit_elastic_net(m, alpha=hp.alpha, l1_ratio=1.0, rows=rows)
     if family == "ridge":
-        return fit_elastic_net(m, alpha=hp.alpha, l1_ratio=0.0)
+        return fit_elastic_net(m, alpha=hp.alpha, l1_ratio=0.0, rows=rows)
     if family == "elastic":
-        return fit_elastic_net(m, alpha=hp.alpha, l1_ratio=hp.l1_ratio)
+        return fit_elastic_net(m, alpha=hp.alpha, l1_ratio=hp.l1_ratio, rows=rows)
+    if rows is not None:
+        m = m.take(rows)
     if family == "forest":
         return fit_forest(m, hp, seed=seed)
     if family == "gbm":
@@ -37,13 +42,13 @@ def fit_family(family: str, m: FeatureMatrix, hp: HyperParams, seed: int = 0) ->
 
 def fit_folds(family: str, m: FeatureMatrix, hp: HyperParams, folds, seeds) -> list[FittedModel]:
     """One model per fold, each as ``fit_family`` fits it with its seed on
-    ``m.take(rows)``, a fold being the ascending indices of its rows. The
+    the fold's rows, a fold being the ascending indices of its rows. The
     forests and gbms of all folds grow their trees together."""
     if family == "forest":
         return fit_forests(m, hp, folds, seeds)
     if family == "gbm":
         return fit_gbms(m, hp, folds)
-    return [fit_family(family, m.take(rows), hp, seed) for rows, seed in zip(folds, seeds)]
+    return [fit_family(family, m, hp, seed, rows) for rows, seed in zip(folds, seeds)]
 
 
 def predict(model: FittedModel, x) -> np.ndarray:

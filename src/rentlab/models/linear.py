@@ -69,29 +69,94 @@ def _check_matrix(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(m.x, dtype=np.float64), np.asarray(m.y, dtype=np.float64)
 
 
-def _centred_normal_equations(x: np.ndarray, y: np.ndarray, cols: np.ndarray):
-    """(x_mean, y_mean, xc, yc, g, c) for the columns cols: g = xc'xc/n, c = xc'yc/n."""
-    x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
-    xc = x[:, cols]  # a copy: centred in place
-    xc -= x_mean[cols]
-    yc = y - y_mean
-    return x_mean, y_mean, xc, yc, xc.T @ xc / len(y), xc.T @ yc / len(y)
+# The rows of a fit go through in blocks of at most this many cells, copied
+# into one buffer, so a fit adds a bounded amount to the matrix it reads
+# whatever its size. A fit whose rows fit one block computes what the
+# one-shot form x[rows].mean(axis=0), xc = x[rows][:, cols] - mean,
+# xc.T @ xc gives, bit for bit.
+_BLOCK_CELLS = 1 << 18
+# A block is filled from row gathers of about this many cells each: whole
+# rows copy fastest, and the temporary stays small.
+_GATHER_CELLS = 1 << 13
 
 
-def fit_ols(m: FeatureMatrix) -> LinearModel:
-    """Least squares with an intercept by one Cholesky solve of the centred
-    normal equations; a constant or collinear column raises RankDeficiencyError."""
-    x, y = _check_matrix(m)
-    x_mean, y_mean, _, _, g, c = _centred_normal_equations(x, y, np.arange(x.shape[1]))
+def _row_blocks(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray, order: str):
+    """Yield (start, block) for each run of at most len(buf) // len(cols)
+    rows: block holds x[rows[start:start + len(block)]][:, cols] in buf, in
+    C or F order (F is how numpy lays out x[:, cols], and the layout sets
+    the bits of block.T @ block)."""
+    k = len(cols)
+    step = max(1, len(buf) // k) if k else len(rows)
+    gather = max(1, _GATHER_CELLS // max(x.shape[1], 1))
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        cells = buf[:part.size * k]
+        block = cells.reshape(part.size, k) if order == "C" else cells.reshape(k, part.size).T
+        for i in range(0, part.size, gather):
+            block[i:i + gather] = x[part[i:i + gather]][:, cols]
+        yield start, block
+
+
+class _NormalEquations:
+    """The centred normal equations of a fit on rows of m (all when None),
+    built in row blocks in one reused buffer, never from a copy of those
+    rows: on construction each column's mean and range over the rows, then
+    per gram call g = xc'xc/n and c = xc'yc/n over chosen columns, xc being
+    the rows less the column means."""
+
+    def __init__(self, m: FeatureMatrix, rows=None):
+        if rows is None:
+            rows, self.y = np.arange(m.n_rows), m.y
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            self.y = m.y[rows]
+        if rows.size == 0:
+            raise EmptyInputError("cannot fit on an empty matrix")
+        self.x, self.rows, self.n = m.x, rows, rows.size
+        p = m.n_features
+        self._buf = np.empty(min(self.n, max(1, _BLOCK_CELLS // max(p, 1))) * p)
+        total = lo = hi = None
+        for start, block in _row_blocks(self.x, rows, np.arange(p), self._buf, "C"):
+            parts = block.sum(axis=0), block.min(axis=0), block.max(axis=0)
+            if start == 0:
+                total, lo, hi = parts
+            else:
+                total += parts[0]
+                np.minimum(lo, parts[1], out=lo)
+                np.maximum(hi, parts[2], out=hi)
+        self.x_mean = total / self.n
+        self.spread = hi - lo
+        self.y_mean = float(self.y.mean())
+        # min and max carry a NaN through, and an infinity is one of them
+        self.finite = bool(np.isfinite(lo).all() and np.isfinite(hi).all()
+                           and np.isfinite(self.y).all())
+
+    def gram(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """(g, c) over the columns cols."""
+        yc = self.y - self.y_mean
+        for start, xc in _row_blocks(self.x, self.rows, cols, self._buf, "F"):
+            xc -= self.x_mean[cols]
+            if start == 0:
+                g, c = xc.T @ xc, xc.T @ yc[:len(xc)]
+            else:
+                g += xc.T @ xc
+                c += xc.T @ yc[start:start + len(xc)]
+        return g / self.n, c / self.n
+
+
+def fit_ols(m: FeatureMatrix, rows=None) -> LinearModel:
+    """Least squares with an intercept on rows of m (all when None) by one
+    Cholesky solve of the centred normal equations; a constant or collinear
+    column raises RankDeficiencyError."""
+    eq = _NormalEquations(m, rows)
     # a constant column's inexact mean leaves noise that passes the pivot test
-    b = None if (np.ptp(x, axis=0) == 0.0).any() else _cholesky_solve(g, c)
+    b = None if (eq.spread == 0.0).any() else _cholesky_solve(*eq.gram(np.arange(m.n_features)))
     if b is None:
         raise RankDeficiencyError(
             "singular design matrix (collinear or constant features); "
             "drop redundant columns"
         )
-    return LinearModel(y_mean - float(x_mean @ b), b, feature_names=m.feature_names)
+    return LinearModel(eq.y_mean - float(eq.x_mean @ b), b, feature_names=m.feature_names)
 
 
 def fit_elastic_net(
@@ -100,9 +165,10 @@ def fit_elastic_net(
     l1_ratio: float = 0.5,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    rows=None,
 ) -> LinearModel:
-    """Exact minimiser of the penalized objective, found on the centred Gram
-    form.
+    """Exact minimiser of the penalized objective over rows of m (all when
+    None), found on the centred Gram form.
 
     With G = Xc'Xc/n, c = Xc'yc/n and H = G + l2*I over the columns that
     vary, the objective is 1/2 b'Hb - c'b + l1*||b||_1 plus a constant.
@@ -120,13 +186,12 @@ def fit_elastic_net(
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= l1_ratio <= 1.0:
         raise ValueError(f"l1_ratio must be in [0,1], got {l1_ratio}")
-    x, y = _check_matrix(m)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    eq = _NormalEquations(m, rows)
+    if not eq.finite:
         raise ValueError("non-finite values in training data")
-    n, p = x.shape
 
-    live = np.flatnonzero(np.ptp(x, axis=0) > 0.0)
-    x_mean, y_mean, xc, yc, h, c = _centred_normal_equations(x, y, live)
+    live = np.flatnonzero(eq.spread > 0.0)
+    h, c = eq.gram(live)
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
     h[np.diag_indices_from(h)] += l2
@@ -137,9 +202,10 @@ def fit_elastic_net(
         if b is None:
             # collinear columns and a negligible ridge term: least squares on
             # the rows, stacked over sqrt(n*l2)*I, squares cond(H) no further
-            ridge_rows = np.sqrt(n * l2) * np.eye(len(live))
-            b = np.linalg.lstsq(np.vstack([xc, ridge_rows]), np.append(yc, np.zeros(len(live))),
-                                rcond=None)[0]
+            xc = m.x[eq.rows][:, live] - eq.x_mean[live]
+            ridge_rows = np.sqrt(eq.n * l2) * np.eye(len(live))
+            b = np.linalg.lstsq(np.vstack([xc, ridge_rows]),
+                                np.append(eq.y - eq.y_mean, np.zeros(len(live))), rcond=None)[0]
         n_iter = 1
         # allow for the rounding of h @ b, which exceeds tol when b is large
         rounding = len(b) * np.finfo(np.float64).eps * (np.abs(h) @ np.abs(b))
@@ -147,9 +213,9 @@ def fit_elastic_net(
     else:
         b, n_iter, converged = _feature_sign(h, c, l1, tol_abs, max_iter)
 
-    beta = np.zeros(p)
+    beta = np.zeros(m.n_features)
     beta[live] = b
-    intercept = y_mean - float(x_mean @ beta)
+    intercept = eq.y_mean - float(eq.x_mean @ beta)
     if l1_ratio == 0.0:
         penalty = "l2"
     elif l1_ratio == 1.0:
@@ -188,6 +254,20 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if (np.diagonal(chol) ** 2 < _PIVOT_RCOND * np.diagonal(a)).any():
         return None
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+
+def _cholesky_solves(a: np.ndarray, b: np.ndarray) -> list[np.ndarray | None]:
+    """_cholesky_solve of each a[i], b[i] for a stack a of (k, k) matrices,
+    bit for bit, by one stacked factorisation and solve; one call per matrix
+    only when some matrix is not positive definite, which fails the stack."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return [_cholesky_solve(ai, bi) for ai, bi in zip(a, b)]
+    pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
+    weak = (pivots < _PIVOT_RCOND * np.diagonal(a, axis1=1, axis2=2)).any(axis=1)
+    z = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, b[..., None]))[..., 0]
+    return [None if w else zi for w, zi in zip(weak, z)]
 
 
 def _feature_sign(

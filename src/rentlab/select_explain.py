@@ -21,7 +21,7 @@ from .errors import EmptyInputError
 from .evaluation import train_test_split
 from .features import FeatureMatrix
 from .models import BoostedModel, FittedModel, ForestModel, LinearModel, Tree, predict
-from .models.linear import _centred_normal_equations, _cholesky_solve
+from .models.linear import _cholesky_solves, _NormalEquations
 
 DEFAULT_FORWARD_MAX = 85
 DEFAULT_FORWARD_TOL = 1e-3
@@ -174,13 +174,15 @@ def forward_select(
     """
     if max_features < 1:
         raise ValueError(f"max_features must be >= 1, got {max_features}")
-    train, val = train_test_split(m, 0.8, seed)
+    train_rows, val_rows = train_test_split(m.n_rows, 0.8, seed)
+    val = m.take(val_rows)
     atol = 1e-12 * max(1.0, float(val.y @ val.y) / val.n_rows)
-    x_mean, y_mean, _, _, g, c = _centred_normal_equations(train.x, train.y, np.arange(m.n_features))
-    val_xc, val_yc = val.x - x_mean, val.y - y_mean
+    eq = _NormalEquations(m, train_rows)
+    g, c = eq.gram(np.arange(m.n_features))
+    val_xc, val_yc = val.x - eq.x_mean, val.y - eq.y_mean
     first: dict[int, int] = {}  # hash of a column's values -> first column with it
     remaining = []
-    for j in np.flatnonzero(np.ptp(train.x, axis=0) > 0.0):
+    for j in np.flatnonzero(eq.spread > 0.0):
         i = first.setdefault(hash(m.x[:, j].tobytes()), j)
         if i == j or not np.array_equal(m.x[:, i], m.x[:, j]):
             remaining.append(j)
@@ -188,12 +190,13 @@ def forward_select(
     prev_mse = float(val_yc @ val_yc) / val.n_rows
     while remaining and len(selected) < max_features:
         best_mse = best = None
-        for cand in remaining:
-            cols = selected + [cand]
-            b = _cholesky_solve(g[np.ix_(cols, cols)], c[cols])
+        # every candidate's columns: the selected ones, then the candidate
+        cols = np.column_stack([np.tile(selected, (len(remaining), 1)).astype(np.intp), remaining])
+        solved = _cholesky_solves(g[cols[:, :, None], cols[:, None, :]], c[cols])
+        for cand, cand_cols, b in zip(remaining, cols, solved):
             if b is None:
                 continue
-            err = val_xc[:, cols] @ b - val_yc
+            err = val_xc[:, cand_cols] @ b - val_yc
             mse = float(err @ err) / val.n_rows
             if best_mse is None or mse < best_mse:
                 best_mse, best = mse, cand

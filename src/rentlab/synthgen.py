@@ -93,6 +93,12 @@ def _default_coefficients() -> dict[str, float]:
     }
 
 
+# The most listing-nights (n_listings x the days of date_range) a calendar
+# may have: 10^8 rows are gigabytes of CSV, far beyond any run here, and
+# far inside numpy's array limits.
+MAX_LISTING_NIGHTS = 10**8
+
+
 @dataclass(frozen=True)
 class GenConfig:
     n_listings: int = 100
@@ -115,6 +121,9 @@ class GenConfig:
         start, end = self.date_range
         if start > end:
             raise ValueError(f"date_range start {start} after end {end}")
+        if self.n_listings * self.n_days > MAX_LISTING_NIGHTS:
+            raise ValueError(f"n_listings {self.n_listings} over {self.n_days} days exceeds "
+                             f"MAX_LISTING_NIGHTS ({MAX_LISTING_NIGHTS:,} listing-nights)")
         if not self.weekday_median > 0:
             raise ValueError(f"weekday_median must be > 0, got {self.weekday_median}")
         if not self.weekend_median > 0:

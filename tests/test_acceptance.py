@@ -349,13 +349,14 @@ def test_c5_qualitative_model_ordering():
         and len(set(col.values)) > 1
     ]
     m = assemble_matrix(joined, "price", feature_cols)
-    train, test = train_test_split(m, 0.8, seed=1)
+    train_rows, test_rows = train_test_split(m.n_rows, 0.8, seed=1)
     linear_hp = HyperParams(alpha=0.001)
     forest_hp = HyperParams(n_trees=20, max_depth=10)
     gbm_hp = HyperParams(n_rounds=60, learning_rate=0.1, max_depth=3)
     reports = compare_models(
-        train,
-        test,
+        m,
+        train_rows,
+        test_rows,
         [
             ModelConfig("lasso", linear_hp, seed=3),
             ModelConfig("ridge", linear_hp, seed=3),
@@ -403,7 +404,7 @@ def test_c6_forward_selection_support_recovery():
     m = _fm(x, y)
     seed = 4
     chosen = forward_select(m, max_features=2, min_rel_improvement=1e-4, seed=seed)
-    train, val = train_test_split(m, 0.8, seed)
+    train, val = (m.take(rows) for rows in train_test_split(m.n_rows, 0.8, seed))
 
     def val_mse(cols):
         model = fit_ols(train.select(list(cols)))

@@ -64,12 +64,12 @@ BASE_CONFIG = {
 
 def _write_config(tmp_path, overrides=None, name="config.json"):
     doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["output_dir"] = str(tmp_path / "out")
     for key, value in (overrides or {}).items():
         if isinstance(value, dict):
             doc.setdefault(key, {}).update(value)
         else:
             doc[key] = value
-    doc["output_dir"] = str(tmp_path / "out")
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path, doc["output_dir"]
@@ -622,7 +622,8 @@ class TestTrainSelectExplain:
                      "--families", "lasso", "ridge", "elastic", "forest", "gbm",
                      "--seed", "2", "--out-dir", str(tmp_path / "ev")]) == 0
         doc = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
-        train, _ = train_test_split(matrix_from_csv(str(features_csv)), 0.8, 2)
+        matrix = matrix_from_csv(str(features_csv))
+        train = matrix.take(train_test_split(matrix.n_rows, 0.8, 2)[0])
         for rep in doc["reports"]:
             family = rep["model_name"]
             if family in ("lasso", "ridge", "elastic"):
@@ -867,9 +868,13 @@ class TestConfigValues:
         ({"explain": {"top": -1}}, "explain.top"),
         ({"eval": {"search_samples": -3}}, "eval.search_samples"),
         ({"seed": -1}, "seed"),
+        # once "[Errno 2] No such file or directory: ''"
+        ({"output_dir": ""}, "output_dir"),
         # the generator section goes through the same loader
         ({"generator": {"n_listings": 2.5}}, "generator.n_listings"),
         ({"generator": {"n_listings": 0}}, "generator.n_listings"),
+        # once numpy's bare "Maximum allowed dimension exceeded", exit 1
+        ({"generator": {"n_listings": 10**19}}, "generator.n_listings"),
         ({"generator": {"date_range": ["2023-02-30", "2023-03-02"]}}, "generator.date_range[0]"),
         ({"generator": {"date_range": ["2023-01-01"]}}, "generator.date_range"),
         ({"generator": {"peak_months": [3, "oct"]}}, "generator.peak_months[1]"),

@@ -120,29 +120,29 @@ class TestEvalReport:
 class TestTrainTestSplit:
     def test_80_20_of_ten(self):
         m = _fm(np.arange(10.0), np.arange(10.0))
-        train, test = train_test_split(m, 0.8, seed=0)
+        train, test = (m.take(rows) for rows in train_test_split(m.n_rows, 0.8, seed=0))
         assert train.n_rows == 8
         assert test.n_rows == 2
 
     def test_same_seed_identical(self):
         m = _fm(np.arange(10.0), np.arange(10.0))
-        a_train, a_test = train_test_split(m, 0.8, seed=5)
-        b_train, b_test = train_test_split(m, 0.8, seed=5)
+        a_train, a_test = (m.take(rows) for rows in train_test_split(m.n_rows, 0.8, seed=5))
+        b_train, b_test = (m.take(rows) for rows in train_test_split(m.n_rows, 0.8, seed=5))
         assert np.array_equal(a_train.x, b_train.x)
         assert np.array_equal(a_test.x, b_test.x)
 
     def test_partition_exhaustive_and_disjoint(self):
         m = _fm(np.arange(13.0), np.arange(13.0))
-        train, test = train_test_split(m, 0.7, seed=3)
+        train, test = (m.take(rows) for rows in train_test_split(m.n_rows, 0.7, seed=3))
         combined = sorted(train.y.tolist() + test.y.tolist())
         assert combined == list(np.arange(13.0))
 
     def test_degenerate_sizes_rejected(self):
         m = _fm(np.arange(10.0), np.arange(10.0))
         with pytest.raises(ValueError):
-            train_test_split(m, 0.0, seed=0)
+            train_test_split(m.n_rows, 0.0, seed=0)
         with pytest.raises(ValueError):
-            train_test_split(_fm([1.0], [1.0]), 0.5, seed=0)
+            train_test_split(_fm([1.0], [1.0]).n_rows, 0.5, seed=0)
 
 
 def _reference_kfold_plan(n, k, seed):
@@ -312,12 +312,12 @@ class TestCompareModels:
         x = rng.normal(size=(80, 3))
         y = x[:, 0] * 2 + rng.normal(0, 0.1, size=80)
         m = _fm(x, y)
-        return train_test_split(m, 0.8, seed=1)
+        return (m, *train_test_split(m.n_rows, 0.8, seed=1))
 
     def test_report_layout_columns(self):
-        train, test = self._split()
+        split = self._split()
         configs = [ModelConfig("lasso"), ModelConfig("forest", HyperParams(n_trees=5))]
-        reports = compare_models(train, test, configs)
+        reports = compare_models(*split, configs)
         table = reports_to_table(reports)
         assert table.names == ("Metric", "lasso", "forest")
         assert table.cells("Metric") == [
@@ -327,25 +327,19 @@ class TestCompareModels:
         ]
 
     def test_deterministic_run_twice(self):
-        train, test = self._split()
+        split = self._split()
         configs = [ModelConfig("gbm", HyperParams(n_rounds=5)), ModelConfig("ridge")]
-        a = compare_models(train, test, configs)
-        b = compare_models(train, test, configs)
+        a = compare_models(*split, configs)
+        b = compare_models(*split, configs)
         assert a == b
 
     def test_cd_diagnostics_only_on_cd_families(self):
-        train, test = self._split()
+        split = self._split()
         configs = [ModelConfig(f, HyperParams(n_trees=3, n_rounds=3))
                    for f in ("ols", "lasso", "ridge", "elastic", "forest", "gbm")]
-        docs = {d["model_name"]: d for d in reports_to_doc(compare_models(train, test, configs))}
+        docs = {d["model_name"]: d for d in reports_to_doc(compare_models(*split, configs))}
         for family in ("lasso", "ridge", "elastic"):
             assert docs[family]["converged"] is True
             assert docs[family]["n_iter"] >= 1
         for family in ("ols", "forest", "gbm"):
             assert "converged" not in docs[family] and "n_iter" not in docs[family]
-
-    def test_feature_set_mismatch_rejected(self):
-        train, test = self._split()
-        other = FeatureMatrix(test.x, ("a", "b", "c"), test.y)
-        with pytest.raises(ValueError):
-            compare_models(train, other, [ModelConfig("ols")])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rentlab.errors import RankDeficiencyError
+import rentlab.models.linear
+from rentlab.errors import EmptyInputError, RankDeficiencyError
 from rentlab.features import FeatureMatrix, standardize
 from rentlab.models import (
     LinearModel,
@@ -15,6 +16,7 @@ from rentlab.models import (
     predict,
     soft_threshold,
 )
+from rentlab.models.linear import _BLOCK_CELLS, _cholesky_solve, _cholesky_solves, _NormalEquations
 
 
 def _fm(x, y, names=None):
@@ -397,3 +399,120 @@ class TestPredict:
         model = LinearModel(0.0, np.array([1.0, -1.0]))
         out = predict(model, np.array([[2.0, 1.0], [0.0, 5.0]]))
         assert np.allclose(out, [1.0, -5.0])
+
+
+def _tall(n, p, seed=0):
+    """A matrix in features.csv's layout (x and y views of one block), with
+    columns on different scales and off zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * rng.uniform(0.5, 20.0, p) + rng.uniform(-50.0, 50.0, p)
+    data = np.column_stack([x, x @ rng.normal(size=p) + rng.normal(size=n)])
+    return FeatureMatrix(data[:, :-1], tuple(f"x{j}" for j in range(p)), data[:, -1])
+
+
+def _one_shot(m, rows, cols):
+    """The normal equations as built before row blocks: a copy of the rows,
+    their column means and ranges, and the centred copy x[:, cols]."""
+    x, y = m.x[rows], m.y[rows]
+    x_mean = x.mean(axis=0)
+    xc = x[:, cols]
+    xc -= x_mean[cols]
+    yc = y - y.mean()
+    return x_mean, np.ptp(x, axis=0), xc.T @ xc / len(y), xc.T @ yc / len(y)
+
+
+class TestBlockwiseNormalEquations:
+    """_NormalEquations reads the rows of a fit in blocks of at most
+    _BLOCK_CELLS cells: one block reproduces the one-shot form bit for bit,
+    several agree with it to rounding."""
+
+    @pytest.mark.parametrize("n, p", [(200, 7), (_BLOCK_CELLS // 40, 40)])
+    def test_one_block_is_bit_identical(self, n, p):
+        m = _tall(n, p)
+        rows = np.random.default_rng(1).permutation(n)[: n * 4 // 5]
+        cols = np.arange(1, p, 2)
+        eq = _NormalEquations(m, rows)
+        g, c = eq.gram(cols)
+        x_mean, spread, g0, c0 = _one_shot(m, rows, cols)
+        for got, want in ((eq.x_mean, x_mean), (eq.spread, spread), (g, g0), (c, c0)):
+            assert np.array_equal(got, want)
+        assert eq.y_mean == m.y[rows].mean() and eq.n == len(rows)
+
+    @pytest.mark.parametrize("n, p, cells", [
+        (3 * _BLOCK_CELLS // 60 + 17, 60, _BLOCK_CELLS),  # four blocks, the last short
+        (50, 3, 7),  # two rows a block
+        (50, 9, 7),  # a row is more than a block: one row a block
+    ])
+    def test_many_blocks_match_the_one_shot_form(self, monkeypatch, n, p, cells):
+        monkeypatch.setattr(rentlab.models.linear, "_BLOCK_CELLS", cells)
+        m = _tall(n, p, seed=n)
+        rows = np.random.default_rng(2).permutation(n)[: n * 4 // 5]
+        cols = np.arange(p)[::-1]
+        eq = _NormalEquations(m, rows)
+        assert len(rows) * p > cells
+        g, c = eq.gram(cols)
+        x_mean, spread, g0, c0 = _one_shot(m, rows, cols)
+        assert np.array_equal(eq.spread, spread)
+        for got, want in ((eq.x_mean, x_mean), (g, g0), (c, c0)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_all_rows_by_default_and_no_rows_rejected(self):
+        m = _tall(30, 4)
+        eq = _NormalEquations(m)
+        assert np.array_equal(eq.gram(np.arange(4))[0], _one_shot(m, np.arange(30), np.arange(4))[2])
+        with pytest.raises(EmptyInputError):
+            _NormalEquations(m, np.array([], dtype=np.intp))
+
+    def test_non_finite_cells_are_seen(self):
+        m = _tall(30, 4)
+        assert _NormalEquations(m).finite
+        x = m.x.copy()
+        x[17, 2] = np.nan
+        object.__setattr__(m, "x", x)  # past the matrix's own check
+        assert not _NormalEquations(m).finite
+        assert _NormalEquations(m, np.arange(17)).finite
+
+
+class TestFitOnRows:
+    """A linear fit on (m, rows) reads the same rows, in the same order and
+    the same blocks, as the fit on m.take(rows): the same model, bit for
+    bit, whether the rows fit one block or several."""
+
+    FITS = {
+        "ols": lambda m, rows=None: fit_ols(m, rows),
+        "lasso": lambda m, rows=None: fit_elastic_net(m, 0.05, 1.0, rows=rows),
+        "ridge": lambda m, rows=None: fit_elastic_net(m, 0.05, 0.0, rows=rows),
+        "elastic": lambda m, rows=None: fit_elastic_net(m, 0.05, 0.5, rows=rows),
+    }
+
+    @pytest.mark.parametrize("family", FITS)
+    @pytest.mark.parametrize("n, p", [(400, 12), (3 * _BLOCK_CELLS // 30, 30)])
+    def test_same_model_as_on_a_copy_of_the_rows(self, family, n, p):
+        m = _tall(n, p, seed=5)
+        rows = np.random.default_rng(3).permutation(n)[: n * 4 // 5]
+        fit = self.FITS[family]
+        got, want = fit(m, rows), fit(m.take(rows))
+        assert got.intercept == want.intercept
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
+
+
+class TestStackedCholeskySolves:
+    def test_each_matrix_as_its_own_solve(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 5, 5))
+        a = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(5)
+        a[2, :, 4] = a[2, :, 3]
+        a[2, 4, :] = a[2, 3, :]  # singular: its last pivot fails the test
+        b = rng.normal(size=(6, 5))
+        got = _cholesky_solves(a, b)
+        assert got[2] is None
+        for gi, ai, bi in zip(got, a, b):
+            want = _cholesky_solve(ai, bi)
+            assert (gi is None and want is None) or np.array_equal(gi, want)
+
+    def test_a_matrix_that_is_not_positive_definite_falls_back(self):
+        a = np.stack([np.eye(3), -np.eye(3), 2.0 * np.eye(3)])
+        got = _cholesky_solves(a, np.ones((3, 3)))
+        assert got[1] is None
+        assert np.array_equal(got[0], np.ones(3)) and np.allclose(got[2], 0.5, rtol=1e-15)

@@ -1,3 +1,4 @@
+import datetime as dt
 import io
 import json
 import re
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rentlab.models.forest
+import rentlab.models.linear
 import rentlab.models.tree
-from rentlab.cli import main
+from rentlab.cli import Eval, Models, main, stage_evaluate, stage_featurize, stage_train
 from rentlab.errors import EmptyInputError, SchemaError
 from rentlab.evaluation import cross_validate
 from rentlab.features import FeatureMatrix, matrix_to_csv
@@ -33,6 +35,7 @@ from rentlab.models import (
     save_model,
 )
 from rentlab.models.tree import code_columns
+from rentlab.tabular import Table
 
 
 def _fm(x, y, names=None):
@@ -885,6 +888,82 @@ class TestSplitSearchMemory:
         hp = HyperParams(n_trees=3, max_depth=4)
         self._check(m, self._peak(lambda: cross_validate(m, "forest", hp, k=2, seed=0)))
         assert batches == [3, 3]
+
+
+class TestModelStageMemory:
+    """The model stages on a 20,000 x 61 matrix read the one design matrix
+    they are given or build: the join writes each column straight into it,
+    the split is two row arrays, and a linear fit reads its rows in blocks
+    of at most _BLOCK_CELLS cells. The traced memory each stage adds stays
+    below a share of the matrix's bytes; a copy of the train rows, a centred
+    copy of them, or a gathered block per side of the join would not fit."""
+
+    N_LISTINGS, N_DAYS, N_EXTRA = 100, 200, 44
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        """Cleaned listings and calendar: 100 listings with coordinates (two
+        features, and thirteen POI distances) and 44 numeric columns, no
+        amenities, each on 200 days (month and day of week)."""
+        rng = np.random.default_rng(0)
+        n = self.N_LISTINGS
+        data = {"id": ("integer", list(range(1, n + 1))),
+                "latitude": ("numeric", (30.27 + rng.uniform(-0.1, 0.1, n)).round(5).tolist()),
+                "longitude": ("numeric", (-97.74 + rng.uniform(-0.1, 0.1, n)).round(5).tolist()),
+                "amenities": ("text", [""] * n)}
+        for j in range(self.N_EXTRA):
+            data[f"f{j:02d}"] = ("numeric", rng.normal(size=n).round(3).tolist())
+        days = [dt.date(2023, 1, 1) + dt.timedelta(days=i) for i in range(self.N_DAYS)]
+        calendar = Table.from_dict({
+            "listing_id": ("integer", np.repeat(np.arange(1, n + 1), self.N_DAYS).tolist()),
+            "date": ("date", days * n),
+            "price": ("numeric", rng.uniform(50.0, 500.0, n * self.N_DAYS).round(2).tolist()),
+        })
+        return Table.from_dict(data), calendar
+
+    @pytest.fixture(scope="class")
+    def matrix(self, tables, tmp_path_factory):
+        return stage_featurize(*tables, str(tmp_path_factory.mktemp("feat") / "features.csv"))
+
+    def _added(self, stage):
+        """The traced peak while stage runs, less what was traced at its start."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stage()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def _bytes(self, m):
+        assert m.x.shape == (self.N_LISTINGS * self.N_DAYS, 2 + 13 + self.N_EXTRA + 2)
+        return m.x.nbytes + m.y.nbytes
+
+    def _block_and_rows(self, m):
+        # one block buffer, and about eight vectors over the rows (y, the
+        # centred y, a column of a block, the split, predictions)
+        return 8 * rentlab.models.linear._BLOCK_CELLS + 8 * 8 * m.n_rows
+
+    def test_featurize(self, tables, matrix, tmp_path):
+        added = self._added(lambda: stage_featurize(*tables, str(tmp_path / "features.csv")))
+        # the matrix itself, plus half of it for the tables the stage builds
+        # and the CSV writer's blocks
+        assert added < 1.5 * self._bytes(matrix)
+
+    def test_evaluate(self, matrix, tmp_path):
+        models = Models(families=("ols", "lasso"))
+        added = self._added(lambda: stage_evaluate(matrix, str(tmp_path), Eval(), models, seed=1))
+        # the test rows (a fifth of the matrix) are copied to be scored
+        bound = self._block_and_rows(matrix) + 0.2 * self._bytes(matrix)
+        assert bound < 0.6 * self._bytes(matrix)
+        assert added < bound
+
+    def test_train(self, matrix, tmp_path):
+        added = self._added(lambda: stage_train(matrix, str(tmp_path / "model.json"), "lasso",
+                                                HyperParams(), seed=1))
+        bound = self._block_and_rows(matrix)
+        assert bound < 0.4 * self._bytes(matrix)
+        assert added < bound
 
 
 class TestHyperParams:

@@ -62,3 +62,19 @@ def test_artifact_digests_lists_every_file_of_every_run(tmp_path, monkeypatch, c
     assert "fill_calendar_gap,price," in report
     assert listings["a"] == listings["b"]
     assert script.main([str(tmp_path / "a")]) == 2  # an OUT_DIR that is not empty
+
+
+def test_stage_memory_prints_every_stage(tmp_path, capsys):
+    example = json.loads((SCRIPTS.parent / "examples" / "demo.json").read_text(encoding="utf-8"))
+    doc = {**example, "output_dir": str(tmp_path / "out"),
+           "generator": {"n_listings": 6, "date_range": ["2023-01-01", "2023-01-12"]}}
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert _load("stage_memory").main([str(tmp_path / "config.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "wrangle", "sentiment", "featurize", "select", "evaluate", "train", "explain"]
+    for line in lines:
+        stage, _, peak, mb, ratio, _, rss, _ = line.split()
+        assert float(peak) > 0 and mb == "MB" and float(rss) > 0
+        assert ratio == "-" if stage in ("wrangle", "sentiment") else float(ratio[1:]) > 0
+    assert (tmp_path / "out" / "model.json").is_file()

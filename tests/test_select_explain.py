@@ -183,7 +183,7 @@ def _greedy_by_refits(m, max_features, min_rel_improvement, seed):
     """Reference forward selection: for every candidate at every step, a
     fit_ols refit on copies of the train columns and a validation error from
     the fitted intercept."""
-    train, val = train_test_split(m, 0.8, seed)
+    train, val = (m.take(rows) for rows in train_test_split(m.n_rows, 0.8, seed))
     atol = 1e-12 * max(1.0, float(val.y @ val.y) / val.n_rows)
     selected: list[str] = []
     remaining = list(m.feature_names)
@@ -224,11 +224,10 @@ def _selection_problems(draw):
     n, p = draw(st.integers(5, 60)), draw(st.integers(1, 6))
     x = rng.normal(size=(n, p)) * rng.uniform(0.01, 10.0, size=p) + rng.uniform(-100, 100, size=p)
     y = x @ rng.normal(size=p) + rng.normal(size=n) * rng.uniform(0.01, 3.0)
-    # the split's train rows, read off a row-number column
-    train, _ = train_test_split(FeatureMatrix(np.arange(n, dtype=np.float64)[:, None], ("row",), y),
-                                0.8, seed)
+    # the split's train rows
+    train_rows, _ = train_test_split(n, 0.8, seed)
     on_val = np.ones(n, dtype=bool)
-    on_val[train.x[:, 0].astype(int)] = False
+    on_val[train_rows] = False
     columns = [x]
     for kind in draw(st.lists(st.sampled_from(["duplicate", "constant", "train_constant",
                                                "near_tie"]), max_size=4)):
@@ -272,7 +271,7 @@ class TestForwardSelect:
         seed = 4
         chosen = forward_select(m, max_features=2, min_rel_improvement=1e-4, seed=seed)
 
-        train, val = train_test_split(m, 0.8, seed)
+        train, val = (m.take(rows) for rows in train_test_split(m.n_rows, 0.8, seed))
 
         def val_mse(cols):
             model = fit_ols(train.select(list(cols)))
