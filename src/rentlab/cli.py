@@ -585,12 +585,16 @@ def stage_explain(
     seed: int = 0,
     explanations_path: str | None = None,
 ) -> None:
+    """Write the top features by mean |Shapley value| to out_path and, given
+    explanations_path, each explained row's base value, values and prediction
+    as JSON. The explained rows, a seeded sample of opts.rows (0: every row),
+    are their own background, so `rows: 0` costs time quadratic in the rows."""
     check_columns(model, matrix.feature_names)  # shapley_values passes arrays
     if opts.rows and matrix.n_rows > opts.rows:
         picks = np.random.default_rng(seed).choice(matrix.n_rows, size=opts.rows, replace=False)
         matrix = matrix.take(np.sort(picks))
-    explanations = [shapley_values(model, matrix.x[i], matrix) for i in range(matrix.n_rows)]
-    ranking = mean_abs_ranking(matrix.feature_names, explanations)
+    expl = shapley_values(model, matrix.x, matrix.x)
+    ranking = mean_abs_ranking(matrix.feature_names, expl.values)
     table = Table.from_dict(
         {
             "feature": ("text", [name for name, _ in ranking[:opts.top]]),
@@ -602,10 +606,10 @@ def stage_explain(
         docs = [
             {
                 "base_value": expl.base_value,
-                "values": dict(zip(matrix.feature_names, (float(v) for v in expl.values))),
-                "prediction": expl.prediction,
+                "values": dict(zip(matrix.feature_names, values.tolist())),
+                "prediction": prediction,
             }
-            for expl in explanations
+            for values, prediction in zip(expl.values, expl.predictions.tolist())
         ]
         write_json_doc(docs, explanations_path)
 

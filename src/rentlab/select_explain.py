@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +36,13 @@ class FeatureScore:
 
 @dataclass(frozen=True)
 class ShapExplanation:
-    base_value: float
-    values: np.ndarray
-    prediction: float
+    base_value: float  # the mean prediction over the background
+    values: np.ndarray  # (rows, features)
+    predictions: np.ndarray  # (rows,)
 
-    def residual(self) -> float:
-        """prediction - (base + sum of attributions); ~0 by efficiency."""
-        return self.prediction - self.base_value - float(self.values.sum())
+    def residuals(self) -> np.ndarray:
+        """prediction - (base + sum of attributions) per row; ~0 by efficiency."""
+        return self.predictions - self.base_value - self.values.sum(axis=1)
 
 
 def _betacf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 3e-14) -> float:
@@ -216,8 +215,6 @@ def forward_select(
 # leaf) cells, so the tree temporaries stay bounded whatever the background
 # size; a tree whose leaves alone exceed it takes one row per block.
 _LEAF_CELLS = 1 << 18
-# each tree's leaf boxes, from its first explained row until the tree is freed
-_BOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _leaf_boxes(tree: Tree):
@@ -250,73 +247,71 @@ def _leaf_boxes(tree: Tree):
     return feature, lo, hi
 
 
-def _tree_shapley(tree: Tree, inst: np.ndarray, bg: np.ndarray) -> np.ndarray:
-    """Interventional TreeSHAP (Lundberg et al., 2020). Against background
-    row z, the row that takes x on a coalition S and z elsewhere reaches a
-    leaf iff S holds every path feature A that only x satisfies and none B
-    that only z satisfies, so each j in A gains value*(|A|-1)!|B|!/(|A|+|B|)!
+def _tree_shapley(tree: Tree, rows: np.ndarray, bg: np.ndarray) -> np.ndarray:
+    """Interventional TreeSHAP (Lundberg et al., 2020) of each row x. Against
+    background row z, the row that takes x on a coalition S and z elsewhere
+    reaches a leaf iff S holds every path feature A that only x satisfies and
+    none B that only z satisfies, so each j in A gains value*(|A|-1)!|B|!/(|A|+|B|)!
     and each j in B loses value*|A|!(|B|-1)!/(|A|+|B|)!; phi is the mean over z."""
-    boxes = _BOXES.get(tree)
-    if boxes is None:
-        boxes = _BOXES[tree] = _leaf_boxes(tree)
-    feature, lo, hi = boxes
+    feature, lo, hi = _leaf_boxes(tree)
     value = tree.value[tree.feature < 0]
     depth = tree.depth
     # (a-1)! b! / (a+b)! = 1 / (a * C(a+b, a)); the loss weight is its transpose
     weight = np.array([[1.0 / (a * math.comb(a + b, a)) if a else 0.0 for b in range(depth + 1)]
                        for a in range(depth + 1)])
-    by_x = (lo < inst[feature]) & (inst[feature] <= hi)
-    phi = np.zeros(inst.shape[0])
+    by_x = (lo < rows[:, feature]) & (rows[:, feature] <= hi)  # (rows, depth, leaves)
+    phi = np.zeros(rows.shape)
     step = max(1, _LEAF_CELLS // (max(1, depth) * value.size))
     for start in range(0, bg.shape[0], step):
         z = bg[start:start + step][:, feature]
         by_z = (lo < z) & (z <= hi)
-        # only the few (row, leaf) pairs whose hybrid rows reach the leaf add
-        row, leaf = np.nonzero((by_x | by_z).all(axis=1))
-        in_z, in_x = by_z[row, :, leaf], by_x[:, leaf].T
-        only_x, only_z = in_x & ~in_z, in_z & ~in_x
-        a, b, v = only_x.sum(axis=1), only_z.sum(axis=1), value[leaf]
-        share = only_x * (v * weight[a, b])[:, None] - only_z * (v * weight[b, a])[:, None]
-        phi += np.bincount(feature[:, leaf].T.ravel(), share.ravel(), minlength=phi.size)
+        # each explained row adds the blocks in order, as it would alone
+        for r, in_box in enumerate(by_x):
+            # only the few (row, leaf) pairs whose hybrid rows reach the leaf add
+            row, leaf = np.nonzero((in_box | by_z).all(axis=1))
+            in_z, in_x = by_z[row, :, leaf], in_box[:, leaf].T
+            only_x, only_z = in_x & ~in_z, in_z & ~in_x
+            a, b, v = only_x.sum(axis=1), only_z.sum(axis=1), value[leaf]
+            share = only_x * (v * weight[a, b])[:, None] - only_z * (v * weight[b, a])[:, None]
+            phi[r] += np.bincount(feature[:, leaf].T.ravel(), share.ravel(), minlength=phi.shape[1])
     return phi / bg.shape[0]
 
 
-def shapley_values(model: FittedModel, instance, background) -> ShapExplanation:
-    """Exact interventional Shapley attribution of one prediction. A linear
-    model's is beta_j * (x_j - background mean of column j); a forest's or a
-    gbm's sums its trees' TreeSHAP values as it sums their predictions."""
-    inst = np.asarray(instance, dtype=np.float64).reshape(-1)
+def shapley_values(model: FittedModel, rows, background) -> ShapExplanation:
+    """Exact interventional Shapley attribution of the predictions of a block
+    of rows, each row's bit for bit as if explained alone. A linear model's
+    is beta_j * (x_j - background mean of column j); a forest's or a gbm's
+    sums its trees' TreeSHAP values as it sums their predictions."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     bg = background.x if isinstance(background, FeatureMatrix) else np.atleast_2d(np.asarray(background, dtype=np.float64))
+    if rows.shape[0] == 0:
+        raise EmptyInputError("no explained rows")
     if bg.shape[0] == 0:
         raise ValueError("background must be non-empty")
-    if bg.shape[1] != inst.shape[0]:
-        raise ValueError(f"instance has {inst.shape[0]} features, background {bg.shape[1]}")
+    if bg.shape[1] != rows.shape[1]:
+        raise ValueError(f"rows have {rows.shape[1]} features, background {bg.shape[1]}")
     # predict checks the model's input width
     base = float(predict(model, bg).mean())
-    prediction = float(predict(model, inst.reshape(1, -1))[0])
+    predictions = predict(model, rows)
     if isinstance(model, LinearModel):
-        values = model.coefficients * (inst - bg.mean(axis=0))
+        values = model.coefficients * (rows - bg.mean(axis=0))
     elif isinstance(model, Tree):
-        values = _tree_shapley(model, inst, bg)
+        values = _tree_shapley(model, rows, bg)
     elif isinstance(model, ForestModel):
-        values = sum(_tree_shapley(t, inst, bg) for t in model.trees) / len(model.trees)
+        values = sum(_tree_shapley(t, rows, bg) for t in model.trees) / len(model.trees)
     elif isinstance(model, BoostedModel):
-        values = sum(model.learning_rate * _tree_shapley(t, inst, bg) for t in model.trees)
+        values = sum(model.learning_rate * _tree_shapley(t, rows, bg) for t in model.trees)
     else:
         raise TypeError(f"no Shapley values for a {type(model).__name__}")
-    return ShapExplanation(base, values, prediction)
+    return ShapExplanation(base, values, predictions)
 
 
-def mean_abs_ranking(
-    names: tuple[str, ...], explanations: list[ShapExplanation]
-) -> list[tuple[str, float]]:
-    """Mean |Shapley value| per feature over the explanations, descending,
+def mean_abs_ranking(names: tuple[str, ...], values: np.ndarray) -> list[tuple[str, float]]:
+    """Mean |Shapley value| per feature over the rows of values, descending,
     ties by name."""
-    if not explanations:
+    if values.shape[0] == 0:
         raise EmptyInputError("no explained rows to rank features over")
-    totals = np.zeros(len(names))
-    for expl in explanations:
-        totals += np.abs(expl.values)
-    means = totals / len(explanations)
+    # a reduction over axis 0 adds the rows in order
+    means = np.abs(values).sum(axis=0) / values.shape[0]
     ranked = sorted(zip(names, means), key=lambda kv: (-kv[1], kv[0]))
     return [(name, float(value)) for name, value in ranked]

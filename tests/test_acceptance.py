@@ -129,19 +129,19 @@ def test_c2_shapley_axioms_and_monte_carlo():
     bg = rng.normal(size=(40, p))
     background = _fm(bg, np.zeros(40))
     instance = rng.normal(size=p)
-    expl = shapley_values(linear, instance, background)
+    expl = shapley_values(linear, instance[None], background)
     closed_form = beta * (instance - bg.mean(axis=0))
-    assert np.max(np.abs(expl.values - closed_form)) <= 1e-9
-    assert abs(expl.residual()) <= 1e-9
+    assert np.max(np.abs(expl.values[0] - closed_form)) <= 1e-9
+    assert abs(expl.residuals()[0]) <= 1e-9
 
     # symmetry: a model of the sum of two clones attributes them equally
     clone_sum = LinearModel(0.0, np.array([1.0, 1.0, 0.3]))
     sym_bg = rng.normal(size=(20, 1))
     sym_bg = np.column_stack([sym_bg[:, 0], sym_bg[:, 0], rng.normal(size=20)])
     sym_inst = np.array([1.7, 1.7, -0.4])
-    sym = shapley_values(clone_sum, sym_inst, _fm(sym_bg, np.zeros(20)))
-    assert abs(sym.values[0] - sym.values[1]) <= 1e-9
-    assert abs(sym.residual()) <= 1e-9
+    sym = shapley_values(clone_sum, sym_inst[None], _fm(sym_bg, np.zeros(20)))
+    assert abs(sym.values[0, 0] - sym.values[0, 1]) <= 1e-9
+    assert abs(sym.residuals()[0]) <= 1e-9
 
     # null player: a feature absent from every tree split gets exactly 0
     x_tree = rng.normal(size=(80, p))
@@ -150,14 +150,14 @@ def test_c2_shapley_axioms_and_monte_carlo():
     m_tree = _fm(x_tree, y_tree)
     tree = fit_tree(m_tree, HyperParams(max_depth=5))
     tree_background = m_tree.take(range(25))
-    tree_expl = shapley_values(tree, x_tree[3], tree_background)
-    assert abs(tree_expl.values[7]) <= 1e-12
-    assert abs(tree_expl.residual()) <= 1e-9
+    tree_expl = shapley_values(tree, x_tree[3:4], tree_background)
+    assert abs(tree_expl.values[0, 7]) <= 1e-12
+    assert abs(tree_expl.residuals()[0]) <= 1e-9
 
     # Monte Carlo at 2000 permutations within 0.05 * |prediction - base|
     sampled = sampled_shapley(ValueFunction(tree, x_tree[3], tree_background.x), 2000, 7)
-    tol = 0.05 * (abs(tree_expl.prediction - tree_expl.base_value) + 1e-9)
-    mc_err = float(np.max(np.abs(sampled - tree_expl.values)))
+    tol = 0.05 * (abs(tree_expl.predictions[0] - tree_expl.base_value) + 1e-9)
+    mc_err = float(np.max(np.abs(sampled - tree_expl.values[0])))
     assert mc_err <= tol
 
     elapsed = time.time() - start

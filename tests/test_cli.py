@@ -221,6 +221,22 @@ class TestRunCommand:
         xc = features.x - features.x.mean(axis=0)
         assert np.linalg.matrix_rank(xc) < features.x.shape[1]
 
+    def test_linear_winner_base_value_is_the_mean_written_prediction(self, tmp_path):
+        # the explained rows are their own background, so base_value is the
+        # mean of the very predictions written beside it; a linear model
+        # predicts a row alone with other last bits than in a batch, which
+        # this config shows
+        cfg_path, out_dir = _write_config(tmp_path, {
+            "features": {"standardize": True},
+            "models": {"families": ["lasso"]},
+        })
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert json.loads((Path(out_dir) / "model.json").read_text())["family"] == "linear"
+        docs = json.loads((Path(out_dir) / "shap_explanations.json").read_text())
+        assert len(docs) == 4
+        predictions = np.array([doc["prediction"] for doc in docs])
+        assert all(doc["base_value"] == predictions.mean() for doc in docs)
+
     @pytest.mark.parametrize("overrides", [
         {
             "selection": {"mode": "kbest", "k": 10},
@@ -592,7 +608,7 @@ class TestTrainSelectExplain:
         assert main(["explain", "--model", str(model_path), "--data", str(features_csv),
                      "--top", "50", "--rows", "3", "--seed", "4",
                      "--out", str(ranking), "--explanations", str(explanations)]) == 0
-        assert len(calls) == 3
+        assert len(calls) == 1 and calls[0].shape[0] == 3
         # the ranking is the mean |value| of the written explanations
         docs = json.loads(explanations.read_text())
         for line in ranking.read_text().splitlines()[1:]:
@@ -601,6 +617,18 @@ class TestTrainSelectExplain:
             for doc in docs:
                 total += abs(doc["values"][name])
             assert float(value) == total / len(docs)
+
+    def test_explain_on_header_only_features_exits_1(self, tmp_path, features_csv, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(features_csv), "--family", "ridge",
+                     "--out", str(model_path)]) == 0
+        empty = tmp_path / "empty.csv"
+        empty.write_text(features_csv.read_text().splitlines()[0] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["explain", "--model", str(model_path), "--data", str(empty),
+                     "--out", str(tmp_path / "rank.csv")]) == 1
+        assert "no explained rows" in capsys.readouterr().err
+        assert not (tmp_path / "rank.csv").exists()
 
     def test_evaluate_with_random_search(self, tmp_path, features_csv):
         assert main(["evaluate", "--features", str(features_csv),

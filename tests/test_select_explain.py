@@ -319,8 +319,8 @@ class TestShapleyExact:
     def test_single_feature_full_attribution(self):
         model = LinearModel(2.0, np.array([3.0]))
         background = _fm([0.0, 2.0, 4.0], [0.0, 0.0, 0.0])
-        expl = shapley_values(model, np.array([5.0]), background)
-        assert expl.values[0] == pytest.approx(expl.prediction - expl.base_value, abs=1e-12)
+        expl = shapley_values(model, np.array([[5.0]]), background)
+        assert expl.values[0, 0] == pytest.approx(expl.predictions[0] - expl.base_value, abs=1e-12)
 
     def test_linear_closed_form(self):
         rng = np.random.default_rng(3)
@@ -329,9 +329,9 @@ class TestShapleyExact:
         bg = rng.normal(size=(40, 4))
         background = _fm(bg, np.zeros(40))
         instance = rng.normal(size=4)
-        expl = shapley_values(model, instance, background)
+        expl = shapley_values(model, instance[None], background)
         expected = beta * (instance - bg.mean(axis=0))
-        assert np.allclose(expl.values, expected, atol=1e-9)
+        assert np.allclose(expl.values[0], expected, atol=1e-9)
 
     def test_efficiency_axiom(self):
         rng = np.random.default_rng(5)
@@ -340,34 +340,34 @@ class TestShapleyExact:
         m = _fm(x, y)
         model = fit_forest(m, HyperParams(n_trees=5, max_depth=4), seed=1)
         background = _fm(x[:15], y[:15])
-        expl = shapley_values(model, x[0], background)
-        assert abs(expl.residual()) < 1e-9
+        expl = shapley_values(model, x[:1], background)
+        assert abs(expl.residuals()[0]) < 1e-9
 
     def test_symmetry_axiom(self):
         # two functionally identical features: model uses their sum
         model = LinearModel(0.0, np.array([1.0, 1.0]), feature_names=("a", "b"))
         bg = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        expl = shapley_values(model, np.array([3.0, 3.0]), _fm(bg, np.zeros(3)))
-        assert expl.values[0] == pytest.approx(expl.values[1], abs=1e-9)
+        expl = shapley_values(model, np.array([[3.0, 3.0]]), _fm(bg, np.zeros(3)))
+        assert expl.values[0, 0] == pytest.approx(expl.values[0, 1], abs=1e-9)
 
     def test_null_player_axiom(self):
         model = LinearModel(0.0, np.array([1.0, 0.0]))
         bg = np.random.default_rng(7).normal(size=(20, 2))
-        expl = shapley_values(model, np.array([1.0, 99.0]), _fm(bg, np.zeros(20)))
-        assert expl.values[1] == pytest.approx(0.0, abs=1e-12)
+        expl = shapley_values(model, np.array([[1.0, 99.0]]), _fm(bg, np.zeros(20)))
+        assert expl.values[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_background_rejected(self):
         model = LinearModel(0.0, np.array([1.0]))
         with pytest.raises(ValueError):
-            shapley_values(model, np.array([1.0]), np.empty((0, 1)))
+            shapley_values(model, np.array([[1.0]]), np.empty((0, 1)))
 
     def test_single_leaf_tree_attributes_nothing(self):
         m = _fm(np.arange(6.0).reshape(3, 2), [4.0, 4.0, 4.0])
         model = fit_tree(m)
         assert model.depth == 0
-        expl = shapley_values(model, np.array([9.0, -9.0]), m)
-        assert expl.values.tolist() == [0.0, 0.0]
-        assert expl.base_value == expl.prediction == 4.0
+        expl = shapley_values(model, np.array([[9.0, -9.0]]), m)
+        assert expl.values.tolist() == [[0.0, 0.0]]
+        assert expl.base_value == expl.predictions[0] == 4.0
 
 
 class TestShapleyMonteCarlo:
@@ -386,20 +386,20 @@ class TestShapleyMonteCarlo:
         model, m = self._tree_model_and_data()
         background = m.x[:25]
         instance = m.x[0]
-        exact = shapley_values(model, instance, background)
+        exact = shapley_values(model, instance[None], background)
         sampled = sampled_shapley(ValueFunction(model, instance, background), 2000, 0)
-        tol = 0.05 * (abs(exact.prediction - exact.base_value) + 1e-9)
-        assert np.max(np.abs(sampled - exact.values)) <= tol
+        tol = 0.05 * (abs(exact.predictions[0] - exact.base_value) + 1e-9)
+        assert np.max(np.abs(sampled - exact.values[0])) <= tol
 
     def test_budget_growth_shrinks_error(self):
         model, m = self._tree_model_and_data(seed=13)
         background = m.x[:20]
         instance = m.x[1]
-        exact = shapley_values(model, instance, background)
+        exact = shapley_values(model, instance[None], background)
         v = ValueFunction(model, instance, background)
 
         def max_err(budget, seed):
-            return float(np.max(np.abs(sampled_shapley(v, budget, seed) - exact.values)))
+            return float(np.max(np.abs(sampled_shapley(v, budget, seed) - exact.values[0])))
 
         small = np.median([max_err(60, s) for s in range(5)])
         large = np.median([max_err(600, s) for s in range(5)])
@@ -439,13 +439,13 @@ class TestShapleyGates:
         m = _price_data(p, seed=p)
         model = _fit(family, m)
         background = m.x[:n_bg]
-        for i in (n_bg, n_bg + 1):
-            ours = shapley_values(model, m.x[i], background)
+        ours = shapley_values(model, m.x[n_bg:n_bg + 2], background)
+        assert np.array_equal(ours.predictions, predict(model, m.x[n_bg:n_bg + 2]))
+        for k, i in enumerate((n_bg, n_bg + 1)):
             v = ValueFunction(model, m.x[i], background)
-            scale = max(abs(ours.base_value), abs(ours.prediction), 1.0)
+            scale = max(abs(ours.base_value), abs(ours.predictions[k]), 1.0)
             assert ours.base_value == pytest.approx(v(0), abs=1e-12 * scale)
-            assert ours.prediction == float(predict(model, m.x[i:i + 1])[0])
-            assert np.max(np.abs(ours.values - exact_shapley(v))) <= 1e-10 * scale
+            assert np.max(np.abs(ours.values[k] - exact_shapley(v))) <= 1e-10 * scale
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_sampler_at_2000_permutations_agrees_at_p40(self, family):
@@ -457,18 +457,17 @@ class TestShapleyGates:
         # bound would fall below the sampler's own Monte Carlo error
         gap = np.abs(predict(model, m.x[8:40]) - predict(model, background).mean())
         probe = m.x[8 + int(gap.argmax())]
-        ours = shapley_values(model, probe, background)
+        ours = shapley_values(model, probe[None], background)
         sampled = sampled_shapley(ValueFunction(model, probe, background), 2000, 0)
-        tol = 0.05 * abs(ours.prediction - ours.base_value)
-        assert np.max(np.abs(sampled - ours.values)) <= tol
+        tol = 0.05 * abs(ours.predictions[0] - ours.base_value)
+        assert np.max(np.abs(sampled - ours.values[0])) <= tol
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p", [8, 40])
     def test_efficiency_residual_within_1e9(self, family, p):
         m = _price_data(p, seed=p)
         model = _fit(family, m)
-        for i in range(3):
-            assert abs(shapley_values(model, m.x[50 + i], m.x[:30]).residual()) <= 1e-9
+        assert np.max(np.abs(shapley_values(model, m.x[50:53], m.x[:30]).residuals())) <= 1e-9
 
     @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
     def test_cells_on_split_thresholds_route_as_predict_does(self, family):
@@ -483,11 +482,11 @@ class TestShapleyGates:
             on_j = np.concatenate([t.threshold[t.feature == j] for t in trees])
             if on_j.size:
                 grid[:, j] = rng.choice(on_j, size=12)
+        ours = shapley_values(model, grid[:2], grid[2:])
         for i in (0, 1):
-            ours = shapley_values(model, grid[i], grid[2:])
             oracle = exact_shapley(ValueFunction(model, grid[i], grid[2:]))
-            scale = max(abs(ours.base_value), abs(ours.prediction), 1.0)
-            assert np.max(np.abs(ours.values - oracle)) <= 1e-10 * scale
+            scale = max(abs(ours.base_value), abs(ours.predictions[i]), 1.0)
+            assert np.max(np.abs(ours.values[i] - oracle)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
     def test_feature_on_no_leaf_path_gets_exactly_zero(self, family):
@@ -500,8 +499,8 @@ class TestShapleyGates:
         model = _fit(family, m)
         probe = m.x[7].copy()
         probe[[0, 5]] = [-40.0, 40.0]
-        expl = shapley_values(model, probe, m.x[:20])
-        assert expl.values[0] == 0.0 and expl.values[5] == 0.0
+        expl = shapley_values(model, probe[None], m.x[:20])
+        assert expl.values[0, 0] == 0.0 and expl.values[0, 5] == 0.0
         assert np.any(expl.values != 0.0)
 
     @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
@@ -510,32 +509,54 @@ class TestShapleyGates:
 
         m = _price_data(10, n=300, seed=10)
         model = _fit(family, m)
-        one = shapley_values(model, m.x[0], m.x[1:])
+        one = shapley_values(model, m.x[:1], m.x[1:])
         monkeypatch.setattr(select_explain, "_LEAF_CELLS", 1)  # one row per block
-        several = shapley_values(model, m.x[0], m.x[1:])
+        several = shapley_values(model, m.x[:1], m.x[1:])
         # blocks only regroup the sum over background rows
-        scale = max(abs(one.base_value), abs(one.prediction))
+        scale = max(abs(one.base_value), abs(one.predictions[0]))
         assert several.base_value == one.base_value
-        assert several.prediction == one.prediction
+        assert several.predictions[0] == one.predictions[0]
         assert np.max(np.abs(several.values - one.values)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("cells", [1, 1000])
+    @pytest.mark.parametrize("family", ["tree", "forest", "gbm", "lasso", "depth-0 tree"])
+    def test_block_of_rows_equals_each_row_alone(self, monkeypatch, family, cells):
+        # cells=1 gives one background row per block, cells=1000 a few rows
+        from rentlab import select_explain
+
+        monkeypatch.setattr(select_explain, "_LEAF_CELLS", cells)
+        m = _price_data(8, n=100, seed=8)
+        if family == "depth-0 tree":
+            model = fit_tree(m, HyperParams(max_depth=0))
+        else:
+            model = _fit(family, m)
+        background = m.x[:60]
+        block = shapley_values(model, m.x[60:70], background)
+        assert block.values.shape == (10, 8) and block.predictions.shape == (10,)
+        for k in range(10):
+            alone = shapley_values(model, m.x[60 + k:61 + k], background)
+            assert alone.base_value == block.base_value
+            assert np.array_equal(alone.values[0], block.values[k])
 
     @pytest.mark.parametrize("family", ["tree", "forest", "gbm"])
     def test_large_background_stays_within_the_block_cap(self, family):
         # 20,000 background rows x 61 leaves x 6 path slots take about 71 MB
         # of temporaries in one block; blocks of 2^18 cells take under 5 MB,
-        # and the ensembles explain one tree at a time
+        # and the ensembles explain one tree at a time; a block of explained
+        # rows goes through each background block one row at a time
         import tracemalloc
 
         m = _price_data(10, n=500, seed=1)
         model = fit_tree(m, HyperParams(max_depth=6)) if family == "tree" else _fit(family, m)
         background = np.random.default_rng(2).normal(size=(20_000, 10))
-        tracemalloc.start()
-        try:
-            shapley_values(model, m.x[0], background)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for rows in (1, 25):
+            tracemalloc.start()
+            try:
+                shapley_values(model, m.x[:rows], background)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, rows
 
     def test_unsupported_model_raises_type_error_naming_it(self):
         class SumModel:
@@ -546,17 +567,14 @@ class TestShapleyGates:
 
         bg = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(TypeError, match="SumModel"):
-            shapley_values(SumModel(), np.array([3.0, 3.0]), bg)
+            shapley_values(SumModel(), np.array([[3.0, 3.0]]), bg)
 
 
 class TestShapRanking:
     @staticmethod
     def _ranking(model, data, background=None):
         bg = data if background is None else background
-        explanations = [
-            shapley_values(model, data.x[i], bg) for i in range(data.n_rows)
-        ]
-        return mean_abs_ranking(data.feature_names, explanations)
+        return mean_abs_ranking(data.feature_names, shapley_values(model, data.x, bg).values)
 
     def test_ignored_feature_ranks_zero(self):
         model = LinearModel(0.0, np.array([2.0, 0.0]))
